@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Print the output checksums of every reference and benchmark config.
+#
+# Usage: scripts/golden_outputs.sh OUT_DIR
+#
+# Runs each config in configs/ and perfbench/workloads/ with its own command,
+# plus `simulate` on the averaging reference and `action` on the
+# quasi-potential reference, all with --paths 64, a fixed --seed and a fixed
+# --out under OUT_DIR.  Then prints the `outputs` map of each run manifest,
+# without config_resolved.json (that file records the output path).  Run it
+# on two source trees and diff what it prints: seeded outputs that are
+# byte-identical print identical lines.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT_DIR" >&2
+    exit 1
+fi
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+OUT="$1"
+SEED=7
+mkdir -p "$OUT"
+cd "$ROOT"
+
+run() {  # run NAME COMMAND CONFIG
+    local name="$1" command="$2" config="$3"
+    PYTHONPATH="$ROOT/src" python3 -m fastexit "$command" --config "$config" \
+        --paths 64 --seed "$SEED" --out "$OUT/$name" > /dev/null
+    python3 - "$name" "$OUT/$name/run_manifest.json" <<'PY'
+import json
+import sys
+
+name, manifest = sys.argv[1], sys.argv[2]
+outputs = json.load(open(manifest))["outputs"]
+outputs.pop("config_resolved.json", None)
+for file, digest in sorted(outputs.items()):
+    print(f"{name} {file} {digest}")
+PY
+}
+
+for config in configs/*.json perfbench/workloads/*.json; do
+    command="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["experiment"]["kind"])' "$config")"
+    name="$(basename "$(dirname "$config")")-$(basename "$config" .json)-$command"
+    run "$name" "$command" "$config"
+done
+run configs-averaging_reference-simulate simulate configs/averaging_reference.json
+run configs-quasipotential_reference-action action configs/quasipotential_reference.json

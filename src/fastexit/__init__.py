@@ -10,15 +10,11 @@ exit-time law by Monte Carlo.
 from .coefficients import (
     AveragedModel,
     CoefficientSet,
-    averaged_F,
-    averaged_G_row,
-    averaged_Sigma_row,
     check_coefficient_hypotheses,
     check_nondegeneracy,
     make_coefficient,
     make_coefficient_set,
     nemytskii_F,
-    noise_intensity_H,
 )
 from .errors import (
     ConfigError,
@@ -56,11 +52,8 @@ from .noise import (
     CovarianceSpectrumQ,
     RngStream,
     check_hyp_eigenvalues,
-    conv_B_step,
-    conv_Q_step,
     make_b_spectrum,
     make_q_spectrum,
-    sample_wQ_increment,
 )
 from .operator import (
     BoundaryData,
@@ -81,7 +74,6 @@ from .solver import (
     averaging_error,
     averaging_error_ensemble,
     solve_averaged_sde,
-    solve_controlled_ode,
     solve_controlled_spde,
     solve_limit_ode,
     solve_spde,

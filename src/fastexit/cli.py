@@ -1,15 +1,14 @@
 """Command-line entry point.
 
 Subcommands: check, simulate, average, action, quasipotential, exit,
-emit-plots.  Thread count falls back to the FASTEXIT_THREADS environment
-variable.  Exit status: 0 success, 1 configuration or file error,
-2 required hypothesis failed, 3 numerical divergence.
+emit-plots.  The thread count comes from --threads, else from the config.
+Exit status: 0 success, 1 configuration or file error, 2 required
+hypothesis failed, 3 numerical divergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -51,16 +50,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _threads(args, resolved) -> int:
-    """Precedence: --threads flag, FASTEXIT_THREADS, config, single-threaded."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("FASTEXIT_THREADS")
-    if env:
-        return int(env)
-    return resolved.get("threads", 1)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -82,7 +71,7 @@ def main(argv=None) -> int:
         resolved = resolve_config(raw)
         out_dir = Path(resolved["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        threads = _threads(args, resolved)
+        threads = args.threads if args.threads is not None else resolved["threads"]
         if args.command == "check":
             status = run_check(resolved, out_dir)
         elif args.command == "simulate":

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operator import BoundaryData, Field, SpectralOperator
+from .operator import Field, SpectralOperator
 
 __all__ = [
     "Coefficient",
@@ -53,11 +53,6 @@ __all__ = [
     "make_boundary_coefficient",
     "make_coefficient_set",
     "nemytskii_F",
-    "nemytskii_G_matrix",
-    "averaged_F",
-    "averaged_G_row",
-    "averaged_Sigma_row",
-    "noise_intensity_H",
     "check_nondegeneracy",
     "check_coefficient_hypotheses",
 ]
@@ -208,13 +203,6 @@ def nemytskii_F(cs: CoefficientSet, op: SpectralOperator, t: float, u: Field) ->
     return Field(op.to_modes(vals))
 
 
-def nemytskii_G_matrix(cs: CoefficientSet, op: SpectralOperator, t: float, u: Field) -> np.ndarray:
-    """Matrix M_kj = <g(t, ., u) e_j, e_k> of the multiplication operator G(t, u)."""
-    g_vals = cs.g.value(t, op.grid, op.to_grid(u.coeffs))
-    weighted = op.modes_on_grid * (g_vals * op.quad_weights)
-    return weighted @ op.modes_on_grid.T
-
-
 @dataclass(frozen=True)
 class AveragedModel:
     """Averaged drift, noise rows, and noise intensity for the limit dynamics.
@@ -301,22 +289,6 @@ class AveragedModel:
         rh = self.row_h(t, u)
         drh = self.row_h_prime(t, u)
         return 2.0 * w_h**2 * (rh * drh).sum(axis=-1)
-
-
-def averaged_F(model: AveragedModel, t: float, u: float) -> float:
-    return float(model.f_bar(t, u))
-
-
-def averaged_G_row(model: AveragedModel, t: float, u: float) -> Field:
-    return Field(model.row_h(t, u))
-
-
-def averaged_Sigma_row(model: AveragedModel, t: float) -> BoundaryData:
-    return BoundaryData(model.row_z(t))
-
-
-def noise_intensity_H(model: AveragedModel, t: float, u: float) -> float:
-    return float(model.h(t, u))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
-"""Internal vectorized machinery for path ensembles.
+"""The SPDE stepper and the one block driver that runs path ensembles with it.
 
-Paths are simulated in fixed-size blocks.  Path p always lives in block
-p // BLOCK_SIZE at row p % BLOCK_SIZE, and each block draws from its own
-counter-based stream keyed by (seed, block index).  Per step a block draws
-the full (BLOCK_SIZE, n_modes) normal panel for each active noise channel
-whether or not the block is fully populated, so a path's draws depend only
-on (seed, block, step, row) and results are independent of the total path
-count, the thread count, and the execution schedule.
+`SpdeStepper` advances a (P, N) batch of mode coefficients by one
+mild-solution step, both noise channels included.  `run_ensemble` steps
+paths in fixed-size blocks: path p lives in block p // BLOCK_SIZE at row
+p % BLOCK_SIZE, and each block draws from its own counter-based stream.  Per
+step a block draws the full (BLOCK_SIZE, n_modes) normal panel for each
+active noise channel whether or not the block is fully populated, so a path's
+draws depend only on (seed, block, step, row) and results are independent of
+the total path count, the thread count, and the execution schedule.
 """
 
 from __future__ import annotations
@@ -16,34 +17,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .noise import CovarianceSpectrumB, CovarianceSpectrumQ, RngStream, boundary_coupling, ou_step_weights
+from .noise import (
+    CovarianceSpectrumB, CovarianceSpectrumQ, RngStream, boundary_coupling, decay_integral, ou_step_weights,
+)
 from .operator import SpectralOperator
 
 BLOCK_SIZE = 64
 DIVERGENCE_LIMIT = 1e12
 
 
-def phi1_weight(alphas: np.ndarray, eps: float, dt: float) -> np.ndarray:
-    """Exact step weight dt * phi1(-alpha dt/eps) = (1 - exp(-alpha dt/eps)) eps/alpha."""
-    rate = alphas / eps
-    w = np.full(alphas.shape, dt)
-    pos = alphas > 0
-    w[pos] = -np.expm1(-rate[pos] * dt) / rate[pos]
-    return w
-
-
-def iter_blocks(n_paths: int):
-    """Yield (block_index, start, stop, rows_in_use)."""
-    n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for b in range(n_blocks):
-        start = b * BLOCK_SIZE
-        stop = min(start + BLOCK_SIZE, n_paths)
-        yield b, start, stop, stop - start
-
-
 def map_blocks(fn, n_paths: int, threads: int = 1):
     """Run fn(block_index, start, stop, rows) over all blocks, optionally threaded."""
-    blocks = list(iter_blocks(n_paths))
+    blocks = []
+    for start in range(0, n_paths, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, n_paths)
+        blocks.append((start // BLOCK_SIZE, start, stop, stop - start))
     if threads <= 1 or len(blocks) == 1:
         return [fn(*blk) for blk in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -78,7 +66,7 @@ class SpdeStepper:
         self.dt = dt
         self.decay, v = ou_step_weights(op.eigenvalues, eps, dt)
         self.sqrt_v = np.sqrt(v)
-        self.phi1dt = phi1_weight(op.eigenvalues, eps, dt)
+        self.phi1dt = decay_integral(op.eigenvalues / eps, dt)  # dt phi1(-alpha dt / eps)
         self.lambdas = spec_q.lambdas
         self.g_const = cs.g.constant_value if cs.g.is_constant else None
         sigma_vals = cs.sigma.values(0.0)
@@ -148,3 +136,34 @@ def diverged_mask(u: np.ndarray) -> np.ndarray:
     """Per-path divergence flag for a (P, N) state batch."""
     bad = ~np.isfinite(u) | (np.abs(u) > DIVERGENCE_LIMIT)
     return bad.any(axis=-1)
+
+
+def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: int,
+                 seed: int, stream_base: int, threads: int, observer) -> list[np.ndarray]:
+    """Step n_paths copies of x0 for up to n_steps steps; return per-path columns.
+
+    observer(u0) starts the measurement of a block.  After step i (from i dt
+    to (i + 1) dt) the rows that diverged on it are zeroed and cleared from
+    `live`, then observe(i, u, live, bad) runs and may clear more rows from
+    `live`.  A block stops once no row is live; finish(live) returns its
+    per-row columns.  Block b draws from stream stream_base | b.
+    """
+
+    def run_block(b, start, stop, rows):
+        gen = block_stream(seed, stream_base | b)._gen
+        u = np.tile(x0, (BLOCK_SIZE, 1))
+        obs = observer(u)
+        live = np.ones(BLOCK_SIZE, dtype=bool)
+        for i in range(n_steps):
+            if not live.any():
+                break
+            u = stepper.step(i * stepper.dt, u, gen)
+            bad = diverged_mask(u) & live
+            if bad.any():
+                live &= ~bad
+                u[bad] = 0.0
+            obs.observe(i, u, live, bad)
+        return [col[:rows] for col in obs.finish(live)]
+
+    blocks = map_blocks(run_block, n_paths, threads)
+    return [np.concatenate(cols) for cols in zip(*blocks)]

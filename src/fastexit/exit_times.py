@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .coefficients import AveragedModel
-from .ensemble import BLOCK_SIZE, SpdeStepper, block_stream, diverged_mask, map_blocks
+from .ensemble import SpdeStepper, run_ensemble
 from .ldp import v_bar
 from .noise import CovarianceSpectrumB, CovarianceSpectrumQ
 from .operator import Field, SpectralOperator
@@ -68,10 +69,6 @@ class ConvexFunction:
     def value(self, s):
         p = self.params
         return p.get("scale", 1.0) * (np.asarray(s, dtype=float) - p.get("center", 0.0)) ** 2
-
-    def prime(self, s):
-        p = self.params
-        return 2.0 * p.get("scale", 1.0) * (np.asarray(s, dtype=float) - p.get("center", 0.0))
 
 
 def make_convex_function(spec: dict) -> ConvexFunction:
@@ -260,6 +257,45 @@ class ExitStats:
         }
 
 
+class _ExitObserver:
+    """Per-block exit measurement for `run_ensemble`.
+
+    Records the time G crosses the level (interpolated linearly between the
+    bracketing steps), the non-constant norm at exit and the first time in
+    the rho-ball; exited rows leave `live`.  Diverged rows are censored at
+    the divergence time, rows still live at the end at t_max.
+    """
+
+    def __init__(self, dom: DomainSpec, dt: float, t_max: float, rho_ball: float | None, u0: np.ndarray):
+        self.dom, self.dt, self.t_max, self.rho_ball = dom, dt, t_max, rho_ball
+        self.g_prev = membership_values(dom, u0)
+        self.tau, self.nonconst, self.ball = np.full((3, u0.shape[0]), np.nan)
+        self.diverged = np.zeros(u0.shape[0], dtype=bool)
+
+    def observe(self, i: int, u: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
+        t_prev = i * self.dt
+        t = t_prev + self.dt
+        if bad.any():
+            self.diverged |= bad
+            self.tau[bad] = t
+        level = self.dom.level
+        gv = membership_values(self.dom, u)
+        crossed = live & (gv >= level)
+        if crossed.any():
+            frac = (level - self.g_prev[crossed]) / (gv[crossed] - self.g_prev[crossed])
+            self.tau[crossed] = t_prev + self.dt * np.clip(frac, 0.0, 1.0)
+            self.nonconst[crossed] = np.linalg.norm(u[crossed][:, 1:], axis=1)
+            live &= ~crossed
+        if self.rho_ball is not None:
+            inside = live & np.isnan(self.ball) & (self.dom.op.hmu_norm(u) <= self.rho_ball)
+            self.ball[inside] = t
+        self.g_prev = gv
+
+    def finish(self, live: np.ndarray):
+        self.tau[live] = self.t_max
+        return self.tau, self.diverged | live, self.diverged, self.nonconst, np.fmin(self.ball, self.tau)
+
+
 def exit_time_mc(
     model: AveragedModel,
     levels: list[MultiscaleParams],
@@ -303,57 +339,10 @@ def exit_time_mc(
             op, model.coeffs, spec_q, spec_b,
             alpha=params.alpha, beta=params.beta, eps=params.eps, dt=dt,
         )
-        taus = np.full(n_paths, np.nan)
-        censored = np.zeros(n_paths, dtype=bool)
-        diverged = np.zeros(n_paths, dtype=bool)
-        nonconst = np.full(n_paths, np.nan)
-        ball_times = np.full(n_paths, np.nan) if rho_ball is not None else None
-
-        def run_block(b, start, stop, rows):
-            gen = block_stream(seed, (li << 32) | b)._gen
-            u = np.tile(x.coeffs, (BLOCK_SIZE, 1))
-            g_prev = membership_values(dom, u)
-            b_tau = np.full(BLOCK_SIZE, np.nan)
-            b_cens = np.zeros(BLOCK_SIZE, dtype=bool)
-            b_div = np.zeros(BLOCK_SIZE, dtype=bool)
-            b_nonconst = np.full(BLOCK_SIZE, np.nan)
-            b_ball = np.full(BLOCK_SIZE, np.nan)
-            alive = np.ones(BLOCK_SIZE, dtype=bool)
-            for step in range(n_max):
-                if not alive.any():
-                    break
-                t_prev = step * dt
-                u = stepper.step(t_prev, u, gen)
-                t = t_prev + dt
-                bad = diverged_mask(u) & alive
-                if bad.any():
-                    # numerically invalid paths: censor at the divergence time
-                    b_div |= bad
-                    b_cens |= bad
-                    b_tau[bad] = t
-                    alive &= ~bad
-                    u[bad] = 0.0
-                gv = membership_values(dom, u)
-                crossed = alive & (gv >= dom.level)
-                if crossed.any():
-                    frac = (dom.level - g_prev[crossed]) / (gv[crossed] - g_prev[crossed])
-                    b_tau[crossed] = t_prev + dt * np.clip(frac, 0.0, 1.0)
-                    b_nonconst[crossed] = np.linalg.norm(u[crossed][:, 1:], axis=1)
-                    alive &= ~crossed
-                if rho_ball is not None:
-                    inside = alive & np.isnan(b_ball) & (op.hmu_norm(u) <= rho_ball)
-                    b_ball[inside] = t
-                g_prev = gv
-            b_cens |= alive
-            b_tau[alive] = t_max_eff
-            taus[start:stop] = b_tau[:rows]
-            censored[start:stop] = b_cens[:rows]
-            diverged[start:stop] = b_div[:rows]
-            nonconst[start:stop] = b_nonconst[:rows]
-            if ball_times is not None:
-                ball_times[start:stop] = np.fmin(b_ball, b_tau)[:rows]
-
-        map_blocks(run_block, n_paths, threads)
+        taus, censored, diverged, nonconst, ball_times = run_ensemble(
+            stepper, x.coeffs, n_paths, n_max, seed, li << 32, threads,
+            partial(_ExitObserver, dom, dt, t_max_eff, rho_ball),
+        )
         mean_tau = float(taus.mean())
         log_mean = math.log(mean_tau)
         se = float(taus.std(ddof=1)) / math.sqrt(n_paths) if n_paths > 1 else 0.0
@@ -379,7 +368,7 @@ def exit_time_mc(
                 t_max=t_max_eff,
                 v_bar_target=vb,
                 concentration_fraction=conc,
-                sigma_rho_times=ball_times,
+                sigma_rho_times=ball_times if rho_ball is not None else None,
                 seed=seed,
             )
         )

@@ -1,12 +1,13 @@
-"""Covariance spectra, reproducible Gaussian streams, and stochastic convolutions.
+"""Covariance spectra, reproducible Gaussian streams, and the exact OU step weights.
 
 Both Wiener processes are diagonal in their reference bases: w^Q in the
 operator eigenbasis with sqrt(Q) e_k = lambda_k e_k, and w^B on the two
 boundary points with sqrt(B) weights theta_j.
 
 The stochastic convolutions in the mild solution are infinite-dimensional OU
-processes and are integrated exactly per mode (exponential integrator), never
-by Euler on the stiff linear part.  Over one step of size dt,
+processes.  `ensemble.SpdeStepper` integrates them exactly per mode
+(exponential integrator), never by Euler on the stiff linear part, with the
+weights built here.  Over one step of size dt,
 
     state_k <- exp(-alpha_k dt / eps) state_k + eta_k,
 
@@ -19,7 +20,7 @@ M_kj = <g e_j, e_k> frozen at the step start (weak order 1/2 for
 state-dependent g; exact for constant g, where M = g I).  Boundary channel:
 the (delta0 - A) prefactor of the mild form cancels the Neumann-map
 denominator (delta0 + alpha_k) exactly in the eigenbasis, leaving the
-delta0-free coupling b_kj = sigma(j) e_k(j) and
+delta0-free coupling b_kj = sigma(j) e_k(j) (`boundary_coupling`) and
 variance_k = sum_j theta_j^2 b_kj^2 v_k.
 
 Randomness comes from counter-based Philox generators keyed by
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import Field, SpectralOperator
+from .operator import SpectralOperator
 
 __all__ = [
     "CovarianceSpectrumQ",
@@ -43,9 +44,6 @@ __all__ = [
     "make_q_spectrum",
     "make_b_spectrum",
     "check_hyp_eigenvalues",
-    "sample_wQ_increment",
-    "conv_Q_step",
-    "conv_B_step",
     "ou_step_weights",
     "boundary_coupling",
 ]
@@ -126,9 +124,6 @@ class RngStream:
 
     def normal(self, shape=()) -> np.ndarray:
         return self._gen.standard_normal(shape)
-
-    def spawn(self, stream: int) -> "RngStream":
-        return RngStream(seed=self.seed, stream=stream)
 
 
 @dataclass(frozen=True)
@@ -227,76 +222,21 @@ def check_hyp_eigenvalues(dim: int, lambdas, e_sup_norms=None, thetas=None) -> E
     )
 
 
-def sample_wQ_increment(spec: CovarianceSpectrumQ, rng: RngStream, dt: float) -> Field:
-    """One increment of w^Q over dt: mode k gets lambda_k N(0, dt), independently."""
-    if dt <= 0:
-        raise ValueError("dt must be strictly positive")
-    z = rng.normal(spec.lambdas.shape)
-    return Field(spec.lambdas * np.sqrt(dt) * z)
+def decay_integral(rate: np.ndarray, dt: float) -> np.ndarray:
+    """int_0^dt exp(-rate s) ds = -expm1(-rate dt) / rate, and dt where rate = 0."""
+    w = np.full(rate.shape, dt)
+    pos = rate > 0
+    w[pos] = -np.expm1(-rate[pos] * dt) / rate[pos]
+    return w
 
 
 def ou_step_weights(alphas: np.ndarray, eps: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode decay exp(-alpha dt/eps) and exact OU variance weight v_k(dt)."""
     if eps <= 0 or dt <= 0:
         raise ValueError("eps and dt must be strictly positive")
-    decay = np.exp(-alphas * dt / eps)
-    rate = 2.0 * alphas / eps
-    v = np.full(alphas.shape, dt)
-    pos = alphas > 0
-    v[pos] = -np.expm1(-rate[pos] * dt) / rate[pos]
-    return decay, v
-
-
-def conv_Q_step(
-    op: SpectralOperator,
-    spec: CovarianceSpectrumQ,
-    eps: float,
-    dt: float,
-    g_frozen: np.ndarray | None,
-    state: Field,
-    rng: RngStream,
-) -> Field:
-    """Advance the interior stochastic convolution one step.
-
-    g_frozen is the multiplier g(t, ., u(t)) evaluated on the quadrature grid
-    at the step start, or None for g = 1 (then the coupling matrix is the
-    identity and the per-mode update is the exact OU law).
-    """
-    decay, v = ou_step_weights(op.eigenvalues, eps, dt)
-    if g_frozen is None:
-        var = spec.lambdas**2 * v
-    else:
-        weighted = op.modes_on_grid * (np.asarray(g_frozen) * op.quad_weights)
-        m_mat = weighted @ op.modes_on_grid.T  # M_kj = <g e_j, e_k>
-        var = ((m_mat * spec.lambdas[None, :]) ** 2).sum(axis=1) * v
-    eta = np.sqrt(var) * rng.normal(op.eigenvalues.shape)
-    return Field(decay * state.coeffs + eta)
+    return np.exp(-alphas * dt / eps), decay_integral(2.0 * alphas / eps, dt)
 
 
 def boundary_coupling(op: SpectralOperator, sigma_values: np.ndarray) -> np.ndarray:
     """Coupling rows b_kj = sigma(j) e_k(boundary point j); delta0-free."""
     return op.boundary_values * np.asarray(sigma_values)[None, :]
-
-
-def conv_B_step(
-    op: SpectralOperator,
-    spec: CovarianceSpectrumB,
-    sigma_values: np.ndarray,
-    delta0: float,
-    eps: float,
-    dt: float,
-    state: Field,
-    rng: RngStream,
-) -> Field:
-    """Advance the boundary stochastic convolution one step.
-
-    delta0 is validated but does not enter the update: the (delta0 - A)
-    factor and the Neumann denominator (delta0 + alpha_k) cancel exactly.
-    """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be strictly positive")
-    decay, v = ou_step_weights(op.eigenvalues, eps, dt)
-    b = boundary_coupling(op, sigma_values)
-    var = ((spec.thetas[None, :] * b) ** 2).sum(axis=1) * v
-    eta = np.sqrt(var) * rng.normal(op.eigenvalues.shape)
-    return Field(decay * state.coeffs + eta)

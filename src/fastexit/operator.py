@@ -180,10 +180,6 @@ class SpectralOperator:
         vals = self.to_grid(coeffs)
         return np.sqrt((vals * vals * self.density_on_grid * self.quad_weights).sum(axis=-1))
 
-    def hmu_inner(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        v1, v2 = self.to_grid(c1), self.to_grid(c2)
-        return (v1 * v2 * self.density_on_grid * self.quad_weights).sum(axis=-1)
-
 
 def build_neumann_laplacian_1d(n_modes: int, grid_factor: int = 4) -> SpectralOperator:
     """Reference operator: A = d^2/dxi^2 on (0,1) with zero-flux boundary.

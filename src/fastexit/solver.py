@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .coefficients import AveragedModel, CoefficientSet
-from .ensemble import SpdeStepper, diverged_mask, map_blocks, block_stream, BLOCK_SIZE
+from .ensemble import SpdeStepper, diverged_mask, run_ensemble
 from .errors import DivergenceError
 from .noise import CovarianceSpectrumB, CovarianceSpectrumQ, RngStream
 from .operator import Field, SpectralOperator
@@ -38,7 +39,6 @@ __all__ = [
     "solve_controlled_spde",
     "solve_limit_ode",
     "solve_averaged_sde",
-    "solve_controlled_ode",
     "solve_controlled_ode_batch",
     "averaging_error",
     "averaging_error_ensemble",
@@ -102,9 +102,6 @@ class FieldTrajectory:
     def n_modes(self) -> int:
         return self.states.shape[1]
 
-    def state_at(self, i: int) -> Field:
-        return Field(self.states[i])
-
     def write_csv(self, path):
         header = "t," + ",".join(f"mode_{k}" for k in range(self.n_modes))
         with open(path, "w") as fh:
@@ -144,22 +141,23 @@ def _time_grid(t_final: float, dt: float) -> tuple[np.ndarray, float, int]:
     return np.arange(n + 1) * dt_eff, dt_eff, n
 
 
-def _control_callable(control, n_modes: int):
-    """Turn a ControlPath (or None) into t -> (phi_H coeffs, phi_Z values)."""
-    if control is None:
-        zero_h = np.zeros(n_modes)
-        zero_z = np.zeros(2)
-        return lambda t: (zero_h, zero_z)
-    times = control.times
-    t0, dtg = times[0], times[1] - times[0]
+def _control_interpolant(node_times: np.ndarray, phi_h: np.ndarray, phi_z: np.ndarray):
+    """Piecewise-linear t -> (phi_H(t), phi_Z(t)) on a uniform node grid.
+
+    The node axis is the second to last: phi_h is (..., n_nodes, N) and phi_z
+    (..., n_nodes, 2), so one control or a batch of controls interpolates alike.
+    """
+    t0, dtg = node_times[0], node_times[1] - node_times[0]
+    n_nodes = len(node_times)
 
     def at(t):
-        s = np.clip((t - t0) / dtg, 0.0, len(times) - 1.0)
-        i = min(int(s), len(times) - 2)
+        s = np.clip((t - t0) / dtg, 0.0, n_nodes - 1.0)
+        i = min(int(s), n_nodes - 2)
         w = s - i
-        phi_h = (1.0 - w) * control.phi_h[i] + w * control.phi_h[i + 1]
-        phi_z = (1.0 - w) * control.phi_z[i] + w * control.phi_z[i + 1]
-        return phi_h, phi_z
+        return (
+            (1.0 - w) * phi_h[..., i, :] + w * phi_h[..., i + 1, :],
+            (1.0 - w) * phi_z[..., i, :] + w * phi_z[..., i + 1, :],
+        )
 
     return at
 
@@ -186,7 +184,7 @@ def solve_controlled_spde(
     stepper = SpdeStepper(
         op, cs, spec_q, spec_b,
         alpha=params.alpha, beta=params.beta, eps=params.eps, dt=dt_eff,
-        control=_control_callable(control, op.n_modes) if control is not None else None,
+        control=None if control is None else _control_interpolant(control.times, control.phi_h, control.phi_z),
         control_weights=control_weights,
     )
     u = np.array([x.coeffs], dtype=float)
@@ -275,29 +273,6 @@ def solve_averaged_sde(
     return ScalarTrajectory(times=times, values=values)
 
 
-def solve_controlled_ode(
-    model: AveragedModel, x_mean: float, control, t_final: float, dt: float
-) -> ScalarTrajectory:
-    """RK4 on the skeleton dynamics
-
-        u' = F_bar(t, u) + w_H <phi_H(t), row_H(t, u)> + w_Z <phi_Z(t), row_Z(t)>
-
-    with weights (w_H, w_Z) = (1/(1+rho_bar), rho_bar/(1+rho_bar)).
-    """
-    times, _, _ = _time_grid(t_final, dt)
-    w_h, w_z = model.weights
-    ctrl = _control_callable(control, model.op.n_modes)
-
-    def rhs(t, u):
-        phi_h, phi_z = ctrl(t)
-        drift = model.f_bar(t, u)
-        forcing = w_h * (model.row_h(t, u) * phi_h).sum(axis=-1) + w_z * float(model.row_z(t) @ phi_z)
-        return drift + forcing
-
-    values = _rk4(rhs, float(x_mean), times)
-    return ScalarTrajectory(times=times, values=values)
-
-
 def solve_controlled_ode_batch(
     model: AveragedModel,
     x_means: np.ndarray,
@@ -307,24 +282,18 @@ def solve_controlled_ode_batch(
     t_final: float,
     dt: float,
 ) -> np.ndarray:
-    """Vectorized skeleton solve for a batch of controls on one uniform node grid.
+    """RK4 on the skeleton dynamics for a batch of P controls on one uniform node grid,
 
-    phi_h_all has shape (P, n_nodes, N) and phi_z_all (P, n_nodes, 2); returns
-    the (n_steps + 1, P) array of path values.
+        u' = F_bar(t, u) + w_H <phi_H(t), row_H(t, u)> + w_Z <phi_Z(t), row_Z(t)>
+
+    with weights (w_H, w_Z) = (1/(1+rho_bar), rho_bar/(1+rho_bar)) and the
+    control interpolated linearly between nodes.  phi_h_all has shape
+    (P, n_nodes, N) and phi_z_all (P, n_nodes, 2); returns the
+    (n_steps + 1, P) array of path values.  One control is the case P = 1.
     """
     times, _, _ = _time_grid(t_final, dt)
     w_h, w_z = model.weights
-    t0, dtg = node_times[0], node_times[1] - node_times[0]
-    n_nodes = len(node_times)
-
-    def ctrl(t):
-        s = np.clip((t - t0) / dtg, 0.0, n_nodes - 1.0)
-        i = min(int(s), n_nodes - 2)
-        w = s - i
-        return (
-            (1.0 - w) * phi_h_all[:, i] + w * phi_h_all[:, i + 1],
-            (1.0 - w) * phi_z_all[:, i] + w * phi_z_all[:, i + 1],
-        )
+    ctrl = _control_interpolant(node_times, phi_h_all, phi_z_all)
 
     def rhs(t, u):
         phi_h, phi_z = ctrl(t)
@@ -357,6 +326,27 @@ def averaging_error(
     return float(op.hmu_norm(diff).max())
 
 
+class _SupErrorObserver:
+    """Per-block sups for `run_ensemble`: of |u - ref e_0|_{H_mu} over grid times
+    in [delta, T] (NaN for a diverged row), and of |u|_H over all grid times."""
+
+    def __init__(self, op: SpectralOperator, ref_values, times, delta: float, u0: np.ndarray):
+        self.op, self.ref_values, self.times, self.delta = op, ref_values, times, delta
+        self.err = np.zeros(u0.shape[0])
+        self.sup = np.linalg.norm(u0, axis=1)
+
+    def observe(self, i: int, u: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
+        np.maximum(self.sup, np.linalg.norm(u, axis=1), out=self.sup)
+        if self.times[i + 1] >= self.delta:
+            d = u.copy()
+            d[:, 0] -= self.ref_values[i + 1]
+            np.maximum(self.err, self.op.hmu_norm(d), out=self.err)
+
+    def finish(self, live: np.ndarray):
+        self.err[~live] = np.nan
+        return self.err, self.sup
+
+
 def averaging_error_ensemble(
     op: SpectralOperator,
     cs: CoefficientSet,
@@ -386,30 +376,8 @@ def averaging_error_ensemble(
     stepper = SpdeStepper(
         op, cs, spec_q, spec_b, alpha=params.alpha, beta=params.beta, eps=params.eps, dt=dt_eff
     )
-    errors = np.full(n_paths, np.nan)
-    sup_norms = np.full(n_paths, np.nan)
-
-    def run_block(b, start, stop, rows):
-        gen = block_stream(seed, stream_base | b)._gen
-        u = np.tile(x.coeffs, (BLOCK_SIZE, 1))
-        err = np.zeros(BLOCK_SIZE)
-        sup = np.linalg.norm(u, axis=1)
-        alive = np.ones(BLOCK_SIZE, dtype=bool)
-        for i in range(n):
-            u = stepper.step(times[i], u, gen)
-            bad = diverged_mask(u) & alive
-            if bad.any():
-                alive &= ~bad
-                u[bad] = 0.0
-            t = times[i + 1]
-            np.maximum(sup, np.linalg.norm(u, axis=1), out=sup)
-            if t >= delta:
-                d = u.copy()
-                d[:, 0] -= ref.values[i + 1]
-                np.maximum(err, op.hmu_norm(d), out=err)
-        err[~alive] = np.nan
-        errors[start:stop] = err[: rows]
-        sup_norms[start:stop] = sup[: rows]
-
-    map_blocks(run_block, n_paths, threads)
+    errors, sup_norms = run_ensemble(
+        stepper, x.coeffs, n_paths, n, seed, stream_base, threads,
+        partial(_SupErrorObserver, op, ref.values, times, delta),
+    )
     return errors, sup_norms

@@ -12,6 +12,7 @@ import pytest
 
 import fastexit as fx
 from fastexit.cli import main
+from fastexit.ensemble import BLOCK_SIZE, SpdeStepper, block_stream
 from fastexit.ldp import ScalarPath
 from fastexit.operator import Field
 from fastexit.solver import solve_controlled_ode_batch
@@ -137,52 +138,57 @@ def test_criterion_5_exit_time_scaling(ref_op, exit_reference):
 
 
 def test_criterion_6_delta0_independence(ref_op):
-    rows = []
+    rows, outs = [], []
     for delta0 in (1.0, 2.0, 10.0):
         model, *_ = build_model(
-            ref_op, sigma_spec={"kind": "per_point", "left": 0.7, "right": 1.2}, delta0=delta0
+            ref_op, sigma_spec={"kind": "per_point", "left": 0.7, "right": 1.2},
+            b_spec={"kind": "list", "values": [1.0, 0.5]}, delta0=delta0,
         )
-        rows.append(fx.averaged_Sigma_row(model, 0.0).values)
+        rows.append(model.row_z(0.0))
+        # the boundary channel of the stepper, built from the model as exit_time_mc builds it
+        stepper = SpdeStepper(
+            ref_op, model.coeffs, fx.CovarianceSpectrumQ(model.q_lambdas),
+            fx.CovarianceSpectrumB(model.b_thetas), alpha=0.0, beta=1.0, eps=0.1, dt=0.01,
+        )
+        outs.append(stepper.step(0.0, np.ones((BLOCK_SIZE, ref_op.n_modes)), block_stream(106, 0)._gen))
     row_spread = max(np.abs(rows[0] - r).max() for r in rows[1:])
-    # the convolution coupling never contains delta0 at all: identical draws, identical output
-    spec_b = fx.CovarianceSpectrumB(np.array([1.0, 0.5]))
-    state = Field(np.ones(ref_op.n_modes))
-    sig = np.array([0.7, 1.2])
-    outs = [
-        fx.conv_B_step(ref_op, spec_b, sig, d0, 0.1, 0.01, state, fx.RngStream(106, 0)).coeffs
-        for d0 in (1.0, 2.0, 10.0)
-    ]
     b_spread = max(np.abs(outs[0] - o).max() for o in outs[1:])
     ok = row_spread < 1e-10 and b_spread < 1e-10
-    _report(6, ok, f"Sigma-row spread {row_spread:.2e}, coupling spread {b_spread:.2e}, both < 1e-10")
+    _report(6, ok, f"Sigma-row spread {row_spread:.2e}, stepper spread {b_spread:.2e}, both < 1e-10")
     assert ok
 
 
-def test_criterion_7_noise_covariance(ref_op):
+def test_criterion_7_noise_covariance():
     lam = np.linspace(1.0, 0.25, 6)
-    spec = fx.CovarianceSpectrumQ(lam)
-    dt, n = 0.01, 100_000
-    rng = fx.RngStream(seed=107)
     small_op = fx.build_neumann_laplacian_1d(6)
-    draws = np.stack([fx.sample_wQ_increment(spec, rng, dt).coeffs for _ in range(n)])
+    _, cs, spec_q, spec_b = build_model(
+        small_op, f_spec={"kind": "constant", "value": 0.0},
+        q_spec={"kind": "list", "values": lam.tolist()},
+    )
+    alphas = small_op.eigenvalues
+
+    # one step from 0 is the exact OU increment: variance lambda_k^2 v_k(dt), no cross-covariance
+    eps, dt, n = 0.1, 0.01, 100_000
+    stepper = SpdeStepper(small_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=eps, dt=dt)
+    draws = stepper.step(0.0, np.zeros((n, 6)), block_stream(107, 0)._gen)
+    v = np.full(6, dt)
+    v[1:] = eps / (2 * alphas[1:]) * (1 - np.exp(-2 * alphas[1:] * dt / eps))
     cov = np.cov(draws.T, bias=True)
-    target = np.diag(lam**2 * dt)
+    target = np.diag(lam**2 * v)
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
     cov_ok = bool(np.all(np.abs(cov - target) <= 3 * se + 1e-15))
 
     eps, dt2, n_rep, n_burn = 0.01, 1e-3, 4000, 60
-    finals = np.empty((n_rep, 6))
-    for r in range(n_rep):
-        stream = fx.RngStream(seed=107, stream=r + 1)
-        state = Field.zeros(6)
-        for _ in range(n_burn):
-            state = fx.conv_Q_step(small_op, spec, eps, dt2, None, state, stream)
-        finals[r] = state.coeffs
-    stat_target = lam[1:] ** 2 * eps / (2 * small_op.eigenvalues[1:])
+    stepper = SpdeStepper(small_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=eps, dt=dt2)
+    gen = block_stream(107, 1)._gen
+    finals = np.zeros((n_rep, 6))
+    for i in range(n_burn):
+        finals = stepper.step(i * dt2, finals, gen)
+    stat_target = lam[1:] ** 2 * eps / (2 * alphas[1:])
     est = finals[:, 1:].var(axis=0)
     stat_ok = bool(np.all(np.abs(est - stat_target) <= 3 * stat_target * np.sqrt(2.0 / n_rep)))
     ok = cov_ok and stat_ok
-    _report(7, ok, f"increment covariance within 3 se over {n} samples: {cov_ok}; "
+    _report(7, ok, f"one-step covariance within 3 se of lambda^2 v(dt) over {n} samples: {cov_ok}; "
                    f"OU stationary variance within 3 sigma: {stat_ok}")
     assert ok
 

@@ -38,37 +38,37 @@ def test_nemytskii_zero(ref_op):
 def test_averaged_F_values(ref_op):
     model, *_ = build_model(ref_op, f_spec={"kind": "linear", "slope": -1.0})
     for u in (-2.0, 0.0, 1.3):
-        assert fx.averaged_F(model, 0.0, u) == pytest.approx(-u, abs=1e-13)
+        assert model.f_bar(0.0, u) == pytest.approx(-u, abs=1e-13)
     model, *_ = build_model(
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
     )
-    assert fx.averaged_F(model, 0.0, 0.7) == pytest.approx(-0.7 + 2 / np.pi, abs=2e-4)
+    assert model.f_bar(0.0, 0.7) == pytest.approx(-0.7 + 2 / np.pi, abs=2e-4)
     model, *_ = build_model(ref_op, f_spec={"kind": "linear", "slope": 0.0, "xi_slope": 1.0})
-    assert fx.averaged_F(model, 0.0, 0.8) == pytest.approx(0.4, abs=1e-13)
+    assert model.f_bar(0.0, 0.8) == pytest.approx(0.4, abs=1e-13)
 
 
 def test_averaged_G_row_values(ref_op):
     lam = 0.7
     model, *_ = build_model(ref_op, q_spec={"kind": "flat", "value": lam})
-    row = fx.averaged_G_row(model, 0.0, 1.2)
-    assert row.coeffs[0] == pytest.approx(lam, abs=1e-13)
-    assert np.abs(row.coeffs[1:]).max() < 1e-13
+    row = model.row_h(0.0, 1.2)
+    assert row[0] == pytest.approx(lam, abs=1e-13)
+    assert np.abs(row[1:]).max() < 1e-13
     model, *_ = build_model(ref_op, g_spec={"kind": "constant", "value": 0.0})
-    assert np.all(fx.averaged_G_row(model, 0.0, 3.0).coeffs == 0.0)
+    assert np.all(model.row_h(0.0, 3.0) == 0.0)
     model, *_ = build_model(
         ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0},
         q_spec={"kind": "flat", "value": lam},
     )
-    assert fx.averaged_G_row(model, 0.0, 1.0).coeffs[0] == pytest.approx(2 * lam, abs=1e-13)
+    assert model.row_h(0.0, 1.0)[0] == pytest.approx(2 * lam, abs=1e-13)
 
 
 def test_averaged_Sigma_row_values(ref_op):
     model, *_ = build_model(ref_op, sigma_spec={"kind": "constant", "value": 0.0})
-    assert np.all(fx.averaged_Sigma_row(model, 0.0).values == 0.0)
+    assert np.all(model.row_z(0.0) == 0.0)
     for delta0 in (1.0, 10.0):
         model, *_ = build_model(ref_op, delta0=delta0)
-        assert np.allclose(fx.averaged_Sigma_row(model, 0.0).values, [1.0, 1.0], atol=1e-12)
+        assert np.allclose(model.row_z(0.0), [1.0, 1.0], atol=1e-12)
 
 
 def test_sigma_row_delta0_independence(ref_op):
@@ -77,24 +77,24 @@ def test_sigma_row_delta0_independence(ref_op):
         model, *_ = build_model(
             ref_op, sigma_spec={"kind": "per_point", "left": 0.8, "right": 1.3}, delta0=delta0
         )
-        rows.append(fx.averaged_Sigma_row(model, 0.0).values)
+        rows.append(model.row_z(0.0))
     assert np.abs(rows[0] - rows[1]).max() < 1e-10
     assert np.abs(rows[0] - rows[2]).max() < 1e-10
 
 
 def test_noise_intensity_examples(ref_op):
     model, *_ = build_model(ref_op, rho_bar=0.0, q_spec={"kind": "flat", "value": 1.0})
-    assert fx.noise_intensity_H(model, 0.0, 0.4) == pytest.approx(1.0, abs=1e-12)
+    assert model.h(0.0, 0.4) == pytest.approx(1.0, abs=1e-12)
     model, *_ = build_model(ref_op, rho_bar=np.inf)
-    assert fx.noise_intensity_H(model, 0.0, 0.4) == pytest.approx(2.0, abs=1e-12)
+    assert model.h(0.0, 0.4) == pytest.approx(2.0, abs=1e-12)
     model, *_ = build_model(ref_op, rho_bar=1.0)
-    assert fx.noise_intensity_H(model, 0.0, 0.4) == pytest.approx(0.75, abs=1e-12)
+    assert model.h(0.0, 0.4) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_additive_row_u_independent(ref_op):
     model, *_ = build_model(ref_op)
-    r1 = fx.averaged_G_row(model, 0.0, -5.0).coeffs
-    r2 = fx.averaged_G_row(model, 0.0, 7.0).coeffs
+    r1 = model.row_h(0.0, -5.0)
+    r2 = model.row_h(0.0, 7.0)
     assert np.array_equal(r1, r2)
 
 

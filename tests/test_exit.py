@@ -127,6 +127,11 @@ def test_exit_mc_deterministic_and_thread_independent(ref_op, exit_reference):
     assert np.array_equal(s1[0].taus, s2[0].taus)
     s3 = fx.exit_time_mc(model, levels, dom, x, **kw, threads=1)
     assert np.array_equal(s1[0].taus, s3[0].taus)
+    # a path's draws do not depend on how many paths are requested
+    s64 = fx.exit_time_mc(model, levels, dom, x, n_paths=64, dt=0.01, seed=5)
+    s128 = fx.exit_time_mc(model, levels, dom, x, n_paths=128, dt=0.01, seed=5)
+    assert np.array_equal(s64[0].taus, s128[0].taus[:64])
+    assert np.array_equal(s64[0].taus, s1[0].taus[:64])
     assert s1[0].v_bar_target == pytest.approx(0.25, rel=1e-10)
     assert s1[0].n_censored == 0
     assert s1[0].gamma_log_mean == pytest.approx(0.25 * np.log(s1[0].mean_tau), rel=1e-14)

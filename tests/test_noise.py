@@ -4,7 +4,6 @@ import pytest
 import fastexit as fx
 from fastexit.ensemble import SpdeStepper, block_stream
 from fastexit.noise import boundary_coupling, ou_step_weights
-from fastexit.operator import Field
 from conftest import build_model
 
 
@@ -36,34 +35,15 @@ def test_hyp_check_truncated_spectrum():
     assert rep.passed  # finitely many nonzero terms are always summable
 
 
-def test_sample_wq_zero_spectrum(ref_op):
-    spec = fx.CovarianceSpectrumQ(np.zeros(ref_op.n_modes))
-    out = fx.sample_wQ_increment(spec, fx.RngStream(seed=1), dt=0.1)
-    assert np.all(out.coeffs == 0.0)
-    with pytest.raises(ValueError):
-        fx.sample_wQ_increment(spec, fx.RngStream(seed=1), dt=0.0)
-
-
-def test_sample_wq_increment_covariance():
-    lam = np.array([1.0, 0.8, 0.6, 0.4, 0.2, 0.1])
-    spec = fx.CovarianceSpectrumQ(lam)
-    dt = 0.01
-    n = 100_000
-    rng = fx.RngStream(seed=77)
-    draws = np.stack([fx.sample_wQ_increment(spec, rng, dt).coeffs for _ in range(n)])
-    cov = np.cov(draws.T, bias=True)
-    target = np.diag(lam**2 * dt)
-    se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
-    assert np.all(np.abs(cov - target) <= 3 * se + 1e-12)
-
-
-def test_sample_wq_deterministic_repeat():
-    spec = fx.CovarianceSpectrumQ(np.ones(8))
-    a = [fx.sample_wQ_increment(spec, fx.RngStream(seed=9, stream=2), 0.1).coeffs]
-    b = [fx.sample_wQ_increment(spec, fx.RngStream(seed=9, stream=2), 0.1).coeffs]
+def test_block_stream_deterministic_repeat(ref_op):
+    _, cs, spec_q, spec_b = build_model(ref_op)
+    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=1.0, eps=0.1, dt=0.1)
+    u = np.zeros((64, ref_op.n_modes))
+    a = stepper.step(0.0, u, block_stream(9, 2)._gen)
+    b = stepper.step(0.0, u, block_stream(9, 2)._gen)
     assert np.array_equal(a, b)
-    c = fx.sample_wQ_increment(spec, fx.RngStream(seed=9, stream=3), 0.1).coeffs
-    assert not np.array_equal(a[0], c)
+    c = stepper.step(0.0, u, block_stream(9, 3)._gen)
+    assert not np.array_equal(a, c)
 
 
 def test_ou_step_weights_zero_mode(ref_op):
@@ -74,26 +54,41 @@ def test_ou_step_weights_zero_mode(ref_op):
     assert v[k] == pytest.approx(expected, rel=1e-12)
 
 
+def _noise_only(op, q_values=None, sigma_spec=None, g_spec=None):
+    """(cs, spec_q, spec_b) with f = 0, for stepping the stochastic convolutions alone."""
+    q_spec = {"kind": "list", "values": list(q_values)} if q_values is not None else None
+    _, cs, spec_q, spec_b = build_model(op, f_spec={"kind": "constant", "value": 0.0}, g_spec=g_spec,
+                                        sigma_spec=sigma_spec, q_spec=q_spec)
+    return cs, spec_q, spec_b
+
+
+def _run(stepper, u, seed, n_steps=1):
+    gen = block_stream(seed, 0)._gen
+    for i in range(n_steps):
+        u = stepper.step(i * stepper.dt, u, gen)
+    return u
+
+
 def test_conv_q_zero_spectrum_decays(ref_op):
-    spec = fx.CovarianceSpectrumQ(np.zeros(ref_op.n_modes))
-    state = Field(np.ones(ref_op.n_modes))
-    out = fx.conv_Q_step(ref_op, spec, eps=0.1, dt=0.05, g_frozen=None, state=state, rng=fx.RngStream(1))
-    assert np.allclose(out.coeffs, np.exp(-ref_op.eigenvalues * 0.5))
+    cs, spec_q, spec_b = _noise_only(ref_op, q_values=np.zeros(ref_op.n_modes))
+    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=0.1, dt=0.05)
+    gen = block_stream(1, 0)._gen
+    out = stepper.step(0.0, np.ones((64, ref_op.n_modes)), gen)
+    assert np.allclose(out, np.exp(-ref_op.eigenvalues * 0.5))
+    # a zero spectrum draws nothing: the stream is where it started
+    assert np.array_equal(gen.standard_normal(8), block_stream(1, 0)._gen.standard_normal(8))
+    with pytest.raises(ValueError):
+        SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=0.1, dt=0.0)
 
 
 def test_conv_q_stationary_variance():
     op = fx.build_neumann_laplacian_1d(4)
-    spec = fx.CovarianceSpectrumQ(np.array([0.0, 1.0, 0.7, 0.5]))
+    cs, spec_q, spec_b = _noise_only(op, q_values=[0.0, 1.0, 0.7, 0.5])
     eps, dt = 0.01, 1e-3
     n_rep, n_burn = 4000, 60
-    finals = np.empty((n_rep, 4))
-    for r in range(n_rep):
-        rng = fx.RngStream(seed=123, stream=r)
-        state = Field.zeros(4)
-        for _ in range(n_burn):
-            state = fx.conv_Q_step(op, spec, eps, dt, None, state, rng)
-        finals[r] = state.coeffs
-    target = spec.lambdas[1:] ** 2 * eps / (2 * op.eigenvalues[1:])
+    stepper = SpdeStepper(op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=eps, dt=dt)
+    finals = _run(stepper, np.zeros((n_rep, 4)), seed=123, n_steps=n_burn)
+    target = spec_q.lambdas[1:] ** 2 * eps / (2 * op.eigenvalues[1:])
     est = finals[:, 1:].var(axis=0)
     se = target * np.sqrt(2.0 / n_rep)
     assert np.all(np.abs(est - target) <= 3 * se)
@@ -102,49 +97,45 @@ def test_conv_q_stationary_variance():
 def test_conv_q_mode0_linear_growth():
     op = fx.build_neumann_laplacian_1d(4)
     lam0 = 1.3
-    spec = fx.CovarianceSpectrumQ(np.array([lam0, 0.0, 0.0, 0.0]))
+    cs, spec_q, spec_b = _noise_only(op, q_values=[lam0, 0.0, 0.0, 0.0])
     dt = 0.01
     n_rep, n_steps = 5000, 10
-    finals = np.empty(n_rep)
-    for r in range(n_rep):
-        rng = fx.RngStream(seed=321, stream=r)
-        state = Field.zeros(4)
-        for _ in range(n_steps):
-            state = fx.conv_Q_step(op, spec, 0.05, dt, None, state, rng)
-        finals[r] = state.coeffs[0]
+    stepper = SpdeStepper(op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=0.05, dt=dt)
+    finals = _run(stepper, np.zeros((n_rep, 4)), seed=321, n_steps=n_steps)[:, 0]
     target = lam0**2 * dt * n_steps  # variance grows by lambda_0^2 dt per step
     est = finals.var()
     assert abs(est - target) <= 3 * target * np.sqrt(2.0 / n_rep)
 
 
 def test_conv_q_multiplicative_matches_identity_for_unit_g(ref_op):
-    spec = fx.CovarianceSpectrumQ(np.linspace(1.0, 0.2, ref_op.n_modes))
-    state = Field(np.ones(ref_op.n_modes))
-    out_none = fx.conv_Q_step(ref_op, spec, 0.1, 0.01, None, state, fx.RngStream(5, 1))
-    g_one = np.ones_like(ref_op.grid)
-    out_g = fx.conv_Q_step(ref_op, spec, 0.1, 0.01, g_one, state, fx.RngStream(5, 1))
-    assert np.allclose(out_none.coeffs, out_g.coeffs, atol=1e-12)
+    # a gain of non-constant kind that equals 1 everywhere takes the einsum
+    # coupling path; it must reproduce the closed form of constant g = 1
+    lam = np.linspace(1.0, 0.2, ref_op.n_modes)
+    u = np.ones((64, ref_op.n_modes))
+    outs = []
+    for g_spec in ({"kind": "constant", "value": 1.0}, {"kind": "linear", "slope": 0.0, "offset": 1.0}):
+        cs, spec_q, spec_b = _noise_only(ref_op, q_values=lam, g_spec=g_spec)
+        stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=0.7, beta=0.4, eps=0.1, dt=0.01)
+        outs.append(_run(stepper, u, seed=5))
+    assert stepper.g_const is None
+    assert np.abs(outs[0] - outs[1]).max() <= 1e-12
 
 
 def test_conv_b_pure_decay(ref_op):
-    spec = fx.CovarianceSpectrumB(np.array([1.0, 1.0]))
-    state = Field(np.ones(ref_op.n_modes))
-    out = fx.conv_B_step(ref_op, spec, np.zeros(2), 1.0, 0.1, 0.05, state, fx.RngStream(1))
-    assert np.allclose(out.coeffs, np.exp(-ref_op.eigenvalues * 0.5))
+    cs, spec_q, spec_b = _noise_only(ref_op, sigma_spec={"kind": "constant", "value": 0.0})
+    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=0.0, beta=1.0, eps=0.1, dt=0.05)
+    out = _run(stepper, np.ones((64, ref_op.n_modes)), seed=1)
+    assert np.allclose(out, np.exp(-ref_op.eigenvalues * 0.5))
     with pytest.raises(ValueError):
-        fx.conv_B_step(ref_op, spec, np.zeros(2), -1.0, 0.1, 0.05, state, fx.RngStream(1))
+        build_model(ref_op, delta0=-1.0)
 
 
 def test_conv_b_mode0_variance(ref_op):
-    spec = fx.CovarianceSpectrumB(np.array([1.0, 1.0]))
+    cs, spec_q, spec_b = _noise_only(ref_op)
     dt = 0.01
     n_rep = 20_000
-    draws = np.empty(n_rep)
-    for r in range(n_rep):
-        out = fx.conv_B_step(
-            ref_op, spec, np.ones(2), 1.0, 0.05, dt, Field.zeros(ref_op.n_modes), fx.RngStream(42, r)
-        )
-        draws[r] = out.coeffs[0]
+    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=0.0, beta=1.0, eps=0.05, dt=dt)
+    draws = _run(stepper, np.zeros((n_rep, ref_op.n_modes)), seed=42)[:, 0]
     target = 2 * dt  # b_0j = 1 at both boundary points
     assert abs(draws.var() - target) <= 3 * target * np.sqrt(2.0 / n_rep)
     assert abs(draws.mean()) <= 3 * np.sqrt(target / n_rep)  # centered one-step law
@@ -154,11 +145,14 @@ def test_conv_b_coupling_row_and_delta0_cancellation(ref_op):
     sig = np.array([0.9, 1.4])
     b = boundary_coupling(ref_op, sig)
     assert np.allclose(b[1], [np.sqrt(2) * 0.9, -np.sqrt(2) * 1.4])
-    spec = fx.CovarianceSpectrumB(np.array([1.0, 0.5]))
-    state = Field(np.ones(ref_op.n_modes))
-    out1 = fx.conv_B_step(ref_op, spec, sig, 1.0, 0.1, 0.01, state, fx.RngStream(7, 0))
-    out10 = fx.conv_B_step(ref_op, spec, sig, 10.0, 0.1, 0.01, state, fx.RngStream(7, 0))
-    assert np.array_equal(out1.coeffs, out10.coeffs)
+    outs = []
+    for delta0 in (1.0, 10.0):
+        model, *_ = build_model(ref_op, sigma_spec={"kind": "per_point", "left": 0.9, "right": 1.4},
+                                b_spec={"kind": "list", "values": [1.0, 0.5]}, delta0=delta0)
+        stepper = SpdeStepper(ref_op, model.coeffs, fx.CovarianceSpectrumQ(model.q_lambdas),
+                              fx.CovarianceSpectrumB(model.b_thetas), alpha=0.0, beta=1.0, eps=0.1, dt=0.01)
+        outs.append(_run(stepper, np.ones((64, ref_op.n_modes)), seed=7))
+    assert np.array_equal(outs[0], outs[1])
 
 
 def test_boundary_convolution_uniform_in_eps(ref_op):

@@ -4,6 +4,7 @@ import pytest
 import fastexit as fx
 from fastexit.ldp import ControlPath
 from fastexit.operator import Field
+from fastexit.ensemble import SpdeStepper, run_ensemble
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
 
@@ -122,18 +123,20 @@ def test_controlled_ode_zero_control(ref_op):
     model, *_ = build_model(ref_op)
     times = np.linspace(0, 1, 11)
     ctrl = _zero_control(times, ref_op.n_modes)
-    out = fx.solve_controlled_ode(model, 1.0, ctrl, t_final=1.0, dt=1e-3)
+    out = solve_controlled_ode_batch(model, np.array([1.0]), times, ctrl.phi_h[None], ctrl.phi_z[None],
+                                     t_final=1.0, dt=1e-3)
     ode = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
-    assert np.array_equal(out.values, ode.values)
+    assert np.array_equal(out[:, 0], ode.values)
 
 
 def test_controlled_ode_infinite_rho_ignores_phi_h(ref_op):
     model, *_ = build_model(ref_op, rho_bar=np.inf)
     times = np.linspace(0, 1, 11)
     ctrl = ControlPath(times=times, phi_h=np.ones((11, ref_op.n_modes)), phi_z=np.zeros((11, 2)))
-    out = fx.solve_controlled_ode(model, 1.0, ctrl, t_final=1.0, dt=1e-3)
+    out = solve_controlled_ode_batch(model, np.array([1.0]), times, ctrl.phi_h[None], ctrl.phi_z[None],
+                                     t_final=1.0, dt=1e-3)
     ode = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
-    assert np.array_equal(out.values, ode.values)
+    assert np.array_equal(out[:, 0], ode.values)
 
 
 def test_controlled_ode_batch_consistency(ref_op):
@@ -145,11 +148,9 @@ def test_controlled_ode_batch_consistency(ref_op):
     batch = solve_controlled_ode_batch(model, np.array([0.3, -0.2]), times, phi_h, phi_z,
                                        t_final=1.0, dt=1e-3)
     for p, x0 in enumerate([0.3, -0.2]):
-        single = fx.solve_controlled_ode(
-            model, x0, ControlPath(times=times, phi_h=phi_h[p], phi_z=phi_z[p]),
-            t_final=1.0, dt=1e-3,
-        )
-        assert np.allclose(batch[:, p], single.values, atol=1e-14)
+        single = solve_controlled_ode_batch(model, np.array([x0]), times, phi_h[p:p + 1], phi_z[p:p + 1],
+                                            t_final=1.0, dt=1e-3)
+        assert np.allclose(batch[:, p], single[:, 0], atol=1e-14)
 
 
 def test_controlled_spde_zero_control_pathwise_equal(ref_op):
@@ -196,10 +197,11 @@ def test_controlled_spde_tracks_controlled_ode(ref_op):
         ref_op, cs, sq, sb, _params(eps=1e-3), x, ctrl, 1.0, 1e-3, fx.RngStream(11),
         control_weights=model.weights,
     )
-    ode = fx.solve_controlled_ode(model, fx.invariant_average(ref_op, x), ctrl, 1.0, 1e-3)
+    ode = solve_controlled_ode_batch(model, np.array([fx.invariant_average(ref_op, x)]), node_times,
+                                     phi_h[None], phi_z[None], 1.0, 1e-3)[:, 0]
     window = spde.times >= 0.1
     diff = spde.states[window].copy()
-    diff[:, 0] -= ode.values[window]
+    diff[:, 0] -= ode[window]
     assert ref_op.hmu_norm(diff).max() < 0.02
 
 
@@ -234,6 +236,30 @@ def test_averaging_ensemble_deterministic_across_threads(ref_op):
     # the same paths are produced regardless of how many paths are requested
     e3, _ = fx.averaging_error_ensemble(*args[:-1], 70, seed=42, threads=1)
     assert np.array_equal(e1[:70], e3)
+
+
+def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
+    # f = 1e20 r takes every row past the divergence limit on the first step
+    _, cs, sq, sb = build_model(ref_op, f_spec={"kind": "linear", "slope": 1e20})
+    stepper = SpdeStepper(ref_op, cs, sq, sb, alpha=0.1, beta=0.1, eps=0.1, dt=0.01)
+    steps_seen = []
+
+    class Recorder:
+        def __init__(self, u0):
+            self.first_bad = np.full(u0.shape[0], -1)
+
+        def observe(self, i, u, live, bad):
+            steps_seen.append(i)
+            assert np.all(u[bad] == 0.0) and not live[bad].any()
+            self.first_bad[bad] = i
+
+        def finish(self, live):
+            return self.first_bad, live.copy()
+
+    first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1).coeffs, 100, 50,
+                                   seed=1, stream_base=0, threads=1, observer=Recorder)
+    assert first_bad.shape == (100,) and np.all(first_bad == 0) and not live.any()
+    assert steps_seen == [0, 0]  # two blocks, each stopped once no row was live
 
 
 def test_eps_uniform_moment_probe(ref_op):
