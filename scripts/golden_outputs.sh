@@ -6,10 +6,11 @@
 # Runs each config in configs/ and perfbench/workloads/ with its own command,
 # plus `simulate` on the averaging reference and `action` on the
 # quasi-potential reference, all with --paths 64, a fixed --seed and a fixed
-# --out under OUT_DIR.  Then prints the `outputs` map of each run manifest,
-# without config_resolved.json (that file records the output path).  Run it
-# on two source trees and diff what it prints: seeded outputs that are
-# byte-identical print identical lines.
+# --out under OUT_DIR.  One more exit run at --paths 160 (three blocks of 64,
+# the last one partial) exercises the tiling of several blocks.  Then prints
+# the `outputs` map of each run manifest, without config_resolved.json (that
+# file records the output path).  Run it on two source trees and diff what
+# it prints: seeded outputs that are byte-identical print identical lines.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -22,10 +23,10 @@ SEED=7
 mkdir -p "$OUT"
 cd "$ROOT"
 
-run() {  # run NAME COMMAND CONFIG
-    local name="$1" command="$2" config="$3"
+run() {  # run NAME COMMAND CONFIG [PATHS]
+    local name="$1" command="$2" config="$3" paths="${4:-64}"
     PYTHONPATH="$ROOT/src" python3 -m fastexit "$command" --config "$config" \
-        --paths 64 --seed "$SEED" --out "$OUT/$name" > /dev/null
+        --paths "$paths" --seed "$SEED" --out "$OUT/$name" > /dev/null
     python3 - "$name" "$OUT/$name/run_manifest.json" <<'PY'
 import json
 import sys
@@ -45,3 +46,4 @@ for config in configs/*.json perfbench/workloads/*.json; do
 done
 run configs-averaging_reference-simulate simulate configs/averaging_reference.json
 run configs-quasipotential_reference-action action configs/quasipotential_reference.json
+run perfbench-exit-additive-exit-160 exit perfbench/workloads/exit-additive.json 160

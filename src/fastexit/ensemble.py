@@ -1,13 +1,18 @@
 """The SPDE stepper and the one block driver that runs path ensembles with it.
 
 `SpdeStepper` advances a (P, N) batch of mode coefficients by one
-mild-solution step, both noise channels included.  `run_ensemble` steps
-paths in fixed-size blocks: path p lives in block p // BLOCK_SIZE at row
-p % BLOCK_SIZE, and each block draws from its own counter-based stream.  Per
-step a block draws the full (BLOCK_SIZE, n_modes) normal panel for each
-active noise channel whether or not the block is fully populated, so a path's
-draws depend only on (seed, block, step, row) and results are independent of
-the total path count, the thread count, and the execution schedule.
+mild-solution step on a panel of standard normals, both noise channels
+included.  `run_ensemble` assigns paths to fixed-size blocks: path p lives in
+block p // BLOCK_SIZE at row p % BLOCK_SIZE, and each block draws from its own
+counter-based stream.  Per step every block with a live path draws its full
+(n_panels, BLOCK_SIZE, n_modes) panel, whether or not the block is fully
+populated or all its rows are live, so a path's draws depend only on
+(seed, block, step, row).  Only the live rows are stepped: each thread packs
+the live rows of its share of the blocks into BLOCK_SIZE-row tiles, the last
+one padded, so every matrix product keeps the BLOCK_SIZE-row shape, at which
+a row's result does not depend on the other rows.  Results are therefore
+independent of the total path count, the thread count, and the execution
+schedule.
 """
 
 from __future__ import annotations
@@ -24,28 +29,47 @@ from .operator import SpectralOperator
 
 BLOCK_SIZE = 64
 DIVERGENCE_LIMIT = 1e12
+# Names the draw layout of a seeded run (recorded in run_manifest.json): per
+# block and step one (n_panels, BLOCK_SIZE, N) panel, whose last panel is the
+# additive noise drawn through the factor of its joint covariance.
+NOISE_DRAW_LAYOUT = "additive-joint/v2"
 
 
 def map_blocks(fn, n_paths: int, threads: int = 1):
-    """Run fn(block_index, start, stop, rows) over all blocks, optionally threaded."""
-    blocks = []
-    for start in range(0, n_paths, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, n_paths)
-        blocks.append((start // BLOCK_SIZE, start, stop, stop - start))
-    if threads <= 1 or len(blocks) == 1:
-        return [fn(*blk) for blk in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda blk: fn(*blk), blocks))
+    """Split the blocks of n_paths into one contiguous share per thread; return [fn(share), ...].
+
+    A share is a tuple of (block_index, rows) pairs, rows being the block's
+    number of real paths (only the last block may have fewer than BLOCK_SIZE).
+    """
+    blocks = tuple((b, min(BLOCK_SIZE, n_paths - b * BLOCK_SIZE)) for b in range(-(-n_paths // BLOCK_SIZE)))
+    n_shares = max(1, min(threads, len(blocks)))
+    q, r = divmod(len(blocks), n_shares)
+    cuts = [k * q + min(k, r) for k in range(n_shares + 1)]
+    shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    if n_shares == 1:
+        return [fn(shares[0])]
+    with ThreadPoolExecutor(max_workers=n_shares) as pool:
+        return list(pool.map(fn, shares))
 
 
 class SpdeStepper:
     """One-step mild-solution update, vectorized over a batch of paths.
 
     The linear part is integrated exactly (diagonal exponential), the
-    reaction term with the phi1 weight, and both noise channels with their
-    exact per-mode OU variances, the multiplicative gain frozen at the step
-    start.  Optional deterministic control forcing enters with the same phi1
-    weight.  Draw order per step: interior panel first, boundary panel second.
+    reaction term with the phi1 weight.  The additive noise of a step is one
+    centered Gaussian vector with the exact covariance C = C_B + C_Q,
+
+        C_B[k, l] = beta^2 sum_j theta_j^2 b_kj b_lj W_kl,   W_kl = int_0^dt exp(-(a_k + a_l) s) ds,
+        C_Q = diag((alpha g lambda_k)^2 v_k),
+
+    a_k = alpha_k / eps, drawn as z @ R with R^T R = C (a Cholesky factor
+    that tolerates a singular C).  C_Q enters C only
+    for a constant gain g.  A state-dependent gain is an approximation: the
+    interior channel keeps its own panel with the diagonal law
+    sum_j (lambda_j M_kj)^2 v_k, M_kj = <g e_j, e_k> frozen at the step start,
+    and drops the cross-mode covariance of M Lambda.  Optional deterministic
+    control forcing enters with the phi1 weight.  Panel order per step: the
+    interior panel (state-dependent g only) first, the additive panel last.
     """
 
     def __init__(
@@ -70,15 +94,17 @@ class SpdeStepper:
         self.lambdas = spec_q.lambdas
         self.g_const = cs.g.constant_value if cs.g.is_constant else None
         sigma_vals = cs.sigma.values(0.0)
-        b_rows = boundary_coupling(op, sigma_vals)
-        self.b_std = beta * np.sqrt(((spec_b.thetas[None, :] * b_rows) ** 2).sum(axis=1)) * self.sqrt_v
-        self.has_b = beta != 0.0 and np.any(self.b_std > 0)
+        rates = op.eigenvalues / eps
+        tb = spec_b.thetas * boundary_coupling(op, sigma_vals)  # theta_j b_kj
+        cov = beta**2 * (tb @ tb.T) * decay_integral(rates[:, None] + rates[None, :], dt)
         if self.g_const is not None:
-            self.q_std = alpha * abs(self.g_const) * self.lambdas * self.sqrt_v
-            self.has_q = alpha != 0.0 and np.any(self.q_std > 0)
+            cov += np.diag((alpha * self.g_const * self.lambdas) ** 2 * v)
+            self.has_q = False
         else:
             self.q_scale = alpha
             self.has_q = alpha != 0.0 and np.any(self.lambdas > 0)
+        self.factor = _psd_factor(cov) if np.any(cov != 0.0) else None
+        self.n_panels = int(self.has_q) + int(self.factor is not None)
         self.control = control
         if control is not None:
             if control_weights is None:
@@ -89,8 +115,12 @@ class SpdeStepper:
             self.cw_h, self.cw_z = control_weights
             self._theta_sigma = spec_b.thetas * sigma_vals
 
-    def step(self, t: float, u: np.ndarray, gen) -> np.ndarray:
-        """Advance a (P, N) batch of mode coefficients from t to t + dt."""
+    def draw(self, gen, rows: int) -> np.ndarray | None:
+        """The standard normals of one step for `rows` rows: (n_panels, rows, N), or None."""
+        return gen.standard_normal((self.n_panels, rows, self.op.n_modes)) if self.n_panels else None
+
+    def step(self, t: float, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+        """Advance a (P, N) batch of mode coefficients from t to t + dt on the panel z = draw(gen, P)."""
         op = self.op
         grid_u = u @ op.modes_on_grid
         f_vals = self.cs.f.value(t, op.grid, grid_u)
@@ -99,19 +129,14 @@ class SpdeStepper:
         if self.control is not None:
             new += self.phi1dt * self._control_forcing(t, grid_u)
         if self.has_q:
-            z = gen.standard_normal(u.shape)
-            if self.g_const is not None:
-                new += self.q_std * z
-            else:
-                g_vals = self.cs.g.value(t, op.grid, grid_u)
-                m_mat = np.einsum(
-                    "pm,km,jm->pkj", g_vals * op.quad_weights, op.modes_on_grid, op.modes_on_grid
-                )
-                var = ((m_mat * self.lambdas[None, None, :]) ** 2).sum(axis=2)
-                new += self.q_scale * np.sqrt(var) * self.sqrt_v * z
-        if self.has_b:
-            z = gen.standard_normal(u.shape)
-            new += self.b_std * z
+            g_vals = self.cs.g.value(t, op.grid, grid_u)
+            m_mat = np.einsum(
+                "pm,km,jm->pkj", g_vals * op.quad_weights, op.modes_on_grid, op.modes_on_grid
+            )
+            var = ((m_mat * self.lambdas[None, None, :]) ** 2).sum(axis=2)
+            new += self.q_scale * np.sqrt(var) * self.sqrt_v * z[0]
+        if self.factor is not None:
+            new += z[-1] @ self.factor
         return new
 
     def _control_forcing(self, t: float, grid_u: np.ndarray) -> np.ndarray:
@@ -128,42 +153,93 @@ class SpdeStepper:
         return interior + bnd
 
 
+def _psd_factor(cov: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with R^T R = cov for a positive semi-definite cov (outer-product Cholesky).
+
+    A pivot at or below 1e-13 of the largest diagonal entry is taken for the
+    rounding residue of a singular cov (a mode no noise reaches), and its row
+    of R is zero.  Plain numpy rather than a LAPACK factorization, whose code
+    would add about 1 MB to the resident memory of a run.
+    """
+    a = cov.copy()
+    r = np.zeros_like(a)
+    tol = 1e-13 * a.diagonal().max()
+    for k in range(a.shape[0]):
+        if a[k, k] > tol:
+            r[k, k:] = a[k, k:] / np.sqrt(a[k, k])
+            a[k:, k:] -= np.outer(r[k, k:], r[k, k:])
+    return r
+
+
 def block_stream(seed: int, block_index: int) -> RngStream:
     return RngStream(seed=seed, stream=block_index)
 
 
 def diverged_mask(u: np.ndarray) -> np.ndarray:
-    """Per-path divergence flag for a (P, N) state batch."""
-    bad = ~np.isfinite(u) | (np.abs(u) > DIVERGENCE_LIMIT)
-    return bad.any(axis=-1)
+    """Per-path divergence flag for a (P, N) state batch: |u| above the limit, NaN or inf."""
+    return ~(np.einsum("...k,...k->...", u, u) <= DIVERGENCE_LIMIT**2)
 
 
 def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: int,
                  seed: int, stream_base: int, threads: int, observer) -> list[np.ndarray]:
     """Step n_paths copies of x0 for up to n_steps steps; return per-path columns.
 
-    observer(u0) starts the measurement of a block.  After step i (from i dt
-    to (i + 1) dt) the rows that diverged on it are zeroed and cleared from
-    `live`, then observe(i, u, live, bad) runs and may clear more rows from
-    `live`.  A block stops once no row is live; finish(live) returns its
-    per-row columns.  Block b draws from stream stream_base | b.
+    Each thread steps its share of the blocks together.  observer(u0) starts
+    the measurement of a share, u0 holding one row per block row.  At step i
+    (from i dt to (i + 1) dt) every block with a live row draws its full
+    panel; the live rows alone are gathered, in path order, into BLOCK_SIZE-row
+    tiles (the last one padded with zeros) and stepped.  The rows that diverged
+    are zeroed and cleared from `live`, then observe(i, u, idx, live, bad) runs
+    on the live rows u, whose share-row indices are idx, and may clear more
+    rows from `live`.  A share stops once no row is live; finish(live) gets the
+    share-wide mask of rows still live and returns per-row columns.  Block b
+    draws from stream stream_base | b.
     """
+    n_modes = x0.shape[0]
 
-    def run_block(b, start, stop, rows):
-        gen = block_stream(seed, stream_base | b)._gen
-        u = np.tile(x0, (BLOCK_SIZE, 1))
+    def run_share(blocks):
+        n_rows = len(blocks) * BLOCK_SIZE
+        gens = [block_stream(seed, stream_base | b)._gen for b, _ in blocks]
+        u = np.tile(x0, (n_rows, 1))
         obs = observer(u)
-        live = np.ones(BLOCK_SIZE, dtype=bool)
+        idx = np.concatenate([k * BLOCK_SIZE + np.arange(rows) for k, (_, rows) in enumerate(blocks)])
+        u = u[idx]
+        z = np.zeros((stepper.n_panels, n_rows, n_modes)) if stepper.n_panels else None
+        retired = True
         for i in range(n_steps):
-            if not live.any():
-                break
-            u = stepper.step(i * stepper.dt, u, gen)
-            bad = diverged_mask(u) & live
+            if retired:  # re-plan the draws and the tiles for the new live rows
+                n = idx.size
+                if n == 0:
+                    break
+                # bincount, not unique: a sort would page in numpy's sort kernels, ~1.7 MB of RSS
+                live_blocks = np.flatnonzero(np.bincount(idx // BLOCK_SIZE)) if stepper.n_panels else []
+                drawing = [(gens[k], slice(k * BLOCK_SIZE, (k + 1) * BLOCK_SIZE)) for k in live_blocks]
+                n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
+                ut = np.zeros((n_tile_rows, n_modes))
+                ut[:n] = u
+                zt = z if z is None or n == n_rows else np.zeros((stepper.n_panels, n_tile_rows, n_modes))
+            for gen, rows in drawing:
+                z[:, rows] = stepper.draw(gen, BLOCK_SIZE)
+            if zt is not z:
+                zt[:, :n] = z[:, idx]
+            t = i * stepper.dt
+            tiles = [stepper.step(t, ut[s:s + BLOCK_SIZE], None if zt is None else zt[:, s:s + BLOCK_SIZE])
+                     for s in range(0, n_tile_rows, BLOCK_SIZE)]
+            ut = tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
+            ut[n:] = 0.0
+            u = ut[:n]
+            bad = diverged_mask(u)
+            live = ~bad
             if bad.any():
-                live &= ~bad
                 u[bad] = 0.0
-            obs.observe(i, u, live, bad)
-        return [col[:rows] for col in obs.finish(live)]
+            obs.observe(i, u, idx, live, bad)
+            retired = not live.all()
+            if retired:
+                idx, u = idx[live], u[live]
+        live_end = np.zeros(n_rows, dtype=bool)
+        live_end[idx] = True
+        n_real = sum(rows for _, rows in blocks)
+        return [col[:n_real] for col in obs.finish(live_end)]
 
-    blocks = map_blocks(run_block, n_paths, threads)
-    return [np.concatenate(cols) for cols in zip(*blocks)]
+    shares = map_blocks(run_share, n_paths, threads)
+    return [np.concatenate(cols) for cols in zip(*shares)]

@@ -24,7 +24,7 @@ mean of logs) is reported, with a delta-method confidence interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -34,7 +34,7 @@ from .coefficients import AveragedModel
 from .ensemble import SpdeStepper, run_ensemble
 from .ldp import v_bar
 from .noise import CovarianceSpectrumB, CovarianceSpectrumQ
-from .operator import Field, SpectralOperator
+from .operator import Field, SpectralOperator, invariant_average
 from .solver import FieldTrajectory, MultiscaleParams, _rk4
 
 __all__ = [
@@ -96,9 +96,17 @@ class DomainSpec:
 
 
 def membership_values(dom: DomainSpec, states: np.ndarray) -> np.ndarray:
-    """G(h) = int g(h) dxi for a batch of mode-coefficient states."""
-    vals = dom.op.to_grid(states)
-    return (dom.g_convex.value(vals) * dom.op.quad_weights).sum(axis=-1)
+    """G(h) = int g(h) dxi for a batch of mode-coefficient states.
+
+    For g(s) = scale (s - c)^2 Parseval gives G = scale (|u|^2 - 2 c u_0 + c^2):
+    the modes are orthonormal under the midpoint quadrature and e_0 = 1, so
+    this is the grid quadrature sum_m g(h(xi_m)) w_m to rounding, without
+    the grid round trip.
+    """
+    u = np.asarray(states)
+    p = dom.g_convex.params
+    c = p.get("center", 0.0)
+    return p.get("scale", 1.0) * (np.einsum("...k,...k->...", u, u) - 2.0 * c * u[..., 0] + c * c)
 
 
 def _constant_section(g: ConvexFunction, r: float, domain_length: float) -> tuple[float, float]:
@@ -121,14 +129,13 @@ def _constant_section(g: ConvexFunction, r: float, domain_length: float) -> tupl
     return float(y1), float(y2)
 
 
-def _sample_in_domain(op, g, r, rng, target_frac=0.9):
+def _sample_in_domain(dom: DomainSpec, rng, target_frac=0.9):
     """Random field scaled along its ray to G = target_frac * r."""
-    x = rng.standard_normal(op.n_modes)
+    x = rng.standard_normal(dom.op.n_modes)
     x /= np.linalg.norm(x)
 
     def gv(s):
-        vals = op.to_grid(s * x)
-        return float((g.value(vals) * op.quad_weights).sum()) - target_frac * r
+        return float(membership_values(dom, s * x)) - target_frac * dom.level
 
     hi = 1.0
     while gv(hi) < 0:
@@ -137,21 +144,16 @@ def _sample_in_domain(op, g, r, rng, target_frac=0.9):
     return s * x
 
 
-def _run_invariance_probes(
-    op: SpectralOperator, g: ConvexFunction, r: float, seed: int, n_samples: int, times
-) -> DomainInvarianceReport:
+def _run_invariance_probes(dom: DomainSpec, seed: int, n_samples: int, times) -> DomainInvarianceReport:
+    op, g, r = dom.op, dom.g_convex, dom.level
     rng = np.random.Generator(np.random.Philox(key=seed))
     min_margin = np.inf
     jensen_ok = True
     for _ in range(n_samples):
-        x = _sample_in_domain(op, g, r, rng)
-        g_x = float((g.value(op.to_grid(x)) * op.quad_weights).sum())
-        for t in times:
-            xt = np.exp(-op.eigenvalues * t) * x
-            g_xt = float((g.value(op.to_grid(xt)) * op.quad_weights).sum())
-            min_margin = min(min_margin, g_x - g_xt)
-        mean = float((op.to_grid(x) * op.density_on_grid * op.quad_weights).sum())
-        if op.domain_length * float(g.value(mean)) >= r:
+        x = _sample_in_domain(dom, rng)
+        x_t = np.exp(-np.outer(times, op.eigenvalues)) * x
+        min_margin = min(min_margin, float((membership_values(dom, x) - membership_values(dom, x_t)).min()))
+        if op.domain_length * float(g.value(invariant_average(op, Field(x)))) >= r:
             jensen_ok = False
     return DomainInvarianceReport(
         monotone_passed=bool(min_margin >= -1e-12),
@@ -174,11 +176,9 @@ def build_domain(
     r_min = op.domain_length * float(g.value(0.0))
     if r <= r_min:
         raise ValueError(f"level r must exceed |O| g(0) = {r_min:.6g} so that 0 lies inside")
-    section = _constant_section(g, r, op.domain_length)
-    report = _run_invariance_probes(op, g, r, probe_seed, probe_samples, probe_times)
-    return DomainSpec(
-        op=op, g_convex=g, level=r, constant_section=section, invariance_report=report
-    )
+    dom = DomainSpec(op=op, g_convex=g, level=r, constant_section=_constant_section(g, r, op.domain_length),
+                     invariance_report=None)
+    return replace(dom, invariance_report=_run_invariance_probes(dom, probe_seed, probe_samples, probe_times))
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ class ExitStats:
 
 
 class _ExitObserver:
-    """Per-block exit measurement for `run_ensemble`.
+    """Per-share exit measurement for `run_ensemble`.
 
     Records the time G crosses the level (interpolated linearly between the
     bracketing steps), the non-constant norm at exit and the first time in
@@ -272,24 +272,26 @@ class _ExitObserver:
         self.tau, self.nonconst, self.ball = np.full((3, u0.shape[0]), np.nan)
         self.diverged = np.zeros(u0.shape[0], dtype=bool)
 
-    def observe(self, i: int, u: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
+    def observe(self, i: int, u: np.ndarray, idx: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
         t_prev = i * self.dt
         t = t_prev + self.dt
         if bad.any():
-            self.diverged |= bad
-            self.tau[bad] = t
+            self.diverged[idx[bad]] = True
+            self.tau[idx[bad]] = t
         level = self.dom.level
         gv = membership_values(self.dom, u)
         crossed = live & (gv >= level)
         if crossed.any():
-            frac = (level - self.g_prev[crossed]) / (gv[crossed] - self.g_prev[crossed])
-            self.tau[crossed] = t_prev + self.dt * np.clip(frac, 0.0, 1.0)
-            self.nonconst[crossed] = np.linalg.norm(u[crossed][:, 1:], axis=1)
+            rows = idx[crossed]
+            g0 = self.g_prev[rows]
+            frac = (level - g0) / (gv[crossed] - g0)
+            self.tau[rows] = t_prev + self.dt * np.clip(frac, 0.0, 1.0)
+            self.nonconst[rows] = np.linalg.norm(u[crossed][:, 1:], axis=1)
             live &= ~crossed
         if self.rho_ball is not None:
-            inside = live & np.isnan(self.ball) & (self.dom.op.hmu_norm(u) <= self.rho_ball)
-            self.ball[inside] = t
-        self.g_prev = gv
+            inside = live & np.isnan(self.ball[idx]) & (self.dom.op.hmu_norm(u) <= self.rho_ball)
+            self.ball[idx[inside]] = t
+        self.g_prev[idx] = gv
 
     def finish(self, live: np.ndarray):
         self.tau[live] = self.t_max

@@ -5,23 +5,27 @@ operator eigenbasis with sqrt(Q) e_k = lambda_k e_k, and w^B on the two
 boundary points with sqrt(B) weights theta_j.
 
 The stochastic convolutions in the mild solution are infinite-dimensional OU
-processes.  `ensemble.SpdeStepper` integrates them exactly per mode
-(exponential integrator), never by Euler on the stiff linear part, with the
-weights built here.  Over one step of size dt,
+processes.  `ensemble.SpdeStepper` integrates them exactly (exponential
+integrator), never by Euler on the stiff linear part, with the weights built
+here.  Over one step of size dt, with a_k = alpha_k / eps,
 
-    state_k <- exp(-alpha_k dt / eps) state_k + eta_k,
+    state_k <- exp(-a_k dt) state_k + eta_k,
 
-where eta_k is a centered Gaussian whose variance carries the exact OU weight
+where eta is a centered Gaussian vector.  Its covariance carries the OU kernel
 
-    v_k(dt) = eps / (2 alpha_k) * (1 - exp(-2 alpha_k dt / eps)),   v_0 = dt.
+    W_kl(dt) = int_0^dt exp(-(a_k + a_l) s) ds = `decay_integral(a_k + a_l, dt)`,
 
-Interior channel: variance_k = sum_j (lambda_j M_kj)^2 v_k with
-M_kj = <g e_j, e_k> frozen at the step start (weak order 1/2 for
-state-dependent g; exact for constant g, where M = g I).  Boundary channel:
-the (delta0 - A) prefactor of the mild form cancels the Neumann-map
+whose diagonal is the per-mode weight v_k(dt) = eps / (2 alpha_k) *
+(1 - exp(-2 alpha_k dt / eps)), v_0 = dt (`ou_step_weights`).  Boundary
+channel: the (delta0 - A) prefactor of the mild form cancels the Neumann-map
 denominator (delta0 + alpha_k) exactly in the eigenbasis, leaving the
-delta0-free coupling b_kj = sigma(j) e_k(j) (`boundary_coupling`) and
-variance_k = sum_j theta_j^2 b_kj^2 v_k.
+delta0-free coupling b_kj = sigma(j) e_k(j) (`boundary_coupling`).  The two
+boundary Brownian motions reach every mode, so the boundary covariance is
+full: C_B[k, l] = beta^2 sum_j theta_j^2 b_kj b_lj W_kl.  Interior
+channel: C_Q = diag((alpha g lambda_k)^2 v_k) for constant g, drawn jointly
+with C_B as one Gaussian vector; for state-dependent g the stepper uses the
+per-mode variance sum_j (lambda_j M_kj)^2 v_k with M_kj = <g e_j, e_k> frozen
+at the step start (weak order 1/2), without its cross-mode covariance.
 
 Randomness comes from counter-based Philox generators keyed by
 (seed, stream), so a fixed (seed, stream, call sequence) reproduces draws

@@ -23,8 +23,9 @@ import numpy as np
 from . import __version__
 from .coefficients import check_coefficient_hypotheses, check_nondegeneracy
 from .config import BuiltSystem, build_system, config_hash, parse_rho_bar, rho_bar_limit
+from .ensemble import NOISE_DRAW_LAYOUT
 from .errors import DivergenceError
-from .exit_times import build_domain, check_exit_hypotheses, exit_time_mc
+from .exit_times import build_domain, check_exit_hypotheses, exit_time_mc, membership_values
 from .ldp import (
     ScalarPath,
     action_I,
@@ -86,6 +87,7 @@ def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: fl
         "outputs": {p.name: _sha256(p) for p in sorted(set(outputs) | {cfg_path}, key=lambda q: q.name)},
         "wall_clock_s": time.monotonic() - started,
         "n_paths_total": n_paths_total,
+        "noise_draw_layout": NOISE_DRAW_LAYOUT,
     }
     _write_json(out_dir / "run_manifest.json", manifest)
 
@@ -154,9 +156,7 @@ def hypothesis_checks(system: BuiltSystem) -> dict:
             inv["passed"] = bool(inv["monotone_passed"] and inv["jensen_passed"])
             checks["domain_invariance"] = inv
             checks["exit_hypotheses"] = _jsonable(check_exit_hypotheses(system.model, dom))
-            x0_in = bool(
-                (dom.g_convex.value(op.to_grid(system.x0.coeffs)) * op.quad_weights).sum() < level
-            )
+            x0_in = bool(membership_values(dom, system.x0.coeffs) < level)
             checks["exit_hypotheses"]["x0_inside_domain"] = x0_in
             checks["exit_hypotheses"]["passed"] = bool(checks["exit_hypotheses"]["passed"] and x0_in)
     return checks

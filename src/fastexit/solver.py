@@ -192,7 +192,7 @@ def solve_controlled_spde(
     states[0] = u[0]
     gen = rng._gen
     for i in range(n):
-        u = stepper.step(times[i], u, gen)
+        u = stepper.step(times[i], u, stepper.draw(gen, 1))
         if diverged_mask(u)[0]:
             raise DivergenceError(step=i + 1, t=times[i + 1])
         states[i + 1] = u[0]
@@ -327,7 +327,7 @@ def averaging_error(
 
 
 class _SupErrorObserver:
-    """Per-block sups for `run_ensemble`: of |u - ref e_0|_{H_mu} over grid times
+    """Per-share sups for `run_ensemble`: of |u - ref e_0|_{H_mu} over grid times
     in [delta, T] (NaN for a diverged row), and of |u|_H over all grid times."""
 
     def __init__(self, op: SpectralOperator, ref_values, times, delta: float, u0: np.ndarray):
@@ -335,12 +335,12 @@ class _SupErrorObserver:
         self.err = np.zeros(u0.shape[0])
         self.sup = np.linalg.norm(u0, axis=1)
 
-    def observe(self, i: int, u: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
-        np.maximum(self.sup, np.linalg.norm(u, axis=1), out=self.sup)
+    def observe(self, i: int, u: np.ndarray, idx: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
+        self.sup[idx] = np.maximum(self.sup[idx], np.linalg.norm(u, axis=1))
         if self.times[i + 1] >= self.delta:
             d = u.copy()
             d[:, 0] -= self.ref_values[i + 1]
-            np.maximum(self.err, self.op.hmu_norm(d), out=self.err)
+            self.err[idx] = np.maximum(self.err[idx], self.op.hmu_norm(d))
 
     def finish(self, live: np.ndarray):
         self.err[~live] = np.nan

@@ -150,7 +150,8 @@ def test_criterion_6_delta0_independence(ref_op):
             ref_op, model.coeffs, fx.CovarianceSpectrumQ(model.q_lambdas),
             fx.CovarianceSpectrumB(model.b_thetas), alpha=0.0, beta=1.0, eps=0.1, dt=0.01,
         )
-        outs.append(stepper.step(0.0, np.ones((BLOCK_SIZE, ref_op.n_modes)), block_stream(106, 0)._gen))
+        outs.append(stepper.step(0.0, np.ones((BLOCK_SIZE, ref_op.n_modes)),
+                                stepper.draw(block_stream(106, 0)._gen, BLOCK_SIZE)))
     row_spread = max(np.abs(rows[0] - r).max() for r in rows[1:])
     b_spread = max(np.abs(outs[0] - o).max() for o in outs[1:])
     ok = row_spread < 1e-10 and b_spread < 1e-10
@@ -170,7 +171,7 @@ def test_criterion_7_noise_covariance():
     # one step from 0 is the exact OU increment: variance lambda_k^2 v_k(dt), no cross-covariance
     eps, dt, n = 0.1, 0.01, 100_000
     stepper = SpdeStepper(small_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=eps, dt=dt)
-    draws = stepper.step(0.0, np.zeros((n, 6)), block_stream(107, 0)._gen)
+    draws = stepper.step(0.0, np.zeros((n, 6)), stepper.draw(block_stream(107, 0)._gen, n))
     v = np.full(6, dt)
     v[1:] = eps / (2 * alphas[1:]) * (1 - np.exp(-2 * alphas[1:] * dt / eps))
     cov = np.cov(draws.T, bias=True)
@@ -183,7 +184,7 @@ def test_criterion_7_noise_covariance():
     gen = block_stream(107, 1)._gen
     finals = np.zeros((n_rep, 6))
     for i in range(n_burn):
-        finals = stepper.step(i * dt2, finals, gen)
+        finals = stepper.step(i * dt2, finals, stepper.draw(gen, n_rep))
     stat_target = lam[1:] ** 2 * eps / (2 * alphas[1:])
     est = finals[:, 1:].var(axis=0)
     stat_ok = bool(np.all(np.abs(est - stat_target) <= 3 * stat_target * np.sqrt(2.0 / n_rep)))

@@ -27,6 +27,18 @@ def test_membership_is_squared_norm_for_quadratic(ref_op):
     assert g == pytest.approx(float((c**2).sum()), rel=1e-12)
 
 
+@pytest.mark.parametrize("op_kind", ["neumann_laplacian", "divergence"])
+def test_membership_parseval_matches_grid_quadrature(op_kind):
+    if op_kind == "neumann_laplacian":
+        op = fx.build_neumann_laplacian_1d(16)
+    else:
+        op = fx.build_divergence_operator_1d(lambda xi: 1.0 + 0.5 * np.sin(2 * np.pi * xi), 16, 256)
+    dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, op)
+    states = np.random.Generator(np.random.Philox(key=33)).standard_normal((200, op.n_modes))
+    quadrature = (dom.g_convex.value(op.to_grid(states)) * op.quad_weights).sum(axis=-1)
+    assert np.all(np.abs(fx.membership_values(dom, states) - quadrature) <= 1e-12 * quadrature)
+
+
 def test_semigroup_shrinks_membership(ref_op):
     dom = _ball(ref_op, 0.25)
     x = np.zeros(ref_op.n_modes)

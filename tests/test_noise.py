@@ -39,10 +39,10 @@ def test_block_stream_deterministic_repeat(ref_op):
     _, cs, spec_q, spec_b = build_model(ref_op)
     stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=1.0, eps=0.1, dt=0.1)
     u = np.zeros((64, ref_op.n_modes))
-    a = stepper.step(0.0, u, block_stream(9, 2)._gen)
-    b = stepper.step(0.0, u, block_stream(9, 2)._gen)
+    a = stepper.step(0.0, u, stepper.draw(block_stream(9, 2)._gen, 64))
+    b = stepper.step(0.0, u, stepper.draw(block_stream(9, 2)._gen, 64))
     assert np.array_equal(a, b)
-    c = stepper.step(0.0, u, block_stream(9, 3)._gen)
+    c = stepper.step(0.0, u, stepper.draw(block_stream(9, 3)._gen, 64))
     assert not np.array_equal(a, c)
 
 
@@ -65,7 +65,7 @@ def _noise_only(op, q_values=None, sigma_spec=None, g_spec=None):
 def _run(stepper, u, seed, n_steps=1):
     gen = block_stream(seed, 0)._gen
     for i in range(n_steps):
-        u = stepper.step(i * stepper.dt, u, gen)
+        u = stepper.step(i * stepper.dt, u, stepper.draw(gen, u.shape[0]))
     return u
 
 
@@ -73,7 +73,7 @@ def test_conv_q_zero_spectrum_decays(ref_op):
     cs, spec_q, spec_b = _noise_only(ref_op, q_values=np.zeros(ref_op.n_modes))
     stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=0.1, dt=0.05)
     gen = block_stream(1, 0)._gen
-    out = stepper.step(0.0, np.ones((64, ref_op.n_modes)), gen)
+    out = stepper.step(0.0, np.ones((64, ref_op.n_modes)), stepper.draw(gen, 64))
     assert np.allclose(out, np.exp(-ref_op.eigenvalues * 0.5))
     # a zero spectrum draws nothing: the stream is where it started
     assert np.array_equal(gen.standard_normal(8), block_stream(1, 0)._gen.standard_normal(8))
@@ -109,16 +109,43 @@ def test_conv_q_mode0_linear_growth():
 
 def test_conv_q_multiplicative_matches_identity_for_unit_g(ref_op):
     # a gain of non-constant kind that equals 1 everywhere takes the einsum
-    # coupling path; it must reproduce the closed form of constant g = 1
+    # coupling path, with its own interior panel before the additive one; on
+    # the same panels it must reproduce the closed form of constant g = 1,
+    # channel by channel
     lam = np.linspace(1.0, 0.2, ref_op.n_modes)
     u = np.ones((64, ref_op.n_modes))
-    outs = []
-    for g_spec in ({"kind": "constant", "value": 1.0}, {"kind": "linear", "slope": 0.0, "offset": 1.0}):
-        cs, spec_q, spec_b = _noise_only(ref_op, q_values=lam, g_spec=g_spec)
-        stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=0.7, beta=0.4, eps=0.1, dt=0.01)
-        outs.append(_run(stepper, u, seed=5))
-    assert stepper.g_const is None
-    assert np.abs(outs[0] - outs[1]).max() <= 1e-12
+    unit = _noise_only(ref_op, q_values=lam, g_spec={"kind": "linear", "slope": 0.0, "offset": 1.0})
+    const = _noise_only(ref_op, q_values=lam, g_spec={"kind": "constant", "value": 1.0})
+    stepper = SpdeStepper(ref_op, *unit, alpha=0.7, beta=0.4, eps=0.1, dt=0.01)
+    assert stepper.g_const is None and stepper.n_panels == 2
+    z = stepper.draw(block_stream(5, 0)._gen, 64)
+    interior = SpdeStepper(ref_op, *const, alpha=0.7, beta=0.0, eps=0.1, dt=0.01)
+    boundary = SpdeStepper(ref_op, *const, alpha=0.0, beta=0.4, eps=0.1, dt=0.01)
+    expected = interior.step(0.0, u, z[:1]) + boundary.step(0.0, u, z[1:]) - interior.decay * u
+    assert np.abs(stepper.step(0.0, u, z) - expected).max() <= 1e-12
+
+
+def test_additive_increment_joint_covariance(ref_op, exit_reference):
+    # one step from 0 at the finest exit-reference level (f(0) = 0, so the
+    # step is its noise) has the exact cross-mode covariance C_B + C_Q; in the
+    # boundary part C_B modes 2 and 4 correlate at 0.80, in C at 0.53
+    _, cs, spec_q, spec_b = exit_reference
+    eps, dt, n = 0.00390625, 0.005, 100_000
+    alpha = beta = 0.5 * eps**0.25
+    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=alpha, beta=beta, eps=eps, dt=dt)
+    assert stepper.n_panels == 1
+    draws = stepper.step(0.0, np.zeros((n, ref_op.n_modes)), stepper.draw(block_stream(110, 0)._gen, n))
+    rate = ref_op.eigenvalues[:, None] / eps + ref_op.eigenvalues[None, :] / eps
+    w = np.full(rate.shape, dt)
+    w[rate > 0] = (1.0 - np.exp(-rate[rate > 0] * dt)) / rate[rate > 0]  # int_0^dt exp(-rate s) ds
+    e = ref_op.boundary_values  # theta = sigma = 1, so b_kj = e_k(j)
+    c_b = beta**2 * (e @ e.T) * w
+    target = c_b + np.diag(alpha**2 * 2.0 * np.diag(w))  # lambda^2 = 2, g = 1
+    assert c_b[2, 4] / np.sqrt(c_b[2, 2] * c_b[4, 4]) == pytest.approx(0.80, abs=0.005)
+    assert target[2, 4] / np.sqrt(target[2, 2] * target[4, 4]) == pytest.approx(0.53, abs=0.005)
+    cov = np.cov(draws.T, bias=True)
+    se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
+    assert np.all(np.abs(cov - target) <= 3 * se)
 
 
 def test_conv_b_pure_decay(ref_op):
@@ -169,7 +196,7 @@ def test_boundary_convolution_uniform_in_eps(ref_op):
             u = np.zeros((64, ref_op.n_modes))
             sup = np.zeros(64)
             for i in range(n_steps):
-                u = stepper.step(i * dt, u, gen)
+                u = stepper.step(i * dt, u, stepper.draw(gen, 64))
                 np.maximum(sup, np.linalg.norm(u, axis=1), out=sup)
             sups[b * 64:(b + 1) * 64] = sup
         means.append(sups.mean())

@@ -4,7 +4,7 @@ import pytest
 import fastexit as fx
 from fastexit.ldp import ControlPath
 from fastexit.operator import Field
-from fastexit.ensemble import SpdeStepper, run_ensemble
+from fastexit.ensemble import SpdeStepper, diverged_mask, run_ensemble
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
 
@@ -248,10 +248,10 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
         def __init__(self, u0):
             self.first_bad = np.full(u0.shape[0], -1)
 
-        def observe(self, i, u, live, bad):
+        def observe(self, i, u, idx, live, bad):
             steps_seen.append(i)
             assert np.all(u[bad] == 0.0) and not live[bad].any()
-            self.first_bad[bad] = i
+            self.first_bad[idx[bad]] = i
 
         def finish(self, live):
             return self.first_bad, live.copy()
@@ -259,7 +259,48 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
     first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1).coeffs, 100, 50,
                                    seed=1, stream_base=0, threads=1, observer=Recorder)
     assert first_bad.shape == (100,) and np.all(first_bad == 0) and not live.any()
-    assert steps_seen == [0, 0]  # two blocks, each stopped once no row was live
+    assert steps_seen == [0]  # one share of two blocks, stopped once no row was live
+    # the check is on the norm, so it flags NaN and inf as well
+    states = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.8e12, 0.8e12], [0.7e12, 0.7e12]])
+    assert diverged_mask(states).tolist() == [True, True, True, False]
+
+
+@pytest.mark.parametrize("g_spec", [None, {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, threads):
+    # retiring rows compacts the live rows into other tiles and stops the
+    # draws of emptied blocks; every row steps bit-identically while it lives
+    _, cs, sq, sb = build_model(ref_op, g_spec=g_spec)
+    stepper = SpdeStepper(ref_op, cs, sq, sb, alpha=0.3, beta=0.3, eps=0.05, dt=0.01)
+    n_paths, n_steps = 160, 40
+    # retirement step per row of a share: the first block of each share
+    # empties early, and over the last ten steps one row is left alone
+    retire_at = np.random.Generator(np.random.Philox(key=34)).integers(0, n_steps - 10, 3 * 64)
+    retire_at[:64] = np.minimum(retire_at[:64], 5)
+    retire_at[100] = n_steps
+
+    def recorder(schedule):
+        class Recorder:
+            def __init__(self, u0):
+                self.states = np.full((u0.shape[0], n_steps, u0.shape[1]), np.nan)
+
+            def observe(self, i, u, idx, live, bad):
+                self.states[idx, i] = u
+                live &= schedule[idx] != i
+
+            def finish(self, live):
+                return self.states, live.copy()
+
+        return Recorder
+
+    x0 = ref_op.constant_field(0.2).coeffs
+    s_all, live_all = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(np.full(3 * 64, -1)))
+    s_some, live_some = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(retire_at))
+    assert live_all.all() and 0 < live_some.sum() < n_paths
+    if threads == 1:  # one share: its rows are the paths
+        assert np.array_equal(live_some, retire_at[:n_paths] >= n_steps)
+    stepped = ~np.isnan(s_some)
+    assert np.array_equal(s_some[stepped], s_all[stepped])
 
 
 def test_eps_uniform_moment_probe(ref_op):
