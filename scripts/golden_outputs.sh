@@ -11,6 +11,9 @@
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
+# Where lines differ, `scripts/compare_outputs.py OUT_A OUT_B` prints the
+# largest relative difference per file, to tell a rounding change (a few
+# ulps, as when a product is evaluated in another order) from a real one.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then

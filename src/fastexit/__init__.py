@@ -7,6 +7,12 @@ functional, computes quasi-potentials, and verifies the exponential
 exit-time law by Monte Carlo.
 """
 
+import os
+
+# Ensembles parallelise over path blocks; a second BLAS thread on their small
+# products only spins.  Set before numpy loads OpenBLAS; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .coefficients import (
     AveragedModel,
     CoefficientSet,

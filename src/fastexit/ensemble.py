@@ -67,9 +67,13 @@ class SpdeStepper:
     for a constant gain g.  A state-dependent gain is an approximation: the
     interior channel keeps its own panel with the diagonal law
     sum_j (lambda_j M_kj)^2 v_k, M_kj = <g e_j, e_k> frozen at the step start,
-    and drops the cross-mode covariance of M Lambda.  Optional deterministic
-    control forcing enters with the phi1 weight.  Panel order per step: the
-    interior panel (state-dependent g only) first, the additive panel last.
+    and drops the cross-mode covariance of M Lambda.  M Lambda comes from one
+    matrix product of the weighted gain values with a table precomputed for
+    the basis, T[m, (k, j)] = e_k(x_m) e_j(x_m) lambda_j, so like every other
+    product of a step it keeps a row's result independent of the other rows
+    at a fixed row count.  Optional deterministic control forcing enters with
+    the phi1 weight.  Panel order per step: the interior panel
+    (state-dependent g only) first, the additive panel last.
     """
 
     def __init__(
@@ -103,6 +107,9 @@ class SpdeStepper:
         else:
             self.q_scale = alpha
             self.has_q = alpha != 0.0 and np.any(self.lambdas > 0)
+            if self.has_q:  # T[m, (k, j)] = e_k(x_m) e_j(x_m) lambda_j, so g w @ T is M Lambda
+                e = op.modes_on_grid.T
+                self._mode_products = (e[:, :, None] * (e * self.lambdas)[:, None, :]).reshape(e.shape[0], -1)
         self.factor = _psd_factor(cov) if np.any(cov != 0.0) else None
         self.n_panels = int(self.has_q) + int(self.factor is not None)
         self.control = control
@@ -126,20 +133,20 @@ class SpdeStepper:
         f_vals = self.cs.f.value(t, op.grid, grid_u)
         f_modes = (f_vals * op.quad_weights) @ op.modes_on_grid.T
         new = self.decay * u + self.phi1dt * f_modes
+        needs_g = self.has_q or (self.control is not None and self.g_const is None)
+        g_vals = self.cs.g.value(t, op.grid, grid_u) if needs_g else None
         if self.control is not None:
-            new += self.phi1dt * self._control_forcing(t, grid_u)
+            new += self.phi1dt * self._control_forcing(t, g_vals)
         if self.has_q:
-            g_vals = self.cs.g.value(t, op.grid, grid_u)
-            m_mat = np.einsum(
-                "pm,km,jm->pkj", g_vals * op.quad_weights, op.modes_on_grid, op.modes_on_grid
-            )
-            var = ((m_mat * self.lambdas[None, None, :]) ** 2).sum(axis=2)
+            m_lam = ((g_vals * op.quad_weights) @ self._mode_products).reshape(u.shape[0], op.n_modes, -1)
+            var = np.einsum("pkj,pkj->pk", m_lam, m_lam)
             new += self.q_scale * np.sqrt(var) * self.sqrt_v * z[0]
         if self.factor is not None:
             new += z[-1] @ self.factor
         return new
 
-    def _control_forcing(self, t: float, grid_u: np.ndarray) -> np.ndarray:
+    def _control_forcing(self, t: float, g_vals: np.ndarray | None) -> np.ndarray:
+        """The control's forcing at t; g_vals are the gain's grid values (None for a constant gain)."""
         phi_h, phi_z = self.control(t)
         op = self.op
         sq_phi = self.lambdas * phi_h  # sqrt(Q) phi_H in modes
@@ -147,7 +154,6 @@ class SpdeStepper:
             interior = self.cw_h * self.g_const * sq_phi
         else:
             sq_grid = sq_phi @ op.modes_on_grid
-            g_vals = self.cs.g.value(t, op.grid, grid_u)
             interior = self.cw_h * ((g_vals * sq_grid * op.quad_weights) @ op.modes_on_grid.T)
         bnd = self.cw_z * (op.boundary_values @ (self._theta_sigma * phi_z))
         return interior + bnd

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fastexit
 from fastexit.cli import main
 from fastexit.config import build_system, resolve_config, rho_bar_limit
 from fastexit.errors import ConfigError
@@ -296,3 +301,37 @@ def test_build_system_errors():
     with pytest.raises(ConfigError) as exc:
         build_system(cfg)
     assert "coefficients" in str(exc.value)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_openblas_threads_unless_set(preset, expected):
+    # importing fastexit sets OPENBLAS_NUM_THREADS before numpy loads, unless the user set it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(fastexit.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, fastexit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == expected
+
+
+def test_compare_outputs_reports_rounding_and_fails_on_text(tmp_path):
+    # scripts/compare_outputs.py: per-file largest relative difference, FAIL on a differing text field
+    def tree(name, value, note):
+        run = tmp_path / name / "run"
+        run.mkdir(parents=True)
+        (run / "run_manifest.json").write_text(json.dumps(
+            {"outputs": {"a.csv": "x", "b.json": "y", "config_resolved.json": "z"}}))
+        (run / "a.csv").write_text(f"name,value\nrow,{value!r}\n")
+        (run / "b.json").write_text(json.dumps({"levels": [{"v": value}], "note": note}))
+        return str(tmp_path / name)
+
+    script = Path(__file__).parents[1] / "scripts" / "compare_outputs.py"
+    a, b, c = tree("a", 0.1, "same"), tree("b", 0.1 * (1 + 2e-16), "same"), tree("c", 0.1, "other")
+    same = subprocess.run([sys.executable, str(script), a, b], capture_output=True, text=True)
+    assert same.returncode == 0
+    diffs = dict(line.split() for line in same.stdout.splitlines())
+    assert set(diffs) == {"run/a.csv", "run/b.json"} and 0 < float(diffs["run/a.csv"]) <= 1e-15
+    text = subprocess.run([sys.executable, str(script), a, c], capture_output=True, text=True)
+    assert text.returncode == 1
+    assert "run/a.csv 0" in text.stdout and "run/b.json FAIL" in text.stdout

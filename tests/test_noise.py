@@ -108,8 +108,8 @@ def test_conv_q_mode0_linear_growth():
 
 
 def test_conv_q_multiplicative_matches_identity_for_unit_g(ref_op):
-    # a gain of non-constant kind that equals 1 everywhere takes the einsum
-    # coupling path, with its own interior panel before the additive one; on
+    # a gain of non-constant kind that equals 1 everywhere takes the
+    # mode-product-table coupling path, with its own interior panel before the additive one; on
     # the same panels it must reproduce the closed form of constant g = 1,
     # channel by channel
     lam = np.linspace(1.0, 0.2, ref_op.n_modes)
@@ -123,6 +123,30 @@ def test_conv_q_multiplicative_matches_identity_for_unit_g(ref_op):
     boundary = SpdeStepper(ref_op, *const, alpha=0.0, beta=0.4, eps=0.1, dt=0.01)
     expected = interior.step(0.0, u, z[:1]) + boundary.step(0.0, u, z[1:]) - interior.decay * u
     assert np.abs(stepper.step(0.0, u, z) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("op_kind", ["neumann_laplacian", "divergence"])
+@pytest.mark.parametrize("g_spec", [{"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0},
+                                    {"kind": "linear", "slope": 0.3, "xi_slope": 0.8, "offset": 1.0}])
+def test_interior_std_matches_frozen_gain_definition(op_kind, g_spec):
+    # the interior channel of a state-dependent gain has the per-mode std
+    # alpha sqrt(sum_j (lambda_j M_kj)^2 v_k), M_kj = <g e_j, e_k> by grid
+    # quadrature, evaluated here term by term on 64 rows of one tile
+    if op_kind == "neumann_laplacian":
+        op = fx.build_neumann_laplacian_1d(16)
+    else:
+        op = fx.build_divergence_operator_1d(lambda xi: 1.0 + 0.5 * np.sin(2 * np.pi * xi), 16, 256)
+    cs, spec_q, spec_b = _noise_only(op, q_values=np.linspace(1.0, 0.2, op.n_modes), g_spec=g_spec)
+    alpha, eps, dt = 0.7, 0.1, 0.01
+    stepper = SpdeStepper(op, cs, spec_q, spec_b, alpha=alpha, beta=0.0, eps=eps, dt=dt)
+    assert stepper.n_panels == 1
+    u = 0.5 * np.random.Generator(np.random.Philox(key=36)).standard_normal((64, op.n_modes))
+    std = stepper.step(0.0, u, np.ones((1, 64, op.n_modes))) - stepper.step(0.0, u, np.zeros((1, 64, op.n_modes)))
+    g = cs.g.value(0.0, op.grid, op.to_grid(u))
+    m = np.einsum("pm,km,jm->pkj", g * op.quad_weights, op.modes_on_grid, op.modes_on_grid)
+    _, v = ou_step_weights(op.eigenvalues, eps, dt)
+    expected = alpha * np.sqrt(((m * spec_q.lambdas) ** 2).sum(axis=2) * v)
+    assert np.all(np.abs(std - expected) <= 1e-12 * expected)
 
 
 def test_additive_increment_joint_covariance(ref_op, exit_reference):

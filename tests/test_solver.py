@@ -179,6 +179,23 @@ def test_controlled_spde_mode0_linear_response(ref_op):
     assert np.abs(traj.states[:, 1:]).max() == 0.0
 
 
+def test_controlled_step_forcing_with_state_dependent_gain(ref_op):
+    # the interior forcing weighs sqrt(Q) phi_H by the gain at the step's own
+    # state: phi1dt (cw_h <g sqrt(Q) phi_H, e_k> + cw_z sum_j e_k(j) theta_j sigma_j phi_Z,j)
+    _, cs, sq, sb = build_model(ref_op, g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0})
+    phi_h, phi_z = np.linspace(0.5, -0.5, ref_op.n_modes), np.array([0.3, -0.2])
+    kw = dict(alpha=0.3, beta=0.3, eps=0.05, dt=0.01)
+    free = SpdeStepper(ref_op, cs, sq, sb, **kw)
+    forced = SpdeStepper(ref_op, cs, sq, sb, **kw, control=lambda t: (phi_h, phi_z), control_weights=(0.6, 0.8))
+    u = 0.5 * np.random.Generator(np.random.Philox(key=37)).standard_normal((64, ref_op.n_modes))
+    z = forced.draw(fx.RngStream(5)._gen, 64)
+    g = cs.g.value(0.0, ref_op.grid, ref_op.to_grid(u))
+    interior = ref_op.to_modes(g * ref_op.to_grid(sq.lambdas * phi_h))
+    boundary = ref_op.boundary_values @ (sb.thetas * phi_z)  # sigma = 1
+    expected = free.step(0.0, u, z) + free.phi1dt * (0.6 * interior + 0.8 * boundary)
+    assert np.abs(forced.step(0.0, u, z) - expected).max() <= 1e-12
+
+
 def test_controlled_spde_tracks_controlled_ode(ref_op):
     # small eps, noise off, forcing weights pinned at their limits: the forced
     # full system averages onto the skeleton dynamics
