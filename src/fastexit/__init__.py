@@ -36,13 +36,11 @@ from .exit_times import (
     build_domain,
     check_exit_hypotheses,
     exit_time_mc,
-    first_exit_time,
     membership_values,
 )
 from .ldp import (
     ActionValue,
     ControlPath,
-    ScalarPath,
     action_I,
     action_of_trajectory,
     control_cost,
@@ -76,10 +74,8 @@ from .operator import (
 from .solver import (
     FieldTrajectory,
     MultiscaleParams,
-    ScalarTrajectory,
-    averaging_error,
+    ScalarPath,
     averaging_error_ensemble,
-    solve_averaged_sde,
     solve_controlled_spde,
     solve_limit_ode,
     solve_spde,

@@ -3,7 +3,8 @@
 Subcommands: check, simulate, average, action, quasipotential, exit,
 emit-plots.  The thread count comes from --threads, else from the config.
 Exit status: 0 success, 1 configuration or file error, 2 required
-hypothesis failed, 3 numerical divergence.
+hypothesis failed (a check, or a noise intensity H that vanishes where an
+action or quasi-potential needs it), 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import sys
 from pathlib import Path
 
 from .config import load_config, resolve_config
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NondegeneracyError
 from .runs import (
     EXIT_DIVERGED,
+    EXIT_HYPOTHESIS_FAILED,
     emit_plot_data,
     run_action,
     run_average,
@@ -93,6 +95,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"fastexit: {exc}", file=sys.stderr)
         return 1
+    except NondegeneracyError as exc:
+        print(f"fastexit: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS_FAILED
     except DivergenceError as exc:
         print(f"fastexit: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -106,7 +106,6 @@ CONFIG_SCHEMA = {
                 },
                 "t_max": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "t_max_cap": {"type": "number", "exclusiveMinimum": 0},
-                "rho_ball": {"type": ["number", "null"]},
                 "y_values": {"type": "array", "items": {"type": "number"}},
                 "horizons": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
                 "n_nodes": {"type": "integer", "minimum": 3},
@@ -147,7 +146,6 @@ _EXPERIMENT_DEFAULTS = {
     "x0": {"kind": "constant", "value": 0.0},
     "t_max": None,
     "t_max_cap": 1e5,
-    "rho_ball": None,
     "y_values": [0.25, 0.5, 1.0],
     "horizons": [2.0, 4.0, 8.0],
     "n_nodes": 200,

@@ -35,19 +35,17 @@ from .ensemble import SpdeStepper, run_ensemble
 from .ldp import v_bar
 from .noise import CovarianceSpectrumB, CovarianceSpectrumQ
 from .operator import Field, SpectralOperator, invariant_average
-from .solver import FieldTrajectory, MultiscaleParams, _rk4
+from .solver import MultiscaleParams, _rk4
 
 __all__ = [
     "ConvexFunction",
     "DomainSpec",
-    "ExitEvent",
     "ExitStats",
     "DomainInvarianceReport",
     "ExitHypothesesReport",
     "make_convex_function",
     "build_domain",
     "membership_values",
-    "first_exit_time",
     "exit_time_mc",
     "check_exit_hypotheses",
 ]
@@ -181,36 +179,6 @@ def build_domain(
     return replace(dom, invariance_report=_run_invariance_probes(dom, probe_seed, probe_samples, probe_times))
 
 
-@dataclass(frozen=True)
-class ExitEvent:
-    tau: float
-    censored: bool
-    boundary_state: Field | None
-    crossing_index: int | None
-
-
-def first_exit_time(traj: FieldTrajectory, dom: DomainSpec) -> ExitEvent:
-    """First grid time with G(u) >= r, refined by linear interpolation of G.
-
-    Censored (tau = final time) when the trajectory never reaches the level.
-    """
-    gv = membership_values(dom, traj.states)
-    if gv[0] >= dom.level:
-        raise ValueError("trajectory must start inside the domain")
-    above = np.nonzero(gv >= dom.level)[0]
-    if above.size == 0:
-        return ExitEvent(tau=float(traj.times[-1]), censored=True, boundary_state=None, crossing_index=None)
-    i = int(above[0])
-    t0, t1 = traj.times[i - 1], traj.times[i]
-    frac = (dom.level - gv[i - 1]) / (gv[i] - gv[i - 1])
-    return ExitEvent(
-        tau=float(t0 + (t1 - t0) * frac),
-        censored=False,
-        boundary_state=Field(traj.states[i].copy()),
-        crossing_index=i,
-    )
-
-
 @dataclass
 class ExitStats:
     """Exit-time sample statistics for one scaling level.
@@ -238,7 +206,6 @@ class ExitStats:
     t_max: float
     v_bar_target: float
     concentration_fraction: float | None
-    sigma_rho_times: np.ndarray | None = None
     seed: int = 0
 
     def row(self) -> dict:
@@ -261,15 +228,15 @@ class _ExitObserver:
     """Per-share exit measurement for `run_ensemble`.
 
     Records the time G crosses the level (interpolated linearly between the
-    bracketing steps), the non-constant norm at exit and the first time in
-    the rho-ball; exited rows leave `live`.  Diverged rows are censored at
-    the divergence time, rows still live at the end at t_max.
+    bracketing steps) and the non-constant norm at exit; exited rows leave
+    `live`.  Diverged rows are censored at the divergence time, rows still
+    live at the end at t_max.
     """
 
-    def __init__(self, dom: DomainSpec, dt: float, t_max: float, rho_ball: float | None, u0: np.ndarray):
-        self.dom, self.dt, self.t_max, self.rho_ball = dom, dt, t_max, rho_ball
+    def __init__(self, dom: DomainSpec, dt: float, t_max: float, u0: np.ndarray):
+        self.dom, self.dt, self.t_max = dom, dt, t_max
         self.g_prev = membership_values(dom, u0)
-        self.tau, self.nonconst, self.ball = np.full((3, u0.shape[0]), np.nan)
+        self.tau, self.nonconst = np.full((2, u0.shape[0]), np.nan)
         self.diverged = np.zeros(u0.shape[0], dtype=bool)
 
     def observe(self, i: int, u: np.ndarray, idx: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
@@ -288,14 +255,11 @@ class _ExitObserver:
             self.tau[rows] = t_prev + self.dt * np.clip(frac, 0.0, 1.0)
             self.nonconst[rows] = np.linalg.norm(u[crossed][:, 1:], axis=1)
             live &= ~crossed
-        if self.rho_ball is not None:
-            inside = live & np.isnan(self.ball[idx]) & (self.dom.op.hmu_norm(u) <= self.rho_ball)
-            self.ball[idx[inside]] = t
         self.g_prev[idx] = gv
 
     def finish(self, live: np.ndarray):
         self.tau[live] = self.t_max
-        return self.tau, self.diverged | live, self.diverged, self.nonconst, np.fmin(self.ball, self.tau)
+        return self.tau, self.diverged | live, self.diverged, self.nonconst
 
 
 def exit_time_mc(
@@ -310,7 +274,6 @@ def exit_time_mc(
     spec_b=None,
     t_max: float | None = None,
     t_max_cap: float = 1e5,
-    rho_ball: float | None = None,
     threads: int = 1,
 ) -> list[ExitStats]:
     """Monte Carlo exit times across a grid of scaling levels.
@@ -341,9 +304,9 @@ def exit_time_mc(
             op, model.coeffs, spec_q, spec_b,
             alpha=params.alpha, beta=params.beta, eps=params.eps, dt=dt,
         )
-        taus, censored, diverged, nonconst, ball_times = run_ensemble(
+        taus, censored, diverged, nonconst = run_ensemble(
             stepper, x.coeffs, n_paths, n_max, seed, li << 32, threads,
-            partial(_ExitObserver, dom, dt, t_max_eff, rho_ball),
+            partial(_ExitObserver, dom, dt, t_max_eff),
         )
         mean_tau = float(taus.mean())
         log_mean = math.log(mean_tau)
@@ -370,7 +333,6 @@ def exit_time_mc(
                 t_max=t_max_eff,
                 v_bar_target=vb,
                 concentration_fraction=conc,
-                sigma_rho_times=ball_times if rho_ball is not None else None,
                 seed=seed,
             )
         )

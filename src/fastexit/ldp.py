@@ -38,10 +38,9 @@ from scipy.optimize import minimize
 from .coefficients import AveragedModel
 from .errors import NondegeneracyError, NotApplicableError, OptimizationError
 from .operator import SpectralOperator
-from .solver import FieldTrajectory, ScalarTrajectory
+from .solver import FieldTrajectory, ScalarPath
 
 __all__ = [
-    "ScalarPath",
     "ControlPath",
     "ActionValue",
     "action_I",
@@ -57,35 +56,6 @@ __all__ = [
 
 GRAD_TOL = 1e-8
 MAX_ITER = 10_000
-
-
-@dataclass(frozen=True)
-class ScalarPath:
-    """Piecewise-linear real path w(t) on a uniform grid with >= 2 nodes."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
-            raise ValueError("path needs matching 1-d times/values with at least 2 nodes")
-        steps = np.diff(t)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
-            raise ValueError("path grid must be uniform and increasing")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("path values must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @classmethod
-    def from_trajectory(cls, traj: ScalarTrajectory) -> "ScalarPath":
-        return cls(times=traj.times, values=traj.values)
 
 
 @dataclass(frozen=True)

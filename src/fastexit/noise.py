@@ -126,9 +126,6 @@ class RngStream:
             np.random.Philox(key=np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64))
         )
 
-    def normal(self, shape=()) -> np.ndarray:
-        return self._gen.standard_normal(shape)
-
 
 @dataclass(frozen=True)
 class EigenvalueCheckReport:

@@ -24,10 +24,9 @@ from . import __version__
 from .coefficients import check_coefficient_hypotheses, check_nondegeneracy
 from .config import BuiltSystem, build_system, config_hash, parse_rho_bar, rho_bar_limit
 from .ensemble import NOISE_DRAW_LAYOUT
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .exit_times import build_domain, check_exit_hypotheses, exit_time_mc, membership_values
 from .ldp import (
-    ScalarPath,
     action_I,
     control_cost,
     minimizing_control,
@@ -36,7 +35,7 @@ from .ldp import (
 )
 from .noise import RngStream, check_hyp_eigenvalues
 from .operator import Field, check_spectral_gap, invariant_average
-from .solver import averaging_error_ensemble, solve_limit_ode, solve_spde
+from .solver import ScalarPath, averaging_error_ensemble, solve_limit_ode, solve_spde
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS_FAILED = 2
@@ -241,6 +240,8 @@ def run_average(resolved: dict, out_dir: Path, threads: int = 1) -> int:
         except DivergenceError as exc:
             status, error_note = EXIT_DIVERGED, f"eps={params.eps}: {exc}"
             break
+        except ValueError as exc:  # the run builds both grids itself; only the delta window is left
+            raise ConfigError("solver.delta", str(exc)) from exc
         valid = errors[np.isfinite(errors)]
         n_diverged = int(n_paths - valid.size)
         if valid.size == 0:
@@ -283,7 +284,7 @@ def run_action(resolved: dict, out_dir: Path) -> int:
         w = _load_scalar_path(Path(pf))
     else:
         x_mean = invariant_average(system.op, system.x0)
-        w = ScalarPath.from_trajectory(solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"]))
+        w = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
     action = action_I(system.model, w)
     ctrl = minimizing_control(system.model, w)
     cost = control_cost(ctrl)
@@ -348,7 +349,7 @@ def run_exit(resolved: dict, out_dir: Path, threads: int = 1) -> int:
     stats = exit_time_mc(
         system.model, system.params_list, dom, system.x0,
         n_paths=resolved["n_paths"], dt=resolved["solver"]["dt"], seed=resolved["seed"],
-        t_max=exp["t_max"], t_max_cap=exp["t_max_cap"], rho_ball=exp["rho_ball"],
+        t_max=exp["t_max"], t_max_cap=exp["t_max_cap"],
         threads=threads,
     )
     rows = [

@@ -1,26 +1,26 @@
 """Time steppers for the full system and its averaged/limit descriptions.
 
-Four related dynamics are integrated here:
+Three related dynamics are integrated here:
 
 * the full stochastic reaction-diffusion system, by an exponential-Euler
   mild-solution recursion per eigenmode (the stiff transport term eps^{-1} A
   is handled exactly, so the time step is independent of eps);
 * the deterministic limit ODE  u' = F_bar(t, u)  by classical RK4;
-* the one-dimensional averaged SDE  du = F_bar dt + sqrt(scale * H) dW  by
-  Euler-Maruyama;
 * the controlled (skeleton) ODE driven by a deterministic control
   phi = (phi_H, phi_Z), by RK4 with the control interpolated between nodes.
 
 The controlled forward solve of the full system adds the control as a
 deterministic forcing with weights alpha/sqrt(gamma) and beta/sqrt(gamma)
 (their limits 1/(1+rho_bar), rho_bar/(1+rho_bar) may be pinned explicitly,
-e.g. to study the noise-free averaging of the forced equation).
+e.g. to study the noise-free averaging of the forced equation).  The
+Monte Carlo sup averaging error runs the full system over an ensemble of
+paths against the limit ODE.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,13 +34,11 @@ from .operator import Field, SpectralOperator
 __all__ = [
     "MultiscaleParams",
     "FieldTrajectory",
-    "ScalarTrajectory",
+    "ScalarPath",
     "solve_spde",
     "solve_controlled_spde",
     "solve_limit_ode",
-    "solve_averaged_sde",
     "solve_controlled_ode_batch",
-    "averaging_error",
     "averaging_error_ensemble",
 ]
 
@@ -90,7 +88,6 @@ class FieldTrajectory:
 
     times: np.ndarray    # (n,)
     states: np.ndarray   # (n, N)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -110,25 +107,29 @@ class FieldTrajectory:
                 fh.write(_float_csv(t) + "," + ",".join(_float_csv(v) for v in row) + "\n")
 
 
-@dataclass
-class ScalarTrajectory:
-    """Real-valued path on a strictly increasing time grid."""
+@dataclass(frozen=True)
+class ScalarPath:
+    """Piecewise-linear real path w(t) on a uniform grid with >= 2 nodes."""
 
     times: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
+            raise ValueError("path needs matching 1-d times/values with at least 2 nodes")
+        steps = np.diff(t)
+        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
+            raise ValueError("path grid must be uniform and increasing")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("path values must be finite")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(_float_csv(t) + "," + _float_csv(v) + "\n")
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
 
 
 def _time_grid(t_final: float, dt: float) -> tuple[np.ndarray, float, int]:
@@ -196,7 +197,7 @@ def solve_controlled_spde(
         if diverged_mask(u)[0]:
             raise DivergenceError(step=i + 1, t=times[i + 1])
         states[i + 1] = u[0]
-    return FieldTrajectory(times=times, states=states, meta={"seed": rng.seed, "stream": rng.stream})
+    return FieldTrajectory(times=times, states=states)
 
 
 def solve_spde(
@@ -234,43 +235,11 @@ def _rk4(rhs, u0, times):
     return out[:, 0] if scalar else out
 
 
-def solve_limit_ode(model: AveragedModel, x_mean: float, t_final: float, dt: float) -> ScalarTrajectory:
+def solve_limit_ode(model: AveragedModel, x_mean: float, t_final: float, dt: float) -> ScalarPath:
     """RK4 on the averaged limit dynamics u' = F_bar(t, u), u(0) = <x, mu>."""
     times, _, _ = _time_grid(t_final, dt)
     values = _rk4(lambda t, u: model.f_bar(t, u), float(x_mean), times)
-    return ScalarTrajectory(times=times, values=values)
-
-
-def solve_averaged_sde(
-    model: AveragedModel,
-    gamma_scale: float,
-    x_mean: float,
-    t_final: float,
-    dt: float,
-    rng: RngStream,
-) -> ScalarTrajectory:
-    """Euler-Maruyama for du = F_bar dt + sqrt(gamma_scale * H(t, u)) dW.
-
-    gamma_scale = 1 gives the averaged SDE itself; gamma_scale = gamma(eps)
-    gives the one-dimensional surrogate with the small-noise scaling.
-    """
-    if gamma_scale < 0:
-        raise ValueError("gamma_scale must be nonnegative")
-    times, dt_eff, n = _time_grid(t_final, dt)
-    values = np.empty(n + 1)
-    u = float(x_mean)
-    values[0] = u
-    sq_dt = np.sqrt(dt_eff)
-    for i in range(n):
-        t = times[i]
-        h = float(model.h(t, u))
-        if h < 0:
-            raise AssertionError("noise intensity H went negative")
-        u = u + dt_eff * float(model.f_bar(t, u)) + math.sqrt(gamma_scale * h) * sq_dt * float(rng.normal())
-        if not math.isfinite(u):
-            raise DivergenceError(step=i + 1, t=times[i + 1])
-        values[i + 1] = u
-    return ScalarTrajectory(times=times, values=values)
+    return ScalarPath(times=times, values=values)
 
 
 def solve_controlled_ode_batch(
@@ -301,29 +270,6 @@ def solve_controlled_ode_batch(
         return model.f_bar(t, u) + forcing
 
     return _rk4(rhs, np.asarray(x_means, dtype=float), times)
-
-
-def averaging_error(
-    op: SpectralOperator,
-    traj: FieldTrajectory,
-    ref: ScalarTrajectory,
-    delta: float,
-    t_final: float,
-) -> float:
-    """sup over grid times in [delta, t_final] of |u(t) - ref(t) e_0|_{H_mu}.
-
-    The grids must already coincide; resampling is the caller's job.
-    """
-    if not (0 < delta < t_final):
-        raise ValueError("delta must lie in (0, t_final)")
-    if len(traj.times) != len(ref.times) or not np.allclose(traj.times, ref.times):
-        raise ValueError("trajectory and reference grids do not match")
-    mask = (traj.times >= delta) & (traj.times <= t_final)
-    if not mask.any():
-        raise ValueError("no grid points in [delta, t_final]")
-    diff = traj.states[mask].copy()
-    diff[:, 0] -= ref.values[mask]
-    return float(op.hmu_norm(diff).max())
 
 
 class _SupErrorObserver:
@@ -357,7 +303,7 @@ def averaging_error_ensemble(
     t_final: float,
     dt: float,
     delta: float,
-    ref: ScalarTrajectory,
+    ref: ScalarPath,
     n_paths: int,
     seed: int,
     stream_base: int = 0,
@@ -370,6 +316,8 @@ def averaging_error_ensemble(
     counter-based stream per block, so the panel is reproducible for a given
     seed under any thread count.
     """
+    if not (0 < delta < t_final):
+        raise ValueError(f"delta = {delta!r} must lie in (0, t_final = {t_final!r})")
     times, dt_eff, n = _time_grid(t_final, dt)
     if len(ref.times) != n + 1 or not np.allclose(ref.times, times):
         raise ValueError("reference grid must match the solver grid")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import fastexit as fx
-from fastexit.operator import Field
 from conftest import build_model
 
 
@@ -60,37 +59,29 @@ def test_jensen_step(ref_op):
         assert ref_op.domain_length * dom.g_convex.value(mean) <= fx.membership_values(dom, c[None, :])[0]
 
 
+def _noise_free(model, dom, x, dt, t_max):
+    level = fx.MultiscaleParams(eps=0.05, alpha=0.0, beta=0.0, rho_bar=1.0)
+    return fx.exit_time_mc(model, [level], dom, x, n_paths=8, dt=dt, seed=1, t_max=t_max)[0]
+
+
 def test_first_exit_censored_for_attracting_flow(ref_op):
-    model, cs, sq, sb = build_model(ref_op)
-    dom = _ball(ref_op, 0.25)
-    params = fx.MultiscaleParams(eps=0.05, alpha=0.0, beta=0.0, rho_bar=1.0)
-    traj = fx.solve_spde(ref_op, cs, sq, sb, params, ref_op.constant_field(0.4), 2.0, 1e-2,
-                         fx.RngStream(1))
-    ev = fx.first_exit_time(traj, dom)
-    assert ev.censored and ev.tau == pytest.approx(2.0)
+    model, *_ = build_model(ref_op)
+    st = _noise_free(model, _ball(ref_op, 0.25), ref_op.constant_field(0.4), dt=1e-2, t_max=2.0)
+    assert st.n_censored == st.n_paths and st.lower_bound_only
+    assert np.all(st.taus == st.t_max) and st.t_max == pytest.approx(2.0)
 
 
 def test_first_exit_interpolated_ramp(ref_op):
-    dom = _ball(ref_op, 0.25)
-    times = np.arange(0, 1.0001, 0.04)
-    states = np.zeros((len(times), ref_op.n_modes))
-    states[:, 0] = times
-    traj = fx.FieldTrajectory(times=times, states=states)
-    ev = fx.first_exit_time(traj, dom)
-    assert not ev.censored
-    assert ev.tau == pytest.approx(0.5, abs=2e-3)  # G = t^2 crosses 0.25 at 0.5
-    assert ev.boundary_state is not None
-    bigger = fx.first_exit_time(traj, _ball(ref_op, 0.36))
-    assert bigger.tau > ev.tau  # nested level sets
-
-
-def test_first_exit_requires_interior_start(ref_op):
-    dom = _ball(ref_op, 0.25)
-    times = np.array([0.0, 0.1])
-    states = np.full((2, ref_op.n_modes), 0.0)
-    states[:, 0] = 0.9
-    with pytest.raises(ValueError):
-        fx.first_exit_time(fx.FieldTrajectory(times=times, states=states), dom)
+    # f = 1 with the noise off: u_0 = t exactly on the grid, so G = t^2, and tau
+    # interpolates G linearly between the steps at 0.48 and 0.52
+    model, *_ = build_model(ref_op, f_spec={"kind": "constant", "value": 1.0})
+    x = ref_op.constant_field(0.0)
+    st = _noise_free(model, _ball(ref_op, 0.25), x, dt=0.04, t_max=2.0)
+    expected = 0.48 + 0.04 * (0.25 - 0.48**2) / (0.52**2 - 0.48**2)  # 0.4996, against 0.5 in continuous time
+    assert st.n_censored == 0
+    assert np.allclose(st.taus, expected, rtol=1e-12, atol=0)
+    bigger = _noise_free(model, _ball(ref_op, 0.36), x, dt=0.04, t_max=2.0)
+    assert np.allclose(bigger.taus, 0.6, rtol=1e-12, atol=0)  # nested level sets: a larger level exits later
 
 
 def test_exit_hypotheses_reference_passes(ref_op, exit_reference):
@@ -203,15 +194,3 @@ def test_exit_location_concentrates_on_constant_states(ref_op, exit_reference):
     n = 128
     se = np.sqrt(max(f_big_gamma * (1 - f_big_gamma), 0.01) / n)
     assert f_small_gamma >= f_big_gamma - 2 * se
-
-
-def test_exit_mc_rho_ball_instrumentation(ref_op, exit_reference):
-    model, *_ = exit_reference
-    dom = _ball(ref_op, 0.25)
-    x = ref_op.constant_field(0.3)
-    stats = fx.exit_time_mc(model, _reference_levels()[:1], dom, x, n_paths=32, dt=0.01, seed=11,
-                            rho_ball=0.1)
-    st = stats[0]
-    assert st.sigma_rho_times is not None
-    assert np.all(st.sigma_rho_times <= st.taus + 1e-12)
-    assert np.all(st.sigma_rho_times > 0)

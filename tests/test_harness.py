@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +266,31 @@ def test_cli_statuses(tmp_path):
     assert main(["check", "--config", str(malformed), "--out", str(out)]) == 1
 
 
+def test_cli_average_rejects_empty_delta_window(tmp_path, capsys):
+    cfg = reference_config(solver={"t_final": 1.0, "dt": 0.01, "delta": 5.0}, n_paths=4)
+    cfg["experiment"] = {"kind": "average"}
+    p = write_config(tmp_path, cfg)
+    assert main(["average", "--config", str(p), "--out", str(tmp_path / "avg")]) == 1
+    assert "solver.delta" in capsys.readouterr().err
+
+
+def test_cli_quasipotential_degenerate_h_fails_hypothesis(tmp_path, capsys):
+    # g = r vanishes at 0 and rho_bar = 0 leaves no boundary noise: H(0) = 0
+    cfg = reference_config(
+        coefficients={
+            "f": {"kind": "linear", "slope": -1.0},
+            "g": {"kind": "linear", "slope": 1.0},
+            "sigma": {"kind": "constant", "value": 1.0},
+        },
+        multiscale={"rho_bar": 0.0},
+    )
+    cfg["experiment"] = {"kind": "quasipotential", "y_values": [0.5], "horizons": [2.0], "n_nodes": 40}
+    p = write_config(tmp_path, cfg)
+    assert main(["quasipotential", "--config", str(p), "--out", str(tmp_path / "qp")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "noise intensity H" in err
+
+
 def test_cli_overrides_apply(tmp_path):
     cfg = reference_config()
     cfg["experiment"] = {"kind": "simulate", "x0": {"kind": "constant", "value": 0.2}}
@@ -335,3 +362,14 @@ def test_compare_outputs_reports_rounding_and_fails_on_text(tmp_path):
     text = subprocess.run([sys.executable, str(script), a, c], capture_output=True, text=True)
     assert text.returncode == 1
     assert "run/a.csv 0" in text.stdout and "run/b.json FAIL" in text.stdout
+
+
+def test_module_exports_exist():
+    modules = [info.name for info in pkgutil.iter_modules(fastexit.__path__) if not info.name.startswith("_")]
+    exported = 0
+    for name in modules:
+        module = importlib.import_module(f"fastexit.{name}")
+        names = getattr(module, "__all__", [])
+        assert [n for n in names if not hasattr(module, n)] == [], name
+        exported += len(names)
+    assert exported > 0

@@ -34,7 +34,7 @@ def smooth_random_path(rng, t_final=1.0, dt=1e-4, n_harmonics=3):
 def test_action_on_the_flow_is_zero(ref_op):
     model = _linear_drift_model(ref_op)
     flow = fx.solve_limit_ode(model, 0.8, t_final=1.0, dt=1e-3)
-    val = fx.action_I(model, ScalarPath.from_trajectory(flow))
+    val = fx.action_I(model, flow)
     assert val.is_finite and val.value < 1e-8
 
 
@@ -73,7 +73,7 @@ def test_spatial_dependence_rejected(ref_op):
 def test_minimizing_control_on_flow_is_zero(ref_op):
     model = _linear_drift_model(ref_op)
     flow = fx.solve_limit_ode(model, 0.8, t_final=1.0, dt=1e-3)
-    ctrl = fx.minimizing_control(model, ScalarPath.from_trajectory(flow))
+    ctrl = fx.minimizing_control(model, flow)
     assert fx.control_cost(ctrl) < 1e-8
 
 

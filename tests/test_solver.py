@@ -95,30 +95,6 @@ def test_limit_ode_oracles(ref_op):
     assert eq == pytest.approx(2 / np.pi, abs=2e-4)
 
 
-def test_averaged_sde_zero_noise_matches_ode(ref_op):
-    model, *_ = build_model(ref_op)
-    sde = fx.solve_averaged_sde(model, 0.0, 1.0, t_final=1.0, dt=1e-3, rng=fx.RngStream(6))
-    ode = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
-    assert np.abs(sde.values - ode.values).max() < 1e-3  # Euler vs RK4, O(dt)
-
-
-def test_averaged_sde_ou_statistics(exit_reference):
-    model, *_ = exit_reference  # F_bar = -u, H = 1
-    gamma = 0.25
-    n_paths, dt = 2500, 0.02
-    at_one, at_end = np.empty(n_paths), np.empty(n_paths)
-    for p in range(n_paths):
-        traj = fx.solve_averaged_sde(model, gamma, 0.5, t_final=4.0, dt=dt, rng=fx.RngStream(1000, p))
-        at_one[p] = traj.values[int(round(1.0 / dt))]
-        at_end[p] = traj.values[-1]
-    var_target = gamma / 2  # stationary variance gamma H / 2
-    se_var = var_target * np.sqrt(2.0 / n_paths)
-    assert abs(at_end.var() - var_target) <= 3 * se_var + 0.01 * var_target
-    mean_target = 0.5 * np.exp(-1.0)
-    se_mean = at_one.std(ddof=1) / np.sqrt(n_paths)
-    assert abs(at_one.mean() - mean_target) <= 3 * se_mean + 0.01
-
-
 def test_controlled_ode_zero_control(ref_op):
     model, *_ = build_model(ref_op)
     times = np.linspace(0, 1, 11)
@@ -223,22 +199,31 @@ def test_controlled_spde_tracks_controlled_ode(ref_op):
 
 
 def test_averaging_error_basic(ref_op):
+    # with the noise off every path is the same deterministic solve
     model, cs, sq, sb = build_model(ref_op)
-    ode = fx.solve_limit_ode(model, 0.5, t_final=1.0, dt=1e-3)
-    states = np.zeros((len(ode.times), ref_op.n_modes))
-    states[:, 0] = ode.values
-    traj = fx.FieldTrajectory(times=ode.times, states=states)
-    assert fx.averaging_error(ref_op, traj, ode, delta=0.5, t_final=1.0) == 0.0
-    # initial layer: with non-constant data the error over (0, T] dominates [0.5, T]
-    states2 = states.copy()
-    states2[:, 1] = np.exp(-np.pi**2 * ode.times / 1e-2)
-    traj2 = fx.FieldTrajectory(times=ode.times, states=states2)
-    early = fx.averaging_error(ref_op, traj2, ode, delta=1e-3, t_final=1.0)
-    late = fx.averaging_error(ref_op, traj2, ode, delta=0.5, t_final=1.0)
-    assert early > late
+    ref = fx.solve_limit_ode(model, 0.5, t_final=1.0, dt=1e-3)
+
+    def sup_error(x, delta, reference=ref):
+        errors, _ = fx.averaging_error_ensemble(ref_op, cs, sq, sb, _params(eps=1e-2), x, 1.0, 1e-3,
+                                                delta, reference, 4, seed=1)
+        assert np.all(errors == errors[0])
+        return errors[0]
+
+    # constant data: the mean mode follows u <- (1 - dt) u against RK4 of u' = -u
+    flat = sup_error(ref_op.constant_field(0.5), 0.5)
+    euler = 0.5 * (1 - 1e-3) ** np.arange(len(ref.times))
+    assert flat == pytest.approx(np.abs(euler - ref.values)[ref.times >= 0.5].max(), rel=1e-9)
+    assert flat == pytest.approx(9.2e-5, rel=0.01)
+    # initial layer: cos(pi xi) puts 1/sqrt(2) on e_1, which decays at rate pi^2/eps, so
+    # the sup over (0, T] is its value at the first step and the sup over [0.5, T] is the flat one
+    x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
+    early, late = sup_error(x, 1e-3), sup_error(x, 0.5)
+    assert early == pytest.approx(np.exp(-np.pi**2 * 1e-3 / 1e-2) / np.sqrt(2), rel=2e-3)
+    assert late == pytest.approx(flat, rel=1e-9)
     with pytest.raises(ValueError):
-        fx.averaging_error(ref_op, traj, fx.ScalarTrajectory(times=ode.times[:-1], values=ode.values[:-1]),
-                           delta=0.5, t_final=1.0)
+        sup_error(x, 0.5, fx.ScalarPath(times=ref.times[:-1], values=ref.values[:-1]))
+    with pytest.raises(ValueError):
+        sup_error(x, 1.0)  # the window [delta, T] must not be empty
 
 
 def test_averaging_ensemble_deterministic_across_threads(ref_op):
@@ -365,7 +350,3 @@ def test_trajectory_csv_roundtrip(tmp_path, ref_op):
     data = np.loadtxt(p, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1:], traj.states)
-    ode = fx.solve_limit_ode(build_model(ref_op)[0], 1.0, 0.1, 1e-2)
-    p2 = tmp_path / "scalar.csv"
-    ode.write_csv(p2)
-    assert p2.read_text().splitlines()[0] == "t,value"
