@@ -62,7 +62,6 @@ from .noise import (
 from .operator import (
     BoundaryData,
     Field,
-    InvariantMeasure,
     SpectralOperator,
     build_divergence_operator_1d,
     build_neumann_laplacian_1d,
@@ -76,7 +75,6 @@ from .solver import (
     MultiscaleParams,
     ScalarPath,
     averaging_error_ensemble,
-    solve_controlled_spde,
     solve_limit_ode,
     solve_spde,
 )

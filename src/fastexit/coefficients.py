@@ -13,9 +13,9 @@ The boundary gain sigma is constant in time: either one value for both
 boundary points or a value per point.
 
 Averaging replaces the reaction term f(xi, r) by its integral against the
-invariant density m,
+invariant measure mu, Lebesgue measure on O = (0, 1) (density m = 1),
 
-    F_bar(t, u) = int_O f(t, xi, u) m(xi) dxi,
+    F_bar(t, u) = int_O f(t, xi, u) dxi,
 
 and the two noise channels by the row vectors
 
@@ -28,8 +28,8 @@ whose squared norms combine into the scalar noise intensity
 
 with the rho_bar = inf case defined as the limit |row_Z|^2.  The adjoint
 Neumann map evaluates as (N*_delta m)(p) = sum_k <m, e_k> e_k(p) / (delta + alpha_k);
-for constant density only the k = 0 term survives and delta0 cancels, which is
-why the boundary row is delta0-free in the reference instance.
+for m = 1 = e_0 only the k = 0 term survives and delta0 cancels, which is why
+the boundary row does not depend on delta0.
 """
 
 from __future__ import annotations
@@ -239,37 +239,33 @@ class AveragedModel:
         return self.coeffs.g.is_constant
 
     @cached_property
-    def _density_weights(self) -> np.ndarray:
-        return self.op.density_on_grid * self.op.quad_weights
-
-    @cached_property
     def _nstar_m(self) -> np.ndarray:
         """(N*_delta0 m)(p) at the two boundary points."""
-        m_modes = self.op.to_modes(self.op.density_on_grid)
+        m_modes = self.op.quad_weights @ self.op.modes_on_grid.T  # the modes of m = 1
         return (m_modes / (self.delta0 + self.op.eigenvalues)) @ self.op.boundary_values
 
     def f_bar(self, t, u):
-        """F_bar(t, u): integral of f(t, ., u) against the invariant density."""
+        """F_bar(t, u): integral of f(t, ., u) over O."""
         u = np.asarray(u, dtype=float)
         vals = self.coeffs.f.value(t, self.op.grid, u[..., None])
-        return (vals * self._density_weights).sum(axis=-1)
+        return (vals * self.op.quad_weights).sum(axis=-1)
 
     def f_bar_prime(self, t, u):
         u = np.asarray(u, dtype=float)
         vals = self.coeffs.f.d_dr(t, self.op.grid, u[..., None])
-        return (vals * self._density_weights).sum(axis=-1)
+        return (vals * self.op.quad_weights).sum(axis=-1)
 
     def row_h(self, t, u):
         """sqrt(Q)[g(t, ., u) m] as mode coefficients; shape (..., N)."""
         u = np.asarray(u, dtype=float)
         g_vals = self.coeffs.g.value(t, self.op.grid, u[..., None])
-        proj = (g_vals * self._density_weights) @ self.op.modes_on_grid.T
+        proj = (g_vals * self.op.quad_weights) @ self.op.modes_on_grid.T
         return self.q_lambdas * proj
 
     def row_h_prime(self, t, u):
         u = np.asarray(u, dtype=float)
         g_vals = self.coeffs.g.d_dr(t, self.op.grid, u[..., None])
-        proj = (g_vals * self._density_weights) @ self.op.modes_on_grid.T
+        proj = (g_vals * self.op.quad_weights) @ self.op.modes_on_grid.T
         return self.q_lambdas * proj
 
     def row_z(self, t) -> np.ndarray:

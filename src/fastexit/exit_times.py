@@ -1,14 +1,19 @@
 """Exit domains, stopping times, and Monte Carlo exit-time asymptotics.
 
-Domains are sublevel sets of a convex integral functional,
+The exit domain is a ball around a constant state: on O = (0, 1) with
+Lebesgue measure (the invariant measure of every operator built here),
 
-    D = { h : G(h) < r },      G(h) = int_O g(h(xi)) dxi,
+    D = { h : G(h) < r },      G(h) = int_O s (h(xi) - c)^2 dxi = s |h - c e_0|^2,
 
-with g convex, C^2, and of (at most) quadratic growth.  Such domains are
-convex, bounded, invariant under the semigroup (G is nonincreasing along it,
-by convexity and integration by parts), and closed under taking the mean
-state, which is exactly what the exit lower bound needs: for small eps the
-dynamics first behaves like pure fast transport, then like the averaged flow.
+with scale s > 0, center c and level r > s c^2, so that 0 lies inside.
+Parseval turns G into a sum over the mode coefficients, which is how
+`membership_values` evaluates it for every caller.  The integrand
+s (. - c)^2 is convex, and that is what the exit lower bound needs of D:
+G is nonincreasing along the semigroup (integrate by parts against the
+zero-flux operator), so D is invariant; and Jensen gives G(<h, mu> e_0) <= G(h),
+so D contains the mean state of each of its points.  For small eps the
+dynamics first behaves like pure fast transport, then like the averaged
+flow, which moves on the constant section (c - sqrt(r/s), c + sqrt(r/s)).
 
 The exit time tau = inf { t : u(t) leaves D } is detected on the time grid by
 linear interpolation of the membership functional G between the bracketing
@@ -28,7 +33,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coefficients import AveragedModel
 from .ensemble import SpdeStepper, run_ensemble
@@ -38,40 +42,15 @@ from .operator import Field, SpectralOperator, invariant_average
 from .solver import MultiscaleParams, _rk4
 
 __all__ = [
-    "ConvexFunction",
     "DomainSpec",
     "ExitStats",
     "DomainInvarianceReport",
     "ExitHypothesesReport",
-    "make_convex_function",
     "build_domain",
     "membership_values",
     "exit_time_mc",
     "check_exit_hypotheses",
 ]
-
-
-@dataclass(frozen=True)
-class ConvexFunction:
-    """Catalog convex C^2 profile with quadratic growth; currently quadratic forms."""
-
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        if self.kind != "quadratic":
-            raise ValueError(f"unknown convex function kind '{self.kind}'")
-        if self.params.get("scale", 1.0) <= 0:
-            raise ValueError("quadratic scale must be positive")
-
-    def value(self, s):
-        p = self.params
-        return p.get("scale", 1.0) * (np.asarray(s, dtype=float) - p.get("center", 0.0)) ** 2
-
-
-def make_convex_function(spec: dict) -> ConvexFunction:
-    spec = dict(spec)
-    return ConvexFunction(kind=spec.pop("kind"), params=spec)
 
 
 @dataclass(frozen=True)
@@ -84,66 +63,48 @@ class DomainInvarianceReport:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Sublevel-set exit domain with its constant-state section (y1, y2)."""
+    """The exit ball { h : s |h - c e_0|^2 < r } with its invariance probe report."""
 
     op: SpectralOperator
-    g_convex: ConvexFunction
+    scale: float
+    center: float
     level: float
-    constant_section: tuple[float, float]
     invariance_report: DomainInvarianceReport
+
+    @property
+    def constant_section(self) -> tuple[float, float]:
+        """Endpoints (y1, y2) of the constant states y e_0 inside the ball: c -+ sqrt(r / s)."""
+        half = math.sqrt(self.level / self.scale)
+        return self.center - half, self.center + half
 
 
 def membership_values(dom: DomainSpec, states: np.ndarray) -> np.ndarray:
-    """G(h) = int g(h) dxi for a batch of mode-coefficient states.
+    """G(h) = int s (h - c)^2 dxi for a batch of mode-coefficient states.
 
-    For g(s) = scale (s - c)^2 Parseval gives G = scale (|u|^2 - 2 c u_0 + c^2):
-    the modes are orthonormal under the midpoint quadrature and e_0 = 1, so
-    this is the grid quadrature sum_m g(h(xi_m)) w_m to rounding, without
-    the grid round trip.
+    Parseval gives G = s (|u|^2 - 2 c u_0 + c^2): the modes are orthonormal
+    under the midpoint quadrature and e_0 = 1, so this is the grid quadrature
+    sum_m s (h(xi_m) - c)^2 w_m to rounding, without the grid round trip.  A
+    constant state y e_0 may be passed as the one-mode state (y,).
     """
     u = np.asarray(states)
-    p = dom.g_convex.params
-    c = p.get("center", 0.0)
-    return p.get("scale", 1.0) * (np.einsum("...k,...k->...", u, u) - 2.0 * c * u[..., 0] + c * c)
-
-
-def _constant_section(g: ConvexFunction, r: float, domain_length: float) -> tuple[float, float]:
-    """Endpoints of { y : |O| g(y) < r }, located by bisection from 0 outward."""
-
-    def fn(y):
-        return domain_length * float(g.value(y)) - r
-
-    lo = hi = 1.0
-    while fn(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("level set appears unbounded")
-    while fn(-lo) < 0:
-        lo *= 2.0
-        if lo > 1e12:
-            raise ValueError("level set appears unbounded")
-    y2 = brentq(fn, 0.0, hi, xtol=1e-14)
-    y1 = brentq(fn, -lo, 0.0, xtol=1e-14)
-    return float(y1), float(y2)
+    c = dom.center
+    return dom.scale * (np.einsum("...k,...k->...", u, u) - 2.0 * c * u[..., 0] + c * c)
 
 
 def _sample_in_domain(dom: DomainSpec, rng, target_frac=0.9):
-    """Random field scaled along its ray to G = target_frac * r."""
+    """Random unit field x scaled along its ray to G = target_frac * r.
+
+    The scale t is the positive root of s (t^2 - 2 c t x_0 + c^2) = target_frac * r.
+    """
     x = rng.standard_normal(dom.op.n_modes)
     x /= np.linalg.norm(x)
-
-    def gv(s):
-        return float(membership_values(dom, s * x)) - target_frac * dom.level
-
-    hi = 1.0
-    while gv(hi) < 0:
-        hi *= 2.0
-    s = brentq(gv, 0.0, hi, xtol=1e-12)
-    return s * x
+    b = dom.center * x[0]
+    t = b + math.sqrt(b * b - dom.center**2 + target_frac * dom.level / dom.scale)
+    return t * x
 
 
 def _run_invariance_probes(dom: DomainSpec, seed: int, n_samples: int, times) -> DomainInvarianceReport:
-    op, g, r = dom.op, dom.g_convex, dom.level
+    op, r = dom.op, dom.level
     rng = np.random.Generator(np.random.Philox(key=seed))
     min_margin = np.inf
     jensen_ok = True
@@ -151,7 +112,7 @@ def _run_invariance_probes(dom: DomainSpec, seed: int, n_samples: int, times) ->
         x = _sample_in_domain(dom, rng)
         x_t = np.exp(-np.outer(times, op.eigenvalues)) * x
         min_margin = min(min_margin, float((membership_values(dom, x) - membership_values(dom, x_t)).min()))
-        if op.domain_length * float(g.value(invariant_average(op, Field(x)))) >= r:
+        if float(membership_values(dom, [invariant_average(op, Field(x))])) >= r:
             jensen_ok = False
     return DomainInvarianceReport(
         monotone_passed=bool(min_margin >= -1e-12),
@@ -169,13 +130,17 @@ def build_domain(
     probe_samples: int = 50,
     probe_times=(0.01, 0.1, 1.0),
 ) -> DomainSpec:
-    """Construct the sublevel-set domain and attach the invariance probe report."""
-    g = make_convex_function(g_spec)
-    r_min = op.domain_length * float(g.value(0.0))
+    """Construct the exit ball from {"kind": "quadratic", "scale": s, "center": c}
+    and level r, and attach the invariance probe report."""
+    if g_spec["kind"] != "quadratic":
+        raise ValueError(f"unknown domain kind {g_spec['kind']!r}")
+    scale, center = float(g_spec.get("scale", 1.0)), float(g_spec.get("center", 0.0))
+    if scale <= 0:
+        raise ValueError("quadratic scale must be positive")
+    r_min = scale * center**2
     if r <= r_min:
-        raise ValueError(f"level r must exceed |O| g(0) = {r_min:.6g} so that 0 lies inside")
-    dom = DomainSpec(op=op, g_convex=g, level=r, constant_section=_constant_section(g, r, op.domain_length),
-                     invariance_report=None)
+        raise ValueError(f"level r must exceed s c^2 = {r_min:.6g} so that 0 lies inside")
+    dom = DomainSpec(op=op, scale=scale, center=center, level=r, invariance_report=None)
     return replace(dom, invariance_report=_run_invariance_probes(dom, probe_seed, probe_samples, probe_times))
 
 
@@ -372,7 +337,7 @@ def check_exit_hypotheses(
     starts = np.array([y1 + margin, 0.5 * y1, 0.0, 0.5 * y2, y2 - margin])
     times = np.linspace(0.0, t_probe, int(round(t_probe / dt)) + 1)
     flow = _rk4(lambda t, u: model.f_bar(t, u), starts, times)
-    g_along = dom.op.domain_length * dom.g_convex.value(flow)
+    g_along = membership_values(dom, flow[..., None])
     contained = bool(np.all(g_along <= dom.level * (1 + 1e-9) + 1e-12))
     witness = None
     if not contained:

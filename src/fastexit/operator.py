@@ -5,8 +5,11 @@ A = d/dxi ( a(xi) d/dxi ) on O = (0, 1) with conormal (zero-flux) boundary
 conditions.  A is self-adjoint and negative semi-definite, so it carries an
 orthonormal basis {e_k} with A e_k = -alpha_k e_k, 0 = alpha_0 < alpha_1 <= ...
 The constant mode e_0 = 1 spans the kernel, the semigroup acts diagonally as
-exp(-alpha_k t), and Lebesgue measure is invariant (density m = 1), with
-spectral gap alpha_1.
+exp(-alpha_k t), and its invariant measure mu is Lebesgue measure on O, a
+probability measure because |O| = 1; the spectral gap is alpha_1.  Every
+operator built here is of this form, and the code relies on it: the
+L2(O, mu) norm is the Euclidean norm of the coefficients, and averages
+against mu are plain quadrature sums over the grid.
 
 For a = 1 the basis is analytic: alpha_k = (k pi)^2 and e_k = sqrt(2) cos(k pi xi).
 Variable a(xi) is handled by eigendecomposing a flux-form tridiagonal
@@ -37,7 +40,6 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "Field",
     "BoundaryData",
-    "InvariantMeasure",
     "SpectralOperator",
     "GapCheckReport",
     "build_neumann_laplacian_1d",
@@ -88,14 +90,6 @@ class BoundaryData:
 
 
 @dataclass(frozen=True)
-class InvariantMeasure:
-    """Probability measure on O preserved by the semigroup."""
-
-    density_at: Callable[[np.ndarray], np.ndarray]
-    total_mass: float = 1.0
-
-
-@dataclass(frozen=True)
 class SpectralOperator:
     """Diagonalized elliptic operator plus its quadrature grid.
 
@@ -105,13 +99,10 @@ class SpectralOperator:
 
     eigenvalues: np.ndarray       # (N,) nonnegative, increasing, eigenvalues[0] = 0
     grid: np.ndarray              # (M,) midpoint quadrature nodes in O
-    quad_weights: np.ndarray      # (M,) quadrature weights, sum = |O|
+    quad_weights: np.ndarray      # (M,) quadrature weights, sum = |O| = 1
     modes_on_grid: np.ndarray     # (N, M) values e_k(grid)
     boundary_values: np.ndarray   # (N, 2) values (e_k(0), e_k(1))
-    density_on_grid: np.ndarray   # (M,) invariant density m(grid)
-    domain_length: float = 1.0
     cosine_basis: bool = False    # analytic sqrt(2) cos(k pi xi) basis
-    lebesgue_measure: bool = True
 
     def __post_init__(self):
         if self.eigenvalues.shape[0] < 2:
@@ -127,15 +118,6 @@ class SpectralOperator:
     def spectral_gap(self) -> float:
         """Smallest strictly positive eigenvalue."""
         return float(self.eigenvalues[1])
-
-    @property
-    def invariant_measure(self) -> InvariantMeasure:
-        dens = self.density_on_grid
-
-        def density_at(xi):
-            return np.interp(np.asarray(xi, dtype=float), self.grid, dens)
-
-        return InvariantMeasure(density_at=density_at, total_mass=1.0)
 
     def eigenfunction_at(self, k: int, xi):
         """Evaluate e_k pointwise (analytic for the cosine basis, else interpolated)."""
@@ -173,12 +155,8 @@ class SpectralOperator:
     # -- norms --------------------------------------------------------------
 
     def hmu_norm(self, coeffs: np.ndarray) -> np.ndarray:
-        """L2(O, mu) norm.  Diagonal (Euclidean) when mu is Lebesgue on |O| = 1."""
-        coeffs = np.asarray(coeffs)
-        if self.lebesgue_measure:
-            return np.linalg.norm(coeffs, axis=-1)
-        vals = self.to_grid(coeffs)
-        return np.sqrt((vals * vals * self.density_on_grid * self.quad_weights).sum(axis=-1))
+        """L2(O, mu) norm: mu is Lebesgue on |O| = 1, so the Euclidean norm of the coefficients."""
+        return np.linalg.norm(np.asarray(coeffs), axis=-1)
 
 
 def build_neumann_laplacian_1d(n_modes: int, grid_factor: int = 4) -> SpectralOperator:
@@ -207,7 +185,6 @@ def build_neumann_laplacian_1d(n_modes: int, grid_factor: int = 4) -> SpectralOp
         quad_weights=weights,
         modes_on_grid=modes,
         boundary_values=boundary,
-        density_on_grid=np.ones(m),
         cosine_basis=True,
     )
 
@@ -259,7 +236,6 @@ def build_divergence_operator_1d(
         quad_weights=np.full(m, h),
         modes_on_grid=modes,
         boundary_values=boundary,
-        density_on_grid=np.ones(m),
         cosine_basis=False,
     )
 
@@ -272,9 +248,9 @@ def semigroup_apply(op: SpectralOperator, t: float, h: Field) -> Field:
 
 
 def invariant_average(op: SpectralOperator, h: Field) -> float:
-    """<h, mu> = integral of h against the invariant density."""
+    """<h, mu> = integral of h over O, by quadrature."""
     vals = op.to_grid(h.coeffs)
-    return float((vals * op.density_on_grid * op.quad_weights).sum())
+    return float((vals * op.quad_weights).sum())
 
 
 @dataclass(frozen=True)

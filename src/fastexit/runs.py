@@ -196,10 +196,17 @@ def run_check(resolved: dict, out_dir: Path) -> int:
     return EXIT_OK if all_passed else EXIT_HYPOTHESIS_FAILED
 
 
+def _check_solver_grid(sol: dict) -> None:
+    """A fixed-horizon run steps from 0 to t_final, so one step must fit."""
+    if sol["dt"] > sol["t_final"]:
+        raise ConfigError("solver.dt", f"dt = {sol['dt']!r} must not exceed t_final = {sol['t_final']!r}")
+
+
 def run_simulate(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
-    system = build_system(resolved)
     sol = resolved["solver"]
+    _check_solver_grid(sol)
+    system = build_system(resolved)
     outputs = []
     status = EXIT_OK
     for i, params in enumerate(system.params_list):
@@ -222,8 +229,9 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
 
 def run_average(resolved: dict, out_dir: Path, threads: int = 1) -> int:
     started = time.monotonic()
-    system = build_system(resolved)
     sol = resolved["solver"]
+    _check_solver_grid(sol)
+    system = build_system(resolved)
     n_paths = resolved["n_paths"]
     x_mean = invariant_average(system.op, system.x0)
     ref = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
@@ -283,6 +291,7 @@ def run_action(resolved: dict, out_dir: Path) -> int:
     if pf:
         w = _load_scalar_path(Path(pf))
     else:
+        _check_solver_grid(sol)
         x_mean = invariant_average(system.op, system.x0)
         w = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
     action = action_I(system.model, w)
@@ -352,18 +361,9 @@ def run_exit(resolved: dict, out_dir: Path, threads: int = 1) -> int:
         t_max=exp["t_max"], t_max_cap=exp["t_max_cap"],
         threads=threads,
     )
-    rows = [
-        [s.gamma, s.eps, s.alpha, s.beta, s.n_paths, s.n_censored, s.mean_tau,
-         s.log_mean_tau, s.gamma_log_mean, s.ci_halfwidth, s.v_bar_target]
-        for s in stats
-    ]
+    rows = [s.row() for s in stats]
     csv_path = out_dir / "exit_stats.csv"
-    _write_csv(
-        csv_path,
-        ["gamma", "eps", "alpha", "beta", "n", "censored", "mean_tau",
-         "log_mean_tau", "gamma_log_mean", "ci_halfwidth", "v_bar_target"],
-        rows,
-    )
+    _write_csv(csv_path, list(rows[0]), [row.values() for row in rows])
     tau_rows = []
     for s in stats:
         tau_rows.extend([s.gamma, p, t] for p, t in enumerate(s.taus))

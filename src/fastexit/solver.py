@@ -36,7 +36,6 @@ __all__ = [
     "FieldTrajectory",
     "ScalarPath",
     "solve_spde",
-    "solve_controlled_spde",
     "solve_limit_ode",
     "solve_controlled_ode_batch",
     "averaging_error_ensemble",
@@ -163,23 +162,24 @@ def _control_interpolant(node_times: np.ndarray, phi_h: np.ndarray, phi_z: np.nd
     return at
 
 
-def solve_controlled_spde(
+def solve_spde(
     op: SpectralOperator,
     cs: CoefficientSet,
     spec_q: CovarianceSpectrumQ,
     spec_b: CovarianceSpectrumB,
     params: MultiscaleParams,
     x: Field,
-    control,
     t_final: float,
     dt: float,
     rng: RngStream,
+    control=None,
     control_weights: tuple[float, float] | None = None,
 ) -> FieldTrajectory:
-    """Forward solve of the full system with deterministic control forcing.
+    """Mild-solution forward solve (exponential Euler per mode) of one path.
 
-    control may be None (plain forward solve) or a ControlPath; a zero control
-    reproduces the uncontrolled solve pathwise for the same stream.
+    control may be None (plain forward solve) or a ControlPath, added as a
+    deterministic forcing; a zero control reproduces the uncontrolled solve
+    pathwise for the same stream.
     """
     times, dt_eff, n = _time_grid(t_final, dt)
     stepper = SpdeStepper(
@@ -198,21 +198,6 @@ def solve_controlled_spde(
             raise DivergenceError(step=i + 1, t=times[i + 1])
         states[i + 1] = u[0]
     return FieldTrajectory(times=times, states=states)
-
-
-def solve_spde(
-    op: SpectralOperator,
-    cs: CoefficientSet,
-    spec_q: CovarianceSpectrumQ,
-    spec_b: CovarianceSpectrumB,
-    params: MultiscaleParams,
-    x: Field,
-    t_final: float,
-    dt: float,
-    rng: RngStream,
-) -> FieldTrajectory:
-    """Mild-solution forward solve (exponential Euler per mode)."""
-    return solve_controlled_spde(op, cs, spec_q, spec_b, params, x, None, t_final, dt, rng)
 
 
 def _rk4(rhs, u0, times):

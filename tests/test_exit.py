@@ -3,6 +3,7 @@ import pytest
 
 import fastexit as fx
 from conftest import build_model
+from fastexit.exit_times import _sample_in_domain
 
 
 def _ball(op, r=0.25):
@@ -14,8 +15,26 @@ def test_build_domain_constant_section(ref_op):
     assert dom.constant_section == pytest.approx((-0.5, 0.5), abs=1e-12)
     assert dom.invariance_report.monotone_passed
     assert dom.invariance_report.jensen_passed
+    shifted = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, ref_op)
+    assert shifted.constant_section == pytest.approx((0.3 - np.sqrt(0.5), 0.3 + np.sqrt(0.5)), abs=1e-12)
+    assert shifted.invariance_report.monotone_passed and shifted.invariance_report.jensen_passed
     with pytest.raises(ValueError):
         fx.build_domain({"kind": "quadratic", "scale": 1.0, "center": 1.0}, 0.5, ref_op)
+    with pytest.raises(ValueError, match="kind"):
+        fx.build_domain({"kind": "quartic", "scale": 1.0}, 0.25, ref_op)
+    with pytest.raises(ValueError, match="scale"):
+        fx.build_domain({"kind": "quadratic", "scale": 0.0}, 0.25, ref_op)
+    with pytest.raises(ValueError, match="level"):  # r = s c^2 puts 0 on the boundary
+        fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.5}, 0.5, ref_op)
+
+
+def test_sample_in_domain_lands_on_target_level(ref_op):
+    dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, ref_op)
+    rng = np.random.Generator(np.random.Philox(key=34))
+    for _ in range(50):
+        x = _sample_in_domain(dom, rng)
+        g = 2.0 * (float((x**2).sum()) - 2 * 0.3 * x[0] + 0.3**2)
+        assert abs(g - 0.9) <= 1e-12
 
 
 def test_membership_is_squared_norm_for_quadratic(ref_op):
@@ -34,7 +53,7 @@ def test_membership_parseval_matches_grid_quadrature(op_kind):
         op = fx.build_divergence_operator_1d(lambda xi: 1.0 + 0.5 * np.sin(2 * np.pi * xi), 16, 256)
     dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, op)
     states = np.random.Generator(np.random.Philox(key=33)).standard_normal((200, op.n_modes))
-    quadrature = (dom.g_convex.value(op.to_grid(states)) * op.quad_weights).sum(axis=-1)
+    quadrature = (2.0 * (op.to_grid(states) - 0.3) ** 2 * op.quad_weights).sum(axis=-1)
     assert np.all(np.abs(fx.membership_values(dom, states) - quadrature) <= 1e-12 * quadrature)
 
 
@@ -56,7 +75,7 @@ def test_jensen_step(ref_op):
         c = rng.standard_normal(ref_op.n_modes)
         c *= 0.45 / np.linalg.norm(c)
         mean = c[0]  # <x, mu> for the reference operator
-        assert ref_op.domain_length * dom.g_convex.value(mean) <= fx.membership_values(dom, c[None, :])[0]
+        assert mean**2 <= fx.membership_values(dom, c[None, :])[0]  # G(<x, mu> e_0) = |O| g(mean)
 
 
 def _noise_free(model, dom, x, dt, t_max):

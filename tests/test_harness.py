@@ -274,6 +274,18 @@ def test_cli_average_rejects_empty_delta_window(tmp_path, capsys):
     assert "solver.delta" in capsys.readouterr().err
 
 
+def test_cli_fixed_horizon_runs_reject_dt_above_t_final(tmp_path, capsys):
+    # simulate and average step from 0 to t_final, and action integrates the
+    # limit ODE there: a step longer than the horizon is a config error
+    for kind in ("simulate", "average", "action"):
+        cfg = reference_config(solver={"t_final": 0.01, "dt": 0.02, "delta": 0.005}, n_paths=4)
+        cfg["experiment"] = {"kind": kind}
+        p = write_config(tmp_path, cfg, f"{kind}.json")
+        assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "solver.dt" in err
+
+
 def test_cli_quasipotential_degenerate_h_fails_hypothesis(tmp_path, capsys):
     # g = r vanishes at 0 and rho_bar = 0 leaves no boundary noise: H(0) = 0
     cfg = reference_config(

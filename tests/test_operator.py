@@ -83,12 +83,6 @@ def test_invariant_average_values(ref_op):
     assert fx.invariant_average(ref_op, Field(np.eye(ref_op.n_modes)[0])) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_invariant_measure_density(ref_op):
-    mu = ref_op.invariant_measure
-    assert mu.total_mass == 1.0
-    assert np.allclose(mu.density_at(np.linspace(0, 1, 7)), 1.0)
-
-
 def test_spectral_gap_check_equality_case(ref_op):
     e1 = Field(np.eye(ref_op.n_modes)[1])
     rep = fx.check_spectral_gap(ref_op, e1, [1.0])

@@ -135,8 +135,8 @@ def test_controlled_spde_zero_control_pathwise_equal(ref_op):
     x = ref_op.constant_field(0.4)
     times = np.linspace(0, 0.5, 6)
     plain = fx.solve_spde(ref_op, cs, sq, sb, params, x, 0.5, 1e-3, fx.RngStream(9, 1))
-    ctrl = fx.solve_controlled_spde(ref_op, cs, sq, sb, params, x,
-                                    _zero_control(times, ref_op.n_modes), 0.5, 1e-3, fx.RngStream(9, 1))
+    ctrl = fx.solve_spde(ref_op, cs, sq, sb, params, x, 0.5, 1e-3, fx.RngStream(9, 1),
+                         control=_zero_control(times, ref_op.n_modes))
     assert np.array_equal(plain.states, ctrl.states)
 
 
@@ -146,9 +146,9 @@ def test_controlled_spde_mode0_linear_response(ref_op):
     phi_h = np.zeros((101, ref_op.n_modes))
     phi_h[:, 0] = 0.8
     ctrl = ControlPath(times=times, phi_h=phi_h, phi_z=np.zeros((101, 2)))
-    traj = fx.solve_controlled_spde(
+    traj = fx.solve_spde(
         ref_op, cs, sq, sb, _params(eps=0.01, alpha=0.0, beta=0.0), ref_op.constant_field(0.3),
-        ctrl, 1.0, 1e-3, fx.RngStream(10), control_weights=(0.5, 0.5),
+        1.0, 1e-3, fx.RngStream(10), control=ctrl, control_weights=(0.5, 0.5),
     )
     expected = 0.3 + 0.5 * 1.0 * 0.8 * traj.times  # x + w_H lambda_0 phi t
     assert np.allclose(traj.states[:, 0], expected, atol=1e-10)
@@ -186,9 +186,9 @@ def test_controlled_spde_tracks_controlled_ode(ref_op):
     phi_z = np.stack([np.cos(np.pi * node_times), node_times], axis=1)
     ctrl = ControlPath(times=node_times, phi_h=phi_h, phi_z=phi_z)
     x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
-    spde = fx.solve_controlled_spde(
-        ref_op, cs, sq, sb, _params(eps=1e-3), x, ctrl, 1.0, 1e-3, fx.RngStream(11),
-        control_weights=model.weights,
+    spde = fx.solve_spde(
+        ref_op, cs, sq, sb, _params(eps=1e-3), x, 1.0, 1e-3, fx.RngStream(11),
+        control=ctrl, control_weights=model.weights,
     )
     ode = solve_controlled_ode_batch(model, np.array([fx.invariant_average(ref_op, x)]), node_times,
                                      phi_h[None], phi_z[None], 1.0, 1e-3)[:, 0]
