@@ -52,8 +52,6 @@ from .ldp import (
     v_bar,
 )
 from .noise import (
-    CovarianceSpectrumB,
-    CovarianceSpectrumQ,
     RngStream,
     check_hyp_eigenvalues,
     make_b_spectrum,

@@ -176,18 +176,6 @@ class CoefficientSet:
     g: Coefficient
     sigma: BoundaryCoefficient
 
-    @property
-    def lipschitz_bound_f(self) -> float:
-        return self.f.lipschitz_bound
-
-    @property
-    def lipschitz_bound_g(self) -> float:
-        return self.g.lipschitz_bound
-
-    @property
-    def g_sup_bound(self) -> float | None:
-        return self.g.sup_bound
-
 
 def make_coefficient_set(f_spec: dict, g_spec: dict, sigma_spec: dict) -> CoefficientSet:
     return CoefficientSet(
@@ -205,11 +193,13 @@ def nemytskii_F(cs: CoefficientSet, op: SpectralOperator, t: float, u: Field) ->
 
 @dataclass(frozen=True)
 class AveragedModel:
-    """Averaged drift, noise rows, and noise intensity for the limit dynamics.
+    """The system's data and its averaged forms.
 
-    Bundles the operator, coefficients, covariance spectra and the scaling
-    ratio rho_bar = lim beta/alpha in [0, inf].  All evaluations broadcast
-    over an array of states u.
+    The one description of the system that every layer steps, solves and
+    measures from: the operator, the coefficients (f, g, sigma), the
+    eigenvalues of sqrt(Q) and sqrt(B) (checked here), rho_bar = lim beta/alpha
+    in [0, inf] and delta0.  The averaged drift, noise rows and noise
+    intensity of the limit dynamics broadcast over an array of states u.
     """
 
     op: SpectralOperator
@@ -224,8 +214,13 @@ class AveragedModel:
             raise ValueError("delta0 must be strictly positive")
         if not (self.rho_bar >= 0):
             raise ValueError("rho_bar must be in [0, inf]")
-        object.__setattr__(self, "q_lambdas", np.asarray(self.q_lambdas, dtype=float))
-        object.__setattr__(self, "b_thetas", np.asarray(self.b_thetas, dtype=float))
+        lam, th = np.asarray(self.q_lambdas, dtype=float), np.asarray(self.b_thetas, dtype=float)
+        if lam.shape != (self.op.n_modes,) or th.shape != (2,):
+            raise ValueError("need one sqrt(Q) eigenvalue per mode and exactly two boundary weights")
+        if np.any(lam < 0) or np.any(th < 0):
+            raise ValueError("sqrt(Q) and sqrt(B) eigenvalues must be nonnegative")
+        object.__setattr__(self, "q_lambdas", lam)
+        object.__setattr__(self, "b_thetas", th)
 
     @property
     def weights(self) -> tuple[float, float]:
@@ -354,8 +349,8 @@ def check_coefficient_hypotheses(
     g_zero = float(np.abs(cs.g.value(t, op.grid, 0.0)).max())
     sig_sup = cs.sigma.sup_bound
     ok = (
-        f_ratio <= cs.lipschitz_bound_f * slack + 1e-12
-        and g_ratio <= cs.lipschitz_bound_g * slack + 1e-12
+        f_ratio <= cs.f.lipschitz_bound * slack + 1e-12
+        and g_ratio <= cs.g.lipschitz_bound * slack + 1e-12
         and np.isfinite(f_zero)
         and np.isfinite(g_zero)
         and np.isfinite(sig_sup)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .coefficients import AveragedModel, CoefficientSet, make_coefficient_set
+from .coefficients import AveragedModel, make_coefficient_set
 from .errors import ConfigError
-from .noise import CovarianceSpectrumB, CovarianceSpectrumQ, make_b_spectrum, make_q_spectrum
+from .noise import make_b_spectrum, make_q_spectrum
 from .operator import Field, SpectralOperator, build_neumann_laplacian_1d
 from .solver import MultiscaleParams
 
@@ -97,6 +97,7 @@ CONFIG_SCHEMA = {
                 "domain": {
                     "type": "object",
                     "required": ["level"],
+                    "additionalProperties": False,
                     "properties": {
                         "kind": {"enum": ["quadratic"]},
                         "scale": {"type": "number", "exclusiveMinimum": 0},
@@ -219,12 +220,8 @@ def rho_bar_limit(alpha_law: dict, beta_law: dict) -> float:
 
 @dataclass
 class BuiltSystem:
-    """Everything the experiment drivers need, assembled from one config."""
+    """The system, its scaling levels and the initial state, built from one config."""
 
-    op: SpectralOperator
-    cs: CoefficientSet
-    spec_q: CovarianceSpectrumQ
-    spec_b: CovarianceSpectrumB
     model: AveragedModel
     params_list: list[MultiscaleParams]
     x0: Field
@@ -257,22 +254,16 @@ def build_system(resolved: dict) -> BuiltSystem:
         cs = make_coefficient_set(c["f"], c["g"], c["sigma"])
     except (ValueError, KeyError) as exc:
         raise ConfigError("coefficients", str(exc)) from exc
+    ms = resolved["multiscale"]
     try:
-        spec_q = make_q_spectrum(resolved["noise"]["q_spectrum"], op.n_modes)
-        spec_b = make_b_spectrum(resolved["noise"]["b_spectrum"])
+        model = AveragedModel(
+            op=op, coeffs=cs,
+            q_lambdas=make_q_spectrum(resolved["noise"]["q_spectrum"], op.n_modes),
+            b_thetas=make_b_spectrum(resolved["noise"]["b_spectrum"]),
+            rho_bar=parse_rho_bar(ms["rho_bar"]), delta0=ms["delta0"],
+        )
     except (ValueError, KeyError) as exc:
         raise ConfigError("noise", str(exc)) from exc
-    ms = resolved["multiscale"]
-    rho = parse_rho_bar(ms["rho_bar"])
-    model = AveragedModel(
-        op=op, coeffs=cs, q_lambdas=spec_q.lambdas, b_thetas=spec_b.thetas,
-        rho_bar=rho, delta0=ms["delta0"],
-    )
-    params_list = [
-        MultiscaleParams.from_schedule(e, ms["alpha_law"], ms["beta_law"], rho) for e in ms["eps"]
-    ]
+    params_list = [MultiscaleParams.from_schedule(e, ms["alpha_law"], ms["beta_law"]) for e in ms["eps"]]
     x0 = _build_x0(resolved["experiment"]["x0"], op)
-    return BuiltSystem(
-        op=op, cs=cs, spec_q=spec_q, spec_b=spec_b, model=model,
-        params_list=params_list, x0=x0, config=resolved,
-    )
+    return BuiltSystem(model=model, params_list=params_list, x0=x0, config=resolved)

@@ -18,14 +18,15 @@ schedule.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coefficients import CoefficientSet
-from .noise import (
-    CovarianceSpectrumB, CovarianceSpectrumQ, RngStream, boundary_coupling, decay_integral, ou_step_weights,
-)
-from .operator import SpectralOperator
+from .coefficients import AveragedModel
+from .noise import RngStream, boundary_coupling, decay_integral, ou_step_weights
+
+if TYPE_CHECKING:
+    from .solver import MultiscaleParams
 
 BLOCK_SIZE = 64
 DIVERGENCE_LIMIT = 1e12
@@ -53,7 +54,7 @@ def map_blocks(fn, n_paths: int, threads: int = 1):
 
 
 class SpdeStepper:
-    """One-step mild-solution update, vectorized over a batch of paths.
+    """One-step mild-solution update of (model, params), vectorized over a batch of paths.
 
     The linear part is integrated exactly (diagonal exponential), the
     reaction term with the phi1 weight.  The additive noise of a step is one
@@ -62,7 +63,8 @@ class SpdeStepper:
         C_B[k, l] = beta^2 sum_j theta_j^2 b_kj b_lj W_kl,   W_kl = int_0^dt exp(-(a_k + a_l) s) ds,
         C_Q = diag((alpha g lambda_k)^2 v_k),
 
-    a_k = alpha_k / eps, drawn as z @ R with R^T R = C (a Cholesky factor
+    a_k = alpha_k / eps, with lambda and theta the model's eigenvalues of
+    sqrt(Q) and sqrt(B), drawn as z @ R with R^T R = C (a Cholesky factor
     that tolerates a singular C).  C_Q enters C only
     for a constant gain g.  A state-dependent gain is an approximation: the
     interior channel keeps its own panel with the diagonal law
@@ -78,28 +80,24 @@ class SpdeStepper:
 
     def __init__(
         self,
-        op: SpectralOperator,
-        cs: CoefficientSet,
-        spec_q: CovarianceSpectrumQ,
-        spec_b: CovarianceSpectrumB,
-        alpha: float,
-        beta: float,
-        eps: float,
+        model: AveragedModel,
+        params: MultiscaleParams,
         dt: float,
         control=None,
         control_weights: tuple[float, float] | None = None,
     ):
-        self.op = op
-        self.cs = cs
+        op = self.op = model.op
+        cs = self.cs = model.coeffs
+        alpha, beta, eps = params.alpha, params.beta, params.eps
         self.dt = dt
         self.decay, v = ou_step_weights(op.eigenvalues, eps, dt)
         self.sqrt_v = np.sqrt(v)
         self.phi1dt = decay_integral(op.eigenvalues / eps, dt)  # dt phi1(-alpha dt / eps)
-        self.lambdas = spec_q.lambdas
+        self.lambdas = model.q_lambdas
         self.g_const = cs.g.constant_value if cs.g.is_constant else None
         sigma_vals = cs.sigma.values(0.0)
         rates = op.eigenvalues / eps
-        tb = spec_b.thetas * boundary_coupling(op, sigma_vals)  # theta_j b_kj
+        tb = model.b_thetas * boundary_coupling(op, sigma_vals)  # theta_j b_kj
         cov = beta**2 * (tb @ tb.T) * decay_integral(rates[:, None] + rates[None, :], dt)
         if self.g_const is not None:
             cov += np.diag((alpha * self.g_const * self.lambdas) ** 2 * v)
@@ -115,12 +113,11 @@ class SpdeStepper:
         self.control = control
         if control is not None:
             if control_weights is None:
-                gamma = (alpha + beta) ** 2
-                if gamma == 0:
+                if params.gamma == 0:
                     raise ValueError("control weights must be given explicitly when alpha = beta = 0")
-                control_weights = (alpha / np.sqrt(gamma), beta / np.sqrt(gamma))
+                control_weights = (alpha / np.sqrt(params.gamma), beta / np.sqrt(params.gamma))
             self.cw_h, self.cw_z = control_weights
-            self._theta_sigma = spec_b.thetas * sigma_vals
+            self._theta_sigma = model.b_thetas * sigma_vals
 
     def draw(self, gen, rows: int) -> np.ndarray | None:
         """The standard normals of one step for `rows` rows: (n_panels, rows, N), or None."""

@@ -37,7 +37,6 @@ import numpy as np
 from .coefficients import AveragedModel
 from .ensemble import SpdeStepper, run_ensemble
 from .ldp import v_bar
-from .noise import CovarianceSpectrumB, CovarianceSpectrumQ
 from .operator import Field, SpectralOperator, invariant_average
 from .solver import MultiscaleParams, _rk4
 
@@ -171,7 +170,6 @@ class ExitStats:
     t_max: float
     v_bar_target: float
     concentration_fraction: float | None
-    seed: int = 0
 
     def row(self) -> dict:
         return {
@@ -235,8 +233,6 @@ def exit_time_mc(
     n_paths: int,
     dt: float,
     seed: int,
-    spec_q=None,
-    spec_b=None,
     t_max: float | None = None,
     t_max_cap: float = 1e5,
     threads: int = 1,
@@ -249,11 +245,6 @@ def exit_time_mc(
     blocks with one counter-based stream per (level, block), so results are
     bit-reproducible for a given seed under any thread count.
     """
-    op = model.op
-    if spec_q is None:
-        spec_q = CovarianceSpectrumQ(model.q_lambdas)
-    if spec_b is None:
-        spec_b = CovarianceSpectrumB(model.b_thetas)
     g0 = membership_values(dom, x.coeffs[None, :])[0]
     if g0 >= dom.level:
         raise ValueError("initial state must lie inside the domain")
@@ -265,12 +256,8 @@ def exit_time_mc(
         level_tmax = t_max if t_max is not None else min(50.0 * math.exp(vb / params.gamma), t_max_cap)
         n_max = max(1, int(math.ceil(level_tmax / dt)))
         t_max_eff = n_max * dt
-        stepper = SpdeStepper(
-            op, model.coeffs, spec_q, spec_b,
-            alpha=params.alpha, beta=params.beta, eps=params.eps, dt=dt,
-        )
         taus, censored, diverged, nonconst = run_ensemble(
-            stepper, x.coeffs, n_paths, n_max, seed, li << 32, threads,
+            SpdeStepper(model, params, dt), x.coeffs, n_paths, n_max, seed, li << 32, threads,
             partial(_ExitObserver, dom, dt, t_max_eff),
         )
         mean_tau = float(taus.mean())
@@ -298,7 +285,6 @@ def exit_time_mc(
                 t_max=t_max_eff,
                 v_bar_target=vb,
                 concentration_fraction=conc,
-                seed=seed,
             )
         )
     return out
@@ -330,7 +316,7 @@ def check_exit_hypotheses(
     and is attracted to a small ball around 0; (iii) semigroup invariance and
     the mean-state (Jensen) property, via the probes attached to the domain.
     """
-    g_sup = model.coeffs.g_sup_bound
+    g_sup = model.coeffs.g.sup_bound
     g_ok = g_sup is not None
     y1, y2 = dom.constant_section
     margin = 1e-9 * (y2 - y1)

@@ -20,11 +20,11 @@ reproduces w; both identities are kept exactly at the discrete level and are
 the backbone of the test suite.
 
 Quasi-potential: V(y) = inf over horizons T and paths 0 -> y of I; computed
-either from the closed form V(y) = -(2/H) int_0^y F_bar(s) ds (additive noise,
-autonomous drift, constant H) or variationally by a limited-memory
-quasi-Newton minimization over interior path nodes with the analytic gradient
-of the discrete action, straight-line initialization, and an outer minimum
-over a horizon grid.
+either from the closed form V(y) = (2/H) int_0^y max(-F_bar(s), 0) ds for
+y > 0, mirrored for y < 0 (additive noise, autonomous drift, constant H),
+or variationally by a limited-memory quasi-Newton minimization over interior
+path nodes with the analytic gradient of the discrete action, straight-line
+initialization, and an outer minimum over a horizon grid.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .coefficients import AveragedModel
 from .errors import NondegeneracyError, NotApplicableError, OptimizationError
@@ -184,7 +184,6 @@ def _discrete_action_and_grad(model: AveragedModel, times: np.ndarray, values: n
 class MinimizedPath:
     path: ScalarPath
     value: float
-    converged: bool
     n_iter: int
 
 
@@ -230,10 +229,9 @@ def minimize_path_action(
     vals = base.copy()
     vals[1:-1] = res.x
     path = ScalarPath(times=times, values=vals)
-    converged = bool(res.success or np.max(np.abs(res.jac)) < 10 * gtol)
-    if not converged:
+    if not (res.success or np.max(np.abs(res.jac)) < 10 * gtol):
         raise OptimizationError("path action minimization did not converge", best_value=float(res.fun))
-    return MinimizedPath(path=path, value=float(res.fun), converged=converged, n_iter=int(res.nit))
+    return MinimizedPath(path=path, value=float(res.fun), n_iter=int(res.nit))
 
 
 def prefix_action_J(
@@ -251,7 +249,8 @@ def prefix_action_J(
 
 
 def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
-    """Closed-form quasi-potential V(y) = -(2/H) int_0^y F_bar(s) ds.
+    """Closed-form quasi-potential V(y) = -(2/H) int_0^y min(F_bar(s), 0) ds for y > 0,
+    with max for y < 0: only the climb against the averaged flow costs.
 
     Valid for additive noise (constant g) with autonomous coefficients, where
     H is constant; raises NotApplicableError otherwise.
@@ -263,10 +262,20 @@ def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
         raise NondegeneracyError("noise intensity H is not positive")
     if y == 0.0:
         return 0.0
-    # fixed Gauss-Legendre quadrature; F_bar is smooth in the state
+    clip = np.minimum if y > 0 else np.maximum
+    # cut [0, y] at the sign changes of F_bar, so the clipped integrand is
+    # smooth on each piece, and apply a fixed Gauss-Legendre rule per piece
+    sample = np.linspace(0.0, y, 65)
+    f = model.f_bar(0.0, sample)
+    cuts = list(sample[1:-1][f[1:-1] == 0.0])
+    cuts += [brentq(lambda s: model.f_bar(0.0, s), *sorted(sample[i:i + 2]))
+             for i in np.flatnonzero(f[:-1] * f[1:] < 0)]
+    ends = [0.0, *sorted(cuts, key=abs), y]
     nodes, weights = np.polynomial.legendre.leggauss(64)
-    s = 0.5 * y * (nodes + 1.0)
-    integral = 0.5 * y * float((weights * model.f_bar(0.0, s)).sum())
+    integral = 0.0
+    for a, b in zip(ends, ends[1:]):
+        s = a + 0.5 * (b - a) * (nodes + 1.0)
+        integral += 0.5 * (b - a) * float((weights * clip(model.f_bar(0.0, s), 0.0)).sum())
     return -2.0 * integral / h
 
 

@@ -2,7 +2,10 @@
 
 Both Wiener processes are diagonal in their reference bases: w^Q in the
 operator eigenbasis with sqrt(Q) e_k = lambda_k e_k, and w^B on the two
-boundary points with sqrt(B) weights theta_j.
+boundary points with sqrt(B) weights theta_j.  `make_q_spectrum` and
+`make_b_spectrum` build these eigenvalue arrays from a config spec;
+`coefficients.AveragedModel`, the one description of the system, holds them
+and checks them (one lambda >= 0 per mode; two weights theta >= 0).
 
 The stochastic convolutions in the mild solution are infinite-dimensional OU
 processes.  `ensemble.SpdeStepper` integrates them exactly (exponential
@@ -41,8 +44,6 @@ import numpy as np
 from .operator import SpectralOperator
 
 __all__ = [
-    "CovarianceSpectrumQ",
-    "CovarianceSpectrumB",
     "RngStream",
     "EigenvalueCheckReport",
     "make_q_spectrum",
@@ -53,59 +54,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CovarianceSpectrumQ:
-    """Eigenvalues lambda_k of sqrt(Q) on the interior modes."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if np.any(lam < 0):
-            raise ValueError("sqrt(Q) eigenvalues must be nonnegative")
-        object.__setattr__(self, "lambdas", lam)
-
-
-@dataclass(frozen=True)
-class CovarianceSpectrumB:
-    """Eigenvalues theta_j of sqrt(B) on the two boundary points."""
-
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        th = np.asarray(self.thetas, dtype=float)
-        if th.shape != (2,):
-            raise ValueError("boundary spectrum needs exactly two weights")
-        if np.any(th < 0):
-            raise ValueError("sqrt(B) eigenvalues must be nonnegative")
-        object.__setattr__(self, "thetas", th)
-
-
-def make_q_spectrum(spec: dict, n_modes: int) -> CovarianceSpectrumQ:
+def make_q_spectrum(spec: dict, n_modes: int) -> np.ndarray:
+    """The eigenvalues lambda_k of sqrt(Q) on the first n_modes modes, from a config spec."""
     kind = spec["kind"]
     if kind == "flat":
-        return CovarianceSpectrumQ(np.full(n_modes, float(spec["value"])))
+        return np.full(n_modes, float(spec["value"]))
     if kind == "power":
         k = np.arange(n_modes)
-        return CovarianceSpectrumQ(spec["amp"] * (1.0 + k) ** (-float(spec["exponent"])))
+        return spec["amp"] * (1.0 + k) ** (-float(spec["exponent"]))
     if kind == "list":
         vals = np.asarray(spec["values"], dtype=float)
         if vals.shape[0] < n_modes:
             raise ValueError("explicit spectrum shorter than the mode count")
-        return CovarianceSpectrumQ(vals[:n_modes])
+        return vals[:n_modes]
     if kind == "mode0":
         lam = np.zeros(n_modes)
         lam[0] = float(spec["value"])
-        return CovarianceSpectrumQ(lam)
+        return lam
     raise ValueError(f"unknown Q spectrum kind '{kind}'")
 
 
-def make_b_spectrum(spec: dict) -> CovarianceSpectrumB:
+def make_b_spectrum(spec: dict) -> np.ndarray:
+    """The eigenvalues theta_j of sqrt(B) on the two boundary points, from a config spec."""
     kind = spec["kind"]
     if kind == "flat":
-        return CovarianceSpectrumB(np.full(2, float(spec["value"])))
+        return np.full(2, float(spec["value"]))
     if kind == "list":
-        return CovarianceSpectrumB(np.asarray(spec["values"], dtype=float))
+        return np.asarray(spec["values"], dtype=float)
     raise ValueError(f"unknown B spectrum kind '{kind}'")
 
 

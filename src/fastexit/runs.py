@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import check_coefficient_hypotheses, check_nondegeneracy
-from .config import BuiltSystem, build_system, config_hash, parse_rho_bar, rho_bar_limit
+from .config import BuiltSystem, build_system, config_hash, rho_bar_limit
 from .ensemble import NOISE_DRAW_LAYOUT
 from .errors import ConfigError, DivergenceError
 from .exit_times import build_domain, check_exit_hypotheses, exit_time_mc, membership_values
@@ -74,8 +74,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: float, n_paths_total: int) -> None:
-    """Write the resolved config and the run manifest next to the outputs."""
+def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: float, n_paths_total: int,
+                 ran_ensemble: bool = False) -> None:
+    """Write the resolved config and the run manifest next to the outputs; a run
+    that drew through `ensemble.run_ensemble` also records that draw layout."""
     cfg_path = out_dir / "config_resolved.json"
     cfg_path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     manifest = {
@@ -86,8 +88,9 @@ def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: fl
         "outputs": {p.name: _sha256(p) for p in sorted(set(outputs) | {cfg_path}, key=lambda q: q.name)},
         "wall_clock_s": time.monotonic() - started,
         "n_paths_total": n_paths_total,
-        "noise_draw_layout": NOISE_DRAW_LAYOUT,
     }
+    if ran_ensemble:
+        manifest["noise_draw_layout"] = NOISE_DRAW_LAYOUT
     _write_json(out_dir / "run_manifest.json", manifest)
 
 
@@ -95,13 +98,14 @@ def _default_sup_norms(system: BuiltSystem):
     cfg = system.config["noise"].get("e_sup_norms")
     if cfg is not None:
         return np.asarray(cfg, dtype=float)
-    return np.abs(system.op.modes_on_grid).max(axis=1)
+    return np.abs(system.model.op.modes_on_grid).max(axis=1)
 
 
 def hypothesis_checks(system: BuiltSystem) -> dict:
     """All hypothesis probes applicable to this configuration."""
     cfg = system.config
-    op = system.op
+    model = system.model
+    op = model.op
     rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
     checks = {}
 
@@ -117,20 +121,18 @@ def hypothesis_checks(system: BuiltSystem) -> dict:
         worst = min(worst, float(rep.margins.min()))
     checks["spectral_gap"] = {"passed": bool(gap_ok), "min_margin": worst, "gap": op.spectral_gap}
 
-    checks["coefficient_hypotheses"] = {
-        **_jsonable(check_coefficient_hypotheses(system.cs, op, rng)),
-    }
+    checks["coefficient_hypotheses"] = _jsonable(check_coefficient_hypotheses(model.coeffs, op, rng))
 
     dim = cfg["noise"]["dimension"]
-    eig = check_hyp_eigenvalues(dim, system.spec_q.lambdas, _default_sup_norms(system), system.spec_b.thetas)
+    eig = check_hyp_eigenvalues(dim, model.q_lambdas, _default_sup_norms(system), model.b_thetas)
     checks["eigenvalue_condition"] = _jsonable(eig)
 
     floor = cfg["experiment"]["nondegeneracy_floor"]
-    nd = check_nondegeneracy(system.model, [0.0], np.linspace(-2.0, 2.0, 41), floor=floor)
+    nd = check_nondegeneracy(model, [0.0], np.linspace(-2.0, 2.0, 41), floor=floor)
     checks["nondegeneracy"] = _jsonable(nd)
 
     ms = cfg["multiscale"]
-    declared = parse_rho_bar(ms["rho_bar"])
+    declared = model.rho_bar
     limit = rho_bar_limit(ms["alpha_law"], ms["beta_law"])
     if math.isinf(declared) or math.isinf(limit):
         consistent = declared == limit
@@ -154,7 +156,7 @@ def hypothesis_checks(system: BuiltSystem) -> dict:
             inv = _jsonable(dom.invariance_report)
             inv["passed"] = bool(inv["monotone_passed"] and inv["jensen_passed"])
             checks["domain_invariance"] = inv
-            checks["exit_hypotheses"] = _jsonable(check_exit_hypotheses(system.model, dom))
+            checks["exit_hypotheses"] = _jsonable(check_exit_hypotheses(model, dom))
             x0_in = bool(membership_values(dom, system.x0.coeffs) < level)
             checks["exit_hypotheses"]["x0_inside_domain"] = x0_in
             checks["exit_hypotheses"]["passed"] = bool(checks["exit_hypotheses"]["passed"] and x0_in)
@@ -212,10 +214,8 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
     for i, params in enumerate(system.params_list):
         path = out_dir / f"trajectory_eps{i}.csv"
         try:
-            traj = solve_spde(
-                system.op, system.cs, system.spec_q, system.spec_b, params, system.x0,
-                sol["t_final"], sol["dt"], RngStream(resolved["seed"], stream=i),
-            )
+            traj = solve_spde(system.model, params, system.x0, sol["t_final"], sol["dt"],
+                              RngStream(resolved["seed"], stream=i))
         except DivergenceError as exc:
             _write_json(out_dir / f"divergence_eps{i}.json", {"eps": params.eps, "step": exc.step, "t": exc.t})
             outputs.append(out_dir / f"divergence_eps{i}.json")
@@ -233,7 +233,7 @@ def run_average(resolved: dict, out_dir: Path, threads: int = 1) -> int:
     _check_solver_grid(sol)
     system = build_system(resolved)
     n_paths = resolved["n_paths"]
-    x_mean = invariant_average(system.op, system.x0)
+    x_mean = invariant_average(system.model.op, system.x0)
     ref = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
     rows, summary_rows = [], []
     status = EXIT_OK
@@ -241,8 +241,7 @@ def run_average(resolved: dict, out_dir: Path, threads: int = 1) -> int:
     for i, params in enumerate(system.params_list):
         try:
             errors, _ = averaging_error_ensemble(
-                system.op, system.cs, system.spec_q, system.spec_b, params, system.x0,
-                sol["t_final"], sol["dt"], sol["delta"], ref, n_paths,
+                system.model, params, system.x0, sol["t_final"], sol["dt"], sol["delta"], ref, n_paths,
                 seed=resolved["seed"], stream_base=i << 32, threads=threads,
             )
         except DivergenceError as exc:
@@ -274,7 +273,7 @@ def run_average(resolved: dict, out_dir: Path, threads: int = 1) -> int:
     }
     sum_path = out_dir / "averaging_summary.json"
     _write_json(sum_path, summary)
-    finalize_run(out_dir, resolved, [csv_path, sum_path], started, n_paths * len(rows))
+    finalize_run(out_dir, resolved, [csv_path, sum_path], started, n_paths * len(rows), ran_ensemble=True)
     return status
 
 
@@ -292,7 +291,7 @@ def run_action(resolved: dict, out_dir: Path) -> int:
         w = _load_scalar_path(Path(pf))
     else:
         _check_solver_grid(sol)
-        x_mean = invariant_average(system.op, system.x0)
+        x_mean = invariant_average(system.model.op, system.x0)
         w = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
     action = action_I(system.model, w)
     ctrl = minimizing_control(system.model, w)
@@ -354,7 +353,7 @@ def run_exit(resolved: dict, out_dir: Path, threads: int = 1) -> int:
     exp = resolved["experiment"]
     dspec = dict(exp["domain"])
     level = dspec.pop("level")
-    dom = build_domain(dspec, level, system.op, probe_seed=resolved["seed"])
+    dom = build_domain(dspec, level, system.model.op, probe_seed=resolved["seed"])
     stats = exit_time_mc(
         system.model, system.params_list, dom, system.x0,
         n_paths=resolved["n_paths"], dt=resolved["solver"]["dt"], seed=resolved["seed"],
@@ -392,7 +391,7 @@ def run_exit(resolved: dict, out_dir: Path, threads: int = 1) -> int:
     sum_path = out_dir / "exit_summary.json"
     _write_json(sum_path, summary)
     finalize_run(out_dir, resolved, [check_path, csv_path, taus_path, sum_path], started,
-                 resolved["n_paths"] * len(stats))
+                 resolved["n_paths"] * len(stats), ran_ensemble=True)
     return EXIT_OK
 
 

@@ -9,12 +9,13 @@ Three related dynamics are integrated here:
 * the controlled (skeleton) ODE driven by a deterministic control
   phi = (phi_H, phi_Z), by RK4 with the control interpolated between nodes.
 
-The controlled forward solve of the full system adds the control as a
-deterministic forcing with weights alpha/sqrt(gamma) and beta/sqrt(gamma)
-(their limits 1/(1+rho_bar), rho_bar/(1+rho_bar) may be pinned explicitly,
-e.g. to study the noise-free averaging of the forced equation).  The
-Monte Carlo sup averaging error runs the full system over an ensemble of
-paths against the limit ODE.
+The full system is stepped from (model, params): the system's one description,
+a `coefficients.AveragedModel`, at one scaling level `MultiscaleParams`.  The
+controlled forward solve adds the control as a deterministic forcing with
+weights alpha/sqrt(gamma) and beta/sqrt(gamma) (their limits 1/(1+rho_bar),
+rho_bar/(1+rho_bar) may be pinned explicitly, e.g. to study the noise-free
+averaging of the forced equation).  The Monte Carlo sup averaging error runs
+the full system over an ensemble of paths against the limit ODE.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from functools import partial
 
 import numpy as np
 
-from .coefficients import AveragedModel, CoefficientSet
+from .coefficients import AveragedModel
 from .ensemble import SpdeStepper, diverged_mask, run_ensemble
 from .errors import DivergenceError
-from .noise import CovarianceSpectrumB, CovarianceSpectrumQ, RngStream
+from .noise import RngStream
 from .operator import Field, SpectralOperator
 
 __all__ = [
@@ -44,34 +45,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiscaleParams:
-    """Scaling bundle (eps, alpha(eps), beta(eps), rho_bar); gamma = (alpha+beta)^2."""
+    """One scaling level (eps, alpha(eps), beta(eps)); gamma = (alpha+beta)^2.  rho_bar is the model's."""
 
     eps: float
     alpha: float
     beta: float
-    rho_bar: float
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be strictly positive")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
-        if not (self.rho_bar >= 0):
-            raise ValueError("rho_bar must be in [0, inf]")
 
     @property
     def gamma(self) -> float:
         return (self.alpha + self.beta) ** 2
 
     @classmethod
-    def from_schedule(cls, eps: float, alpha_law: dict, beta_law: dict, rho_bar: float) -> "MultiscaleParams":
+    def from_schedule(cls, eps: float, alpha_law: dict, beta_law: dict) -> "MultiscaleParams":
         """Evaluate power-law schedules alpha = c eps^p, beta = c eps^p at eps."""
         alpha = alpha_law["coeff"] * eps ** alpha_law["exponent"]
         beta = beta_law["coeff"] * eps ** beta_law["exponent"]
-        return cls(eps=eps, alpha=alpha, beta=beta, rho_bar=rho_bar)
+        return cls(eps=eps, alpha=alpha, beta=beta)
 
     def schedule_ratio(self) -> float:
-        """beta/alpha at this eps, recorded against the declared rho_bar."""
+        """beta/alpha at this eps, recorded against the model's rho_bar."""
         if self.alpha == 0:
             return math.inf if self.beta > 0 else 0.0
         return self.beta / self.alpha
@@ -163,10 +161,7 @@ def _control_interpolant(node_times: np.ndarray, phi_h: np.ndarray, phi_z: np.nd
 
 
 def solve_spde(
-    op: SpectralOperator,
-    cs: CoefficientSet,
-    spec_q: CovarianceSpectrumQ,
-    spec_b: CovarianceSpectrumB,
+    model: AveragedModel,
     params: MultiscaleParams,
     x: Field,
     t_final: float,
@@ -175,7 +170,8 @@ def solve_spde(
     control=None,
     control_weights: tuple[float, float] | None = None,
 ) -> FieldTrajectory:
-    """Mild-solution forward solve (exponential Euler per mode) of one path.
+    """Mild-solution forward solve (exponential Euler per mode) of one path
+    of the system `model` at the scaling level `params`.
 
     control may be None (plain forward solve) or a ControlPath, added as a
     deterministic forcing; a zero control reproduces the uncontrolled solve
@@ -183,13 +179,12 @@ def solve_spde(
     """
     times, dt_eff, n = _time_grid(t_final, dt)
     stepper = SpdeStepper(
-        op, cs, spec_q, spec_b,
-        alpha=params.alpha, beta=params.beta, eps=params.eps, dt=dt_eff,
+        model, params, dt_eff,
         control=None if control is None else _control_interpolant(control.times, control.phi_h, control.phi_z),
         control_weights=control_weights,
     )
     u = np.array([x.coeffs], dtype=float)
-    states = np.empty((n + 1, op.n_modes))
+    states = np.empty((n + 1, model.op.n_modes))
     states[0] = u[0]
     gen = rng._gen
     for i in range(n):
@@ -279,10 +274,7 @@ class _SupErrorObserver:
 
 
 def averaging_error_ensemble(
-    op: SpectralOperator,
-    cs: CoefficientSet,
-    spec_q: CovarianceSpectrumQ,
-    spec_b: CovarianceSpectrumB,
+    model: AveragedModel,
     params: MultiscaleParams,
     x: Field,
     t_final: float,
@@ -306,11 +298,8 @@ def averaging_error_ensemble(
     times, dt_eff, n = _time_grid(t_final, dt)
     if len(ref.times) != n + 1 or not np.allclose(ref.times, times):
         raise ValueError("reference grid must match the solver grid")
-    stepper = SpdeStepper(
-        op, cs, spec_q, spec_b, alpha=params.alpha, beta=params.beta, eps=params.eps, dt=dt_eff
-    )
     errors, sup_norms = run_ensemble(
-        stepper, x.coeffs, n_paths, n, seed, stream_base, threads,
-        partial(_SupErrorObserver, op, ref.values, times, delta),
+        SpdeStepper(model, params, dt_eff), x.coeffs, n_paths, n, seed, stream_base, threads,
+        partial(_SupErrorObserver, model.op, ref.values, times, delta),
     )
     return errors, sup_norms

@@ -21,20 +21,17 @@ def build_model(
     rho_bar=1.0,
     delta0=1.0,
 ):
-    """Assemble (model, cs, spec_q, spec_b) from catalog specs with defaults."""
+    """The system (an AveragedModel) on op, from catalog specs with defaults."""
     f_spec = f_spec or {"kind": "linear", "slope": -1.0}
     g_spec = g_spec or {"kind": "constant", "value": 1.0}
     sigma_spec = sigma_spec or {"kind": "constant", "value": 1.0}
     q_spec = q_spec or {"kind": "flat", "value": 1.0}
     b_spec = b_spec or {"kind": "list", "values": [1.0, 1.0]}
-    cs = fx.make_coefficient_set(f_spec, g_spec, sigma_spec)
-    spec_q = fx.make_q_spectrum(q_spec, op.n_modes)
-    spec_b = fx.make_b_spectrum(b_spec)
-    model = fx.AveragedModel(
-        op=op, coeffs=cs, q_lambdas=spec_q.lambdas, b_thetas=spec_b.thetas,
+    return fx.AveragedModel(
+        op=op, coeffs=fx.make_coefficient_set(f_spec, g_spec, sigma_spec),
+        q_lambdas=fx.make_q_spectrum(q_spec, op.n_modes), b_thetas=fx.make_b_spectrum(b_spec),
         rho_bar=rho_bar, delta0=delta0,
     )
-    return model, cs, spec_q, spec_b
 
 
 @pytest.fixture(scope="session")

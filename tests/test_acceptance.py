@@ -38,7 +38,7 @@ def test_criterion_1_spectral_gap(ref_op):
 
 
 def test_criterion_2_skeleton_duality(exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     dt = 1e-4
     t = np.arange(int(round(1.0 / dt)) + 1) * dt
     rng = np.random.Generator(np.random.Philox(key=102))
@@ -67,7 +67,7 @@ def test_criterion_2_skeleton_duality(exit_reference):
 
 
 def test_criterion_3_quasi_potential_oracle(exit_reference):
-    model, *_ = exit_reference  # F_bar = -u, H = 1
+    model = exit_reference  # F_bar = -u, H = 1
     worst = 0.0
     for y in (0.25, 0.5, 1.0):
         v = fx.quasi_potential_variational(model, y, horizons=(2.0, 4.0, 8.0), n_nodes=200)
@@ -78,7 +78,7 @@ def test_criterion_3_quasi_potential_oracle(exit_reference):
 
 
 def test_criterion_4_averaging_vanishing_noise(ref_op):
-    model, cs, spec_q, spec_b = build_model(
+    model = build_model(
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
         q_spec={"kind": "flat", "value": 1.0},
@@ -89,9 +89,9 @@ def test_criterion_4_averaging_vanishing_noise(ref_op):
     ref = fx.solve_limit_ode(model, fx.invariant_average(ref_op, x), t_final, dt)
     means, cis = [], []
     for i, eps in enumerate((1e-1, 1e-2, 1e-3)):
-        params = fx.MultiscaleParams(eps=eps, alpha=np.sqrt(eps), beta=np.sqrt(eps), rho_bar=1.0)
+        params = fx.MultiscaleParams(eps=eps, alpha=np.sqrt(eps), beta=np.sqrt(eps))
         errors, _ = fx.averaging_error_ensemble(
-            ref_op, cs, spec_q, spec_b, params, x, t_final, dt, delta, ref, n_paths,
+            model, params, x, t_final, dt, delta, ref, n_paths,
             seed=104, stream_base=i << 32,
         )
         means.append(errors.mean())
@@ -111,12 +111,12 @@ def test_criterion_4_averaging_vanishing_noise(ref_op):
 
 
 def test_criterion_5_exit_time_scaling(ref_op, exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     dom = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 0.25, ref_op)
     levels = []
     for gamma in (0.25, 0.125, 0.0625):
         a = np.sqrt(gamma) / 2  # alpha = beta: rho_bar = 1, (alpha + beta)^2 = gamma
-        levels.append(fx.MultiscaleParams(eps=gamma**2, alpha=a, beta=a, rho_bar=1.0))
+        levels.append(fx.MultiscaleParams(eps=gamma**2, alpha=a, beta=a))
     stats = fx.exit_time_mc(model, levels, dom, ref_op.constant_field(0.0),
                             n_paths=500, dt=0.005, seed=105, threads=2)
     vb = stats[0].v_bar_target
@@ -140,16 +140,13 @@ def test_criterion_5_exit_time_scaling(ref_op, exit_reference):
 def test_criterion_6_delta0_independence(ref_op):
     rows, outs = [], []
     for delta0 in (1.0, 2.0, 10.0):
-        model, *_ = build_model(
+        model = build_model(
             ref_op, sigma_spec={"kind": "per_point", "left": 0.7, "right": 1.2},
             b_spec={"kind": "list", "values": [1.0, 0.5]}, delta0=delta0,
         )
         rows.append(model.row_z(0.0))
         # the boundary channel of the stepper, built from the model as exit_time_mc builds it
-        stepper = SpdeStepper(
-            ref_op, model.coeffs, fx.CovarianceSpectrumQ(model.q_lambdas),
-            fx.CovarianceSpectrumB(model.b_thetas), alpha=0.0, beta=1.0, eps=0.1, dt=0.01,
-        )
+        stepper = SpdeStepper(model, fx.MultiscaleParams(eps=0.1, alpha=0.0, beta=1.0), dt=0.01)
         outs.append(stepper.step(0.0, np.ones((BLOCK_SIZE, ref_op.n_modes)),
                                 stepper.draw(block_stream(106, 0)._gen, BLOCK_SIZE)))
     row_spread = max(np.abs(rows[0] - r).max() for r in rows[1:])
@@ -162,7 +159,7 @@ def test_criterion_6_delta0_independence(ref_op):
 def test_criterion_7_noise_covariance():
     lam = np.linspace(1.0, 0.25, 6)
     small_op = fx.build_neumann_laplacian_1d(6)
-    _, cs, spec_q, spec_b = build_model(
+    model = build_model(
         small_op, f_spec={"kind": "constant", "value": 0.0},
         q_spec={"kind": "list", "values": lam.tolist()},
     )
@@ -170,7 +167,7 @@ def test_criterion_7_noise_covariance():
 
     # one step from 0 is the exact OU increment: variance lambda_k^2 v_k(dt), no cross-covariance
     eps, dt, n = 0.1, 0.01, 100_000
-    stepper = SpdeStepper(small_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=eps, dt=dt)
+    stepper = SpdeStepper(model, fx.MultiscaleParams(eps=eps, alpha=1.0, beta=0.0), dt=dt)
     draws = stepper.step(0.0, np.zeros((n, 6)), stepper.draw(block_stream(107, 0)._gen, n))
     v = np.full(6, dt)
     v[1:] = eps / (2 * alphas[1:]) * (1 - np.exp(-2 * alphas[1:] * dt / eps))
@@ -180,7 +177,7 @@ def test_criterion_7_noise_covariance():
     cov_ok = bool(np.all(np.abs(cov - target) <= 3 * se + 1e-15))
 
     eps, dt2, n_rep, n_burn = 0.01, 1e-3, 4000, 60
-    stepper = SpdeStepper(small_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=eps, dt=dt2)
+    stepper = SpdeStepper(model, fx.MultiscaleParams(eps=eps, alpha=1.0, beta=0.0), dt=dt2)
     gen = block_stream(107, 1)._gen
     finals = np.zeros((n_rep, 6))
     for i in range(n_burn):

@@ -79,12 +79,12 @@ def test_jensen_step(ref_op):
 
 
 def _noise_free(model, dom, x, dt, t_max):
-    level = fx.MultiscaleParams(eps=0.05, alpha=0.0, beta=0.0, rho_bar=1.0)
+    level = fx.MultiscaleParams(eps=0.05, alpha=0.0, beta=0.0)
     return fx.exit_time_mc(model, [level], dom, x, n_paths=8, dt=dt, seed=1, t_max=t_max)[0]
 
 
 def test_first_exit_censored_for_attracting_flow(ref_op):
-    model, *_ = build_model(ref_op)
+    model = build_model(ref_op)
     st = _noise_free(model, _ball(ref_op, 0.25), ref_op.constant_field(0.4), dt=1e-2, t_max=2.0)
     assert st.n_censored == st.n_paths and st.lower_bound_only
     assert np.all(st.taus == st.t_max) and st.t_max == pytest.approx(2.0)
@@ -93,7 +93,7 @@ def test_first_exit_censored_for_attracting_flow(ref_op):
 def test_first_exit_interpolated_ramp(ref_op):
     # f = 1 with the noise off: u_0 = t exactly on the grid, so G = t^2, and tau
     # interpolates G linearly between the steps at 0.48 and 0.52
-    model, *_ = build_model(ref_op, f_spec={"kind": "constant", "value": 1.0})
+    model = build_model(ref_op, f_spec={"kind": "constant", "value": 1.0})
     x = ref_op.constant_field(0.0)
     st = _noise_free(model, _ball(ref_op, 0.25), x, dt=0.04, t_max=2.0)
     expected = 0.48 + 0.04 * (0.25 - 0.48**2) / (0.52**2 - 0.48**2)  # 0.4996, against 0.5 in continuous time
@@ -104,7 +104,7 @@ def test_first_exit_interpolated_ramp(ref_op):
 
 
 def test_exit_hypotheses_reference_passes(ref_op, exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     dom = _ball(ref_op, 0.25)
     rep = fx.check_exit_hypotheses(model, dom)
     assert rep.passed and rep.flow_witness is None
@@ -112,7 +112,7 @@ def test_exit_hypotheses_reference_passes(ref_op, exit_reference):
 
 
 def test_exit_hypotheses_repelling_flow_fails(ref_op):
-    model, *_ = build_model(
+    model = build_model(
         ref_op, f_spec={"kind": "linear", "slope": 1.0},
         q_spec={"kind": "flat", "value": np.sqrt(2.0)},
     )
@@ -124,7 +124,7 @@ def test_exit_hypotheses_repelling_flow_fails(ref_op):
 
 
 def test_exit_hypotheses_unbounded_gain_fails(ref_op):
-    model, *_ = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0})
+    model = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0})
     dom = _ball(ref_op, 0.25)
     rep = fx.check_exit_hypotheses(model, dom)
     assert not rep.g_bounded_passed and not rep.passed
@@ -134,12 +134,12 @@ def _reference_levels():
     levels = []
     for gamma in (0.25, 0.0625):
         a = np.sqrt(gamma) / 2
-        levels.append(fx.MultiscaleParams(eps=gamma**2, alpha=a, beta=a, rho_bar=1.0))
+        levels.append(fx.MultiscaleParams(eps=gamma**2, alpha=a, beta=a))
     return levels
 
 
 def test_exit_mc_deterministic_and_thread_independent(ref_op, exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     dom = _ball(ref_op, 0.25)
     x = ref_op.constant_field(0.0)
     levels = _reference_levels()[:1]
@@ -160,7 +160,7 @@ def test_exit_mc_deterministic_and_thread_independent(ref_op, exit_reference):
 
 
 def test_exit_mc_level_nesting_pathwise(ref_op, exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     x = ref_op.constant_field(0.0)
     levels = _reference_levels()[:1]
     small = fx.exit_time_mc(model, levels, _ball(ref_op, 0.16), x, n_paths=64, dt=0.01, seed=6,
@@ -171,7 +171,7 @@ def test_exit_mc_level_nesting_pathwise(ref_op, exit_reference):
 
 
 def test_exit_mc_censoring_consistency(ref_op, exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     dom = _ball(ref_op, 0.25)
     x = ref_op.constant_field(0.0)
     levels = _reference_levels()[:1]
@@ -185,18 +185,18 @@ def test_exit_mc_censoring_consistency(ref_op, exit_reference):
 
 
 def test_exit_mc_all_censored_lower_bound_mode(ref_op):
-    model, *_ = build_model(ref_op, q_spec={"kind": "flat", "value": 1e-3},
-                            b_spec={"kind": "list", "values": [1e-3, 1e-3]})
+    model = build_model(ref_op, q_spec={"kind": "flat", "value": 1e-3},
+                        b_spec={"kind": "list", "values": [1e-3, 1e-3]})
     dom = _ball(ref_op, 0.25)
     x = ref_op.constant_field(0.0)
-    levels = [fx.MultiscaleParams(eps=0.01, alpha=0.05, beta=0.05, rho_bar=1.0)]
+    levels = [fx.MultiscaleParams(eps=0.01, alpha=0.05, beta=0.05)]
     stats = fx.exit_time_mc(model, levels, dom, x, n_paths=32, dt=0.01, seed=8, t_max=0.5)
     assert stats[0].lower_bound_only and stats[0].n_censored == 32
     assert stats[0].mean_tau == pytest.approx(stats[0].t_max)
 
 
 def test_exit_mc_rejects_exterior_start(ref_op, exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     dom = _ball(ref_op, 0.25)
     with pytest.raises(ValueError):
         fx.exit_time_mc(model, _reference_levels()[:1], dom, ref_op.constant_field(0.9),
@@ -204,7 +204,7 @@ def test_exit_mc_rejects_exterior_start(ref_op, exit_reference):
 
 
 def test_exit_location_concentrates_on_constant_states(ref_op, exit_reference):
-    model, *_ = exit_reference
+    model = exit_reference
     dom = _ball(ref_op, 0.25)
     x = ref_op.constant_field(0.0)
     stats = fx.exit_time_mc(model, _reference_levels(), dom, x, n_paths=128, dt=0.01, seed=10)

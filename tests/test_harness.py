@@ -334,6 +334,49 @@ def test_cli_action_and_quasipotential(tmp_path):
     assert float(row["v_variational"]) == pytest.approx(0.25, rel=0.05)
 
 
+def test_domain_rejects_unknown_key(tmp_path, capsys):
+    # a misspelt "center" must not leave the run on the default center 0
+    cfg = reference_config()
+    cfg["experiment"]["domain"] = {"level": 0.25, "centre": 0.3}
+    with pytest.raises(ConfigError) as exc:
+        resolve_config(cfg)
+    assert exc.value.field_path == "experiment.domain"
+    p = write_config(tmp_path, cfg)
+    assert main(["check", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert "experiment.domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [
+    {"b_spectrum": {"kind": "list", "values": [1.0, 1.0, 1.0]}},
+    {"q_spectrum": {"kind": "flat", "value": -1.0}},
+])
+def test_cli_check_rejects_inadmissible_noise(tmp_path, capsys, noise):
+    p = write_config(tmp_path, reference_config(noise=noise))
+    assert main(["check", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'noise'" in err
+
+
+def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
+    # exit and average draw through run_ensemble, whose panel layout the key
+    # names; the other runs draw nothing or draw one row per step
+    experiments = {
+        "check": {"kind": "check"},
+        "simulate": {"kind": "simulate"},
+        "action": {"kind": "action"},
+        "quasipotential": {"kind": "quasipotential", "y_values": [0.5], "horizons": [2.0], "n_nodes": 40},
+        "average": {"kind": "average"},
+        "exit": {"kind": "exit", "domain": {"level": 0.25}, "t_max": 2.0},
+    }
+    for kind, experiment in experiments.items():
+        cfg = reference_config(n_paths=4)
+        cfg["experiment"] = experiment
+        p = write_config(tmp_path, cfg, f"{kind}.json")
+        assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 0
+        manifest = json.loads((tmp_path / kind / "run_manifest.json").read_text())
+        assert ("noise_draw_layout" in manifest) == (kind in ("average", "exit")), kind
+
+
 def test_build_system_errors():
     cfg = resolve_config(reference_config())
     cfg["coefficients"]["f"] = {"kind": "mystery"}

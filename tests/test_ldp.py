@@ -10,7 +10,7 @@ from conftest import build_model
 
 def _flat_drift_model(ref_op):
     # F_bar = 0, H = 1: f = 0, g = 1, lambda flat sqrt(2), theta = (1, 1), rho = 1
-    model, *_ = build_model(
+    model = build_model(
         ref_op, f_spec={"kind": "constant", "value": 0.0},
         q_spec={"kind": "flat", "value": np.sqrt(2.0)},
     )
@@ -18,7 +18,7 @@ def _flat_drift_model(ref_op):
 
 
 def _linear_drift_model(ref_op):
-    model, *_ = build_model(ref_op, q_spec={"kind": "flat", "value": np.sqrt(2.0)})
+    model = build_model(ref_op, q_spec={"kind": "flat", "value": np.sqrt(2.0)})
     return model
 
 
@@ -49,7 +49,7 @@ def test_action_closed_forms(ref_op):
 
 
 def test_action_nondegeneracy_guard(ref_op):
-    model, *_ = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0}, rho_bar=0.0)
+    model = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0}, rho_bar=0.0)
     t = np.linspace(0, 1, 101)
     through_zero = ScalarPath(times=t, values=t - 0.5)
     with pytest.raises(fx.NondegeneracyError):
@@ -88,9 +88,9 @@ def test_minimizing_control_ramp_norm(ref_op):
 def test_duality_identity_random_paths(ref_op):
     models = [
         _linear_drift_model(ref_op),
-        build_model(ref_op, g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0})[0],
-        build_model(ref_op, rho_bar=np.inf)[0],
-        build_model(ref_op, rho_bar=0.0)[0],
+        build_model(ref_op, g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}),
+        build_model(ref_op, rho_bar=np.inf),
+        build_model(ref_op, rho_bar=0.0),
     ]
     rng = np.random.Generator(np.random.Philox(key=21))
     for model in models:
@@ -113,7 +113,7 @@ def test_skeleton_round_trip(ref_op):
 
 
 def test_discrete_gradient_matches_finite_differences(ref_op):
-    model, *_ = build_model(
+    model = build_model(
         ref_op,
         f_spec={"kind": "logistic_clipped", "amp": 1.0, "width": 1.0},
         g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0},
@@ -163,7 +163,7 @@ def test_quasi_potential_explicit(ref_op):
     assert fx.quasi_potential_explicit(model, 0.0) == 0.0
     for y in (-0.5, 0.25, 1.0):
         assert fx.quasi_potential_explicit(model, y) == pytest.approx(y**2, rel=1e-10)
-    multiplicative, *_ = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0})
+    multiplicative = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0})
     with pytest.raises(fx.NotApplicableError):
         fx.quasi_potential_explicit(multiplicative, 0.5)
 
@@ -203,12 +203,13 @@ def test_v_bar(ref_op):
     assert fx.v_bar(model, dom) == pytest.approx(0.25, rel=1e-10)
     tiny = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 1e-4, ref_op)
     assert fx.v_bar(model, tiny) == pytest.approx(1e-4, rel=1e-8)
-    shifted, *_ = build_model(
+    shifted = build_model(
         ref_op, f_spec={"kind": "linear", "slope": -1.0, "offset": 0.1},
         q_spec={"kind": "flat", "value": np.sqrt(2.0)},
     )
-    # V(y) = y^2 - 0.2 y: exit is cheaper on the side the drift leans toward
-    assert fx.v_bar(shifted, dom) == pytest.approx(0.15, rel=1e-8)
+    # V(y) = y^2 - 0.2 y for y < 0 and (y - 0.1)^2 for y > 0.1, where the flow carries
+    # a path from 0 to 0.1 for free: exit is cheaper on the side the drift leans toward
+    assert fx.v_bar(shifted, dom) == pytest.approx(0.16, rel=1e-8)
     assert fx.quasi_potential_explicit(shifted, -0.5) == pytest.approx(0.35, rel=1e-10)
 
 

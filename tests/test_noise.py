@@ -36,8 +36,7 @@ def test_hyp_check_truncated_spectrum():
 
 
 def test_block_stream_deterministic_repeat(ref_op):
-    _, cs, spec_q, spec_b = build_model(ref_op)
-    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=1.0, eps=0.1, dt=0.1)
+    stepper = SpdeStepper(build_model(ref_op), fx.MultiscaleParams(eps=0.1, alpha=1.0, beta=1.0), dt=0.1)
     u = np.zeros((64, ref_op.n_modes))
     a = stepper.step(0.0, u, stepper.draw(block_stream(9, 2)._gen, 64))
     b = stepper.step(0.0, u, stepper.draw(block_stream(9, 2)._gen, 64))
@@ -55,11 +54,10 @@ def test_ou_step_weights_zero_mode(ref_op):
 
 
 def _noise_only(op, q_values=None, sigma_spec=None, g_spec=None):
-    """(cs, spec_q, spec_b) with f = 0, for stepping the stochastic convolutions alone."""
+    """The system with f = 0, for stepping the stochastic convolutions alone."""
     q_spec = {"kind": "list", "values": list(q_values)} if q_values is not None else None
-    _, cs, spec_q, spec_b = build_model(op, f_spec={"kind": "constant", "value": 0.0}, g_spec=g_spec,
-                                        sigma_spec=sigma_spec, q_spec=q_spec)
-    return cs, spec_q, spec_b
+    return build_model(op, f_spec={"kind": "constant", "value": 0.0}, g_spec=g_spec,
+                       sigma_spec=sigma_spec, q_spec=q_spec)
 
 
 def _run(stepper, u, seed, n_steps=1):
@@ -70,25 +68,26 @@ def _run(stepper, u, seed, n_steps=1):
 
 
 def test_conv_q_zero_spectrum_decays(ref_op):
-    cs, spec_q, spec_b = _noise_only(ref_op, q_values=np.zeros(ref_op.n_modes))
-    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=0.1, dt=0.05)
+    model = _noise_only(ref_op, q_values=np.zeros(ref_op.n_modes))
+    level = fx.MultiscaleParams(eps=0.1, alpha=1.0, beta=0.0)
+    stepper = SpdeStepper(model, level, dt=0.05)
     gen = block_stream(1, 0)._gen
     out = stepper.step(0.0, np.ones((64, ref_op.n_modes)), stepper.draw(gen, 64))
     assert np.allclose(out, np.exp(-ref_op.eigenvalues * 0.5))
     # a zero spectrum draws nothing: the stream is where it started
     assert np.array_equal(gen.standard_normal(8), block_stream(1, 0)._gen.standard_normal(8))
     with pytest.raises(ValueError):
-        SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=0.1, dt=0.0)
+        SpdeStepper(model, level, dt=0.0)
 
 
 def test_conv_q_stationary_variance():
     op = fx.build_neumann_laplacian_1d(4)
-    cs, spec_q, spec_b = _noise_only(op, q_values=[0.0, 1.0, 0.7, 0.5])
+    model = _noise_only(op, q_values=[0.0, 1.0, 0.7, 0.5])
     eps, dt = 0.01, 1e-3
     n_rep, n_burn = 4000, 60
-    stepper = SpdeStepper(op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=eps, dt=dt)
+    stepper = SpdeStepper(model, fx.MultiscaleParams(eps=eps, alpha=1.0, beta=0.0), dt=dt)
     finals = _run(stepper, np.zeros((n_rep, 4)), seed=123, n_steps=n_burn)
-    target = spec_q.lambdas[1:] ** 2 * eps / (2 * op.eigenvalues[1:])
+    target = model.q_lambdas[1:] ** 2 * eps / (2 * op.eigenvalues[1:])
     est = finals[:, 1:].var(axis=0)
     se = target * np.sqrt(2.0 / n_rep)
     assert np.all(np.abs(est - target) <= 3 * se)
@@ -97,10 +96,10 @@ def test_conv_q_stationary_variance():
 def test_conv_q_mode0_linear_growth():
     op = fx.build_neumann_laplacian_1d(4)
     lam0 = 1.3
-    cs, spec_q, spec_b = _noise_only(op, q_values=[lam0, 0.0, 0.0, 0.0])
+    model = _noise_only(op, q_values=[lam0, 0.0, 0.0, 0.0])
     dt = 0.01
     n_rep, n_steps = 5000, 10
-    stepper = SpdeStepper(op, cs, spec_q, spec_b, alpha=1.0, beta=0.0, eps=0.05, dt=dt)
+    stepper = SpdeStepper(model, fx.MultiscaleParams(eps=0.05, alpha=1.0, beta=0.0), dt=dt)
     finals = _run(stepper, np.zeros((n_rep, 4)), seed=321, n_steps=n_steps)[:, 0]
     target = lam0**2 * dt * n_steps  # variance grows by lambda_0^2 dt per step
     est = finals.var()
@@ -116,11 +115,11 @@ def test_conv_q_multiplicative_matches_identity_for_unit_g(ref_op):
     u = np.ones((64, ref_op.n_modes))
     unit = _noise_only(ref_op, q_values=lam, g_spec={"kind": "linear", "slope": 0.0, "offset": 1.0})
     const = _noise_only(ref_op, q_values=lam, g_spec={"kind": "constant", "value": 1.0})
-    stepper = SpdeStepper(ref_op, *unit, alpha=0.7, beta=0.4, eps=0.1, dt=0.01)
+    stepper = SpdeStepper(unit, fx.MultiscaleParams(eps=0.1, alpha=0.7, beta=0.4), dt=0.01)
     assert stepper.g_const is None and stepper.n_panels == 2
     z = stepper.draw(block_stream(5, 0)._gen, 64)
-    interior = SpdeStepper(ref_op, *const, alpha=0.7, beta=0.0, eps=0.1, dt=0.01)
-    boundary = SpdeStepper(ref_op, *const, alpha=0.0, beta=0.4, eps=0.1, dt=0.01)
+    interior = SpdeStepper(const, fx.MultiscaleParams(eps=0.1, alpha=0.7, beta=0.0), dt=0.01)
+    boundary = SpdeStepper(const, fx.MultiscaleParams(eps=0.1, alpha=0.0, beta=0.4), dt=0.01)
     expected = interior.step(0.0, u, z[:1]) + boundary.step(0.0, u, z[1:]) - interior.decay * u
     assert np.abs(stepper.step(0.0, u, z) - expected).max() <= 1e-12
 
@@ -136,16 +135,16 @@ def test_interior_std_matches_frozen_gain_definition(op_kind, g_spec):
         op = fx.build_neumann_laplacian_1d(16)
     else:
         op = fx.build_divergence_operator_1d(lambda xi: 1.0 + 0.5 * np.sin(2 * np.pi * xi), 16, 256)
-    cs, spec_q, spec_b = _noise_only(op, q_values=np.linspace(1.0, 0.2, op.n_modes), g_spec=g_spec)
+    model = _noise_only(op, q_values=np.linspace(1.0, 0.2, op.n_modes), g_spec=g_spec)
     alpha, eps, dt = 0.7, 0.1, 0.01
-    stepper = SpdeStepper(op, cs, spec_q, spec_b, alpha=alpha, beta=0.0, eps=eps, dt=dt)
+    stepper = SpdeStepper(model, fx.MultiscaleParams(eps=eps, alpha=alpha, beta=0.0), dt=dt)
     assert stepper.n_panels == 1
     u = 0.5 * np.random.Generator(np.random.Philox(key=36)).standard_normal((64, op.n_modes))
     std = stepper.step(0.0, u, np.ones((1, 64, op.n_modes))) - stepper.step(0.0, u, np.zeros((1, 64, op.n_modes)))
-    g = cs.g.value(0.0, op.grid, op.to_grid(u))
+    g = model.coeffs.g.value(0.0, op.grid, op.to_grid(u))
     m = np.einsum("pm,km,jm->pkj", g * op.quad_weights, op.modes_on_grid, op.modes_on_grid)
     _, v = ou_step_weights(op.eigenvalues, eps, dt)
-    expected = alpha * np.sqrt(((m * spec_q.lambdas) ** 2).sum(axis=2) * v)
+    expected = alpha * np.sqrt(((m * model.q_lambdas) ** 2).sum(axis=2) * v)
     assert np.all(np.abs(std - expected) <= 1e-12 * expected)
 
 
@@ -153,10 +152,9 @@ def test_additive_increment_joint_covariance(ref_op, exit_reference):
     # one step from 0 at the finest exit-reference level (f(0) = 0, so the
     # step is its noise) has the exact cross-mode covariance C_B + C_Q; in the
     # boundary part C_B modes 2 and 4 correlate at 0.80, in C at 0.53
-    _, cs, spec_q, spec_b = exit_reference
     eps, dt, n = 0.00390625, 0.005, 100_000
     alpha = beta = 0.5 * eps**0.25
-    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=alpha, beta=beta, eps=eps, dt=dt)
+    stepper = SpdeStepper(exit_reference, fx.MultiscaleParams(eps=eps, alpha=alpha, beta=beta), dt=dt)
     assert stepper.n_panels == 1
     draws = stepper.step(0.0, np.zeros((n, ref_op.n_modes)), stepper.draw(block_stream(110, 0)._gen, n))
     rate = ref_op.eigenvalues[:, None] / eps + ref_op.eigenvalues[None, :] / eps
@@ -173,8 +171,8 @@ def test_additive_increment_joint_covariance(ref_op, exit_reference):
 
 
 def test_conv_b_pure_decay(ref_op):
-    cs, spec_q, spec_b = _noise_only(ref_op, sigma_spec={"kind": "constant", "value": 0.0})
-    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=0.0, beta=1.0, eps=0.1, dt=0.05)
+    model = _noise_only(ref_op, sigma_spec={"kind": "constant", "value": 0.0})
+    stepper = SpdeStepper(model, fx.MultiscaleParams(eps=0.1, alpha=0.0, beta=1.0), dt=0.05)
     out = _run(stepper, np.ones((64, ref_op.n_modes)), seed=1)
     assert np.allclose(out, np.exp(-ref_op.eigenvalues * 0.5))
     with pytest.raises(ValueError):
@@ -182,10 +180,9 @@ def test_conv_b_pure_decay(ref_op):
 
 
 def test_conv_b_mode0_variance(ref_op):
-    cs, spec_q, spec_b = _noise_only(ref_op)
     dt = 0.01
     n_rep = 20_000
-    stepper = SpdeStepper(ref_op, cs, spec_q, spec_b, alpha=0.0, beta=1.0, eps=0.05, dt=dt)
+    stepper = SpdeStepper(_noise_only(ref_op), fx.MultiscaleParams(eps=0.05, alpha=0.0, beta=1.0), dt=dt)
     draws = _run(stepper, np.zeros((n_rep, ref_op.n_modes)), seed=42)[:, 0]
     target = 2 * dt  # b_0j = 1 at both boundary points
     assert abs(draws.var() - target) <= 3 * target * np.sqrt(2.0 / n_rep)
@@ -198,22 +195,21 @@ def test_conv_b_coupling_row_and_delta0_cancellation(ref_op):
     assert np.allclose(b[1], [np.sqrt(2) * 0.9, -np.sqrt(2) * 1.4])
     outs = []
     for delta0 in (1.0, 10.0):
-        model, *_ = build_model(ref_op, sigma_spec={"kind": "per_point", "left": 0.9, "right": 1.4},
-                                b_spec={"kind": "list", "values": [1.0, 0.5]}, delta0=delta0)
-        stepper = SpdeStepper(ref_op, model.coeffs, fx.CovarianceSpectrumQ(model.q_lambdas),
-                              fx.CovarianceSpectrumB(model.b_thetas), alpha=0.0, beta=1.0, eps=0.1, dt=0.01)
+        model = build_model(ref_op, sigma_spec={"kind": "per_point", "left": 0.9, "right": 1.4},
+                            b_spec={"kind": "list", "values": [1.0, 0.5]}, delta0=delta0)
+        stepper = SpdeStepper(model, fx.MultiscaleParams(eps=0.1, alpha=0.0, beta=1.0), dt=0.01)
         outs.append(_run(stepper, np.ones((64, ref_op.n_modes)), seed=7))
     assert np.array_equal(outs[0], outs[1])
 
 
 def test_boundary_convolution_uniform_in_eps(ref_op):
     # sup-norm of the boundary convolution stays bounded as eps -> 0
-    model, cs, spec_q, spec_b = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
+    # alpha = 0, so the zero Q spectrum of the stepped system changes no draw
+    model = _noise_only(ref_op, q_values=np.zeros(ref_op.n_modes))
     dt, n_steps, n_rep = 2e-3, 250, 128
     means, ses = [], []
     for eps in (1.0, 0.1, 0.01):
-        stepper = SpdeStepper(ref_op, cs, fx.CovarianceSpectrumQ(np.zeros(ref_op.n_modes)),
-                              spec_b, alpha=0.0, beta=1.0, eps=eps, dt=dt)
+        stepper = SpdeStepper(model, fx.MultiscaleParams(eps=eps, alpha=0.0, beta=1.0), dt=dt)
         sups = np.empty(n_rep)
         for b in range(n_rep // 64):
             gen = block_stream(99, b)._gen
@@ -231,10 +227,8 @@ def test_boundary_convolution_uniform_in_eps(ref_op):
 
 def test_spectrum_constructors():
     q = fx.make_q_spectrum({"kind": "power", "amp": 2.0, "exponent": 1.0}, 4)
-    assert np.allclose(q.lambdas, [2.0, 1.0, 2 / 3, 0.5])
+    assert np.allclose(q, [2.0, 1.0, 2 / 3, 0.5])
     b = fx.make_b_spectrum({"kind": "flat", "value": 0.5})
-    assert np.allclose(b.thetas, [0.5, 0.5])
+    assert np.allclose(b, [0.5, 0.5])
     with pytest.raises(ValueError):
         fx.make_q_spectrum({"kind": "list", "values": [1.0]}, 4)
-    with pytest.raises(ValueError):
-        fx.CovarianceSpectrumQ(np.array([-1.0, 0.0]))

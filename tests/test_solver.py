@@ -9,8 +9,8 @@ from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
 
 
-def _params(eps=1.0, alpha=0.0, beta=0.0, rho=1.0):
-    return fx.MultiscaleParams(eps=eps, alpha=alpha, beta=beta, rho_bar=rho)
+def _params(eps=1.0, alpha=0.0, beta=0.0):
+    return fx.MultiscaleParams(eps=eps, alpha=alpha, beta=beta)
 
 
 def _zero_control(times, n_modes):
@@ -18,21 +18,21 @@ def _zero_control(times, n_modes):
 
 
 def test_multiscale_params():
-    p = fx.MultiscaleParams(eps=0.01, alpha=0.3, beta=0.1, rho_bar=1 / 3)
+    p = fx.MultiscaleParams(eps=0.01, alpha=0.3, beta=0.1)
     assert p.gamma == pytest.approx(0.16)
     assert p.schedule_ratio() == pytest.approx(1 / 3)
     law = {"coeff": 0.5, "exponent": 0.25}
-    q = fx.MultiscaleParams.from_schedule(0.0625, law, law, rho_bar=1.0)
+    q = fx.MultiscaleParams.from_schedule(0.0625, law, law)
     assert q.alpha == pytest.approx(0.25)
     assert q.gamma == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        fx.MultiscaleParams(eps=0.0, alpha=0.1, beta=0.1, rho_bar=1.0)
+        fx.MultiscaleParams(eps=0.0, alpha=0.1, beta=0.1)
 
 
 def test_spde_linear_homogeneous_decay(ref_op):
-    _, cs, sq, sb = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
+    model = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
     eps = 0.05
-    traj = fx.solve_spde(ref_op, cs, sq, sb, _params(eps=eps), Field(np.eye(ref_op.n_modes)[1]),
+    traj = fx.solve_spde(model, _params(eps=eps), Field(np.eye(ref_op.n_modes)[1]),
                          t_final=0.5, dt=1e-3, rng=fx.RngStream(1))
     expected = np.exp(-np.pi**2 * traj.times / eps)
     assert np.allclose(traj.states[:, 1], expected, rtol=1e-10, atol=1e-300)
@@ -42,9 +42,9 @@ def test_spde_linear_homogeneous_decay(ref_op):
 def test_spde_mean_mode_recursion_exact(ref_op):
     # with f = -r and constant data the constant mode follows the scalar
     # exponential-integrator recursion u <- (1 - dt) u exactly
-    _, cs, sq, sb = build_model(ref_op)
+    model = build_model(ref_op)
     c, dt, t_final = 0.8, 1e-3, 1.0
-    traj = fx.solve_spde(ref_op, cs, sq, sb, _params(eps=0.01), ref_op.constant_field(c),
+    traj = fx.solve_spde(model, _params(eps=0.01), ref_op.constant_field(c),
                          t_final=t_final, dt=dt, rng=fx.RngStream(2))
     n = len(traj.times) - 1
     assert traj.states[-1, 0] == pytest.approx(c * (1 - dt) ** n, rel=1e-12)
@@ -54,38 +54,38 @@ def test_spde_mean_mode_recursion_exact(ref_op):
 
 
 def test_spde_zero_mean_data_collapses(ref_op):
-    _, cs, sq, sb = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
+    model = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
     x = np.zeros(ref_op.n_modes)
     x[1], x[3] = 1.0, -0.5
-    traj = fx.solve_spde(ref_op, cs, sq, sb, _params(eps=1e-3), Field(x),
+    traj = fx.solve_spde(model, _params(eps=1e-3), Field(x),
                          t_final=0.05, dt=1e-3, rng=fx.RngStream(3))
     after = traj.times >= 0.01
     assert ref_op.hmu_norm(traj.states[after]).max() < 1e-16
 
 
 def test_spde_divergence_detection(ref_op):
-    _, cs, sq, sb = build_model(ref_op, f_spec={"kind": "linear", "slope": 5.0})
+    model = build_model(ref_op, f_spec={"kind": "linear", "slope": 5.0})
     with pytest.raises(fx.DivergenceError) as exc:
-        fx.solve_spde(ref_op, cs, sq, sb, _params(eps=0.1), ref_op.constant_field(1.0),
+        fx.solve_spde(model, _params(eps=0.1), ref_op.constant_field(1.0),
                       t_final=10.0, dt=1e-2, rng=fx.RngStream(4))
     assert exc.value.step > 0
 
 
 def test_spde_dt_validation(ref_op):
-    _, cs, sq, sb = build_model(ref_op)
+    model = build_model(ref_op)
     with pytest.raises(ValueError):
-        fx.solve_spde(ref_op, cs, sq, sb, _params(), ref_op.constant_field(1.0),
+        fx.solve_spde(model, _params(), ref_op.constant_field(1.0),
                       t_final=1.0, dt=2.0, rng=fx.RngStream(5))
 
 
 def test_limit_ode_oracles(ref_op):
-    model, *_ = build_model(ref_op)
+    model = build_model(ref_op)
     traj = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
     assert traj.values[-1] == pytest.approx(np.exp(-1.0), abs=1e-8)
-    model0, *_ = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
+    model0 = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
     flat = fx.solve_limit_ode(model0, 0.7, t_final=1.0, dt=1e-3)
     assert np.all(flat.values == 0.7)
-    model_src, *_ = build_model(
+    model_src = build_model(
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
     )
@@ -96,7 +96,7 @@ def test_limit_ode_oracles(ref_op):
 
 
 def test_controlled_ode_zero_control(ref_op):
-    model, *_ = build_model(ref_op)
+    model = build_model(ref_op)
     times = np.linspace(0, 1, 11)
     ctrl = _zero_control(times, ref_op.n_modes)
     out = solve_controlled_ode_batch(model, np.array([1.0]), times, ctrl.phi_h[None], ctrl.phi_z[None],
@@ -106,7 +106,7 @@ def test_controlled_ode_zero_control(ref_op):
 
 
 def test_controlled_ode_infinite_rho_ignores_phi_h(ref_op):
-    model, *_ = build_model(ref_op, rho_bar=np.inf)
+    model = build_model(ref_op, rho_bar=np.inf)
     times = np.linspace(0, 1, 11)
     ctrl = ControlPath(times=times, phi_h=np.ones((11, ref_op.n_modes)), phi_z=np.zeros((11, 2)))
     out = solve_controlled_ode_batch(model, np.array([1.0]), times, ctrl.phi_h[None], ctrl.phi_z[None],
@@ -116,7 +116,7 @@ def test_controlled_ode_infinite_rho_ignores_phi_h(ref_op):
 
 
 def test_controlled_ode_batch_consistency(ref_op):
-    model, *_ = build_model(ref_op)
+    model = build_model(ref_op)
     times = np.linspace(0, 1, 21)
     rng = np.random.Generator(np.random.Philox(key=8))
     phi_h = rng.standard_normal((2, 21, ref_op.n_modes))
@@ -130,24 +130,24 @@ def test_controlled_ode_batch_consistency(ref_op):
 
 
 def test_controlled_spde_zero_control_pathwise_equal(ref_op):
-    _, cs, sq, sb = build_model(ref_op)
+    model = build_model(ref_op)
     params = _params(eps=0.05, alpha=0.3, beta=0.3)
     x = ref_op.constant_field(0.4)
     times = np.linspace(0, 0.5, 6)
-    plain = fx.solve_spde(ref_op, cs, sq, sb, params, x, 0.5, 1e-3, fx.RngStream(9, 1))
-    ctrl = fx.solve_spde(ref_op, cs, sq, sb, params, x, 0.5, 1e-3, fx.RngStream(9, 1),
+    plain = fx.solve_spde(model, params, x, 0.5, 1e-3, fx.RngStream(9, 1))
+    ctrl = fx.solve_spde(model, params, x, 0.5, 1e-3, fx.RngStream(9, 1),
                          control=_zero_control(times, ref_op.n_modes))
     assert np.array_equal(plain.states, ctrl.states)
 
 
 def test_controlled_spde_mode0_linear_response(ref_op):
-    _, cs, sq, sb = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
+    model = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
     times = np.linspace(0, 1, 101)
     phi_h = np.zeros((101, ref_op.n_modes))
     phi_h[:, 0] = 0.8
     ctrl = ControlPath(times=times, phi_h=phi_h, phi_z=np.zeros((101, 2)))
     traj = fx.solve_spde(
-        ref_op, cs, sq, sb, _params(eps=0.01, alpha=0.0, beta=0.0), ref_op.constant_field(0.3),
+        model, _params(eps=0.01, alpha=0.0, beta=0.0), ref_op.constant_field(0.3),
         1.0, 1e-3, fx.RngStream(10), control=ctrl, control_weights=(0.5, 0.5),
     )
     expected = 0.3 + 0.5 * 1.0 * 0.8 * traj.times  # x + w_H lambda_0 phi t
@@ -158,16 +158,16 @@ def test_controlled_spde_mode0_linear_response(ref_op):
 def test_controlled_step_forcing_with_state_dependent_gain(ref_op):
     # the interior forcing weighs sqrt(Q) phi_H by the gain at the step's own
     # state: phi1dt (cw_h <g sqrt(Q) phi_H, e_k> + cw_z sum_j e_k(j) theta_j sigma_j phi_Z,j)
-    _, cs, sq, sb = build_model(ref_op, g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0})
+    model = build_model(ref_op, g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0})
     phi_h, phi_z = np.linspace(0.5, -0.5, ref_op.n_modes), np.array([0.3, -0.2])
-    kw = dict(alpha=0.3, beta=0.3, eps=0.05, dt=0.01)
-    free = SpdeStepper(ref_op, cs, sq, sb, **kw)
-    forced = SpdeStepper(ref_op, cs, sq, sb, **kw, control=lambda t: (phi_h, phi_z), control_weights=(0.6, 0.8))
+    params = _params(eps=0.05, alpha=0.3, beta=0.3)
+    free = SpdeStepper(model, params, 0.01)
+    forced = SpdeStepper(model, params, 0.01, control=lambda t: (phi_h, phi_z), control_weights=(0.6, 0.8))
     u = 0.5 * np.random.Generator(np.random.Philox(key=37)).standard_normal((64, ref_op.n_modes))
     z = forced.draw(fx.RngStream(5)._gen, 64)
-    g = cs.g.value(0.0, ref_op.grid, ref_op.to_grid(u))
-    interior = ref_op.to_modes(g * ref_op.to_grid(sq.lambdas * phi_h))
-    boundary = ref_op.boundary_values @ (sb.thetas * phi_z)  # sigma = 1
+    g = model.coeffs.g.value(0.0, ref_op.grid, ref_op.to_grid(u))
+    interior = ref_op.to_modes(g * ref_op.to_grid(model.q_lambdas * phi_h))
+    boundary = ref_op.boundary_values @ (model.b_thetas * phi_z)  # sigma = 1
     expected = free.step(0.0, u, z) + free.phi1dt * (0.6 * interior + 0.8 * boundary)
     assert np.abs(forced.step(0.0, u, z) - expected).max() <= 1e-12
 
@@ -175,7 +175,7 @@ def test_controlled_step_forcing_with_state_dependent_gain(ref_op):
 def test_controlled_spde_tracks_controlled_ode(ref_op):
     # small eps, noise off, forcing weights pinned at their limits: the forced
     # full system averages onto the skeleton dynamics
-    model, cs, sq, sb = build_model(
+    model = build_model(
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
     )
@@ -187,7 +187,7 @@ def test_controlled_spde_tracks_controlled_ode(ref_op):
     ctrl = ControlPath(times=node_times, phi_h=phi_h, phi_z=phi_z)
     x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
     spde = fx.solve_spde(
-        ref_op, cs, sq, sb, _params(eps=1e-3), x, 1.0, 1e-3, fx.RngStream(11),
+        model, _params(eps=1e-3), x, 1.0, 1e-3, fx.RngStream(11),
         control=ctrl, control_weights=model.weights,
     )
     ode = solve_controlled_ode_batch(model, np.array([fx.invariant_average(ref_op, x)]), node_times,
@@ -200,11 +200,11 @@ def test_controlled_spde_tracks_controlled_ode(ref_op):
 
 def test_averaging_error_basic(ref_op):
     # with the noise off every path is the same deterministic solve
-    model, cs, sq, sb = build_model(ref_op)
+    model = build_model(ref_op)
     ref = fx.solve_limit_ode(model, 0.5, t_final=1.0, dt=1e-3)
 
     def sup_error(x, delta, reference=ref):
-        errors, _ = fx.averaging_error_ensemble(ref_op, cs, sq, sb, _params(eps=1e-2), x, 1.0, 1e-3,
+        errors, _ = fx.averaging_error_ensemble(model, _params(eps=1e-2), x, 1.0, 1e-3,
                                                 delta, reference, 4, seed=1)
         assert np.all(errors == errors[0])
         return errors[0]
@@ -227,11 +227,11 @@ def test_averaging_error_basic(ref_op):
 
 
 def test_averaging_ensemble_deterministic_across_threads(ref_op):
-    model, cs, sq, sb = build_model(ref_op)
-    params = fx.MultiscaleParams(eps=0.1, alpha=np.sqrt(0.1), beta=np.sqrt(0.1), rho_bar=1.0)
+    model = build_model(ref_op)
+    params = fx.MultiscaleParams(eps=0.1, alpha=np.sqrt(0.1), beta=np.sqrt(0.1))
     x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
     ref = fx.solve_limit_ode(model, fx.invariant_average(ref_op, x), t_final=0.5, dt=2e-3)
-    args = (ref_op, cs, sq, sb, params, x, 0.5, 2e-3, 0.25, ref, 100)
+    args = (model, params, x, 0.5, 2e-3, 0.25, ref, 100)
     e1, s1 = fx.averaging_error_ensemble(*args, seed=42, threads=1)
     e2, s2 = fx.averaging_error_ensemble(*args, seed=42, threads=3)
     assert np.array_equal(e1, e2) and np.array_equal(s1, s2)
@@ -242,8 +242,8 @@ def test_averaging_ensemble_deterministic_across_threads(ref_op):
 
 def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
     # f = 1e20 r takes every row past the divergence limit on the first step
-    _, cs, sq, sb = build_model(ref_op, f_spec={"kind": "linear", "slope": 1e20})
-    stepper = SpdeStepper(ref_op, cs, sq, sb, alpha=0.1, beta=0.1, eps=0.1, dt=0.01)
+    model = build_model(ref_op, f_spec={"kind": "linear", "slope": 1e20})
+    stepper = SpdeStepper(model, _params(eps=0.1, alpha=0.1, beta=0.1), dt=0.01)
     steps_seen = []
 
     class Recorder:
@@ -272,8 +272,8 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
 def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, threads):
     # retiring rows compacts the live rows into other tiles and stops the
     # draws of emptied blocks; every row steps bit-identically while it lives
-    _, cs, sq, sb = build_model(ref_op, g_spec=g_spec)
-    stepper = SpdeStepper(ref_op, cs, sq, sb, alpha=0.3, beta=0.3, eps=0.05, dt=0.01)
+    model = build_model(ref_op, g_spec=g_spec)
+    stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
     n_paths, n_steps = 160, 40
     # retirement step per row of a share: the first block of each share
     # empties early, and over the last ten steps one row is left alone
@@ -306,20 +306,20 @@ def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, threads):
 
 
 def test_eps_uniform_moment_probe(ref_op):
-    model, cs, sq, sb = build_model(ref_op)
+    model = build_model(ref_op)
     x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
     means = []
     for eps in (1.0, 0.1, 0.01):
-        params = fx.MultiscaleParams(eps=eps, alpha=np.sqrt(eps), beta=np.sqrt(eps), rho_bar=1.0)
+        params = fx.MultiscaleParams(eps=eps, alpha=np.sqrt(eps), beta=np.sqrt(eps))
         ref = fx.solve_limit_ode(model, fx.invariant_average(ref_op, x), t_final=0.5, dt=2e-3)
-        _, sups = fx.averaging_error_ensemble(ref_op, cs, sq, sb, params, x, 0.5, 2e-3, 0.25,
+        _, sups = fx.averaging_error_ensemble(model, params, x, 0.5, 2e-3, 0.25,
                                               ref, 64, seed=7)
         means.append(sups.mean())
     assert max(means) < 5.0  # bounded uniformly over eps
 
 
 def test_rk4_step_halving_order(ref_op):
-    model, *_ = build_model(ref_op, f_spec={"kind": "logistic_clipped", "amp": 2.0, "width": 1.0})
+    model = build_model(ref_op, f_spec={"kind": "logistic_clipped", "amp": 2.0, "width": 1.0})
     ends = [fx.solve_limit_ode(model, 0.9, t_final=1.0, dt=dt).values[-1]
             for dt in (0.02, 0.01, 0.005)]
     d1, d2 = abs(ends[0] - ends[1]), abs(ends[1] - ends[2])
@@ -327,12 +327,12 @@ def test_rk4_step_halving_order(ref_op):
 
 
 def test_spde_step_halving_deterministic(ref_op):
-    _, cs, sq, sb = build_model(
+    model = build_model(
         ref_op, f_spec={"kind": "logistic_clipped", "amp": 2.0, "width": 1.0}
     )
     ends = []
     for dt in (0.02, 0.01, 0.005):
-        traj = fx.solve_spde(ref_op, cs, sq, sb, _params(eps=0.01), ref_op.constant_field(0.9),
+        traj = fx.solve_spde(model, _params(eps=0.01), ref_op.constant_field(0.9),
                              t_final=1.0, dt=dt, rng=fx.RngStream(12))
         ends.append(traj.states[-1, 0])
     d1, d2 = abs(ends[0] - ends[1]), abs(ends[1] - ends[2])
@@ -340,8 +340,8 @@ def test_spde_step_halving_deterministic(ref_op):
 
 
 def test_trajectory_csv_roundtrip(tmp_path, ref_op):
-    _, cs, sq, sb = build_model(ref_op)
-    traj = fx.solve_spde(ref_op, cs, sq, sb, _params(eps=0.1, alpha=0.1, beta=0.1),
+    model = build_model(ref_op)
+    traj = fx.solve_spde(model, _params(eps=0.1, alpha=0.1, beta=0.1),
                          ref_op.constant_field(0.4), 0.1, 1e-2, fx.RngStream(13))
     p = tmp_path / "traj.csv"
     traj.write_csv(p)
