@@ -39,7 +39,6 @@ from .exit_times import (
     membership_values,
 )
 from .ldp import (
-    ActionValue,
     ControlPath,
     action_I,
     action_of_trajectory,
@@ -58,8 +57,6 @@ from .noise import (
     make_q_spectrum,
 )
 from .operator import (
-    BoundaryData,
-    Field,
     SpectralOperator,
     build_divergence_operator_1d,
     build_neumann_laplacian_1d,

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: check, simulate, average, action, quasipotential, exit,
-emit-plots.  The thread count comes from --threads, else from the config.
+emit-plots.  --seed, --paths, --threads and --out override the config and
+are recorded in config_resolved.json.
 Exit status: 0 success, 1 configuration or file error, 2 required
 hypothesis failed (a check, or a noise intensity H that vanishes where an
 action or quasi-potential needs it), 3 numerical divergence.
@@ -27,7 +28,14 @@ from .runs import (
     run_simulate,
 )
 
-RUN_KINDS = ("check", "simulate", "average", "action", "quasipotential", "exit")
+RUNS = {
+    "check": run_check,
+    "simulate": run_simulate,
+    "average": run_average,
+    "action": run_action,
+    "quasipotential": run_quasipotential,
+    "exit": run_exit,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fastexit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in RUN_KINDS:
+    for kind in RUNS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -65,6 +73,8 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
         if args.paths is not None:
             raw["n_paths"] = args.paths
+        if args.threads is not None:
+            raw["threads"] = args.threads
         if args.out is not None:
             raw["output_dir"] = args.out
         raw.setdefault("experiment", {}).setdefault("kind", args.command)
@@ -73,19 +83,7 @@ def main(argv=None) -> int:
         resolved = resolve_config(raw)
         out_dir = Path(resolved["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        threads = args.threads if args.threads is not None else resolved["threads"]
-        if args.command == "check":
-            status = run_check(resolved, out_dir)
-        elif args.command == "simulate":
-            status = run_simulate(resolved, out_dir)
-        elif args.command == "average":
-            status = run_average(resolved, out_dir, threads=threads)
-        elif args.command == "action":
-            status = run_action(resolved, out_dir)
-        elif args.command == "quasipotential":
-            status = run_quasipotential(resolved, out_dir)
-        else:
-            status = run_exit(resolved, out_dir, threads=threads)
+        status = RUNS[args.command](resolved, out_dir)
         if status != 0:
             print(f"fastexit {args.command}: finished with status {status}", file=sys.stderr)
         return status

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operator import Field, SpectralOperator
+from .operator import SpectralOperator
 
 __all__ = [
     "Coefficient",
@@ -185,10 +185,9 @@ def make_coefficient_set(f_spec: dict, g_spec: dict, sigma_spec: dict) -> Coeffi
     )
 
 
-def nemytskii_F(cs: CoefficientSet, op: SpectralOperator, t: float, u: Field) -> Field:
+def nemytskii_F(cs: CoefficientSet, op: SpectralOperator, t: float, u: np.ndarray) -> np.ndarray:
     """F(t, u)(xi) = f(t, xi, u(xi)), applied on the grid and re-projected."""
-    vals = cs.f.value(t, op.grid, op.to_grid(u.coeffs))
-    return Field(op.to_modes(vals))
+    return op.to_modes(cs.f.value(t, op.grid, op.to_grid(u)))
 
 
 @dataclass(frozen=True)

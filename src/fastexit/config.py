@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator
 from .coefficients import AveragedModel, make_coefficient_set
 from .errors import ConfigError
 from .noise import make_b_spectrum, make_q_spectrum
-from .operator import Field, SpectralOperator, build_neumann_laplacian_1d
+from .operator import SpectralOperator, build_neumann_laplacian_1d
 from .solver import MultiscaleParams
 
 _COEFF_SCHEMA = {"type": "object", "required": ["kind"], "properties": {"kind": {"type": "string"}}}
@@ -224,11 +224,11 @@ class BuiltSystem:
 
     model: AveragedModel
     params_list: list[MultiscaleParams]
-    x0: Field
+    x0: np.ndarray      # (N,) mode coefficients of the initial state
     config: dict
 
 
-def _build_x0(spec: dict, op: SpectralOperator) -> Field:
+def _build_x0(spec: dict, op: SpectralOperator) -> np.ndarray:
     try:
         kind = spec["kind"]
         if kind == "constant":
@@ -239,7 +239,7 @@ def _build_x0(spec: dict, op: SpectralOperator) -> Field:
         coeffs = np.zeros(op.n_modes)
         vals = np.asarray(spec["coeffs"], dtype=float)
         coeffs[: len(vals)] = vals
-        return Field(coeffs)
+        return coeffs
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("experiment.x0", str(exc)) from exc
 

@@ -37,7 +37,7 @@ import numpy as np
 from .coefficients import AveragedModel
 from .ensemble import SpdeStepper, run_ensemble
 from .ldp import v_bar
-from .operator import Field, SpectralOperator, invariant_average
+from .operator import SpectralOperator, invariant_average
 from .solver import MultiscaleParams, _rk4
 
 __all__ = [
@@ -111,7 +111,7 @@ def _run_invariance_probes(dom: DomainSpec, seed: int, n_samples: int, times) ->
         x = _sample_in_domain(dom, rng)
         x_t = np.exp(-np.outer(times, op.eigenvalues)) * x
         min_margin = min(min_margin, float((membership_values(dom, x) - membership_values(dom, x_t)).min()))
-        if float(membership_values(dom, [invariant_average(op, Field(x))])) >= r:
+        if float(membership_values(dom, [invariant_average(op, x)])) >= r:
             jensen_ok = False
     return DomainInvarianceReport(
         monotone_passed=bool(min_margin >= -1e-12),
@@ -229,7 +229,7 @@ def exit_time_mc(
     model: AveragedModel,
     levels: list[MultiscaleParams],
     dom: DomainSpec,
-    x: Field,
+    x: np.ndarray,
     n_paths: int,
     dt: float,
     seed: int,
@@ -245,7 +245,7 @@ def exit_time_mc(
     blocks with one counter-based stream per (level, block), so results are
     bit-reproducible for a given seed under any thread count.
     """
-    g0 = membership_values(dom, x.coeffs[None, :])[0]
+    g0 = membership_values(dom, x)
     if g0 >= dom.level:
         raise ValueError("initial state must lie inside the domain")
     vb = v_bar(model, dom)
@@ -257,7 +257,7 @@ def exit_time_mc(
         n_max = max(1, int(math.ceil(level_tmax / dt)))
         t_max_eff = n_max * dt
         taus, censored, diverged, nonconst = run_ensemble(
-            SpdeStepper(model, params, dt), x.coeffs, n_paths, n_max, seed, li << 32, threads,
+            SpdeStepper(model, params, dt), x, n_paths, n_max, seed, li << 32, threads,
             partial(_ExitObserver, dom, dt, t_max_eff),
         )
         mean_tau = float(taus.mean())

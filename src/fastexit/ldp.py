@@ -42,7 +42,6 @@ from .solver import FieldTrajectory, ScalarPath
 
 __all__ = [
     "ControlPath",
-    "ActionValue",
     "action_I",
     "action_of_trajectory",
     "minimizing_control",
@@ -85,21 +84,6 @@ class ControlPath:
                 fh.write(",".join(row) + "\n")
 
 
-@dataclass(frozen=True)
-class ActionValue:
-    """Action of a path; infinite when a finiteness precondition fails."""
-
-    value: float
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    @classmethod
-    def infinite(cls) -> "ActionValue":
-        return cls(value=math.inf)
-
-
 def path_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """Centered differences interiorly, one-sided at the two endpoints."""
     d = np.empty_like(values)
@@ -117,24 +101,24 @@ def _path_quantities(model: AveragedModel, times, values):
     return fbar, h
 
 
-def action_I(model: AveragedModel, w: ScalarPath) -> ActionValue:
+def action_I(model: AveragedModel, w: ScalarPath) -> float:
     """Trapezoidal discrete action 1/2 int (w' - F_bar)^2 / H dt."""
     fbar, h = _path_quantities(model, w.times, w.values)
     resid = path_derivative(w.values, w.dt) - fbar
     dens = 0.5 * resid**2 / h
-    return ActionValue(value=float(np.trapezoid(dens, w.times)))
+    return float(np.trapezoid(dens, w.times))
 
 
 def action_of_trajectory(
     model: AveragedModel, op: SpectralOperator, traj: FieldTrajectory, atol: float = 1e-12
-) -> ActionValue:
+) -> float:
     """Action of a field-valued path; infinite unless it is spatially constant.
 
-    Any non-constant mode exceeding atol triggers the infinite marker, the
+    Any non-constant mode exceeding atol makes the action math.inf, the
     finiteness guard of the rate functional.
     """
     if np.any(np.abs(traj.states[:, 1:]) > atol):
-        return ActionValue.infinite()
+        return math.inf
     w = ScalarPath(times=traj.times, values=traj.states[:, 0].copy())
     return action_I(model, w)
 

@@ -11,6 +11,11 @@ operator built here is of this form, and the code relies on it: the
 L2(O, mu) norm is the Euclidean norm of the coefficients, and averages
 against mu are plain quadrature sums over the grid.
 
+A state u in L2(O) is its (N,) array of coefficients in this basis, and a
+batch of P states is a (P, N) array; `hmu_norm` is the norm of either.
+Boundary data z in Z = L2 of the two boundary points is its (2,) array
+(z(0), z(1)).
+
 For a = 1 the basis is analytic: alpha_k = (k pi)^2 and e_k = sqrt(2) cos(k pi xi).
 Variable a(xi) is handled by eigendecomposing a flux-form tridiagonal
 discretization; the interface is identical.
@@ -38,8 +43,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
-    "Field",
-    "BoundaryData",
     "SpectralOperator",
     "GapCheckReport",
     "build_neumann_laplacian_1d",
@@ -49,44 +52,6 @@ __all__ = [
     "check_spectral_gap",
     "neumann_map",
 ]
-
-
-@dataclass(frozen=True)
-class Field:
-    """A function on O represented by its coefficients in the e_k basis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-    @classmethod
-    def zeros(cls, n_modes: int) -> "Field":
-        return cls(np.zeros(n_modes))
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.shape[-1]
-
-    def norm_h(self) -> float:
-        """L2(O) norm; equals the Euclidean norm of the coefficients."""
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """An element of Z = L2 of the two boundary points with counting measure."""
-
-    values: np.ndarray  # (value at xi=0, value at xi=1)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2,):
-            raise ValueError("boundary data must have exactly two components")
-        object.__setattr__(self, "values", v)
-
-    def norm_z(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -142,15 +107,15 @@ class SpectralOperator:
         """Project grid values onto the first N modes by quadrature."""
         return (np.asarray(values) * self.quad_weights) @ self.modes_on_grid.T
 
-    def project(self, fn: Callable[[np.ndarray], np.ndarray]) -> Field:
+    def project(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Project a function of xi onto the mode basis."""
-        return Field(self.to_modes(fn(self.grid)))
+        return self.to_modes(fn(self.grid))
 
-    def constant_field(self, value: float) -> Field:
+    def constant_field(self, value: float) -> np.ndarray:
         # e_0 is the constant function 1 (|O| = 1), so the constant c is c * e_0.
         coeffs = np.zeros(self.n_modes)
         coeffs[0] = value
-        return Field(coeffs)
+        return coeffs
 
     # -- norms --------------------------------------------------------------
 
@@ -240,16 +205,16 @@ def build_divergence_operator_1d(
     )
 
 
-def semigroup_apply(op: SpectralOperator, t: float, h: Field) -> Field:
+def semigroup_apply(op: SpectralOperator, t: float, h: np.ndarray) -> np.ndarray:
     """Apply exp(t A): multiply mode k by exp(-alpha_k t)."""
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
-    return Field(np.exp(-op.eigenvalues * t) * h.coeffs)
+    return np.exp(-op.eigenvalues * t) * h
 
 
-def invariant_average(op: SpectralOperator, h: Field) -> float:
+def invariant_average(op: SpectralOperator, h: np.ndarray) -> float:
     """<h, mu> = integral of h over O, by quadrature."""
-    vals = op.to_grid(h.coeffs)
+    vals = op.to_grid(h)
     return float((vals * op.quad_weights).sum())
 
 
@@ -265,7 +230,7 @@ class GapCheckReport:
 
 
 def check_spectral_gap(
-    op: SpectralOperator, h: Field, times, tol: float = 1e-12
+    op: SpectralOperator, h: np.ndarray, times, tol: float = 1e-12
 ) -> GapCheckReport:
     """Verify |exp(tA) h - <h,mu>|_{H_mu} <= exp(-gap t) |h|_{H_mu} at each t.
 
@@ -278,10 +243,10 @@ def check_spectral_gap(
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
     avg = invariant_average(op, h)
-    norm_h = float(op.hmu_norm(h.coeffs))
+    norm_h = float(op.hmu_norm(h))
     deviations = np.empty_like(times)
     for i, t in enumerate(times):
-        c = np.exp(-op.eigenvalues * t) * h.coeffs
+        c = np.exp(-op.eigenvalues * t) * h
         c[0] -= avg  # subtract the constant function <h, mu> (mode 0 since e_0 = 1)
         deviations[i] = op.hmu_norm(c)
     bounds = np.exp(-op.spectral_gap * times) * norm_h
@@ -295,12 +260,11 @@ def check_spectral_gap(
     )
 
 
-def neumann_map(op: SpectralOperator, delta: float, h: BoundaryData) -> Field:
-    """Solve (delta - A) u = 0 with conormal derivative h on the boundary.
+def neumann_map(op: SpectralOperator, delta: float, h: np.ndarray) -> np.ndarray:
+    """Solve (delta - A) u = 0 with conormal derivative h = (h(0), h(1)) on the boundary.
 
     Mode formula: <u, e_k> = (h(0) e_k(0) + h(1) e_k(1)) / (delta + alpha_k).
     """
     if delta <= 0:
         raise ValueError("delta must be strictly positive")
-    pair = op.boundary_values @ h.values
-    return Field(pair / (delta + op.eigenvalues))
+    return op.boundary_values @ h / (delta + op.eigenvalues)

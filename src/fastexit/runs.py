@@ -25,7 +25,7 @@ from .coefficients import check_coefficient_hypotheses, check_nondegeneracy
 from .config import BuiltSystem, build_system, config_hash, rho_bar_limit
 from .ensemble import NOISE_DRAW_LAYOUT
 from .errors import ConfigError, DivergenceError
-from .exit_times import build_domain, check_exit_hypotheses, exit_time_mc, membership_values
+from .exit_times import DomainSpec, build_domain, check_exit_hypotheses, exit_time_mc, membership_values
 from .ldp import (
     action_I,
     control_cost,
@@ -34,7 +34,7 @@ from .ldp import (
     quasi_potential_variational,
 )
 from .noise import RngStream, check_hyp_eigenvalues
-from .operator import Field, check_spectral_gap, invariant_average
+from .operator import check_spectral_gap, invariant_average
 from .solver import ScalarPath, averaging_error_ensemble, solve_limit_ode, solve_spde
 
 EXIT_OK = 0
@@ -101,8 +101,9 @@ def _default_sup_norms(system: BuiltSystem):
     return np.abs(system.model.op.modes_on_grid).max(axis=1)
 
 
-def hypothesis_checks(system: BuiltSystem) -> dict:
-    """All hypothesis probes applicable to this configuration."""
+def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
+    """All hypothesis probes applicable to this configuration, and the exit
+    domain they probed (None when the config has none or it was rejected)."""
     cfg = system.config
     model = system.model
     op = model.op
@@ -115,8 +116,7 @@ def hypothesis_checks(system: BuiltSystem) -> dict:
 
     gap_ok, worst = True, np.inf
     for _ in range(20):
-        h = Field(rng.standard_normal(op.n_modes))
-        rep = check_spectral_gap(op, h, [0.1, 0.5, 1.0])
+        rep = check_spectral_gap(op, rng.standard_normal(op.n_modes), [0.1, 0.5, 1.0])
         gap_ok &= rep.passed
         worst = min(worst, float(rep.margins.min()))
     checks["spectral_gap"] = {"passed": bool(gap_ok), "min_margin": worst, "gap": op.spectral_gap}
@@ -145,6 +145,7 @@ def hypothesis_checks(system: BuiltSystem) -> dict:
         "ratios_at_eps": {repr(p.eps): p.schedule_ratio() for p in system.params_list},
     }
 
+    dom = None
     if cfg["experiment"].get("domain"):
         dspec = dict(cfg["experiment"]["domain"])
         level = dspec.pop("level")
@@ -157,10 +158,10 @@ def hypothesis_checks(system: BuiltSystem) -> dict:
             inv["passed"] = bool(inv["monotone_passed"] and inv["jensen_passed"])
             checks["domain_invariance"] = inv
             checks["exit_hypotheses"] = _jsonable(check_exit_hypotheses(model, dom))
-            x0_in = bool(membership_values(dom, system.x0.coeffs) < level)
+            x0_in = bool(membership_values(dom, system.x0) < level)
             checks["exit_hypotheses"]["x0_inside_domain"] = x0_in
             checks["exit_hypotheses"]["passed"] = bool(checks["exit_hypotheses"]["passed"] and x0_in)
-    return checks
+    return checks, dom
 
 
 def required_check_names(kind: str, checks: dict) -> list[str]:
@@ -182,7 +183,7 @@ def required_check_names(kind: str, checks: dict) -> list[str]:
 def run_check(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
     system = build_system(resolved)
-    checks = hypothesis_checks(system)
+    checks, _ = hypothesis_checks(system)
     required = required_check_names(resolved["experiment"]["kind"], checks)
     missing = [n for n in required if n not in checks]
     all_passed = not missing and all(checks[n].get("passed", False) for n in required)
@@ -227,7 +228,7 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
     return status
 
 
-def run_average(resolved: dict, out_dir: Path, threads: int = 1) -> int:
+def run_average(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
     sol = resolved["solver"]
     _check_solver_grid(sol)
@@ -242,11 +243,8 @@ def run_average(resolved: dict, out_dir: Path, threads: int = 1) -> int:
         try:
             errors, _ = averaging_error_ensemble(
                 system.model, params, system.x0, sol["t_final"], sol["dt"], sol["delta"], ref, n_paths,
-                seed=resolved["seed"], stream_base=i << 32, threads=threads,
+                seed=resolved["seed"], stream_base=i << 32, threads=resolved["threads"],
             )
-        except DivergenceError as exc:
-            status, error_note = EXIT_DIVERGED, f"eps={params.eps}: {exc}"
-            break
         except ValueError as exc:  # the run builds both grids itself; only the delta window is left
             raise ConfigError("solver.delta", str(exc)) from exc
         valid = errors[np.isfinite(errors)]
@@ -301,9 +299,9 @@ def run_action(resolved: dict, out_dir: Path) -> int:
     path_path = out_dir / "path.csv"
     _write_csv(path_path, ["t", "value"], zip(w.times, w.values))
     report = {
-        "action": action.value,
+        "action": action,
         "control_half_norm_sq": cost,
-        "duality_gap": abs(cost - action.value),
+        "duality_gap": abs(cost - action),
         "path_source": pf or "limit_ode",
     }
     rep_path = out_dir / "action.json"
@@ -339,10 +337,10 @@ def _extrapolate(gammas: np.ndarray, values: np.ndarray, cis: np.ndarray):
     return {"slope": float(slope), "intercept": float(intercept)}
 
 
-def run_exit(resolved: dict, out_dir: Path, threads: int = 1) -> int:
+def run_exit(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
     system = build_system(resolved)
-    checks = hypothesis_checks(system)
+    checks, dom = hypothesis_checks(system)
     required = required_check_names("exit", checks)
     check_path = out_dir / "check_report.json"
     passed = all(checks.get(n, {}).get("passed", False) for n in required)
@@ -351,14 +349,10 @@ def run_exit(resolved: dict, out_dir: Path, threads: int = 1) -> int:
         finalize_run(out_dir, resolved, [check_path], started, 0)
         return EXIT_HYPOTHESIS_FAILED
     exp = resolved["experiment"]
-    dspec = dict(exp["domain"])
-    level = dspec.pop("level")
-    dom = build_domain(dspec, level, system.model.op, probe_seed=resolved["seed"])
     stats = exit_time_mc(
         system.model, system.params_list, dom, system.x0,
         n_paths=resolved["n_paths"], dt=resolved["solver"]["dt"], seed=resolved["seed"],
-        t_max=exp["t_max"], t_max_cap=exp["t_max_cap"],
-        threads=threads,
+        t_max=exp["t_max"], t_max_cap=exp["t_max_cap"], threads=resolved["threads"],
     )
     rows = [s.row() for s in stats]
     csv_path = out_dir / "exit_stats.csv"

@@ -30,7 +30,7 @@ from .coefficients import AveragedModel
 from .ensemble import SpdeStepper, diverged_mask, run_ensemble
 from .errors import DivergenceError
 from .noise import RngStream
-from .operator import Field, SpectralOperator
+from .operator import SpectralOperator
 
 __all__ = [
     "MultiscaleParams",
@@ -163,7 +163,7 @@ def _control_interpolant(node_times: np.ndarray, phi_h: np.ndarray, phi_z: np.nd
 def solve_spde(
     model: AveragedModel,
     params: MultiscaleParams,
-    x: Field,
+    x: np.ndarray,
     t_final: float,
     dt: float,
     rng: RngStream,
@@ -183,7 +183,7 @@ def solve_spde(
         control=None if control is None else _control_interpolant(control.times, control.phi_h, control.phi_z),
         control_weights=control_weights,
     )
-    u = np.array([x.coeffs], dtype=float)
+    u = np.array([x], dtype=float)
     states = np.empty((n + 1, model.op.n_modes))
     states[0] = u[0]
     gen = rng._gen
@@ -276,7 +276,7 @@ class _SupErrorObserver:
 def averaging_error_ensemble(
     model: AveragedModel,
     params: MultiscaleParams,
-    x: Field,
+    x: np.ndarray,
     t_final: float,
     dt: float,
     delta: float,
@@ -299,7 +299,7 @@ def averaging_error_ensemble(
     if len(ref.times) != n + 1 or not np.allclose(ref.times, times):
         raise ValueError("reference grid must match the solver grid")
     errors, sup_norms = run_ensemble(
-        SpdeStepper(model, params, dt_eff), x.coeffs, n_paths, n, seed, stream_base, threads,
+        SpdeStepper(model, params, dt_eff), x, n_paths, n, seed, stream_base, threads,
         partial(_SupErrorObserver, model.op, ref.values, times, delta),
     )
     return errors, sup_norms

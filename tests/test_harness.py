@@ -133,7 +133,7 @@ def test_run_average_and_emit(tmp_path):
     cfg = reference_config(multiscale={"eps": [0.25, 0.0625]}, n_paths=24)
     cfg["experiment"] = {"kind": "average", "x0": {"kind": "cosine_plus_constant", "amp": 1.0, "freq": 1, "offset": 0.5}}
     resolved = resolve_config(cfg)
-    code = run_average(resolved, tmp_path, threads=2)
+    code = run_average(dict(resolved, threads=2), tmp_path)
     assert code == 0
     rows = np.genfromtxt(tmp_path / "averaging_errors.csv", delimiter=",", names=True)
     assert rows.shape == (2,)
@@ -158,11 +158,16 @@ def test_run_exit_smoke_and_manifest_reproducibility(tmp_path):
     resolved = resolve_config(cfg)
     d1, d2 = tmp_path / "a", tmp_path / "b"
     d1.mkdir(), d2.mkdir()
-    assert run_exit(resolved, d1, threads=1) == 0
-    assert run_exit(resolved, d2, threads=2) == 0
+    assert run_exit(resolved, d1) == 0
+    assert run_exit(dict(resolved, threads=2), d2) == 0
     m1 = json.loads((d1 / "run_manifest.json").read_text())
     m2 = json.loads((d2 / "run_manifest.json").read_text())
-    assert m1["outputs"] == m2["outputs"]  # bit-identical outputs across runs/threads
+    # bit-identical outputs across runs/threads; the resolved config records the thread count
+    assert json.loads((d2 / "config_resolved.json").read_text())["threads"] == 2
+    m1_results, m2_results = (
+        {k: v for k, v in m["outputs"].items() if k != "config_resolved.json"} for m in (m1, m2)
+    )
+    assert m1_results == m2_results
     summary = json.loads((d1 / "exit_summary.json").read_text())
     assert summary["v_bar_target"] == pytest.approx(0.25, rel=1e-9)
     assert summary["extrapolation"] is not None
@@ -173,7 +178,7 @@ def test_run_exit_smoke_and_manifest_reproducibility(tmp_path):
     d3 = tmp_path / "c"
     d3.mkdir()
     rerun = resolve_config(json.loads((d1 / "config_resolved.json").read_text()))
-    assert run_exit(rerun, d3, threads=1) == 0
+    assert run_exit(rerun, d3) == 0
     m3 = json.loads((d3 / "run_manifest.json").read_text())
     assert m3["outputs"] == m1["outputs"]
 
@@ -355,6 +360,19 @@ def test_cli_check_rejects_inadmissible_noise(tmp_path, capsys, noise):
     assert main(["check", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "'noise'" in err
+
+
+def test_cli_threads_flag_goes_through_the_config(tmp_path, capsys):
+    cfg = reference_config(n_paths=4)
+    cfg["experiment"] = {"kind": "average"}
+    p = write_config(tmp_path, cfg)
+    for bad in ("0", "-3"):
+        assert main(["average", "--config", str(p), "--out", str(tmp_path / "bad"), "--threads", bad]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "threads" in err
+    out = tmp_path / "avg"
+    assert main(["average", "--config", str(p), "--out", str(out), "--threads", "2"]) == 0
+    assert json.loads((out / "config_resolved.json").read_text())["threads"] == 2
 
 
 def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):

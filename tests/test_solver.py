@@ -3,7 +3,6 @@ import pytest
 
 import fastexit as fx
 from fastexit.ldp import ControlPath
-from fastexit.operator import Field
 from fastexit.ensemble import SpdeStepper, diverged_mask, run_ensemble
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
@@ -32,7 +31,7 @@ def test_multiscale_params():
 def test_spde_linear_homogeneous_decay(ref_op):
     model = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
     eps = 0.05
-    traj = fx.solve_spde(model, _params(eps=eps), Field(np.eye(ref_op.n_modes)[1]),
+    traj = fx.solve_spde(model, _params(eps=eps), np.eye(ref_op.n_modes)[1],
                          t_final=0.5, dt=1e-3, rng=fx.RngStream(1))
     expected = np.exp(-np.pi**2 * traj.times / eps)
     assert np.allclose(traj.states[:, 1], expected, rtol=1e-10, atol=1e-300)
@@ -57,7 +56,7 @@ def test_spde_zero_mean_data_collapses(ref_op):
     model = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
     x = np.zeros(ref_op.n_modes)
     x[1], x[3] = 1.0, -0.5
-    traj = fx.solve_spde(model, _params(eps=1e-3), Field(x),
+    traj = fx.solve_spde(model, _params(eps=1e-3), x,
                          t_final=0.05, dt=1e-3, rng=fx.RngStream(3))
     after = traj.times >= 0.01
     assert ref_op.hmu_norm(traj.states[after]).max() < 1e-16
@@ -258,7 +257,7 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
         def finish(self, live):
             return self.first_bad, live.copy()
 
-    first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1).coeffs, 100, 50,
+    first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1), 100, 50,
                                    seed=1, stream_base=0, threads=1, observer=Recorder)
     assert first_bad.shape == (100,) and np.all(first_bad == 0) and not live.any()
     assert steps_seen == [0]  # one share of two blocks, stopped once no row was live
@@ -295,7 +294,7 @@ def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, threads):
 
         return Recorder
 
-    x0 = ref_op.constant_field(0.2).coeffs
+    x0 = ref_op.constant_field(0.2)
     s_all, live_all = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(np.full(3 * 64, -1)))
     s_some, live_some = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(retire_at))
     assert live_all.all() and 0 < live_some.sum() < n_paths
