@@ -57,7 +57,33 @@ __all__ = [
     "check_coefficient_hypotheses",
 ]
 
-_COEFF_KINDS = ("constant", "linear", "linear_plus_source", "logistic_clipped")
+# kind -> (required keys, {optional key: default}), one table per catalog
+_COEFF_KINDS = {
+    "constant": (("value",), {}),
+    "linear": (("slope",), {"xi_slope": 0.0, "offset": 0.0}),
+    "linear_plus_source": (("slope", "source_amp"), {"source_freq": 1, "offset": 0.0}),
+    "logistic_clipped": (("amp", "width"), {"offset": 0.0}),
+}
+_SIGMA_KINDS = {"constant": (("value",), {}), "per_point": (("left", "right"), {})}
+
+
+def catalog_params(catalog: dict, what: str, spec: dict) -> dict:
+    """The parameters of a catalog spec {"kind": ..., **params}, defaults filled in.
+
+    An unknown kind, a missing required key or a key the kind does not take
+    raises ValueError naming it.
+    """
+    kind = spec["kind"]
+    if kind not in catalog:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    required, optional = catalog[kind]
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    missing = [k for k in required if k not in params]
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if missing or unknown:
+        problems = [f"missing key {k!r}" for k in missing] + [f"unknown key {k!r}" for k in unknown]
+        raise ValueError(f"{what} kind {kind!r}: {', '.join(problems)}")
+    return optional | params
 
 
 @dataclass(frozen=True)
@@ -72,8 +98,8 @@ class Coefficient:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in _COEFF_KINDS:
-            raise ValueError(f"unknown coefficient kind '{self.kind}'")
+        params = catalog_params(_COEFF_KINDS, "coefficient", {**self.params, "kind": self.kind})
+        object.__setattr__(self, "params", params)
 
     def value(self, t, xi, r):
         p = self.params
@@ -82,12 +108,12 @@ class Coefficient:
         if self.kind == "constant":
             return np.broadcast_to(p["value"], np.broadcast_shapes(xi.shape, r.shape)).copy()
         if self.kind == "linear":
-            return (p["slope"] + p.get("xi_slope", 0.0) * xi) * r + p.get("offset", 0.0)
+            return (p["slope"] + p["xi_slope"] * xi) * r + p["offset"]
         if self.kind == "linear_plus_source":
-            src = p["source_amp"] * np.sin(p.get("source_freq", 1) * np.pi * xi)
-            return p["slope"] * r + src + p.get("offset", 0.0)
+            src = p["source_amp"] * np.sin(p["source_freq"] * np.pi * xi)
+            return p["slope"] * r + src + p["offset"]
         # logistic_clipped
-        return p["amp"] * np.tanh(r / p["width"]) + p.get("offset", 0.0) + 0.0 * xi
+        return p["amp"] * np.tanh(r / p["width"]) + p["offset"] + 0.0 * xi
 
     def d_dr(self, t, xi, r):
         p = self.params
@@ -97,7 +123,7 @@ class Coefficient:
         if self.kind == "constant":
             return np.zeros(shape)
         if self.kind == "linear":
-            return np.broadcast_to(p["slope"] + p.get("xi_slope", 0.0) * xi, shape).copy()
+            return np.broadcast_to(p["slope"] + p["xi_slope"] * xi, shape).copy()
         if self.kind == "linear_plus_source":
             return np.broadcast_to(p["slope"], shape).copy()
         return p["amp"] / p["width"] * (1.0 / np.cosh(r / p["width"]) ** 2) + 0.0 * xi
@@ -108,7 +134,7 @@ class Coefficient:
         if self.kind == "constant":
             return 0.0
         if self.kind == "linear":
-            xs = p.get("xi_slope", 0.0)
+            xs = p["xi_slope"]
             return max(abs(p["slope"]), abs(p["slope"] + xs))  # |slope + xs * xi| on [0, 1]
         if self.kind == "linear_plus_source":
             return abs(p["slope"])
@@ -121,7 +147,7 @@ class Coefficient:
         if self.kind == "constant":
             return abs(p["value"])
         if self.kind == "logistic_clipped":
-            return abs(p["amp"]) + abs(p.get("offset", 0.0))
+            return abs(p["amp"]) + abs(p["offset"])
         return None
 
     @property
@@ -143,8 +169,8 @@ class BoundaryCoefficient:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in ("constant", "per_point"):
-            raise ValueError(f"unknown boundary coefficient kind '{self.kind}'")
+        params = catalog_params(_SIGMA_KINDS, "sigma", {**self.params, "kind": self.kind})
+        object.__setattr__(self, "params", params)
 
     def values(self, t) -> np.ndarray:
         if self.kind == "constant":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .coefficients import AveragedModel, make_coefficient_set
+from .coefficients import AveragedModel, catalog_params, make_coefficient_set
 from .errors import ConfigError
 from .noise import make_b_spectrum, make_q_spectrum
 from .operator import SpectralOperator, build_neumann_laplacian_1d
@@ -175,7 +175,9 @@ def validate_config(raw: dict) -> None:
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
+        old = out.get(k)
+        # a catalog spec of another kind replaces the default spec, keys and all
+        if isinstance(v, dict) and isinstance(old, dict) and v.get("kind", old.get("kind")) == old.get("kind"):
             out[k] = _merge(out[k], v)
         else:
             out[k] = copy.deepcopy(v)
@@ -228,16 +230,24 @@ class BuiltSystem:
     config: dict
 
 
+# x0 kind -> (required keys, {optional key: default})
+_X0_KINDS = {
+    "constant": (("value",), {}),
+    "cosine_plus_constant": ((), {"amp": 1.0, "freq": 1, "offset": 0.0}),
+    "modes": (("coeffs",), {}),
+}
+
+
 def _build_x0(spec: dict, op: SpectralOperator) -> np.ndarray:
     try:
+        p = catalog_params(_X0_KINDS, "x0", spec)
         kind = spec["kind"]
         if kind == "constant":
-            return op.constant_field(float(spec["value"]))
+            return op.constant_field(float(p["value"]))
         if kind == "cosine_plus_constant":
-            amp, freq, offset = spec.get("amp", 1.0), spec.get("freq", 1), spec.get("offset", 0.0)
-            return op.project(lambda xi: amp * np.cos(freq * np.pi * xi) + offset)
+            return op.project(lambda xi: p["amp"] * np.cos(p["freq"] * np.pi * xi) + p["offset"])
         coeffs = np.zeros(op.n_modes)
-        vals = np.asarray(spec["coeffs"], dtype=float)
+        vals = np.asarray(p["coeffs"], dtype=float)
         coeffs[: len(vals)] = vals
         return coeffs
     except (KeyError, TypeError, ValueError) as exc:

@@ -8,11 +8,15 @@ counter-based stream.  Per step every block with a live path draws its full
 (n_panels, BLOCK_SIZE, n_modes) panel, whether or not the block is fully
 populated or all its rows are live, so a path's draws depend only on
 (seed, block, step, row).  Only the live rows are stepped: each thread packs
-the live rows of its share of the blocks into BLOCK_SIZE-row tiles, the last
-one padded, so every matrix product keeps the BLOCK_SIZE-row shape, at which
-a row's result does not depend on the other rows.  Results are therefore
-independent of the total path count, the thread count, and the execution
-schedule.
+the live rows of its share of the blocks into tiles of at most BLOCK_SIZE
+rows.  A step with a state-dependent gain pads its last tile to BLOCK_SIZE
+rows, so each of its products keeps one shape; any other step pads only a
+single-row last tile, to two rows.  That a row's result does not depend on
+the other rows at any tile height from 2 to BLOCK_SIZE is a property of the
+BLAS, not of this code (a 1-row product takes another kernel), and
+`test_run_ensemble_tiles_keep_surviving_rows` guards it for both kinds of
+step.  Results are therefore independent of the total path count, the thread
+count, and the execution schedule.
 """
 
 from __future__ import annotations
@@ -190,8 +194,12 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
     Each thread steps its share of the blocks together.  observer(u0) starts
     the measurement of a share, u0 holding one row per block row.  At step i
     (from i dt to (i + 1) dt) every block with a live row draws its full
-    panel; the live rows alone are gathered, in path order, into BLOCK_SIZE-row
-    tiles (the last one padded with zeros) and stepped.  The rows that diverged
+    panel; the live rows alone are gathered, in path order, into tiles of
+    BLOCK_SIZE rows and stepped.  The last tile is padded with zero rows: to
+    BLOCK_SIZE rows when the stepper has an interior panel, else only from one
+    row to two.  A row's result must not depend on the tile height, which the
+    BLAS gives from 2 to BLOCK_SIZE rows and
+    `test_run_ensemble_tiles_keep_surviving_rows` checks.  The rows that diverged
     are zeroed and cleared from `live`, then observe(i, u, idx, live, bad) runs
     on the live rows u, whose share-row indices are idx, and may clear more
     rows from `live`.  A share stops once no row is live; finish(live) gets the
@@ -217,7 +225,10 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
                 # bincount, not unique: a sort would page in numpy's sort kernels, ~1.7 MB of RSS
                 live_blocks = np.flatnonzero(np.bincount(idx // BLOCK_SIZE)) if stepper.n_panels else []
                 drawing = [(gens[k], slice(k * BLOCK_SIZE, (k + 1) * BLOCK_SIZE)) for k in live_blocks]
-                n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
+                if stepper.has_q:
+                    n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
+                else:  # no tile of a single row
+                    n_tile_rows = n + (n % BLOCK_SIZE == 1)
                 ut = np.zeros((n_tile_rows, n_modes))
                 ut[:n] = u
                 zt = z if z is None or n == n_rows else np.zeros((stepper.n_panels, n_tile_rows, n_modes))

@@ -33,12 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .coefficients import AveragedModel
 from .errors import NondegeneracyError, NotApplicableError, OptimizationError
 from .operator import SpectralOperator
-from .solver import FieldTrajectory, ScalarPath
+from .solver import FieldTrajectory, ScalarPath, write_csv
 
 __all__ = [
     "ControlPath",
@@ -75,13 +74,8 @@ class ControlPath:
         return float(np.trapezoid(dens, self.times))
 
     def write_csv(self, path):
-        n_modes = self.phi_h.shape[1]
-        header = "t," + ",".join(f"phi_H_{k}" for k in range(n_modes)) + ",phi_Z_0,phi_Z_1"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, ph, pz in zip(self.times, self.phi_h, self.phi_z):
-                row = [repr(float(t))] + [repr(float(v)) for v in ph] + [repr(float(v)) for v in pz]
-                fh.write(",".join(row) + "\n")
+        header = ["t"] + [f"phi_H_{k}" for k in range(self.phi_h.shape[1])] + ["phi_Z_0", "phi_Z_1"]
+        write_csv(path, header, ([t, *ph, *pz] for t, ph, pz in zip(self.times, self.phi_h, self.phi_z)))
 
 
 def path_derivative(values: np.ndarray, dt: float) -> np.ndarray:
@@ -171,6 +165,14 @@ class MinimizedPath:
     n_iter: int
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported at the first call: runs that solve no
+    path action never load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def minimize_path_action(
     model: AveragedModel,
     t_span: tuple[float, float],
@@ -252,8 +254,11 @@ def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
     sample = np.linspace(0.0, y, 65)
     f = model.f_bar(0.0, sample)
     cuts = list(sample[1:-1][f[1:-1] == 0.0])
-    cuts += [brentq(lambda s: model.f_bar(0.0, s), *sorted(sample[i:i + 2]))
-             for i in np.flatnonzero(f[:-1] * f[1:] < 0)]
+    crossings = np.flatnonzero(f[:-1] * f[1:] < 0)
+    if crossings.size:  # scipy loads only for a drift that changes sign on [0, y]
+        from scipy.optimize import brentq
+
+        cuts += [brentq(lambda s: model.f_bar(0.0, s), *sorted(sample[i:i + 2])) for i in crossings]
     ends = [0.0, *sorted(cuts, key=abs), y]
     nodes, weights = np.polynomial.legendre.leggauss(64)
     integral = 0.0

@@ -40,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox  # numpy loads its random module lazily: load it at import
 
+from .coefficients import catalog_params
 from .operator import SpectralOperator
 
 __all__ = [
@@ -54,34 +56,41 @@ __all__ = [
 ]
 
 
+# kind -> (required keys, {optional key: default})
+_Q_SPECTRUM_KINDS = {
+    "flat": (("value",), {}),
+    "power": (("amp", "exponent"), {}),
+    "list": (("values",), {}),
+    "mode0": (("value",), {}),
+}
+_B_SPECTRUM_KINDS = {"flat": (("value",), {}), "list": (("values",), {})}
+
+
 def make_q_spectrum(spec: dict, n_modes: int) -> np.ndarray:
     """The eigenvalues lambda_k of sqrt(Q) on the first n_modes modes, from a config spec."""
+    p = catalog_params(_Q_SPECTRUM_KINDS, "Q spectrum", spec)
     kind = spec["kind"]
     if kind == "flat":
-        return np.full(n_modes, float(spec["value"]))
+        return np.full(n_modes, float(p["value"]))
     if kind == "power":
         k = np.arange(n_modes)
-        return spec["amp"] * (1.0 + k) ** (-float(spec["exponent"]))
+        return p["amp"] * (1.0 + k) ** (-float(p["exponent"]))
     if kind == "list":
-        vals = np.asarray(spec["values"], dtype=float)
+        vals = np.asarray(p["values"], dtype=float)
         if vals.shape[0] < n_modes:
             raise ValueError("explicit spectrum shorter than the mode count")
         return vals[:n_modes]
-    if kind == "mode0":
-        lam = np.zeros(n_modes)
-        lam[0] = float(spec["value"])
-        return lam
-    raise ValueError(f"unknown Q spectrum kind '{kind}'")
+    lam = np.zeros(n_modes)  # mode0
+    lam[0] = float(p["value"])
+    return lam
 
 
 def make_b_spectrum(spec: dict) -> np.ndarray:
     """The eigenvalues theta_j of sqrt(B) on the two boundary points, from a config spec."""
-    kind = spec["kind"]
-    if kind == "flat":
-        return np.full(2, float(spec["value"]))
-    if kind == "list":
-        return np.asarray(spec["values"], dtype=float)
-    raise ValueError(f"unknown B spectrum kind '{kind}'")
+    p = catalog_params(_B_SPECTRUM_KINDS, "B spectrum", spec)
+    if spec["kind"] == "flat":
+        return np.full(2, float(p["value"]))
+    return np.asarray(p["values"], dtype=float)
 
 
 @dataclass
@@ -97,9 +106,7 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64))
-        )
+        self._gen = Generator(Philox(key=np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "SpectralOperator",
@@ -164,6 +163,8 @@ def build_divergence_operator_1d(
     result.  Lebesgue measure stays invariant, and the constant vector is an
     exact kernel element of the discretization.
     """
+    from scipy.linalg import eigh_tridiagonal  # the one operator builder that needs scipy
+
     if n_modes < 2:
         raise ValueError("n_modes must be at least 2")
     if n_grid < 4 * n_modes:

@@ -10,7 +10,6 @@ divergence.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -35,7 +34,7 @@ from .ldp import (
 )
 from .noise import RngStream, check_hyp_eigenvalues
 from .operator import check_spectral_gap, invariant_average
-from .solver import ScalarPath, averaging_error_ensemble, solve_limit_ode, solve_spde
+from .solver import ScalarPath, averaging_error_ensemble, solve_limit_ode, solve_spde, write_csv
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS_FAILED = 2
@@ -60,14 +59,6 @@ def _jsonable(obj):
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
 def _sha256(path: Path) -> str:
@@ -257,7 +248,7 @@ def run_average(resolved: dict, out_dir: Path) -> int:
         rows.append([params.eps, valid.size, mean, ci])
         summary_rows.append({"eps": params.eps, "mean_err": mean, "ci": ci, "n_diverged": n_diverged})
     csv_path = out_dir / "averaging_errors.csv"
-    _write_csv(csv_path, ["eps", "n_paths", "mean_err", "ci"], rows)
+    write_csv(csv_path, ["eps", "n_paths", "mean_err", "ci"], rows)
     monotone = all(
         summary_rows[i + 1]["mean_err"] - summary_rows[i + 1]["ci"]
         <= summary_rows[i]["mean_err"] + summary_rows[i]["ci"]
@@ -297,7 +288,7 @@ def run_action(resolved: dict, out_dir: Path) -> int:
     ctrl_path = out_dir / "minimizing_control.csv"
     ctrl.write_csv(ctrl_path)
     path_path = out_dir / "path.csv"
-    _write_csv(path_path, ["t", "value"], zip(w.times, w.values))
+    write_csv(path_path, ["t", "value"], zip(w.times, w.values))
     report = {
         "action": action,
         "control_half_norm_sq": cost,
@@ -312,6 +303,8 @@ def run_action(resolved: dict, out_dir: Path) -> int:
 
 def run_quasipotential(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
+    import scipy.optimize  # noqa: F401  (set-up: load the optimizer before the first solve)
+
     system = build_system(resolved)
     exp = resolved["experiment"]
     rows = []
@@ -320,7 +313,7 @@ def run_quasipotential(resolved: dict, out_dir: Path) -> int:
         v_exp = quasi_potential_explicit(system.model, y) if system.model.is_additive else float("nan")
         rows.append([y, v_var, v_exp])
     csv_path = out_dir / "quasipotential.csv"
-    _write_csv(csv_path, ["y", "v_variational", "v_explicit"], rows)
+    write_csv(csv_path, ["y", "v_variational", "v_explicit"], rows)
     finalize_run(out_dir, resolved, [csv_path], started, 0)
     return EXIT_OK
 
@@ -356,12 +349,12 @@ def run_exit(resolved: dict, out_dir: Path) -> int:
     )
     rows = [s.row() for s in stats]
     csv_path = out_dir / "exit_stats.csv"
-    _write_csv(csv_path, list(rows[0]), [row.values() for row in rows])
+    write_csv(csv_path, list(rows[0]), [row.values() for row in rows])
     tau_rows = []
     for s in stats:
         tau_rows.extend([s.gamma, p, t] for p, t in enumerate(s.taus))
     taus_path = out_dir / "exit_taus.csv"
-    _write_csv(taus_path, ["gamma", "path", "tau"], tau_rows)
+    write_csv(taus_path, ["gamma", "path", "tau"], tau_rows)
     gammas = np.array([s.gamma for s in stats])
     values = np.array([s.gamma_log_mean for s in stats])
     cis = np.array([max(s.ci_halfwidth * s.gamma, 1e-12) for s in stats])
@@ -406,14 +399,14 @@ def emit_plot_data(results_dir: Path, out_dir: Path | None = None) -> list[Path]
             for r in data
         ]
         p = out_dir / "exit_scaling.csv"
-        _write_csv(p, ["gamma", "gamma_log_mean", "ci", "v_bar"], rows)
+        write_csv(p, ["gamma", "gamma_log_mean", "ci", "v_bar"], rows)
         written.append(p)
     avg = results_dir / "averaging_errors.csv"
     if avg.exists():
         data = np.atleast_1d(np.genfromtxt(avg, delimiter=",", names=True))
         rows = [[float(r["eps"]), float(r["mean_err"]), float(r["ci"])] for r in data]
         p = out_dir / "averaging.csv"
-        _write_csv(p, ["eps", "mean_err", "ci"], rows)
+        write_csv(p, ["eps", "mean_err", "ci"], rows)
         written.append(p)
     if not written:
         raise FileNotFoundError(

@@ -75,8 +75,14 @@ class MultiscaleParams:
         return self.beta / self.alpha
 
 
-def _float_csv(x: float) -> str:
-    return repr(float(x))
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of comma-separated cells, each line ending in LF;
+    a float cell is written as its repr, so it reads back to the same float."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 @dataclass
@@ -97,11 +103,8 @@ class FieldTrajectory:
         return self.states.shape[1]
 
     def write_csv(self, path):
-        header = "t," + ",".join(f"mode_{k}" for k in range(self.n_modes))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(_float_csv(t) + "," + ",".join(_float_csv(v) for v in row) + "\n")
+        header = ["t"] + [f"mode_{k}" for k in range(self.n_modes)]
+        write_csv(path, header, ([t, *row] for t, row in zip(self.times, self.states)))
 
 
 @dataclass(frozen=True)

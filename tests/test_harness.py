@@ -66,6 +66,8 @@ def test_resolution_materializes_defaults():
     assert resolved["operator"]["grid_factor"] == 4
     assert resolved["experiment"]["t_max_cap"] == 1e5
     assert resolved["threads"] == 1
+    # a spec of another kind than the default replaces it, taking no stray keys
+    assert resolved["noise"]["b_spectrum"] == {"kind": "list", "values": [1.0, 1.0]}
     # resolved copy re-validates
     resolve_config(resolved)
 
@@ -362,6 +364,25 @@ def test_cli_check_rejects_inadmissible_noise(tmp_path, capsys, noise):
     assert len(err.splitlines()) == 1 and "'noise'" in err
 
 
+@pytest.mark.parametrize("where, spec, field", [
+    ("f", {"kind": "linear", "slope": -1.0, "ofset": 0.3}, "coefficients"),
+    ("x0", {"kind": "cosine_plus_constant", "ampl": 3.0}, "experiment.x0"),
+    ("f", {"kind": "linear", "slpoe": -1.0}, "coefficients"),
+])
+def test_cli_rejects_unknown_and_missing_catalog_keys(tmp_path, capsys, where, spec, field):
+    # a misspelt key must neither run on the default value nor crash with a traceback
+    cfg = reference_config(n_paths=4)
+    cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}, "t_max": 2.0}
+    if where == "x0":
+        cfg["experiment"]["x0"] = spec
+    else:
+        cfg["coefficients"] = {**cfg["coefficients"], where: spec}
+    p = write_config(tmp_path, cfg)
+    assert main(["exit", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"'{field}'" in err
+
+
 def test_cli_threads_flag_goes_through_the_config(tmp_path, capsys):
     cfg = reference_config(n_paths=4)
     cfg["experiment"] = {"kind": "average"}
@@ -413,6 +434,24 @@ def test_import_pins_openblas_threads_unless_set(preset, expected):
     code = "import os, fastexit; print(os.environ['OPENBLAS_NUM_THREADS'])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == expected
+
+
+def test_runs_without_an_optimizer_do_not_load_scipy(tmp_path):
+    # scipy serves the variational quasi-potential, a sign change of F_bar in the
+    # explicit one and the divergence-form operator builder; no other run loads it
+    root = Path(__file__).parents[1]
+    runs = [("exit", "exit_reference"), ("average", "averaging_reference"),
+            ("check", "exit_reference"), ("action", "quasipotential_reference")]
+    code = "\n".join([
+        "import sys",
+        "from fastexit.cli import main",
+        *(f"assert main([{cmd!r}, '--config', {str(root / 'configs' / (cfg + '.json'))!r}, '--paths', '4',"
+          f" '--out', {str(tmp_path / cmd)!r}]) == 0" for cmd, cfg in runs),
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_compare_outputs_reports_rounding_and_fails_on_text(tmp_path):
