@@ -16,7 +16,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .coefficients import (
     AveragedModel,
     CoefficientSet,
-    check_coefficient_hypotheses,
     check_nondegeneracy,
     make_coefficient,
     make_coefficient_set,
@@ -58,9 +57,7 @@ from .noise import (
 )
 from .operator import (
     SpectralOperator,
-    build_divergence_operator_1d,
     build_neumann_laplacian_1d,
-    check_spectral_gap,
     invariant_average,
     neumann_map,
     semigroup_apply,

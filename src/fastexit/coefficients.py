@@ -9,22 +9,23 @@ are bookkept exactly:
     linear_plus_source  slope * r + source_amp * sin(source_freq * pi * xi) + offset
     logistic_clipped    amp * tanh(r / width) + offset   (bounded, smooth)
 
-The boundary gain sigma is constant in time: either one value for both
-boundary points or a value per point.
+Every catalog coefficient is autonomous: f and g are functions of (xi, r),
+and the boundary gain sigma is either one value for both boundary points or
+a value per point.
 
 Averaging replaces the reaction term f(xi, r) by its integral against the
 invariant measure mu, Lebesgue measure on O = (0, 1) (density m = 1),
 
-    F_bar(t, u) = int_O f(t, xi, u) dxi,
+    F_bar(u) = int_O f(xi, u) dxi,
 
 and the two noise channels by the row vectors
 
-    row_H(t, u) = sqrt(Q) [ g(t, ., u) m ]          (mode j: lambda_j <g m, e_j>)
-    row_Z(t)    = delta0 sqrt(B) [ Sigma(t) N*_delta0 m ]
+    row_H(u) = sqrt(Q) [ g(., u) m ]          (mode j: lambda_j <g m, e_j>)
+    row_Z    = delta0 sqrt(B) [ Sigma N*_delta0 m ]
 
 whose squared norms combine into the scalar noise intensity
 
-    H(t, u) = ( |row_H|^2 + rho_bar^2 |row_Z|^2 ) / (1 + rho_bar)^2,
+    H(u) = ( |row_H|^2 + rho_bar^2 |row_Z|^2 ) / (1 + rho_bar)^2,
 
 with the rho_bar = inf case defined as the limit |row_Z|^2.  The adjoint
 Neumann map evaluates as (N*_delta m)(p) = sum_k <m, e_k> e_k(p) / (delta + alpha_k);
@@ -48,13 +49,11 @@ __all__ = [
     "CoefficientSet",
     "AveragedModel",
     "NondegeneracyReport",
-    "CoefficientHypothesesReport",
     "make_coefficient",
     "make_boundary_coefficient",
     "make_coefficient_set",
     "nemytskii_F",
     "check_nondegeneracy",
-    "check_coefficient_hypotheses",
 ]
 
 # kind -> (required keys, {optional key: default}), one table per catalog
@@ -88,11 +87,7 @@ def catalog_params(catalog: dict, what: str, spec: dict) -> dict:
 
 @dataclass(frozen=True)
 class Coefficient:
-    """A catalog reaction/gain coefficient (t, xi, r) -> real.
-
-    All catalog entries are autonomous; the time argument is accepted for
-    interface uniformity and ignored.
-    """
+    """A catalog reaction/gain coefficient (xi, r) -> real."""
 
     kind: str
     params: dict
@@ -101,7 +96,7 @@ class Coefficient:
         params = catalog_params(_COEFF_KINDS, "coefficient", {**self.params, "kind": self.kind})
         object.__setattr__(self, "params", params)
 
-    def value(self, t, xi, r):
+    def value(self, xi, r):
         p = self.params
         xi = np.asarray(xi, dtype=float)
         r = np.asarray(r, dtype=float)
@@ -115,7 +110,7 @@ class Coefficient:
         # logistic_clipped
         return p["amp"] * np.tanh(r / p["width"]) + p["offset"] + 0.0 * xi
 
-    def d_dr(self, t, xi, r):
+    def d_dr(self, xi, r):
         p = self.params
         xi = np.asarray(xi, dtype=float)
         r = np.asarray(r, dtype=float)
@@ -163,7 +158,7 @@ class Coefficient:
 
 @dataclass(frozen=True)
 class BoundaryCoefficient:
-    """Boundary gain sigma(t, p) for the two boundary points p in {0, 1}."""
+    """Boundary gain sigma(p) at the two boundary points p in {0, 1}."""
 
     kind: str
     params: dict
@@ -172,14 +167,14 @@ class BoundaryCoefficient:
         params = catalog_params(_SIGMA_KINDS, "sigma", {**self.params, "kind": self.kind})
         object.__setattr__(self, "params", params)
 
-    def values(self, t) -> np.ndarray:
+    def values(self) -> np.ndarray:
         if self.kind == "constant":
             return np.full(2, float(self.params["value"]))
         return np.array([self.params["left"], self.params["right"]], dtype=float)
 
     @property
     def sup_bound(self) -> float:
-        return float(np.abs(self.values(0.0)).max())
+        return float(np.abs(self.values()).max())
 
 
 def make_coefficient(spec: dict) -> Coefficient:
@@ -211,9 +206,9 @@ def make_coefficient_set(f_spec: dict, g_spec: dict, sigma_spec: dict) -> Coeffi
     )
 
 
-def nemytskii_F(cs: CoefficientSet, op: SpectralOperator, t: float, u: np.ndarray) -> np.ndarray:
-    """F(t, u)(xi) = f(t, xi, u(xi)), applied on the grid and re-projected."""
-    return op.to_modes(cs.f.value(t, op.grid, op.to_grid(u)))
+def nemytskii_F(cs: CoefficientSet, op: SpectralOperator, u: np.ndarray) -> np.ndarray:
+    """F(u)(xi) = f(xi, u(xi)), applied on the grid and re-projected."""
+    return op.to_modes(cs.f.value(op.grid, op.to_grid(u)))
 
 
 @dataclass(frozen=True)
@@ -264,127 +259,63 @@ class AveragedModel:
         m_modes = self.op.quad_weights @ self.op.modes_on_grid.T  # the modes of m = 1
         return (m_modes / (self.delta0 + self.op.eigenvalues)) @ self.op.boundary_values
 
-    def f_bar(self, t, u):
-        """F_bar(t, u): integral of f(t, ., u) over O."""
+    def f_bar(self, u):
+        """F_bar(u): integral of f(., u) over O."""
         u = np.asarray(u, dtype=float)
-        vals = self.coeffs.f.value(t, self.op.grid, u[..., None])
+        vals = self.coeffs.f.value(self.op.grid, u[..., None])
         return (vals * self.op.quad_weights).sum(axis=-1)
 
-    def f_bar_prime(self, t, u):
+    def f_bar_prime(self, u):
         u = np.asarray(u, dtype=float)
-        vals = self.coeffs.f.d_dr(t, self.op.grid, u[..., None])
+        vals = self.coeffs.f.d_dr(self.op.grid, u[..., None])
         return (vals * self.op.quad_weights).sum(axis=-1)
 
-    def row_h(self, t, u):
-        """sqrt(Q)[g(t, ., u) m] as mode coefficients; shape (..., N)."""
+    def row_h(self, u):
+        """sqrt(Q)[g(., u) m] as mode coefficients; shape (..., N)."""
         u = np.asarray(u, dtype=float)
-        g_vals = self.coeffs.g.value(t, self.op.grid, u[..., None])
+        g_vals = self.coeffs.g.value(self.op.grid, u[..., None])
         proj = (g_vals * self.op.quad_weights) @ self.op.modes_on_grid.T
         return self.q_lambdas * proj
 
-    def row_h_prime(self, t, u):
+    def row_h_prime(self, u):
         u = np.asarray(u, dtype=float)
-        g_vals = self.coeffs.g.d_dr(t, self.op.grid, u[..., None])
+        g_vals = self.coeffs.g.d_dr(self.op.grid, u[..., None])
         proj = (g_vals * self.op.quad_weights) @ self.op.modes_on_grid.T
         return self.q_lambdas * proj
 
-    def row_z(self, t) -> np.ndarray:
-        """delta0 sqrt(B)[Sigma(t) N*_delta0 m] at the two boundary points."""
-        sig = self.coeffs.sigma.values(t)
+    def row_z(self) -> np.ndarray:
+        """delta0 sqrt(B)[Sigma N*_delta0 m] at the two boundary points."""
+        sig = self.coeffs.sigma.values()
         return self.delta0 * self.b_thetas * sig * self._nstar_m
 
-    def h(self, t, u):
-        """Noise intensity H(t, u); broadcasts over u."""
+    def h(self, u):
+        """Noise intensity H(u); broadcasts over u."""
         w_h, w_z = self.weights
-        rh = self.row_h(t, u)
-        rz = self.row_z(t)
+        rh = self.row_h(u)
+        rz = self.row_z()
         return w_h**2 * (rh * rh).sum(axis=-1) + w_z**2 * (rz * rz).sum()
 
-    def h_prime(self, t, u):
+    def h_prime(self, u):
         w_h, _ = self.weights
-        rh = self.row_h(t, u)
-        drh = self.row_h_prime(t, u)
+        rh = self.row_h(u)
+        drh = self.row_h_prime(u)
         return 2.0 * w_h**2 * (rh * drh).sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
     min_h: float
-    argmin_t: float
     argmin_u: float
     floor: float
     passed: bool
 
 
-def check_nondegeneracy(model: AveragedModel, t_grid, u_grid, floor: float = 1e-12) -> NondegeneracyReport:
-    """Report the minimum of H over a (t, u) grid against a positive floor."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+def check_nondegeneracy(model: AveragedModel, u_grid, floor: float = 1e-12) -> NondegeneracyReport:
+    """Report the minimum of H over a grid of states u against a positive floor."""
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if t_grid.size == 0 or u_grid.size == 0:
-        raise ValueError("nondegeneracy grids must be nonempty")
-    best = (np.inf, 0.0, 0.0)
-    for t in t_grid:
-        hs = model.h(t, u_grid)
-        i = int(np.argmin(hs))
-        if hs[i] < best[0]:
-            best = (float(hs[i]), float(t), float(u_grid[i]))
-    return NondegeneracyReport(
-        min_h=best[0], argmin_t=best[1], argmin_u=best[2], floor=floor, passed=best[0] > floor
-    )
-
-
-@dataclass(frozen=True)
-class CoefficientHypothesesReport:
-    """Sampled evidence for the Lipschitz and sup-bound conditions on f, g, sigma."""
-
-    max_f_ratio: float
-    max_g_ratio: float
-    f_zero_sup: float
-    g_zero_sup: float
-    sigma_sup: float
-    passed: bool
-
-
-def check_coefficient_hypotheses(
-    cs: CoefficientSet,
-    op: SpectralOperator,
-    rng: np.random.Generator,
-    n_samples: int = 200,
-    r_scale: float = 5.0,
-    slack: float = 1.0 + 1e-9,
-) -> CoefficientHypothesesReport:
-    """Stochastic probe of the declared Lipschitz bounds on sampled grids.
-
-    Evidence, not proof: ratios |f(r1)-f(r2)| / |r1-r2| are sampled at random
-    (xi, r1, r2) and compared to the declared constants.
-    """
-    r1 = r_scale * rng.standard_normal((n_samples, 1))
-    r2 = r_scale * rng.standard_normal((n_samples, 1))
-    xi = op.grid[None, :]
-    t = 0.0
-    dr = np.abs(r1 - r2).clip(1e-12, None)
-
-    def max_ratio(coeff):
-        num = np.abs(coeff.value(t, xi, r1) - coeff.value(t, xi, r2))
-        return float((num / dr).max())
-
-    f_ratio = max_ratio(cs.f)
-    g_ratio = max_ratio(cs.g)
-    f_zero = float(np.abs(cs.f.value(t, op.grid, 0.0)).max())
-    g_zero = float(np.abs(cs.g.value(t, op.grid, 0.0)).max())
-    sig_sup = cs.sigma.sup_bound
-    ok = (
-        f_ratio <= cs.f.lipschitz_bound * slack + 1e-12
-        and g_ratio <= cs.g.lipschitz_bound * slack + 1e-12
-        and np.isfinite(f_zero)
-        and np.isfinite(g_zero)
-        and np.isfinite(sig_sup)
-    )
-    return CoefficientHypothesesReport(
-        max_f_ratio=f_ratio,
-        max_g_ratio=g_ratio,
-        f_zero_sup=f_zero,
-        g_zero_sup=g_zero,
-        sigma_sup=sig_sup,
-        passed=bool(ok),
-    )
+    if u_grid.size == 0:
+        raise ValueError("nondegeneracy grid must be nonempty")
+    hs = model.h(u_grid)
+    i = int(np.argmin(hs))
+    min_h = float(hs[i])
+    return NondegeneracyReport(min_h=min_h, argmin_u=float(u_grid[i]), floor=floor, passed=min_h > floor)

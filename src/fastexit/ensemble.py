@@ -99,7 +99,7 @@ class SpdeStepper:
         self.phi1dt = decay_integral(op.eigenvalues / eps, dt)  # dt phi1(-alpha dt / eps)
         self.lambdas = model.q_lambdas
         self.g_const = cs.g.constant_value if cs.g.is_constant else None
-        sigma_vals = cs.sigma.values(0.0)
+        sigma_vals = cs.sigma.values()
         rates = op.eigenvalues / eps
         tb = model.b_thetas * boundary_coupling(op, sigma_vals)  # theta_j b_kj
         cov = beta**2 * (tb @ tb.T) * decay_integral(rates[:, None] + rates[None, :], dt)
@@ -131,11 +131,11 @@ class SpdeStepper:
         """Advance a (P, N) batch of mode coefficients from t to t + dt on the panel z = draw(gen, P)."""
         op = self.op
         grid_u = u @ op.modes_on_grid
-        f_vals = self.cs.f.value(t, op.grid, grid_u)
+        f_vals = self.cs.f.value(op.grid, grid_u)
         f_modes = (f_vals * op.quad_weights) @ op.modes_on_grid.T
         new = self.decay * u + self.phi1dt * f_modes
         needs_g = self.has_q or (self.control is not None and self.g_const is None)
-        g_vals = self.cs.g.value(t, op.grid, grid_u) if needs_g else None
+        g_vals = self.cs.g.value(op.grid, grid_u) if needs_g else None
         if self.control is not None:
             new += self.phi1dt * self._control_forcing(t, g_vals)
         if self.has_q:

@@ -3,7 +3,7 @@
 Rare events of the full system concentrate on spatially constant paths, with
 path-space cost
 
-    I(w) = 1/2 int |w'(t) - F_bar(t, w(t))|^2 / H(t, w(t)) dt
+    I(w) = 1/2 int |w'(t) - F_bar(w(t))|^2 / H(w(t)) dt
 
 at speed gamma = (alpha + beta)^2.  The discrete version uses centered
 differences for w' (one-sided at the endpoints) and trapezoidal quadrature.
@@ -11,8 +11,8 @@ differences for w' (one-sided at the endpoints) and trapezoidal quadrature.
 The cost has an exact dual description through the skeleton equation: the
 control achieving equality is
 
-    phi_hat(t) = c(t) * ( w_H row_H(t, w), w_Z row_Z(t) ),
-    c(t) = (w'(t) - F_bar(t, w(t))) / H(t, w(t)),
+    phi_hat(t) = c(t) * ( w_H row_H(w(t)), w_Z row_Z ),
+    c(t) = (w'(t) - F_bar(w(t))) / H(w(t)),
 
 with channel weights (w_H, w_Z) = (1/(1+rho), rho/(1+rho)).  Then
 1/2 |phi_hat|^2_{L2(V)} = I(w) and the skeleton ODE driven by phi_hat
@@ -21,7 +21,7 @@ the backbone of the test suite.
 
 Quasi-potential: V(y) = inf over horizons T and paths 0 -> y of I; computed
 either from the closed form V(y) = (2/H) int_0^y max(-F_bar(s), 0) ds for
-y > 0, mirrored for y < 0 (additive noise, autonomous drift, constant H),
+y > 0, mirrored for y < 0 (additive noise, constant H),
 or variationally by a limited-memory quasi-Newton minimization over interior
 path nodes with the analytic gradient of the discrete action, straight-line
 initialization, and an outer minimum over a horizon grid.
@@ -87,17 +87,17 @@ def path_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return d
 
 
-def _path_quantities(model: AveragedModel, times, values):
-    h = model.h(times, values)
+def _path_quantities(model: AveragedModel, values):
+    h = model.h(values)
     if np.any(h <= 0):
         raise NondegeneracyError("noise intensity H vanished along the path")
-    fbar = model.f_bar(times, values)
+    fbar = model.f_bar(values)
     return fbar, h
 
 
 def action_I(model: AveragedModel, w: ScalarPath) -> float:
     """Trapezoidal discrete action 1/2 int (w' - F_bar)^2 / H dt."""
-    fbar, h = _path_quantities(model, w.times, w.values)
+    fbar, h = _path_quantities(model, w.values)
     resid = path_derivative(w.values, w.dt) - fbar
     dens = 0.5 * resid**2 / h
     return float(np.trapezoid(dens, w.times))
@@ -119,11 +119,11 @@ def action_of_trajectory(
 
 def minimizing_control(model: AveragedModel, w: ScalarPath) -> ControlPath:
     """The control achieving the action value of w through the skeleton equation."""
-    fbar, h = _path_quantities(model, w.times, w.values)
+    fbar, h = _path_quantities(model, w.values)
     c = (path_derivative(w.values, w.dt) - fbar) / h
     w_h, w_z = model.weights
-    row_h = model.row_h(w.times, w.values)          # (n, N)
-    row_z = model.row_z(0.0)                         # autonomous boundary row
+    row_h = model.row_h(w.values)                    # (n, N)
+    row_z = model.row_z()
     phi_h = w_h * c[:, None] * row_h
     phi_z = w_z * np.outer(c, row_z)
     return ControlPath(times=w.times, phi_h=phi_h, phi_z=phi_z)
@@ -138,9 +138,9 @@ def _discrete_action_and_grad(model: AveragedModel, times: np.ndarray, values: n
     """Action of the nodal path and its gradient with respect to all nodes."""
     n = len(times)
     dt = times[1] - times[0]
-    fbar, h = _path_quantities(model, times, values)
-    fbar_p = model.f_bar_prime(times, values)
-    h_p = model.h_prime(times, values)
+    fbar, h = _path_quantities(model, values)
+    fbar_p = model.f_bar_prime(values)
+    h_p = model.h_prime(values)
     d = path_derivative(values, dt) - fbar
     tau = np.full(n, dt)
     tau[0] = tau[-1] = dt / 2.0
@@ -238,12 +238,12 @@ def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
     """Closed-form quasi-potential V(y) = -(2/H) int_0^y min(F_bar(s), 0) ds for y > 0,
     with max for y < 0: only the climb against the averaged flow costs.
 
-    Valid for additive noise (constant g) with autonomous coefficients, where
-    H is constant; raises NotApplicableError otherwise.
+    Valid for additive noise (constant g), where H is constant; raises
+    NotApplicableError otherwise.
     """
     if not model.is_additive:
         raise NotApplicableError("explicit quasi-potential requires additive noise (constant g)")
-    h = float(model.h(0.0, 0.0))
+    h = float(model.h(0.0))
     if h <= 0:
         raise NondegeneracyError("noise intensity H is not positive")
     if y == 0.0:
@@ -252,19 +252,19 @@ def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
     # cut [0, y] at the sign changes of F_bar, so the clipped integrand is
     # smooth on each piece, and apply a fixed Gauss-Legendre rule per piece
     sample = np.linspace(0.0, y, 65)
-    f = model.f_bar(0.0, sample)
+    f = model.f_bar(sample)
     cuts = list(sample[1:-1][f[1:-1] == 0.0])
     crossings = np.flatnonzero(f[:-1] * f[1:] < 0)
     if crossings.size:  # scipy loads only for a drift that changes sign on [0, y]
         from scipy.optimize import brentq
 
-        cuts += [brentq(lambda s: model.f_bar(0.0, s), *sorted(sample[i:i + 2])) for i in crossings]
+        cuts += [brentq(model.f_bar, *sorted(sample[i:i + 2])) for i in crossings]
     ends = [0.0, *sorted(cuts, key=abs), y]
     nodes, weights = np.polynomial.legendre.leggauss(64)
     integral = 0.0
     for a, b in zip(ends, ends[1:]):
         s = a + 0.5 * (b - a) * (nodes + 1.0)
-        integral += 0.5 * (b - a) * float((weights * clip(model.f_bar(0.0, s), 0.0)).sum())
+        integral += 0.5 * (b - a) * float((weights * clip(model.f_bar(s), 0.0)).sum())
     return -2.0 * integral / h
 
 

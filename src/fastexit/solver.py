@@ -5,7 +5,7 @@ Three related dynamics are integrated here:
 * the full stochastic reaction-diffusion system, by an exponential-Euler
   mild-solution recursion per eigenmode (the stiff transport term eps^{-1} A
   is handled exactly, so the time step is independent of eps);
-* the deterministic limit ODE  u' = F_bar(t, u)  by classical RK4;
+* the deterministic limit ODE  u' = F_bar(u)  by classical RK4;
 * the controlled (skeleton) ODE driven by a deterministic control
   phi = (phi_H, phi_Z), by RK4 with the control interpolated between nodes.
 
@@ -219,9 +219,9 @@ def _rk4(rhs, u0, times):
 
 
 def solve_limit_ode(model: AveragedModel, x_mean: float, t_final: float, dt: float) -> ScalarPath:
-    """RK4 on the averaged limit dynamics u' = F_bar(t, u), u(0) = <x, mu>."""
+    """RK4 on the averaged limit dynamics u' = F_bar(u), u(0) = <x, mu>."""
     times, _, _ = _time_grid(t_final, dt)
-    values = _rk4(lambda t, u: model.f_bar(t, u), float(x_mean), times)
+    values = _rk4(lambda t, u: model.f_bar(u), float(x_mean), times)
     return ScalarPath(times=times, values=values)
 
 
@@ -236,7 +236,7 @@ def solve_controlled_ode_batch(
 ) -> np.ndarray:
     """RK4 on the skeleton dynamics for a batch of P controls on one uniform node grid,
 
-        u' = F_bar(t, u) + w_H <phi_H(t), row_H(t, u)> + w_Z <phi_Z(t), row_Z(t)>
+        u' = F_bar(u) + w_H <phi_H(t), row_H(u)> + w_Z <phi_Z(t), row_Z>
 
     with weights (w_H, w_Z) = (1/(1+rho_bar), rho_bar/(1+rho_bar)) and the
     control interpolated linearly between nodes.  phi_h_all has shape
@@ -249,8 +249,8 @@ def solve_controlled_ode_batch(
 
     def rhs(t, u):
         phi_h, phi_z = ctrl(t)
-        forcing = w_h * (model.row_h(t, u) * phi_h).sum(axis=-1) + w_z * (phi_z @ model.row_z(t))
-        return model.f_bar(t, u) + forcing
+        forcing = w_h * (model.row_h(u) * phi_h).sum(axis=-1) + w_z * (phi_z @ model.row_z())
+        return model.f_bar(u) + forcing
 
     return _rk4(rhs, np.asarray(x_means, dtype=float), times)
 

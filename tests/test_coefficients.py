@@ -11,7 +11,7 @@ def test_nemytskii_linear_odd(ref_op):
         {"kind": "constant", "value": 1.0},
     )
     e1 = np.eye(ref_op.n_modes)[1]
-    out = fx.nemytskii_F(cs, ref_op, 0.0, e1)
+    out = fx.nemytskii_F(cs, ref_op, e1)
     assert np.allclose(out, -e1, atol=1e-13)
 
 
@@ -20,7 +20,7 @@ def test_nemytskii_source_mean(ref_op):
         {"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
         {"kind": "constant", "value": 1.0}, {"kind": "constant", "value": 1.0},
     )
-    out = fx.nemytskii_F(cs, ref_op, 0.0, np.zeros(ref_op.n_modes))
+    out = fx.nemytskii_F(cs, ref_op, np.zeros(ref_op.n_modes))
     # grid quadrature of sin(pi xi) carries the midpoint-rule O(M^-2) error
     assert fx.invariant_average(ref_op, out) == pytest.approx(2 / np.pi, abs=2e-4)
 
@@ -30,44 +30,44 @@ def test_nemytskii_zero(ref_op):
         {"kind": "constant", "value": 0.0}, {"kind": "constant", "value": 1.0},
         {"kind": "constant", "value": 1.0},
     )
-    out = fx.nemytskii_F(cs, ref_op, 0.0, np.ones(ref_op.n_modes))
+    out = fx.nemytskii_F(cs, ref_op, np.ones(ref_op.n_modes))
     assert np.all(out == 0.0)
 
 
 def test_averaged_F_values(ref_op):
     model = build_model(ref_op, f_spec={"kind": "linear", "slope": -1.0})
     for u in (-2.0, 0.0, 1.3):
-        assert model.f_bar(0.0, u) == pytest.approx(-u, abs=1e-13)
+        assert model.f_bar(u) == pytest.approx(-u, abs=1e-13)
     model = build_model(
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
     )
-    assert model.f_bar(0.0, 0.7) == pytest.approx(-0.7 + 2 / np.pi, abs=2e-4)
+    assert model.f_bar(0.7) == pytest.approx(-0.7 + 2 / np.pi, abs=2e-4)
     model = build_model(ref_op, f_spec={"kind": "linear", "slope": 0.0, "xi_slope": 1.0})
-    assert model.f_bar(0.0, 0.8) == pytest.approx(0.4, abs=1e-13)
+    assert model.f_bar(0.8) == pytest.approx(0.4, abs=1e-13)
 
 
 def test_averaged_G_row_values(ref_op):
     lam = 0.7
     model = build_model(ref_op, q_spec={"kind": "flat", "value": lam})
-    row = model.row_h(0.0, 1.2)
+    row = model.row_h(1.2)
     assert row[0] == pytest.approx(lam, abs=1e-13)
     assert np.abs(row[1:]).max() < 1e-13
     model = build_model(ref_op, g_spec={"kind": "constant", "value": 0.0})
-    assert np.all(model.row_h(0.0, 3.0) == 0.0)
+    assert np.all(model.row_h(3.0) == 0.0)
     model = build_model(
         ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0},
         q_spec={"kind": "flat", "value": lam},
     )
-    assert model.row_h(0.0, 1.0)[0] == pytest.approx(2 * lam, abs=1e-13)
+    assert model.row_h(1.0)[0] == pytest.approx(2 * lam, abs=1e-13)
 
 
 def test_averaged_Sigma_row_values(ref_op):
     model = build_model(ref_op, sigma_spec={"kind": "constant", "value": 0.0})
-    assert np.all(model.row_z(0.0) == 0.0)
+    assert np.all(model.row_z() == 0.0)
     for delta0 in (1.0, 10.0):
         model = build_model(ref_op, delta0=delta0)
-        assert np.allclose(model.row_z(0.0), [1.0, 1.0], atol=1e-12)
+        assert np.allclose(model.row_z(), [1.0, 1.0], atol=1e-12)
 
 
 def test_sigma_row_delta0_independence(ref_op):
@@ -76,7 +76,7 @@ def test_sigma_row_delta0_independence(ref_op):
         model = build_model(
             ref_op, sigma_spec={"kind": "per_point", "left": 0.8, "right": 1.3}, delta0=delta0
         )
-        rows.append(model.row_z(0.0))
+        rows.append(model.row_z())
     assert np.abs(rows[0] - rows[1]).max() < 1e-10
     assert np.abs(rows[0] - rows[2]).max() < 1e-10
 
@@ -93,30 +93,30 @@ def test_averaged_model_rejects_inadmissible_spectra(ref_op):
 
 def test_noise_intensity_examples(ref_op):
     model = build_model(ref_op, rho_bar=0.0, q_spec={"kind": "flat", "value": 1.0})
-    assert model.h(0.0, 0.4) == pytest.approx(1.0, abs=1e-12)
+    assert model.h(0.4) == pytest.approx(1.0, abs=1e-12)
     model = build_model(ref_op, rho_bar=np.inf)
-    assert model.h(0.0, 0.4) == pytest.approx(2.0, abs=1e-12)
+    assert model.h(0.4) == pytest.approx(2.0, abs=1e-12)
     model = build_model(ref_op, rho_bar=1.0)
-    assert model.h(0.0, 0.4) == pytest.approx(0.75, abs=1e-12)
+    assert model.h(0.4) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_additive_row_u_independent(ref_op):
     model = build_model(ref_op)
-    r1 = model.row_h(0.0, -5.0)
-    r2 = model.row_h(0.0, 7.0)
+    r1 = model.row_h(-5.0)
+    r2 = model.row_h(7.0)
     assert np.array_equal(r1, r2)
 
 
 def test_nondegeneracy_checker(ref_op):
     model = build_model(ref_op, rho_bar=1.0)
-    rep = fx.check_nondegeneracy(model, [0.0, 1.0], np.linspace(-1, 1, 11))
+    rep = fx.check_nondegeneracy(model, np.linspace(-1, 1, 11))
     assert rep.passed and rep.min_h == pytest.approx(0.75, abs=1e-12)
     model = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0}, rho_bar=0.0)
-    rep = fx.check_nondegeneracy(model, [0.0], np.linspace(-1, 1, 11))
+    rep = fx.check_nondegeneracy(model, np.linspace(-1, 1, 11))
     assert not rep.passed and rep.min_h == pytest.approx(0.0, abs=1e-15)
     assert rep.argmin_u == 0.0
     model = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0}, rho_bar=np.inf)
-    rep = fx.check_nondegeneracy(model, [0.0], np.linspace(-1, 1, 11))
+    rep = fx.check_nondegeneracy(model, np.linspace(-1, 1, 11))
     assert rep.passed
 
 
@@ -130,7 +130,7 @@ def test_gbar_pairing_lipschitz(ref_op):
     for _ in range(50):
         u1, u2 = 3 * rng.standard_normal(2)
         phi = rng.standard_normal(ref_op.n_modes)
-        lhs = abs(float((model.row_h(0.0, u1) - model.row_h(0.0, u2)) @ phi))
+        lhs = abs(float((model.row_h(u1) - model.row_h(u2)) @ phi))
         assert lhs <= lip * lam_max * np.linalg.norm(phi) * abs(u1 - u2) * (1 + 1e-9) + 1e-12
 
 
@@ -143,6 +143,15 @@ def test_weights_at_infinity(ref_op):
     assert model.weights == pytest.approx((0.25, 0.75))
 
 
+def _sampled_lipschitz_ratio(coeff, op, rng, n_samples=200, r_scale=2.0):
+    """Largest |c(xi, r1) - c(xi, r2)| / |r1 - r2| over the grid points xi and
+    random pairs: half far apart, half 1e-3 apart (a local slope)."""
+    r1 = r_scale * rng.standard_normal((n_samples, 1))
+    r2 = np.concatenate([r_scale * rng.standard_normal((n_samples // 2, 1)), r1[n_samples // 2:] + 1e-3])
+    num = np.abs(coeff.value(op.grid, r1) - coeff.value(op.grid, r2))
+    return float((num / np.abs(r1 - r2).clip(1e-12, None)).max())
+
+
 def test_coefficient_hypotheses_checker(ref_op):
     cs = build_model(
         ref_op,
@@ -150,10 +159,39 @@ def test_coefficient_hypotheses_checker(ref_op):
         g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0},
     ).coeffs
     rng = np.random.Generator(np.random.Philox(key=12))
-    rep = fx.check_coefficient_hypotheses(cs, ref_op, rng)
-    assert rep.passed
-    assert rep.max_f_ratio <= 1.0 + 1e-9
-    assert rep.g_zero_sup == pytest.approx(1.0)
+    assert _sampled_lipschitz_ratio(cs.f, ref_op, rng) <= 1.0 + 1e-9
+    assert _sampled_lipschitz_ratio(cs.g, ref_op, rng) <= cs.g.lipschitz_bound * (1 + 1e-9) + 1e-12
+    assert np.abs(cs.g.value(ref_op.grid, 0.0)).max() == pytest.approx(1.0)
+    assert np.isfinite(cs.f.value(ref_op.grid, 0.0)).all() and np.isfinite(cs.sigma.sup_bound)
+
+
+# every catalog kind, linear twice: its bound is attained at xi = 0 in one case and at xi = 1 in the other
+CATALOG = [
+    {"kind": "constant", "value": -0.7},
+    {"kind": "linear", "slope": -1.5, "xi_slope": 2.0, "offset": 0.3},
+    {"kind": "linear", "slope": 0.5, "xi_slope": -2.0},
+    {"kind": "linear_plus_source", "slope": -2.0, "source_amp": 1.0, "source_freq": 3, "offset": 0.1},
+    {"kind": "logistic_clipped", "amp": -0.5, "width": 0.25, "offset": 1.0},
+]
+
+
+@pytest.mark.parametrize("n_modes, grid_factor", [(4, 2), (16, 4), (33, 3)])
+@pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec["kind"])
+def test_catalog_bounds_hold_on_samples(spec, n_modes, grid_factor):
+    # the declared Lipschitz and sup bounds of each kind hold on samples, and
+    # the samples come close to them, so a bound that is too large fails too
+    op = fx.build_neumann_laplacian_1d(n_modes, grid_factor)
+    coeff = fx.make_coefficient(spec)
+    rng = np.random.Generator(np.random.Philox(key=13))
+    lip = coeff.lipschitz_bound
+    ratio = _sampled_lipschitz_ratio(coeff, op, rng)
+    assert ratio <= lip * (1 + 1e-9) + 1e-12
+    assert ratio >= 0.8 * lip
+    r = 2.0 * rng.standard_normal((200, 1))
+    assert np.abs(coeff.d_dr(op.grid, r)).max() <= lip * (1 + 1e-9) + 1e-12
+    if coeff.sup_bound is not None:
+        sup = np.abs(coeff.value(op.grid, 10.0 * r)).max()
+        assert 0.8 * coeff.sup_bound <= sup <= coeff.sup_bound
 
 
 def test_catalog_bounds():

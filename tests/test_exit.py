@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import fastexit as fx
-from conftest import build_model
-from fastexit.exit_times import _sample_in_domain
+from conftest import build_model, sample_in_domain
 
 
 def _ball(op, r=0.25):
@@ -13,11 +12,10 @@ def _ball(op, r=0.25):
 def test_build_domain_constant_section(ref_op):
     dom = _ball(ref_op, 0.25)
     assert dom.constant_section == pytest.approx((-0.5, 0.5), abs=1e-12)
-    assert dom.invariance_report.monotone_passed
-    assert dom.invariance_report.jensen_passed
+    assert dom.attraction_radius == pytest.approx(0.05, abs=1e-15)
     shifted = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, ref_op)
     assert shifted.constant_section == pytest.approx((0.3 - np.sqrt(0.5), 0.3 + np.sqrt(0.5)), abs=1e-12)
-    assert shifted.invariance_report.monotone_passed and shifted.invariance_report.jensen_passed
+    assert shifted.attraction_radius == pytest.approx(0.1 * (np.sqrt(0.5) - 0.3), abs=1e-15)
     with pytest.raises(ValueError):
         fx.build_domain({"kind": "quadratic", "scale": 1.0, "center": 1.0}, 0.5, ref_op)
     with pytest.raises(ValueError, match="kind"):
@@ -32,7 +30,7 @@ def test_sample_in_domain_lands_on_target_level(ref_op):
     dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, ref_op)
     rng = np.random.Generator(np.random.Philox(key=34))
     for _ in range(50):
-        x = _sample_in_domain(dom, rng)
+        x = sample_in_domain(dom, rng)
         g = 2.0 * (float((x**2).sum()) - 2 * 0.3 * x[0] + 0.3**2)
         assert abs(g - 0.9) <= 1e-12
 
@@ -45,12 +43,9 @@ def test_membership_is_squared_norm_for_quadratic(ref_op):
     assert g == pytest.approx(float((c**2).sum()), rel=1e-12)
 
 
-@pytest.mark.parametrize("op_kind", ["neumann_laplacian", "divergence"])
-def test_membership_parseval_matches_grid_quadrature(op_kind):
-    if op_kind == "neumann_laplacian":
-        op = fx.build_neumann_laplacian_1d(16)
-    else:
-        op = fx.build_divergence_operator_1d(lambda xi: 1.0 + 0.5 * np.sin(2 * np.pi * xi), 16, 256)
+@pytest.mark.parametrize("grid_factor", [4, 2], ids=["neumann_laplacian", "neumann_laplacian_grid2"])
+def test_membership_parseval_matches_grid_quadrature(grid_factor):
+    op = fx.build_neumann_laplacian_1d(16, grid_factor)
     dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, op)
     states = np.random.Generator(np.random.Philox(key=33)).standard_normal((200, op.n_modes))
     quadrature = (2.0 * (op.to_grid(states) - 0.3) ** 2 * op.quad_weights).sum(axis=-1)
@@ -121,6 +116,42 @@ def test_exit_hypotheses_repelling_flow_fails(ref_op):
     assert not rep.passed
     assert not (rep.flow_contained_passed and rep.flow_attracted_passed)
     assert rep.flow_witness is not None
+
+
+# F_bar for every catalog kind of f: passing, not contained, contained but not attracted
+FLOW_SPECS = [
+    {"kind": "constant", "value": 0.0},
+    {"kind": "constant", "value": 0.2},
+    {"kind": "linear", "slope": -1.0},
+    {"kind": "linear", "slope": 1.0},
+    {"kind": "linear", "slope": -1.0, "offset": 0.2},
+    {"kind": "linear", "slope": 1.0, "xi_slope": -4.0, "offset": -0.01},
+    {"kind": "linear", "slope": -1.0, "offset": 0.5},
+    {"kind": "linear_plus_source", "slope": -1.0, "source_amp": 0.1, "source_freq": 2},
+    {"kind": "linear_plus_source", "slope": -1.0, "source_amp": 0.2, "source_freq": 1},
+    {"kind": "logistic_clipped", "amp": -1.0, "width": 0.1},
+    {"kind": "logistic_clipped", "amp": -1.0, "width": 0.1, "offset": 0.95},
+    {"kind": "logistic_clipped", "amp": 1.0, "width": 0.1},
+]
+
+
+@pytest.mark.parametrize("f_spec", FLOW_SPECS, ids=lambda spec: "-".join(str(v) for v in spec.values()))
+def test_exit_hypotheses_endpoint_verdict_matches_dense_scan(ref_op, f_spec):
+    # the endpoint test of the averaged flow against a 1,001-point sign scan of F_bar per side
+    model = build_model(ref_op, f_spec=f_spec)
+    shifted = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.1}, 0.5, ref_op)
+    for dom in (_ball(ref_op, 0.25), shifted):
+        y1, y2 = dom.constant_section
+        b = dom.attraction_radius
+        left, right = model.f_bar(np.linspace(y1, -b, 1001)), model.f_bar(np.linspace(b, y2, 1001))
+        rep = fx.check_exit_hypotheses(model, dom)
+        assert rep.flow_contained_passed == bool(left[0] >= 0.0 >= right[-1])
+        assert rep.flow_attracted_passed == bool(np.all(left > 0.0) and np.all(right < 0.0))
+        assert (rep.flow_witness is None) == rep.flow_attracted_passed
+        if rep.flow_witness is not None:
+            y, f = rep.flow_witness
+            assert f == model.f_bar(y) and y in (y1, y2, -b, b)
+            assert -np.sign(y) * f <= 0.0  # at the witness F_bar does not point toward 0
 
 
 def test_exit_hypotheses_unbounded_gain_fails(ref_op):

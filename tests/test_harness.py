@@ -341,6 +341,48 @@ def test_cli_action_and_quasipotential(tmp_path):
     assert float(row["v_variational"]) == pytest.approx(0.25, rel=0.05)
 
 
+@pytest.mark.parametrize("text", [
+    "t,value\n0.0,0.5\n",                      # one node
+    "t,value\n0.0,0.5\n0.1,0.4\n0.3,0.2\n",  # non-uniform grid
+    "t,value\n0.0,0.5\n0.1,abc\n",            # non-numeric cell
+    "t\n0.0\n0.1\n",                          # no value column
+    "t,value\n",                                # no data row
+], ids=["one_row", "non_uniform", "non_numeric", "one_column", "empty"])
+def test_cli_action_rejects_malformed_path_file(tmp_path, capsys, text):
+    path_file = tmp_path / "path.csv"
+    path_file.write_text(text)
+    cfg = reference_config()
+    cfg["experiment"] = {"kind": "action", "path_file": str(path_file)}
+    p = write_config(tmp_path, cfg)
+    assert main(["action", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "experiment.path_file" in err
+
+
+def test_cli_exit_rejects_zero_gamma_without_t_max(tmp_path, capsys):
+    # alpha = beta = 0 leaves no noise and no default horizon 50 exp(V_bar / gamma)
+    cfg = reference_config(multiscale={"alpha_law": {"coeff": 0.0, "exponent": 0.25},
+                                       "beta_law": {"coeff": 0.0, "exponent": 0.25}, "rho_bar": 0.0},
+                           n_paths=4)
+    cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}}
+    p = write_config(tmp_path, cfg)
+    assert main(["exit", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'multiscale'" in err and "t_max" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_exit_repeated_gamma_no_extrapolation(tmp_path):
+    # two levels at one gamma give no line to fit: no extrapolation, and no 0 / 0
+    cfg = reference_config(multiscale={"eps": [0.0625, 0.0625]}, n_paths=8)
+    cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}, "t_max": 5.0}
+    assert run_exit(resolve_config(cfg), tmp_path) == 0
+    summary = json.loads((tmp_path / "exit_summary.json").read_text())
+    assert len(summary["levels"]) == 2
+    assert summary["extrapolation"] is None
+    assert summary["extrapolated_value"] is None and summary["relative_gap"] is None
+
+
 def test_domain_rejects_unknown_key(tmp_path, capsys):
     # a misspelt "center" must not leave the run on the default center 0
     cfg = reference_config()
@@ -437,8 +479,8 @@ def test_import_pins_openblas_threads_unless_set(preset, expected):
 
 
 def test_runs_without_an_optimizer_do_not_load_scipy(tmp_path):
-    # scipy serves the variational quasi-potential, a sign change of F_bar in the
-    # explicit one and the divergence-form operator builder; no other run loads it
+    # scipy serves the variational quasi-potential and a sign change of F_bar in
+    # the explicit one; no other run loads it
     root = Path(__file__).parents[1]
     runs = [("exit", "exit_reference"), ("average", "averaging_reference"),
             ("check", "exit_reference"), ("action", "quasipotential_reference")]

@@ -106,12 +106,13 @@ def test_duality_identity_random_paths(ref_op):
 def test_skeleton_round_trip(ref_op):
     model = _linear_drift_model(ref_op)
     rng = np.random.Generator(np.random.Philox(key=22))
-    for _ in range(3):
-        w = smooth_random_path(rng, dt=1e-4)
-        ctrl = fx.minimizing_control(model, w)
-        out = solve_controlled_ode_batch(model, w.values[:1], ctrl.times, ctrl.phi_h[None], ctrl.phi_z[None],
-                                         t_final=1.0, dt=1e-4)
-        assert np.abs(out[:, 0] - w.values).max() < 1e-6
+    paths = [smooth_random_path(rng, dt=1e-4) for _ in range(3)]
+    ctrls = [fx.minimizing_control(model, w) for w in paths]
+    out = solve_controlled_ode_batch(model, np.array([w.values[0] for w in paths]), ctrls[0].times,
+                                     np.stack([c.phi_h for c in ctrls]), np.stack([c.phi_z for c in ctrls]),
+                                     t_final=1.0, dt=1e-4)
+    for p, w in enumerate(paths):
+        assert np.abs(out[:, p] - w.values).max() < 1e-6
 
 
 def test_discrete_gradient_matches_finite_differences(ref_op):
@@ -174,13 +175,13 @@ def test_quasi_potential_divergence_form_constants(ref_op):
     # V(y) = -(1+rho)^2 / (c1 + c2 rho^2) * int_0^y int_O f(xi, s) dxi ds
     # with c1 = |sqrt(Q) m|^2 / 2 and c2 = delta0^2 |sqrt(B) Sigma N* m|^2 / 2
     model = _linear_drift_model(ref_op)
-    c1 = 0.5 * float((model.row_h(0.0, 0.0) ** 2).sum())
-    c2 = 0.5 * float((model.row_z(0.0) ** 2).sum())
+    c1 = 0.5 * float((model.row_h(0.0) ** 2).sum())
+    c2 = 0.5 * float((model.row_z() ** 2).sum())
     rho = model.rho_bar
     y = 0.7
     nodes, weights = np.polynomial.legendre.leggauss(64)
     s = 0.5 * y * (nodes + 1)
-    double_integral = 0.5 * y * float((weights * model.f_bar(0.0, s)).sum())
+    double_integral = 0.5 * y * float((weights * model.f_bar(s)).sum())
     formula = -(1 + rho) ** 2 / (c1 + c2 * rho**2) * double_integral
     assert formula == pytest.approx(fx.quasi_potential_explicit(model, y), rel=1e-12)
 

@@ -88,7 +88,7 @@ def test_limit_ode_oracles(ref_op):
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
     )
-    eq = float(model_src.f_bar(0.0, 0.0))  # equilibrium F_bar(u*) = 0 at u* = quadrature of source
+    eq = float(model_src.f_bar(0.0))  # equilibrium F_bar(u*) = 0 at u* = quadrature of source
     fixed = fx.solve_limit_ode(model_src, eq, t_final=1.0, dt=1e-3)
     assert np.abs(fixed.values - eq).max() < 1e-12
     assert eq == pytest.approx(2 / np.pi, abs=2e-4)
@@ -164,7 +164,7 @@ def test_controlled_step_forcing_with_state_dependent_gain(ref_op):
     forced = SpdeStepper(model, params, 0.01, control=lambda t: (phi_h, phi_z), control_weights=(0.6, 0.8))
     u = 0.5 * np.random.Generator(np.random.Philox(key=37)).standard_normal((64, ref_op.n_modes))
     z = forced.draw(fx.RngStream(5)._gen, 64)
-    g = model.coeffs.g.value(0.0, ref_op.grid, ref_op.to_grid(u))
+    g = model.coeffs.g.value(ref_op.grid, ref_op.to_grid(u))
     interior = ref_op.to_modes(g * ref_op.to_grid(model.q_lambdas * phi_h))
     boundary = ref_op.boundary_values @ (model.b_thetas * phi_z)  # sigma = 1
     expected = free.step(0.0, u, z) + free.phi1dt * (0.6 * interior + 0.8 * boundary)
