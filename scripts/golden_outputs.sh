@@ -6,8 +6,8 @@
 # Runs each config in configs/ and perfbench/workloads/ with its own command,
 # plus `simulate` on the averaging reference and `action` on the
 # quasi-potential reference, all with --paths 64, a fixed --seed and a fixed
-# --out under OUT_DIR.  One more exit run at --paths 160 (three blocks of 64,
-# the last one partial) exercises the tiling of several blocks.  Then prints
+# --out under OUT_DIR.  One more exit run at --paths 160 (three tiles of 64,
+# 64 and 32 rows while every path lives) exercises several tiles.  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.

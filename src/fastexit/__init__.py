@@ -9,7 +9,7 @@ exit-time law by Monte Carlo.
 
 import os
 
-# Ensembles parallelise over path blocks; a second BLAS thread on their small
+# Ensembles parallelise over shares of paths; a second BLAS thread on their small
 # products only spins.  Set before numpy loads OpenBLAS; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -5,7 +5,8 @@ emit-plots.  --seed, --paths, --threads and --out override the config and
 are recorded in config_resolved.json.
 Exit status: 0 success, 1 configuration or file error, 2 required
 hypothesis failed (a check, or a noise intensity H that vanishes where an
-action or quasi-potential needs it), 3 numerical divergence.
+action or quasi-potential needs it), 3 numerical failure: a diverged path or
+an optimizer that did not converge.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config, resolve_config
-from .errors import ConfigError, DivergenceError, NondegeneracyError
+from .errors import ConfigError, DivergenceError, NondegeneracyError, OptimizationError
 from .runs import (
     EXIT_DIVERGED,
     EXIT_HYPOTHESIS_FAILED,
@@ -87,16 +88,13 @@ def main(argv=None) -> int:
         if status != 0:
             print(f"fastexit {args.command}: finished with status {status}", file=sys.stderr)
         return status
-    except ConfigError as exc:
-        print(f"fastexit: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"fastexit: {exc}", file=sys.stderr)
         return 1
     except NondegeneracyError as exc:
         print(f"fastexit: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS_FAILED
-    except DivergenceError as exc:
+    except (DivergenceError, OptimizationError) as exc:
         print(f"fastexit: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -311,11 +311,25 @@ class NondegeneracyReport:
 
 
 def check_nondegeneracy(model: AveragedModel, u_grid, floor: float = 1e-12) -> NondegeneracyReport:
-    """Report the minimum of H over a grid of states u against a positive floor."""
-    u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if u_grid.size == 0:
+    """Report the minimum of H over an increasing grid of states u against a positive floor.
+
+    A golden-section search between the neighbours of each grid point no higher
+    than them finds a zero of H that lies between two grid points."""
+    u = np.atleast_1d(np.asarray(u_grid, dtype=float))
+    if u.size == 0:
         raise ValueError("nondegeneracy grid must be nonempty")
-    hs = model.h(u_grid)
+    hs = model.h(u)
+    padded = np.concatenate(([np.inf], hs, [np.inf]))
+    m = np.flatnonzero((hs <= padded[:-2]) & (hs <= padded[2:]))
+    a, b = u[np.maximum(m - 1, 0)], u[np.minimum(m + 1, u.size - 1)]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        hc, hd = np.split(model.h(np.concatenate([c, d])), 2)
+        lower = hc < hd
+        a, b = np.where(lower, a, c), np.where(lower, d, b)
+    u = np.concatenate([u, 0.5 * (a + b)])
+    hs = np.concatenate([hs, model.h(u[hs.size:])])
     i = int(np.argmin(hs))
     min_h = float(hs[i])
-    return NondegeneracyReport(min_h=min_h, argmin_u=float(u_grid[i]), floor=floor, passed=min_h > floor)
+    return NondegeneracyReport(min_h=min_h, argmin_u=float(u[i]), floor=floor, passed=min_h > floor)

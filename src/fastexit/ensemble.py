@@ -1,14 +1,12 @@
-"""The SPDE stepper and the one block driver that runs path ensembles with it.
+"""The SPDE stepper and the one driver that runs path ensembles with it.
 
 `SpdeStepper` advances a (P, N) batch of mode coefficients by one
 mild-solution step on a panel of standard normals, both noise channels
-included.  `run_ensemble` assigns paths to fixed-size blocks: path p lives in
-block p // BLOCK_SIZE at row p % BLOCK_SIZE, and each block draws from its own
-counter-based stream.  Per step every block with a live path draws its full
-(n_panels, BLOCK_SIZE, n_modes) panel, whether or not the block is fully
-populated or all its rows are live, so a path's draws depend only on
-(seed, block, step, row).  Only the live rows are stepped: each thread packs
-the live rows of its share of the blocks into tiles of at most BLOCK_SIZE
+included.  `run_ensemble` gives every path its own counter-based stream, so
+a path's draws depend only on (seed, level, path, step): a live path draws
+one (n_panels, N) panel per step, in chunks of steps, and a path that has
+left draws nothing more.  Only the live rows are stepped: each thread packs
+the live rows of its share of the paths into tiles of at most BLOCK_SIZE
 rows.  A step with a state-dependent gain pads its last tile to BLOCK_SIZE
 rows, so each of its products keeps one shape; any other step pads only a
 single-row last tile, to two rows.  That a row's result does not depend on
@@ -34,23 +32,23 @@ if TYPE_CHECKING:
 
 BLOCK_SIZE = 64
 DIVERGENCE_LIMIT = 1e12
-# Names the draw layout of a seeded run (recorded in run_manifest.json): per
-# block and step one (n_panels, BLOCK_SIZE, N) panel, whose last panel is the
-# additive noise drawn through the factor of its joint covariance.
-NOISE_DRAW_LAYOUT = "additive-joint/v2"
+# A path draws the normals of DRAW_STEPS steps at a time, fewer when a share's
+# buffer would pass DRAW_BYTES; the chunk length never changes a value.
+DRAW_STEPS = 32
+DRAW_BYTES = 8 << 20
+# Names the draw layout of a seeded run (recorded in run_manifest.json): path p
+# draws one (n_panels, N) panel per step from stream stream_base | p; its last
+# panel is the additive noise, drawn through the factor of its joint covariance.
+NOISE_DRAW_LAYOUT = "path-major/v3"
 
 
 def map_blocks(fn, n_paths: int, threads: int = 1):
-    """Split the blocks of n_paths into one contiguous share per thread; return [fn(share), ...].
-
-    A share is a tuple of (block_index, rows) pairs, rows being the block's
-    number of real paths (only the last block may have fewer than BLOCK_SIZE).
-    """
-    blocks = tuple((b, min(BLOCK_SIZE, n_paths - b * BLOCK_SIZE)) for b in range(-(-n_paths // BLOCK_SIZE)))
-    n_shares = max(1, min(threads, len(blocks)))
-    q, r = divmod(len(blocks), n_shares)
-    cuts = [k * q + min(k, r) for k in range(n_shares + 1)]
-    shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    """Split the paths into one range per thread, cut at multiples of BLOCK_SIZE; return [fn(share), ...]."""
+    n_blocks = -(-n_paths // BLOCK_SIZE)
+    n_shares = max(1, min(threads, n_blocks))
+    q, r = divmod(n_blocks, n_shares)
+    cuts = [min(n_paths, (k * q + min(k, r)) * BLOCK_SIZE) for k in range(n_shares + 1)]
+    shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     if n_shares == 1:
         return [fn(shares[0])]
     with ThreadPoolExecutor(max_workers=n_shares) as pool:
@@ -178,8 +176,8 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return r
 
 
-def block_stream(seed: int, block_index: int) -> RngStream:
-    return RngStream(seed=seed, stream=block_index)
+def block_stream(seed: int, stream: int) -> RngStream:
+    return RngStream(seed=seed, stream=stream)
 
 
 def diverged_mask(u: np.ndarray) -> np.ndarray:
@@ -191,51 +189,47 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
                  seed: int, stream_base: int, threads: int, observer) -> list[np.ndarray]:
     """Step n_paths copies of x0 for up to n_steps steps; return per-path columns.
 
-    Each thread steps its share of the blocks together.  observer(u0) starts
-    the measurement of a share, u0 holding one row per block row.  At step i
-    (from i dt to (i + 1) dt) every block with a live row draws its full
-    panel; the live rows alone are gathered, in path order, into tiles of
-    BLOCK_SIZE rows and stepped.  The last tile is padded with zero rows: to
-    BLOCK_SIZE rows when the stepper has an interior panel, else only from one
-    row to two.  A row's result must not depend on the tile height, which the
-    BLAS gives from 2 to BLOCK_SIZE rows and
-    `test_run_ensemble_tiles_keep_surviving_rows` checks.  The rows that diverged
-    are zeroed and cleared from `live`, then observe(i, u, idx, live, bad) runs
-    on the live rows u, whose share-row indices are idx, and may clear more
-    rows from `live`.  A share stops once no row is live; finish(live) gets the
-    share-wide mask of rows still live and returns per-row columns.  Block b
-    draws from stream stream_base | b.
+    Each thread steps its share of the paths together.  observer(u0) starts
+    the measurement of a share, u0 holding one row per path.  Path p draws
+    from stream stream_base | p: every few steps each live path refills its
+    own buffer with one draw, and step i (from i dt to (i + 1) dt) reads its
+    panel for i.  The live rows are gathered, in path order, into padded
+    tiles (module docstring) and stepped.  The rows that diverged are zeroed
+    and cleared from `live`, then observe(i, u, idx, live, bad) runs on the
+    live rows u, whose share-row indices are idx, and may clear more rows
+    from `live`.  A share stops once no row is live; finish(live) gets the
+    share-wide mask of rows still live and returns per-row columns.
     """
-    n_modes = x0.shape[0]
+    n_modes, n_panels = x0.shape[0], stepper.n_panels
 
-    def run_share(blocks):
-        n_rows = len(blocks) * BLOCK_SIZE
-        gens = [block_stream(seed, stream_base | b)._gen for b, _ in blocks]
+    def run_share(paths):
+        n_rows = len(paths)
         u = np.tile(x0, (n_rows, 1))
         obs = observer(u)
-        idx = np.concatenate([k * BLOCK_SIZE + np.arange(rows) for k, (_, rows) in enumerate(blocks)])
-        u = u[idx]
-        z = np.zeros((stepper.n_panels, n_rows, n_modes)) if stepper.n_panels else None
+        idx = np.arange(n_rows)
+        if n_panels:
+            gens = [block_stream(seed, stream_base | p)._gen for p in paths]
+            n_draw = max(1, min(DRAW_STEPS, DRAW_BYTES // (8 * n_rows * n_panels * n_modes)))
+            buf = np.empty((n_rows, n_draw, n_panels, n_modes))
         retired = True
         for i in range(n_steps):
-            if retired:  # re-plan the draws and the tiles for the new live rows
+            if retired:  # re-plan the tiles for the new live rows
                 n = idx.size
                 if n == 0:
                     break
-                # bincount, not unique: a sort would page in numpy's sort kernels, ~1.7 MB of RSS
-                live_blocks = np.flatnonzero(np.bincount(idx // BLOCK_SIZE)) if stepper.n_panels else []
-                drawing = [(gens[k], slice(k * BLOCK_SIZE, (k + 1) * BLOCK_SIZE)) for k in live_blocks]
                 if stepper.has_q:
                     n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
                 else:  # no tile of a single row
                     n_tile_rows = n + (n % BLOCK_SIZE == 1)
                 ut = np.zeros((n_tile_rows, n_modes))
                 ut[:n] = u
-                zt = z if z is None or n == n_rows else np.zeros((stepper.n_panels, n_tile_rows, n_modes))
-            for gen, rows in drawing:
-                z[:, rows] = stepper.draw(gen, BLOCK_SIZE)
-            if zt is not z:
-                zt[:, :n] = z[:, idx]
+                zt = np.zeros((n_panels, n_tile_rows, n_modes)) if n_panels else None
+            if n_panels:
+                j = i % n_draw
+                if j == 0:
+                    for p in idx.tolist():
+                        gens[p].standard_normal(out=buf[p])
+                zt[:, :n] = (buf[:, j] if n == n_rows else buf[idx, j]).swapaxes(0, 1)
             t = i * stepper.dt
             tiles = [stepper.step(t, ut[s:s + BLOCK_SIZE], None if zt is None else zt[:, s:s + BLOCK_SIZE])
                      for s in range(0, n_tile_rows, BLOCK_SIZE)]
@@ -252,8 +246,7 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
                 idx, u = idx[live], u[live]
         live_end = np.zeros(n_rows, dtype=bool)
         live_end[idx] = True
-        n_real = sum(rows for _, rows in blocks)
-        return [col[:n_real] for col in obs.finish(live_end)]
+        return obs.finish(live_end)
 
     shares = map_blocks(run_share, n_paths, threads)
     return [np.concatenate(cols) for cols in zip(*shares)]

@@ -204,9 +204,9 @@ def exit_time_mc(
     Per level, n_paths forward solves run until the membership level is
     crossed or t_max is reached (default 50 exp(V_bar / gamma), capped at
     t_max_cap so runs stay deterministic and bounded; a level with gamma = 0
-    has no default and raises ValueError).  Paths live in fixed
-    blocks with one counter-based stream per (level, block), so results are
-    bit-reproducible for a given seed under any thread count.
+    has no default and raises ValueError).  Path p of level l draws from its
+    own stream (l << 32) | p, so a path's exit time is bit-reproducible for a
+    given seed under any thread count and path count.
     """
     g0 = membership_values(dom, x)
     if g0 >= dom.level:

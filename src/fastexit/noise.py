@@ -31,8 +31,8 @@ per-mode variance sum_j (lambda_j M_kj)^2 v_k with M_kj = <g e_j, e_k> frozen
 at the step start (weak order 1/2), without its cross-mode covariance.
 
 Randomness comes from counter-based Philox generators keyed by
-(seed, stream), so a fixed (seed, stream, call sequence) reproduces draws
-bit-for-bit under any parallel schedule.
+(seed, stream), one stream per path, so a path's draws depend only on the
+seed, its stream and its step, under any parallel schedule.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ def make_b_spectrum(spec: dict) -> np.ndarray:
 class RngStream:
     """Counter-based Gaussian stream keyed by (seed, stream id).
 
-    A stream is owned by exactly one in-flight path (or path block); identical
-    (seed, stream, call sequence) yields bit-identical draws regardless of
-    what other streams do.
+    A stream is owned by exactly one path; identical (seed, stream, call
+    sequence) yields bit-identical draws regardless of what other streams do.
     """
 
     seed: int

@@ -5,7 +5,7 @@ Every run writes the fully resolved config and a manifest (config hash, code
 version, per-output checksums, wall clock, path counts) next to its outputs,
 so a results directory is self-describing and re-runnable.  Process exit
 status convention: 0 success, 2 required hypothesis failed, 3 numerical
-divergence.
+failure.
 """
 
 from __future__ import annotations
@@ -108,10 +108,6 @@ def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
     eig = check_hyp_eigenvalues(dim, model.q_lambdas, _default_sup_norms(system), model.b_thetas)
     checks["eigenvalue_condition"] = _jsonable(eig)
 
-    floor = cfg["experiment"]["nondegeneracy_floor"]
-    nd = check_nondegeneracy(model, np.linspace(-2.0, 2.0, 41), floor=floor)
-    checks["nondegeneracy"] = _jsonable(nd)
-
     ms = cfg["multiscale"]
     declared = model.rho_bar
     limit = rho_bar_limit(ms["alpha_law"], ms["beta_law"])
@@ -127,6 +123,7 @@ def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
     }
 
     dom = None
+    span = (-2.0, 2.0)
     if cfg["experiment"].get("domain"):
         dspec = dict(cfg["experiment"]["domain"])
         level = dspec.pop("level")
@@ -139,33 +136,32 @@ def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
             x0_in = bool(membership_values(dom, system.x0) < level)
             checks["exit_hypotheses"]["x0_inside_domain"] = x0_in
             checks["exit_hypotheses"]["passed"] = bool(checks["exit_hypotheses"]["passed"] and x0_in)
+            y1, y2 = dom.constant_section  # an exit path moves on the whole section
+            span = (min(y1, span[0]), max(y2, span[1]))
+
+    floor = cfg["experiment"]["nondegeneracy_floor"]
+    checks["nondegeneracy"] = _jsonable(check_nondegeneracy(model, np.linspace(*span, 41), floor=floor))
     return checks, dom
 
 
-def required_check_names(kind: str, checks: dict) -> list[str]:
-    base = ["eigenvalue_condition", "nondegeneracy", "rho_bar_consistency"]
+def _write_check_report(out_dir: Path, kind: str, checks: dict) -> tuple[Path, bool]:
+    """Write check_report.json; return its path and whether every check a run of `kind` requires passed."""
+    required = ["eigenvalue_condition", "nondegeneracy", "rho_bar_consistency"]
     if kind == "exit" or (kind == "check" and "exit_hypotheses" in checks):
-        base.append("exit_hypotheses")
-    return base
+        required.append("exit_hypotheses")
+    missing = [n for n in required if n not in checks]
+    passed = not missing and all(checks[n]["passed"] for n in required)
+    path = out_dir / "check_report.json"
+    _write_json(path, {"passed": passed, "required": required, "missing": missing, "checks": checks})
+    return path, passed
 
 
 def run_check(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
-    system = build_system(resolved)
-    checks, _ = hypothesis_checks(system)
-    required = required_check_names(resolved["experiment"]["kind"], checks)
-    missing = [n for n in required if n not in checks]
-    all_passed = not missing and all(checks[n].get("passed", False) for n in required)
-    report = {
-        "passed": all_passed,
-        "required": required,
-        "missing": missing,
-        "checks": checks,
-    }
-    path = out_dir / "check_report.json"
-    _write_json(path, report)
+    checks, _ = hypothesis_checks(build_system(resolved))
+    path, passed = _write_check_report(out_dir, resolved["experiment"]["kind"], checks)
     finalize_run(out_dir, resolved, [path], started, 0)
-    return EXIT_OK if all_passed else EXIT_HYPOTHESIS_FAILED
+    return EXIT_OK if passed else EXIT_HYPOTHESIS_FAILED
 
 
 def _check_solver_grid(sol: dict) -> None:
@@ -319,10 +315,7 @@ def run_exit(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
     system = build_system(resolved)
     checks, dom = hypothesis_checks(system)
-    required = required_check_names("exit", checks)
-    check_path = out_dir / "check_report.json"
-    passed = all(checks.get(n, {}).get("passed", False) for n in required)
-    _write_json(check_path, {"passed": passed, "required": required, "checks": checks})
+    check_path, passed = _write_check_report(out_dir, "exit", checks)
     if not passed:
         finalize_run(out_dir, resolved, [check_path], started, 0)
         return EXIT_HYPOTHESIS_FAILED

@@ -292,9 +292,9 @@ def averaging_error_ensemble(
     """Monte Carlo panel of sup_{[delta, T]} |u - ref e_0|_{H_mu} per path.
 
     Returns (errors, sup_norms) where sup_norms[p] = sup_t |u_p(t)|_H, used by
-    the eps-uniform moment probe.  Paths live in fixed blocks with one
-    counter-based stream per block, so the panel is reproducible for a given
-    seed under any thread count.
+    the eps-uniform moment probe.  Path p draws from its own stream
+    stream_base | p, so the panel is reproducible for a given seed under any
+    thread count and path count.
     """
     if not (0 < delta < t_final):
         raise ValueError(f"delta = {delta!r} must lie in (0, t_final = {t_final!r})")

@@ -5,11 +5,13 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fastexit
+import fastexit.ldp
 from fastexit.cli import main
 from fastexit.config import build_system, resolve_config, rho_bar_limit
 from fastexit.errors import ConfigError
@@ -369,6 +371,55 @@ def test_cli_exit_rejects_zero_gamma_without_t_max(tmp_path, capsys):
     assert main(["exit", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "'multiscale'" in err and "t_max" in err
+
+
+def test_nondegeneracy_spans_the_exit_section(tmp_path):
+    # g = tanh(r / 2) - 0.9 vanishes at r = 2 atanh(0.9) = 2.944, inside the
+    # section (-3, 3) but outside [-2, 2] and between grid points; rho_bar = 0
+    # leaves no boundary noise, so H vanishes there too
+    cfg = reference_config(
+        coefficients={
+            "f": {"kind": "linear", "slope": -1.0},
+            "g": {"kind": "logistic_clipped", "amp": 1.0, "width": 2.0, "offset": -0.9},
+            "sigma": {"kind": "constant", "value": 1.0},
+        },
+        multiscale={"rho_bar": 0.0, "beta_law": {"coeff": 0.0, "exponent": 0.25}},
+        n_paths=4,
+    )
+    cfg["experiment"] = {"kind": "check", "domain": {"level": 9.0}, "t_max": 1.0}
+    p = write_config(tmp_path, cfg)
+    reports = {}
+    for kind in ("check", "exit"):
+        assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 2
+        reports[kind] = json.loads((tmp_path / kind / "check_report.json").read_text())
+    nd = reports["check"]["checks"]["nondegeneracy"]
+    assert not nd["passed"] and nd["argmin_u"] == pytest.approx(2 * np.arctanh(0.9), abs=1e-6)
+    # both runs write one report: the same keys, and the same verdict on the same checks
+    assert reports["check"].keys() == reports["exit"].keys()
+    assert reports["check"]["missing"] == reports["exit"]["missing"] == []
+    assert reports["check"]["checks"] == reports["exit"]["checks"]
+
+
+def test_cli_exit_optimizer_failure_is_numerical(tmp_path, capsys, monkeypatch):
+    # a multiplicative model gets V_bar from the path optimizer; one that does
+    # not converge ends the run with status 3 and one line, not a traceback
+    def unconverged(fun, x0, **kwargs):
+        return SimpleNamespace(x=x0, fun=1.0, jac=np.ones_like(x0), success=False, nit=0)
+
+    monkeypatch.setattr(fastexit.ldp, "minimize", unconverged)
+    cfg = reference_config(
+        coefficients={
+            "f": {"kind": "linear", "slope": -1.0},
+            "g": {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0},
+            "sigma": {"kind": "constant", "value": 1.0},
+        },
+        n_paths=4,
+    )
+    cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}, "t_max": 1.0}
+    p = write_config(tmp_path, cfg)
+    assert main(["exit", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "did not converge" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -260,21 +260,45 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
     first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1), 100, 50,
                                    seed=1, stream_base=0, threads=1, observer=Recorder)
     assert first_bad.shape == (100,) and np.all(first_bad == 0) and not live.any()
-    assert steps_seen == [0]  # one share of two blocks, stopped once no row was live
+    assert steps_seen == [0]  # one share of 100 paths in two tiles, stopped once no row was live
     # the check is on the norm, so it flags NaN and inf as well
     states = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.8e12, 0.8e12], [0.7e12, 0.7e12]])
     assert diverged_mask(states).tolist() == [True, True, True, False]
 
 
 @pytest.mark.parametrize("g_spec", [None, {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}])
+def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
+    # one path with stream_base = s follows solve_spde on RngStream(seed, s),
+    # across refills of its draw buffer; only the tile height differs
+    model = build_model(ref_op, g_spec=g_spec)
+    params = _params(eps=0.05, alpha=0.3, beta=0.3)
+    x0, n_steps, stream = ref_op.constant_field(0.2), 80, (2 << 32) | 5
+    traj = fx.solve_spde(model, params, x0, n_steps * 0.01, 0.01, fx.RngStream(3, stream))
+
+    class Recorder:
+        def __init__(self, u0):
+            self.states = np.empty((n_steps, u0.shape[1]))
+
+        def observe(self, i, u, idx, live, bad):
+            self.states[i] = u[0]
+
+        def finish(self, live):
+            return (self.states,)
+
+    stepper = SpdeStepper(model, params, traj.times[1])
+    states, = run_ensemble(stepper, x0, 1, n_steps, 3, stream, 1, Recorder)
+    assert np.abs(states - traj.states[1:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("g_spec", [None, {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, threads):
     # retiring rows compacts the live rows into other tiles and stops the
-    # draws of emptied blocks; every row steps bit-identically while it lives
+    # draws of retired paths; every row steps bit-identically while it lives
     model = build_model(ref_op, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
     n_paths, n_steps = 160, 40
-    # retirement step per row of a share: the first block of each share
+    # retirement step per row of a share: the first 64 rows of each share
     # empties early, and over the last ten steps one row is left alone
     retire_at = np.random.Generator(np.random.Philox(key=34)).integers(0, n_steps - 10, 3 * 64)
     retire_at[:64] = np.minimum(retire_at[:64], 5)
