@@ -2,16 +2,19 @@
 
 Coefficients come from a small registered catalog of closed forms rather than
 arbitrary user code, so configs stay reproducible and Lipschitz / sup bounds
-are bookkept exactly:
+are bookkept exactly.  Every kind is separable, c(xi, r) = a(xi) phi(r) + b(xi),
+with the shape phi and the profile (a, b):
 
-    constant            c
-    linear              (slope + xi_slope * xi) * r + offset
-    linear_plus_source  slope * r + source_amp * sin(source_freq * pi * xi) + offset
-    logistic_clipped    amp * tanh(r / width) + offset   (bounded, smooth)
+    kind                phi(r)           a(xi)                 b(xi)
+    constant            r                0                     value
+    linear              r                slope + xi_slope xi   offset
+    linear_plus_source  r                slope                 source_amp sin(source_freq pi xi) + offset
+    logistic_clipped    tanh(r / width)  amp                   offset
 
-Every catalog coefficient is autonomous: f and g are functions of (xi, r),
-and the boundary gain sigma is either one value for both boundary points or
-a value per point.
+`value` and `d_dr` = a phi'(r) are derived from that one definition; a
+logistic width must be nonzero.  Every catalog coefficient is autonomous: f
+and g are functions of (xi, r), and the boundary gain sigma is either one
+value for both boundary points or a value per point.
 
 Averaging replaces the reaction term f(xi, r) by its integral against the
 invariant measure mu, Lebesgue measure on O = (0, 1) (density m = 1),
@@ -27,8 +30,11 @@ whose squared norms combine into the scalar noise intensity
 
     H(u) = ( |row_H|^2 + rho_bar^2 |row_Z|^2 ) / (1 + rho_bar)^2,
 
-with the rho_bar = inf case defined as the limit |row_Z|^2.  The adjoint
-Neumann map evaluates as (N*_delta m)(p) = sum_k <m, e_k> e_k(p) / (delta + alpha_k);
+with the rho_bar = inf case defined as the limit |row_Z|^2.  At a constant
+state u the xi-integrals separate: F_bar(u) = <a_f> phi_f(u) + <b_f> and
+row_H(u) = phi_g(u) sqrt(Q)[a_g m] + sqrt(Q)[b_g m], so each averaged form is
+integrated once per model and costs O(N) per state.  The adjoint Neumann
+map evaluates as (N*_delta m)(p) = sum_k <m, e_k> e_k(p) / (delta + alpha_k);
 for m = 1 = e_0 only the k = 0 term survives and delta0 cancels, which is why
 the boundary row does not depend on delta0.
 """
@@ -94,34 +100,45 @@ class Coefficient:
 
     def __post_init__(self):
         params = catalog_params(_COEFF_KINDS, "coefficient", {**self.params, "kind": self.kind})
+        if self.kind == "logistic_clipped" and params["width"] == 0:
+            raise ValueError("coefficient kind 'logistic_clipped': width must be nonzero")
         object.__setattr__(self, "params", params)
 
-    def value(self, xi, r):
+    def profile(self, xi):
+        """(a(xi), b(xi)) of the separable form c(xi, r) = a(xi) phi(r) + b(xi)."""
         p = self.params
         xi = np.asarray(xi, dtype=float)
-        r = np.asarray(r, dtype=float)
+        one = np.ones_like(xi)
         if self.kind == "constant":
-            return np.broadcast_to(p["value"], np.broadcast_shapes(xi.shape, r.shape)).copy()
+            return np.zeros_like(xi), p["value"] * one
         if self.kind == "linear":
-            return (p["slope"] + p["xi_slope"] * xi) * r + p["offset"]
+            return p["slope"] + p["xi_slope"] * xi, p["offset"] * one
         if self.kind == "linear_plus_source":
-            src = p["source_amp"] * np.sin(p["source_freq"] * np.pi * xi)
-            return p["slope"] * r + src + p["offset"]
-        # logistic_clipped
-        return p["amp"] * np.tanh(r / p["width"]) + p["offset"] + 0.0 * xi
+            return p["slope"] * one, p["source_amp"] * np.sin(p["source_freq"] * np.pi * xi) + p["offset"]
+        return p["amp"] * one, p["offset"] * one
+
+    @property
+    def shape_is_identity(self) -> bool:
+        """phi(r) = r: the coefficient is affine in r."""
+        return self.kind != "logistic_clipped"
+
+    def phi(self, r):
+        r = np.asarray(r, dtype=float)
+        return r if self.shape_is_identity else np.tanh(r / self.params["width"])
+
+    def phi_prime(self, r):
+        r = np.asarray(r, dtype=float)
+        if self.shape_is_identity:
+            return np.ones_like(r)
+        w = self.params["width"]
+        return (1.0 - np.tanh(r / w) ** 2) / w  # sech^2, without the overflow of cosh
+
+    def value(self, xi, r):
+        a, b = self.profile(xi)
+        return a * self.phi(r) + b
 
     def d_dr(self, xi, r):
-        p = self.params
-        xi = np.asarray(xi, dtype=float)
-        r = np.asarray(r, dtype=float)
-        shape = np.broadcast_shapes(xi.shape, r.shape)
-        if self.kind == "constant":
-            return np.zeros(shape)
-        if self.kind == "linear":
-            return np.broadcast_to(p["slope"] + p["xi_slope"] * xi, shape).copy()
-        if self.kind == "linear_plus_source":
-            return np.broadcast_to(p["slope"], shape).copy()
-        return p["amp"] / p["width"] * (1.0 / np.cosh(r / p["width"]) ** 2) + 0.0 * xi
+        return self.profile(xi)[0] * self.phi_prime(r)
 
     @property
     def lipschitz_bound(self) -> float:
@@ -259,29 +276,33 @@ class AveragedModel:
         m_modes = self.op.quad_weights @ self.op.modes_on_grid.T  # the modes of m = 1
         return (m_modes / (self.delta0 + self.op.eigenvalues)) @ self.op.boundary_values
 
+    @cached_property
+    def _f_means(self) -> tuple[float, float]:
+        """(<a_f>, <b_f>): the integrals over O of f's profile, so F_bar(u) = <a_f> phi_f(u) + <b_f>."""
+        a, b = self.coeffs.f.profile(self.op.grid)
+        return float(a @ self.op.quad_weights), float(b @ self.op.quad_weights)
+
+    @cached_property
+    def _g_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(Q)[a_g m] and sqrt(Q)[b_g m] in modes, so row_H(u) = phi_g(u) sqrt(Q)[a_g m] + sqrt(Q)[b_g m]."""
+        a, b = self.coeffs.g.profile(self.op.grid)
+        return self.q_lambdas * self.op.to_modes(a), self.q_lambdas * self.op.to_modes(b)
+
     def f_bar(self, u):
         """F_bar(u): integral of f(., u) over O."""
-        u = np.asarray(u, dtype=float)
-        vals = self.coeffs.f.value(self.op.grid, u[..., None])
-        return (vals * self.op.quad_weights).sum(axis=-1)
+        a, b = self._f_means
+        return a * self.coeffs.f.phi(u) + b
 
     def f_bar_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        vals = self.coeffs.f.d_dr(self.op.grid, u[..., None])
-        return (vals * self.op.quad_weights).sum(axis=-1)
+        return self._f_means[0] * self.coeffs.f.phi_prime(u)
 
     def row_h(self, u):
         """sqrt(Q)[g(., u) m] as mode coefficients; shape (..., N)."""
-        u = np.asarray(u, dtype=float)
-        g_vals = self.coeffs.g.value(self.op.grid, u[..., None])
-        proj = (g_vals * self.op.quad_weights) @ self.op.modes_on_grid.T
-        return self.q_lambdas * proj
+        a, b = self._g_rows
+        return self.coeffs.g.phi(u)[..., None] * a + b
 
     def row_h_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        g_vals = self.coeffs.g.d_dr(self.op.grid, u[..., None])
-        proj = (g_vals * self.op.quad_weights) @ self.op.modes_on_grid.T
-        return self.q_lambdas * proj
+        return self.coeffs.g.phi_prime(u)[..., None] * self._g_rows[0]
 
     def row_z(self) -> np.ndarray:
         """delta0 sqrt(B)[Sigma N*_delta0 m] at the two boundary points."""

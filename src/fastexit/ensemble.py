@@ -2,19 +2,20 @@
 
 `SpdeStepper` advances a (P, N) batch of mode coefficients by one
 mild-solution step on a panel of standard normals, both noise channels
-included.  `run_ensemble` gives every path its own counter-based stream, so
-a path's draws depend only on (seed, level, path, step): a live path draws
-one (n_panels, N) panel per step, in chunks of steps, and a path that has
-left draws nothing more.  Only the live rows are stepped: each thread packs
-the live rows of its share of the paths into tiles of at most BLOCK_SIZE
-rows.  A step with a state-dependent gain pads its last tile to BLOCK_SIZE
-rows, so each of its products keeps one shape; any other step pads only a
-single-row last tile, to two rows.  That a row's result does not depend on
-the other rows at any tile height from 2 to BLOCK_SIZE is a property of the
-BLAS, not of this code (a 1-row product takes another kernel), and
+included; a reaction affine in the state is one N x N matrix in mode space.
+`run_ensemble` gives every path its own counter-based stream, so a path's
+draws depend only on (seed, level, path, step): a live path draws one
+(n_panels, N) panel per step, in chunks of steps, and a path that has left
+draws nothing more.  Only the live rows are stepped: each thread packs the
+live rows of its share of the paths into tiles of at most BLOCK_SIZE rows.
+A step with a state-dependent gain pads its last tile to BLOCK_SIZE rows, so
+each of its products keeps one shape; any other step pads only a single-row
+last tile, to two rows.  That a row's result does not depend on the other
+rows at any tile height from 2 to BLOCK_SIZE is a property of the BLAS, not
+of this code (a 1-row product takes another kernel), and
 `test_run_ensemble_tiles_keep_surviving_rows` guards it for both kinds of
-step.  Results are therefore independent of the total path count, the thread
-count, and the execution schedule.
+noise and both kinds of reaction.  Results are therefore independent of the
+total path count, the thread count, and the execution schedule.
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ class SpdeStepper:
     """One-step mild-solution update of (model, params), vectorized over a batch of paths.
 
     The linear part is integrated exactly (diagonal exponential), the
-    reaction term with the phi1 weight.  The additive noise of a step is one
+    reaction term with the phi1 weight.  A reaction with the identity shape,
+    f = a_f(xi) r + b_f(xi) (kinds constant, linear, linear_plus_source),
+    folds with the decay into one matrix: the update is u @ K + c with
+    K = diag(decay) + (E diag(a_f w) E^T) diag(phi1dt), c = phi1dt (b_f w) E^T,
+    E the modes on the grid and w the quadrature weights, and the state goes
+    to the grid only when the gain needs grid values.  A logistic f is
+    evaluated on the grid.  The additive noise of a step is one
     centered Gaussian vector with the exact covariance C = C_B + C_Q,
 
         C_B[k, l] = beta^2 sum_j theta_j^2 b_kj b_lj W_kl,   W_kl = int_0^dt exp(-(a_k + a_l) s) ds,
@@ -113,6 +120,12 @@ class SpdeStepper:
         self.factor = _psd_factor(cov) if np.any(cov != 0.0) else None
         self.n_panels = int(self.has_q) + int(self.factor is not None)
         self.control = control
+        self.needs_g = self.has_q or (control is not None and self.g_const is None)
+        self.affine = None
+        if cs.f.shape_is_identity:  # f = a_f r + b_f: decay and reaction are u @ K + c
+            a, b = cs.f.profile(op.grid)
+            self.affine = (np.diag(self.decay) + op.to_modes(op.modes_on_grid * a) * self.phi1dt,
+                           self.phi1dt * op.to_modes(b))
         if control is not None:
             if control_weights is None:
                 if params.gamma == 0:
@@ -128,12 +141,13 @@ class SpdeStepper:
     def step(self, t: float, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
         """Advance a (P, N) batch of mode coefficients from t to t + dt on the panel z = draw(gen, P)."""
         op = self.op
-        grid_u = u @ op.modes_on_grid
-        f_vals = self.cs.f.value(op.grid, grid_u)
-        f_modes = (f_vals * op.quad_weights) @ op.modes_on_grid.T
-        new = self.decay * u + self.phi1dt * f_modes
-        needs_g = self.has_q or (self.control is not None and self.g_const is None)
-        g_vals = self.cs.g.value(op.grid, grid_u) if needs_g else None
+        grid_u = u @ op.modes_on_grid if self.needs_g or self.affine is None else None
+        if self.affine is None:
+            new = self.decay * u + self.phi1dt * op.to_modes(self.cs.f.value(op.grid, grid_u))
+        else:
+            k, c = self.affine
+            new = u @ k + c
+        g_vals = self.cs.g.value(op.grid, grid_u) if self.needs_g else None
         if self.control is not None:
             new += self.phi1dt * self._control_forcing(t, g_vals)
         if self.has_q:

@@ -203,3 +203,50 @@ def test_catalog_bounds():
     assert f.sup_bound is None
     with pytest.raises(ValueError):
         fx.make_coefficient({"kind": "cubic", "a": 1.0})
+    with pytest.raises(ValueError, match="width"):
+        fx.make_coefficient({"kind": "logistic_clipped", "amp": 0.5, "width": 0.0})
+
+
+def test_logistic_derivative_does_not_overflow():
+    # sech^2(r / w) is 0 in floating point far out, and cosh would overflow on the way there
+    g = fx.make_coefficient({"kind": "logistic_clipped", "amp": 1.0, "width": 0.5})
+    with np.errstate(all="raise"):
+        d = g.d_dr(0.3, np.array([-400.0, 400.0]))  # |r / w| = 800
+    assert np.all(np.isfinite(d)) and np.all(d == 0.0)
+
+
+# every catalog kind, each as f and as g
+SEPARABLE = [
+    {"kind": "constant", "value": 0.7},
+    {"kind": "linear", "slope": -1.2, "xi_slope": 0.8, "offset": 0.3},
+    {"kind": "linear_plus_source", "slope": -1.0, "source_amp": 0.6, "source_freq": 2, "offset": 0.1},
+    {"kind": "logistic_clipped", "amp": 0.5, "width": 0.7, "offset": 1.0},
+]
+
+
+@pytest.mark.parametrize("role", ["f", "g"])
+@pytest.mark.parametrize("spec", SEPARABLE, ids=lambda spec: spec["kind"])
+def test_averaged_forms_match_grid_quadrature(ref_op, spec, role):
+    # the averaged forms, built from each coefficient's xi-integrals, equal the
+    # grid quadrature of f and g at the constant state u, for any shape of u
+    model = build_model(ref_op, **{f"{role}_spec": spec}, q_spec={"kind": "power", "amp": 1.3, "exponent": 0.5})
+    f, g = model.coeffs.f, model.coeffs.g
+    e, w = ref_op.modes_on_grid, ref_op.quad_weights
+    w_h, w_z = model.weights
+    rz = model.row_z()
+    for u in (0.4, np.linspace(-2.0, 2.0, 7), np.array([[-1.5, 0.0, 0.3], [0.9, 2.5, -0.2]])):
+        grid_u = np.asarray(u)[..., None]
+        row = model.q_lambdas * ((g.value(ref_op.grid, grid_u) * w) @ e.T)
+        row_prime = model.q_lambdas * ((g.d_dr(ref_op.grid, grid_u) * w) @ e.T)
+        want = {
+            "f_bar": (f.value(ref_op.grid, grid_u) * w).sum(axis=-1),
+            "f_bar_prime": (f.d_dr(ref_op.grid, grid_u) * w).sum(axis=-1),
+            "row_h": row,
+            "row_h_prime": row_prime,
+            "h": w_h**2 * (row * row).sum(axis=-1) + w_z**2 * (rz * rz).sum(),
+            "h_prime": 2.0 * w_h**2 * (row * row_prime).sum(axis=-1),
+        }
+        for name, expected in want.items():
+            got = getattr(model, name)(u)
+            assert np.shape(got) == expected.shape, name
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13, err_msg=name)

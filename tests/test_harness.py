@@ -373,6 +373,18 @@ def test_cli_exit_rejects_zero_gamma_without_t_max(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "'multiscale'" in err and "t_max" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_rejects_logistic_width_zero(tmp_path, capsys):
+    # tanh(r / 0) has no derivative: the config is rejected before any run
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "quasipotential_reference.json").read_text())
+    cfg["coefficients"]["g"] = {"kind": "logistic_clipped", "amp": 0.5, "width": 0.0, "offset": 1.0}
+    p = write_config(tmp_path, cfg)
+    for kind in ("check", "quasipotential"):
+        assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'coefficients'" in err and "width" in err
+
+
 def test_nondegeneracy_spans_the_exit_section(tmp_path):
     # g = tanh(r / 2) - 0.9 vanishes at r = 2 atanh(0.9) = 2.944, inside the
     # section (-3, 3) but outside [-2, 2] and between grid points; rho_bar = 0

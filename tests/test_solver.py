@@ -8,6 +8,9 @@ from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
 
 
+LOGISTIC = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
+
+
 def _params(eps=1.0, alpha=0.0, beta=0.0):
     return fx.MultiscaleParams(eps=eps, alpha=alpha, beta=beta)
 
@@ -60,6 +63,27 @@ def test_spde_zero_mean_data_collapses(ref_op):
                          t_final=0.05, dt=1e-3, rng=fx.RngStream(3))
     after = traj.times >= 0.01
     assert ref_op.hmu_norm(traj.states[after]).max() < 1e-16
+
+
+@pytest.mark.parametrize("f_spec", [
+    {"kind": "linear", "slope": -1.0, "xi_slope": 2.0, "offset": 0.3},
+    {"kind": "linear_plus_source", "slope": -1.0, "source_amp": 0.6, "source_freq": 2, "offset": 0.1},
+], ids=lambda spec: spec["kind"])
+@pytest.mark.parametrize("n_rows", [1, 2, 64])
+def test_spde_affine_reaction_step_equals_grid_round_trip(ref_op, f_spec, n_rows):
+    # an f affine in r steps as u @ K + c, which equals the reaction on the grid
+    model = build_model(ref_op, f_spec=f_spec)
+    stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
+    if f_spec["kind"] == "linear":  # a reaction that depends on xi couples the modes
+        k = stepper.affine[0]
+        assert np.abs(k - np.diag(k.diagonal())).max() > 1e-3
+    rng = np.random.Generator(np.random.Philox(key=8))
+    u = rng.standard_normal((n_rows, ref_op.n_modes))
+    z = stepper.draw(rng, n_rows)
+    e, w = ref_op.modes_on_grid, ref_op.quad_weights
+    f_modes = (model.coeffs.f.value(ref_op.grid, u @ e) * w) @ e.T
+    want = stepper.decay * u + stepper.phi1dt * f_modes + z[-1] @ stepper.factor
+    np.testing.assert_allclose(stepper.step(0.0, u, z), want, rtol=1e-13, atol=1e-13)
 
 
 def test_spde_divergence_detection(ref_op):
@@ -266,7 +290,7 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
     assert diverged_mask(states).tolist() == [True, True, True, False]
 
 
-@pytest.mark.parametrize("g_spec", [None, {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}])
+@pytest.mark.parametrize("g_spec", [None, LOGISTIC])
 def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
     # one path with stream_base = s follows solve_spde on RngStream(seed, s),
     # across refills of its draw buffer; only the tile height differs
@@ -290,12 +314,14 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
     assert np.abs(states - traj.states[1:]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("g_spec", [None, {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}])
+# the default linear f steps as one matrix, a logistic f on the grid
+@pytest.mark.parametrize("g_spec, f_spec", [(None, None), (LOGISTIC, None), (None, LOGISTIC)],
+                         ids=["None", "g_spec1", "f_spec2"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, threads):
+def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, f_spec, threads):
     # retiring rows compacts the live rows into other tiles and stops the
     # draws of retired paths; every row steps bit-identically while it lives
-    model = build_model(ref_op, g_spec=g_spec)
+    model = build_model(ref_op, f_spec=f_spec, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
     n_paths, n_steps = 160, 40
     # retirement step per row of a share: the first 64 rows of each share
