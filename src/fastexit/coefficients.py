@@ -11,8 +11,8 @@ with the shape phi and the profile (a, b):
     linear_plus_source  r                slope                 source_amp sin(source_freq pi xi) + offset
     logistic_clipped    tanh(r / width)  amp                   offset
 
-`value` and `d_dr` = a phi'(r) are derived from that one definition; a
-logistic width must be nonzero.  Every catalog coefficient is autonomous: f
+`value` and `d_dr` = a phi'(r) are derived from that one definition, and
+phi'' serves the Hessian of the action; a logistic width must be nonzero.  Every catalog coefficient is autonomous: f
 and g are functions of (xi, r), and the boundary gain sigma is either one
 value for both boundary points or a value per point.
 
@@ -132,6 +132,14 @@ class Coefficient:
             return np.ones_like(r)
         w = self.params["width"]
         return (1.0 - np.tanh(r / w) ** 2) / w  # sech^2, without the overflow of cosh
+
+    def phi_second(self, r):
+        r = np.asarray(r, dtype=float)
+        if self.shape_is_identity:
+            return np.zeros_like(r)
+        w = self.params["width"]
+        t = np.tanh(r / w)
+        return -2.0 * t * (1.0 - t * t) / w**2
 
     def value(self, xi, r):
         a, b = self.profile(xi)
@@ -296,6 +304,9 @@ class AveragedModel:
     def f_bar_prime(self, u):
         return self._f_means[0] * self.coeffs.f.phi_prime(u)
 
+    def f_bar_second(self, u):
+        return self._f_means[0] * self.coeffs.f.phi_second(u)
+
     def row_h(self, u):
         """sqrt(Q)[g(., u) m] as mode coefficients; shape (..., N)."""
         a, b = self._g_rows
@@ -321,6 +332,12 @@ class AveragedModel:
         rh = self.row_h(u)
         drh = self.row_h_prime(u)
         return 2.0 * w_h**2 * (rh * drh).sum(axis=-1)
+
+    def h_second(self, u):
+        w_h, _ = self.weights
+        drh = self.row_h_prime(u)
+        d2rh = self.coeffs.g.phi_second(u)[..., None] * self._g_rows[0]
+        return 2.0 * w_h**2 * (drh * drh + self.row_h(u) * d2rh).sum(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ the backbone of the test suite.
 Quasi-potential: V(y) = inf over horizons T and paths 0 -> y of I; computed
 either from the closed form V(y) = (2/H) int_0^y max(-F_bar(s), 0) ds for
 y > 0, mirrored for y < 0 (additive noise, constant H),
-or variationally by a limited-memory quasi-Newton minimization over interior
-path nodes with the analytic gradient of the discrete action, straight-line
-initialization, and an outer minimum over a horizon grid.
+or variationally by a banded Newton minimization over interior path nodes
+with the exact gradient and pentadiagonal Hessian of the discrete action,
+straight-line initialization, and an outer minimum over a horizon grid.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ __all__ = [
 ]
 
 GRAD_TOL = 1e-8
-MAX_ITER = 10_000
+MAX_ITER = 200
+ARMIJO = 1e-4     # sufficient-decrease constant of the backtracking line search
+MIN_STEP = 1e-12  # the shortest step fraction the line search tries
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,18 @@ def control_cost(control: ControlPath) -> float:
     return 0.5 * control.norm_sq_l2v()
 
 
-def _discrete_action_and_grad(model: AveragedModel, times: np.ndarray, values: np.ndarray):
-    """Action of the nodal path and its gradient with respect to all nodes."""
+def _action_derivatives(model: AveragedModel, times: np.ndarray, values: np.ndarray):
+    """Action of the nodal path, its gradient and the upper bands of its Hessian.
+
+    With the residual d = D w - F_bar(w) of the derivative stencil D, its
+    Jacobian J = D - diag(F_bar'), the trapezoid weights tau and S = diag(tau / H),
+    the action is 1/2 d^T S d.  J is tridiagonal, so the Hessian
+
+        J^T S J - (J^T R + R J) + diag(-q F_bar'' + r d H' / H - 1/2 q d H'' / H),
+
+    with q = S d and R = diag(r), r = q H' / H, is pentadiagonal:
+    bands[k, i] = Hess[i, i + k] for k = 0, 1, 2 (zero past the last node).
+    """
     n = len(times)
     dt = times[1] - times[0]
     fbar, h = _path_quantities(model, values)
@@ -145,17 +157,77 @@ def _discrete_action_and_grad(model: AveragedModel, times: np.ndarray, values: n
     tau = np.full(n, dt)
     tau[0] = tau[-1] = dt / 2.0
     action = float((tau * 0.5 * d**2 / h).sum())
-    # gradient: adjoint of the derivative stencil plus the local F_bar / H terms
-    q = tau * d / h
-    grad = np.zeros(n)
-    grad[0] += -q[0] / dt
-    grad[1] += q[0] / dt
-    grad[-2] += -q[-1] / dt
-    grad[-1] += q[-1] / dt
-    grad[2:] += q[1:-1] / (2.0 * dt)
-    grad[:-2] += -q[1:-1] / (2.0 * dt)
-    grad += -tau * d / h * fbar_p - 0.5 * tau * d**2 / h**2 * h_p
-    return action, grad
+    # J by rows: lo[i] = J[i, i - 1], di[i] = J[i, i], up[i] = J[i, i + 1]
+    lo = np.full(n, -0.5 / dt)
+    up = np.full(n, 0.5 / dt)
+    di = -fbar_p
+    lo[0] = up[-1] = 0.0
+    up[0] = 1.0 / dt
+    lo[-1] = -1.0 / dt
+    di[0] -= 1.0 / dt
+    di[-1] += 1.0 / dt
+    s = tau / h
+    q = s * d
+    r = q * h_p / h
+    grad = di * q - 0.5 * r * d
+    grad[:-1] += lo[1:] * q[1:]
+    grad[1:] += up[:-1] * q[:-1]
+    bands = np.zeros((3, n))
+    bands[0] = (s * di - 2.0 * r) * di - q * model.f_bar_second(values)
+    bands[0] += (r * h_p - 0.5 * q * model.h_second(values)) * d / h
+    bands[0, :-1] += s[1:] * lo[1:] ** 2
+    bands[0, 1:] += s[:-1] * up[:-1] ** 2
+    bands[1, :-1] = (s[:-1] * di[:-1] - r[:-1]) * up[:-1] + (s[1:] * di[1:] - r[1:]) * lo[1:]
+    bands[2, :-2] = s[1:-1] * lo[1:-1] * up[1:-1]
+    return action, grad, bands
+
+
+def _solve_pentadiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve A x = rhs by LDL^T for symmetric pentadiagonal A, bands[k, i] = A[i, i + k].
+
+    Returns None at the first pivot that is not positive, that is when A is
+    not positive definite.
+    """
+    a0 = bands[0].tolist()
+    a1 = [0.0] + bands[1].tolist()        # a1[i] = A[i - 1, i]
+    a2 = [0.0, 0.0] + bands[2].tolist()   # a2[i] = A[i - 2, i]
+    piv, l1, l2 = [], [], []              # D[i], L[i, i - 1], L[i, i - 2]
+    p2, p1, c1 = 1.0, 1.0, 0.0            # D[i - 2], D[i - 1], L[i - 1, i - 2]
+    for i in range(len(a0)):
+        b = a2[i] / p2
+        c = (a1[i] - b * p2 * c1) / p1
+        p = a0[i] - b * b * p2 - c * c * p1
+        if not p > 0.0:
+            return None
+        piv.append(p)
+        l1.append(c)
+        l2.append(b)
+        p2, p1, c1 = p1, p, c
+    z2 = z1 = 0.0
+    y = []
+    for f, c, b, p in zip(rhs.tolist(), l1, l2, piv):
+        z = f - c * z1 - b * z2
+        y.append(z / p)
+        z2, z1 = z1, z
+    x, x1, x2 = [], 0.0, 0.0
+    for yi, c, b in zip(reversed(y), reversed(l1[1:] + [0.0]), reversed(l2[2:] + [0.0, 0.0])):
+        xi = yi - c * x1 - b * x2            # c = L[i + 1, i], b = L[i + 2, i]
+        x.append(xi)
+        x2, x1 = x1, xi
+    return np.array(x[::-1])
+
+
+def _newton_direction(bands: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """-(Hess + mu I)^-1 grad with the least mu >= 0 on a doubling ladder that
+    makes the shifted Hessian positive definite; None if none does."""
+    scale = 1e-3 * max(float(np.abs(bands[0]).max()), 1.0)
+    mu = 0.0
+    for _ in range(64):
+        step = _solve_pentadiagonal(bands + np.array([[mu], [0.0], [0.0]]), -grad)
+        if step is not None:
+            return step
+        mu = max(2.0 * mu, scale)
+    return None
 
 
 @dataclass
@@ -165,12 +237,52 @@ class MinimizedPath:
     n_iter: int
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported at the first call: runs that solve no
-    path action never load scipy."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass
+class NewtonResult:
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    success: bool
+    nit: int
+    nfev: int
 
-    return scipy_minimize(*args, **kwargs)
+
+def minimize(objective, x0, gtol: float = GRAD_TOL, max_iter: int = MAX_ITER) -> NewtonResult:
+    """Banded Newton: damped Newton minimization of a function with a pentadiagonal Hessian.
+
+    objective(x) returns (value, gradient, bands) with bands[k, i] =
+    Hess[i, i + k], and raises NondegeneracyError where the function is not
+    defined.  Each iteration factors the Hessian by LDL^T, shifted by mu I
+    when it is not positive definite, and backtracks from the full step until
+    the Armijo condition holds at a point where the objective is defined.
+    Success means max |gradient| < gtol within max_iter iterations; a line
+    search that finds no decrease ends the run unsuccessfully.
+    """
+    x = np.array(x0, dtype=float)
+    fun, jac, bands = objective(x)
+    nit, nfev = 0, 1
+    while not np.max(np.abs(jac), initial=0.0) < gtol and nit < max_iter:
+        step = _newton_direction(bands, jac)
+        if step is None:
+            break
+        nit += 1
+        slope = float(jac @ step)
+        alpha = 1.0
+        while alpha >= MIN_STEP:
+            trial = x + alpha * step
+            nfev += 1
+            try:
+                t_fun, t_jac, t_bands = objective(trial)
+            except NondegeneracyError:
+                t_fun = math.nan
+            if t_fun <= fun + ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break
+        x, fun, jac, bands = trial, t_fun, t_jac, t_bands
+    success = bool(np.max(np.abs(jac), initial=0.0) < gtol)
+    return NewtonResult(x=x, fun=fun, jac=jac, success=success, nit=nit, nfev=nfev)
 
 
 def minimize_path_action(
@@ -185,10 +297,10 @@ def minimize_path_action(
 ) -> MinimizedPath:
     """Minimize the discrete action over interior nodes with fixed endpoints.
 
-    Limited-memory quasi-Newton (L-BFGS-B) with the analytic gradient,
+    Banded Newton with the exact gradient and pentadiagonal Hessian,
     initialized from the straight line unless init is given; converged when
-    the projected gradient infinity norm drops below gtol, raising
-    OptimizationError (carrying the best value) after max_iter iterations.
+    the gradient infinity norm drops below gtol, raising OptimizationError
+    (carrying the best value) otherwise after max_iter iterations.
     """
     t0, t1 = t_span
     if not t1 > t0:
@@ -202,20 +314,14 @@ def minimize_path_action(
     def objective(interior):
         vals = base.copy()
         vals[1:-1] = interior
-        a, g = _discrete_action_and_grad(model, times, vals)
-        return a, g[1:-1]
+        a, g, bands = _action_derivatives(model, times, vals)
+        return a, g[1:-1], bands[:, 1:-1]
 
-    res = minimize(
-        objective,
-        base[1:-1],
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-16, "maxfun": 10 * max_iter},
-    )
+    res = minimize(objective, base[1:-1], gtol=gtol, max_iter=max_iter)
     vals = base.copy()
     vals[1:-1] = res.x
     path = ScalarPath(times=times, values=vals)
-    if not (res.success or np.max(np.abs(res.jac)) < 10 * gtol):
+    if not res.success:
         raise OptimizationError("path action minimization did not converge", best_value=float(res.fun))
     return MinimizedPath(path=path, value=float(res.fun), n_iter=int(res.nit))
 
@@ -255,10 +361,13 @@ def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
     f = model.f_bar(sample)
     cuts = list(sample[1:-1][f[1:-1] == 0.0])
     crossings = np.flatnonzero(f[:-1] * f[1:] < 0)
-    if crossings.size:  # scipy loads only for a drift that changes sign on [0, y]
-        from scipy.optimize import brentq
-
-        cuts += [brentq(model.f_bar, *sorted(sample[i:i + 2])) for i in crossings]
+    if crossings.size:  # bisect every bracketing pair at once, down to adjacent floats
+        a, b, fa = sample[crossings], sample[crossings + 1], np.sign(f[crossings])
+        for _ in range(64):
+            mid = 0.5 * (a + b)
+            keep_a = np.sign(model.f_bar(mid)) != fa
+            a, b = np.where(keep_a, a, mid), np.where(keep_a, mid, b)
+        cuts += list(0.5 * (a + b))
     ends = [0.0, *sorted(cuts, key=abs), y]
     nodes, weights = np.polynomial.legendre.leggauss(64)
     integral = 0.0

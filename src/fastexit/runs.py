@@ -283,8 +283,6 @@ def run_action(resolved: dict, out_dir: Path) -> int:
 
 def run_quasipotential(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
-    import scipy.optimize  # noqa: F401  (set-up: load the optimizer before the first solve)
-
     system = build_system(resolved)
     exp = resolved["experiment"]
     rows = []

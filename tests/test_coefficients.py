@@ -250,3 +250,29 @@ def test_averaged_forms_match_grid_quadrature(ref_op, spec, role):
             got = getattr(model, name)(u)
             assert np.shape(got) == expected.shape, name
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("role", ["f", "g"])
+@pytest.mark.parametrize("spec", SEPARABLE, ids=lambda spec: spec["kind"])
+def test_second_derivatives_match_grid_quadrature(ref_op, spec, role):
+    # f_bar'' and H'' equal the grid quadrature of central differences of d_dr in r
+    model = build_model(ref_op, **{f"{role}_spec": spec}, q_spec={"kind": "power", "amp": 1.3, "exponent": 0.5})
+    f, g = model.coeffs.f, model.coeffs.g
+    e, w = ref_op.modes_on_grid, ref_op.quad_weights
+    w_h, _ = model.weights
+    step = 1e-5
+    for u in (0.4, np.linspace(-2.0, 2.0, 7), np.array([[-1.5, 0.0, 0.3], [0.9, 2.5, -0.2]])):
+        grid_u = np.asarray(u)[..., None]
+        row = model.q_lambdas * ((g.value(ref_op.grid, grid_u) * w) @ e.T)
+        row_prime = model.q_lambdas * ((g.d_dr(ref_op.grid, grid_u) * w) @ e.T)
+        g_second = (g.d_dr(ref_op.grid, grid_u + step) - g.d_dr(ref_op.grid, grid_u - step)) / (2 * step)
+        f_second = (f.d_dr(ref_op.grid, grid_u + step) - f.d_dr(ref_op.grid, grid_u - step)) / (2 * step)
+        row_second = model.q_lambdas * ((g_second * w) @ e.T)
+        want = {
+            "f_bar_second": (f_second * w).sum(axis=-1),
+            "h_second": 2.0 * w_h**2 * (row_prime * row_prime + row * row_second).sum(axis=-1),
+        }
+        for name, expected in want.items():
+            got = getattr(model, name)(u)
+            assert np.shape(got) == expected.shape, name
+            np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-9, err_msg=name)

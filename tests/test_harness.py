@@ -12,7 +12,7 @@ import pytest
 
 import fastexit
 import fastexit.ldp
-from fastexit.cli import main
+from fastexit.cli import RUNS, main
 from fastexit.config import build_system, resolve_config, rho_bar_limit
 from fastexit.errors import ConfigError
 from fastexit.runs import emit_plot_data, run_average, run_check, run_exit
@@ -541,22 +541,36 @@ def test_import_pins_openblas_threads_unless_set(preset, expected):
     assert out.stdout.strip() == expected
 
 
-def test_runs_without_an_optimizer_do_not_load_scipy(tmp_path):
-    # scipy serves the variational quasi-potential and a sign change of F_bar in
-    # the explicit one; no other run loads it
+def test_cli_commands_do_not_load_scipy(tmp_path):
+    # every command runs on numpy alone: the variational quasi-potential (the
+    # quasipotential run and v_bar for a state-dependent gain) and the roots of
+    # a drift that changes sign in the explicit one included
     root = Path(__file__).parents[1]
-    runs = [("exit", "exit_reference"), ("average", "averaging_reference"),
-            ("check", "exit_reference"), ("action", "quasipotential_reference")]
+    cfg = json.loads((root / "configs" / "exit_reference.json").read_text())
+    cfg["multiscale"]["eps"] = [0.0625]
+    logistic = json.loads(json.dumps(cfg))
+    logistic["coefficients"]["g"] = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
+    shifted = json.loads(json.dumps(cfg))
+    shifted["coefficients"]["f"] = {"kind": "linear", "slope": -1.0, "offset": 0.02}
+    configs = {name: str(root / "configs" / f"{name}.json")
+               for name in ("exit_reference", "averaging_reference", "quasipotential_reference")}
+    configs["exit_logistic"] = str(write_config(tmp_path, logistic, "exit_logistic.json"))
+    configs["exit_shifted"] = str(write_config(tmp_path, shifted, "exit_shifted.json"))
+    runs = [("check", "exit_reference"), ("simulate", "averaging_reference"), ("average", "averaging_reference"),
+            ("action", "quasipotential_reference"), ("quasipotential", "quasipotential_reference"),
+            ("exit", "exit_reference"), ("exit", "exit_logistic"), ("exit", "exit_shifted")]
     code = "\n".join([
         "import sys",
         "from fastexit.cli import main",
-        *(f"assert main([{cmd!r}, '--config', {str(root / 'configs' / (cfg + '.json'))!r}, '--paths', '4',"
-          f" '--out', {str(tmp_path / cmd)!r}]) == 0" for cmd, cfg in runs),
+        *(f"assert main([{cmd!r}, '--config', {configs[cfg]!r}, '--paths', '4',"
+          f" '--out', {str(tmp_path / 'results' / cfg / cmd)!r}]) == 0" for cmd, cfg in runs),
+        f"assert main(['emit-plots', '--out', {str(tmp_path / 'results' / 'exit_reference' / 'exit')!r}]) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert {cmd for cmd, _ in runs} == set(RUNS)
 
 
 def test_compare_outputs_reports_rounding_and_fails_on_text(tmp_path):

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 import fastexit as fx
-from fastexit.ldp import MAX_ITER, ScalarPath, _discrete_action_and_grad, path_derivative
+from fastexit.ldp import ScalarPath, _action_derivatives, _solve_pentadiagonal, minimize, path_derivative
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
 
@@ -125,15 +124,76 @@ def test_discrete_gradient_matches_finite_differences(ref_op):
     t = np.linspace(0, 1, 21)
     rng = np.random.Generator(np.random.Philox(key=23))
     vals = 0.5 * rng.standard_normal(21)
-    _, grad = _discrete_action_and_grad(model, t, vals)
+    _, grad, _ = _action_derivatives(model, t, vals)
     h = 1e-6
     for j in (0, 1, 10, 19, 20):
         vp, vm = vals.copy(), vals.copy()
         vp[j] += h
         vm[j] -= h
-        ap, _ = _discrete_action_and_grad(model, t, vp)
-        am, _ = _discrete_action_and_grad(model, t, vm)
+        ap = _action_derivatives(model, t, vp)[0]
+        am = _action_derivatives(model, t, vm)[0]
         assert grad[j] == pytest.approx((ap - am) / (2 * h), rel=1e-5, abs=1e-8)
+
+
+LOGISTIC_GAIN = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
+
+
+@pytest.mark.parametrize("f_spec, g_spec", [
+    (None, {"kind": "constant", "value": 1.0}),
+    (None, {"kind": "linear", "slope": 0.5, "offset": 1.0}),
+    (None, LOGISTIC_GAIN),
+    ({"kind": "logistic_clipped", "amp": -1.0, "width": 0.7, "offset": 0.2}, LOGISTIC_GAIN),
+], ids=["constant", "linear", "logistic_clipped", "logistic_f"])
+def test_hessian_bands_match_finite_differences(ref_op, f_spec, g_spec):
+    # the pentadiagonal bands equal central differences of the exact gradient,
+    # and the Hessian has no entry further than two nodes off the diagonal
+    model = build_model(ref_op, f_spec=f_spec, g_spec=g_spec, q_spec={"kind": "flat", "value": np.sqrt(2.0)})
+    t = np.linspace(0, 1, 12)
+    vals = 0.3 * np.random.Generator(np.random.Philox(key=24)).standard_normal(12)
+    _, _, bands = _action_derivatives(model, t, vals)
+    hess = np.empty((12, 12))
+    h = 1e-6
+    for j in range(12):
+        vp, vm = vals.copy(), vals.copy()
+        vp[j] += h
+        vm[j] -= h
+        hess[:, j] = (_action_derivatives(model, t, vp)[1] - _action_derivatives(model, t, vm)[1]) / (2 * h)
+    want = np.zeros((3, 12))
+    for k in range(3):
+        want[k, :12 - k] = np.diag(hess, k)
+        np.testing.assert_allclose(np.diag(hess, -k), np.diag(hess, k), atol=1e-7)
+    np.testing.assert_allclose(bands, want, rtol=0, atol=1e-7 * np.abs(hess).max())
+    assert np.abs(np.triu(hess, 3)).max() < 1e-9
+
+
+def test_pentadiagonal_solve_and_indefinite_pivot():
+    rng = np.random.Generator(np.random.Philox(key=25))
+    bands = rng.standard_normal((3, 30))
+    bands[0] += 8.0
+    bands[1, -1:] = bands[2, -2:] = 0.0
+    a = sum(np.diag(bands[k, :30 - k], k) + (np.diag(bands[k, :30 - k], -k) if k else 0) for k in range(3))
+    rhs = rng.standard_normal(30)
+    np.testing.assert_allclose(_solve_pentadiagonal(bands, rhs), np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-14)
+    bands[0, 17] = -1.0
+    assert _solve_pentadiagonal(bands, rhs) is None
+
+
+def test_newton_from_an_indefinite_start_reaches_the_straight_line_value(ref_op):
+    # far from the minimizer the Hessian is indefinite: the shifted steps must
+    # still land on the minimum found from the straight line
+    model = build_model(
+        ref_op, f_spec={"kind": "logistic_clipped", "amp": -1.0, "width": 0.5}, g_spec=LOGISTIC_GAIN,
+        q_spec={"kind": "flat", "value": np.sqrt(2.0)},
+    )
+    t = np.linspace(0.0, 4.0, 101)
+    init = np.sin(np.pi * t / 4.0)
+    init[-1] = 0.5
+    _, grad, bands = _action_derivatives(model, t, init)
+    assert _solve_pentadiagonal(bands[:, 1:-1], grad[1:-1]) is None
+    straight = fx.minimize_path_action(model, (0.0, 4.0), 0.0, 0.5, 101)
+    far = fx.minimize_path_action(model, (0.0, 4.0), 0.0, 0.5, 101, init=init)
+    assert far.value == pytest.approx(straight.value, rel=1e-12)
+    np.testing.assert_allclose(far.path.values, straight.path.values, atol=1e-8)
 
 
 def test_prefix_action_free_lagrangian(ref_op):
@@ -155,7 +215,8 @@ def test_prefix_action_flow_endpoint_is_free(ref_op):
 
 
 def test_optimizer_failure_carries_best_value(ref_op):
-    model = _linear_drift_model(ref_op)
+    # a state-dependent gain makes the action non-quadratic: one Newton step cannot converge
+    model = build_model(ref_op, g_spec=LOGISTIC_GAIN, q_spec={"kind": "flat", "value": np.sqrt(2.0)})
     with pytest.raises(fx.OptimizationError) as exc:
         fx.minimize_path_action(model, (0.0, 2.0), 0.0, 1.0, 101, max_iter=1, gtol=1e-14)
     assert np.isfinite(exc.value.best_value)
@@ -228,12 +289,11 @@ def test_action_decomposition_two_stage(ref_op):
     # joint minimization over the prefix nodes of the concatenated discrete action
     def joint(interior):
         vals = np.concatenate([[x_mean], interior, u_tail])
-        a, g = _discrete_action_and_grad(model, times, vals)
-        return a, g[1:j_split]
+        a, g, bands = _action_derivatives(model, times, vals)
+        return a, g[1:j_split], bands[:, 1:j_split]
     init = np.linspace(x_mean, u_tail[0], j_split + 1)[1:-1]
-    res = minimize(joint, init, jac=True, method="L-BFGS-B",
-                   options={"maxiter": MAX_ITER, "gtol": 1e-10})
-    assert j_val + tail_action == pytest.approx(res.fun, rel=1e-2)
+    res = minimize(joint, init, gtol=1e-10)
+    assert res.success and j_val + tail_action == pytest.approx(res.fun, rel=1e-2)
 
 
 def test_derivative_stencil_bias_richardson(ref_op):
