@@ -7,7 +7,10 @@
 # plus `simulate` on the averaging reference and `action` on the
 # quasi-potential reference, all with --paths 64, a fixed --seed and a fixed
 # --out under OUT_DIR.  One more exit run at --paths 160 (three tiles of 64,
-# 64 and 32 rows while every path lives) exercises several tiles.  Then prints
+# 64 and 32 rows while every path lives) exercises several tiles, and one at
+# experiment.t_max = 1.0 (200 steps of dt = 0.005: six full chunks of 32 steps
+# and a last chunk of 8) exercises a partial last chunk and paths censored at
+# t_max.  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
@@ -50,3 +53,13 @@ done
 run configs-averaging_reference-simulate simulate configs/averaging_reference.json
 run configs-quasipotential_reference-action action configs/quasipotential_reference.json
 run perfbench-exit-additive-exit-160 exit perfbench/workloads/exit-additive.json 160
+T_MAX_CONFIG="$OUT/exit-additive-tmax1.json"
+python3 - perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" <<'PY'
+import json
+import sys
+
+config = json.load(open(sys.argv[1]))
+config["experiment"]["t_max"] = 1.0
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+PY
+run perfbench-exit-additive-exit-tmax1 exit "$T_MAX_CONFIG"

@@ -6,8 +6,10 @@ included; a reaction affine in the state is one N x N matrix in mode space.
 `run_ensemble` gives every path its own counter-based stream, so a path's
 draws depend only on (seed, level, path, step): a live path draws one
 (n_panels, N) panel per step, in chunks of steps, and a path that has left
-draws nothing more.  Only the live rows are stepped: each thread packs the
-live rows of its share of the paths into tiles of at most BLOCK_SIZE rows.
+draws nothing more.  The driver steps, checks for divergence and observes a
+chunk at a time, so that fixed per-step work is paid once per chunk.  Only
+the rows live at a chunk's start are stepped: each thread packs the live
+rows of its share of the paths into tiles of at most BLOCK_SIZE rows.
 A step with a state-dependent gain pads its last tile to BLOCK_SIZE rows, so
 each of its products keeps one shape; any other step pads only a single-row
 last tile, to two rows.  That a row's result does not depend on the other
@@ -34,7 +36,9 @@ if TYPE_CHECKING:
 BLOCK_SIZE = 64
 DIVERGENCE_LIMIT = 1e12
 # A path draws the normals of DRAW_STEPS steps at a time, fewer when a share's
-# buffer would pass DRAW_BYTES; the chunk length never changes a value.
+# draws of one chunk (its states, when nothing is drawn) would pass DRAW_BYTES;
+# the same chunk of steps is stepped, checked for divergence and observed at
+# once.  The chunk length never changes a value.
 DRAW_STEPS = 32
 DRAW_BYTES = 8 << 20
 # Names the draw layout of a seeded run (recorded in run_manifest.json): path p
@@ -203,15 +207,20 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
                  seed: int, stream_base: int, threads: int, observer) -> list[np.ndarray]:
     """Step n_paths copies of x0 for up to n_steps steps; return per-path columns.
 
-    Each thread steps its share of the paths together.  observer(u0) starts
-    the measurement of a share, u0 holding one row per path.  Path p draws
-    from stream stream_base | p: every few steps each live path refills its
-    own buffer with one draw, and step i (from i dt to (i + 1) dt) reads its
-    panel for i.  The live rows are gathered, in path order, into padded
-    tiles (module docstring) and stepped.  The rows that diverged are zeroed
-    and cleared from `live`, then observe(i, u, idx, live, bad) runs on the
-    live rows u, whose share-row indices are idx, and may clear more rows
-    from `live`.  A share stops once no row is live; finish(live) gets the
+    Each thread steps its share of the paths together, one chunk of steps at
+    a time.  observer(u0) starts the measurement of a share, u0 holding one
+    row per path.  Path p draws from stream stream_base | p: at the start of
+    each chunk every live path refills its own buffer with one draw, and step
+    i (from i dt to (i + 1) dt) reads its panel for i.  The rows live at the
+    start of a chunk are gathered once, in path order, into padded tiles
+    (module docstring) and stepped to the chunk's end, so a row that leaves
+    mid-chunk is stepped on to the end on draws it has already made.  Then
+    `first_bad` gives each row's first step whose state diverged (the chunk
+    length where none did), the row's states are zeroed from that step on,
+    and observe(i0, states, idx, first_bad) runs on the (k, rows, N) states
+    after steps i0, ..., i0 + k - 1 of the rows whose share-row indices are
+    idx.  It returns the mask of rows it keeps live; a diverged row is never
+    kept.  A share stops once no row is live; finish(live) gets the
     share-wide mask of rows still live and returns per-row columns.
     """
     n_modes, n_panels = x0.shape[0], stepper.n_panels
@@ -221,43 +230,38 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
         u = np.tile(x0, (n_rows, 1))
         obs = observer(u)
         idx = np.arange(n_rows)
+        n_chunk = max(1, min(DRAW_STEPS, DRAW_BYTES // (8 * n_rows * max(n_panels, 1) * n_modes)))
         if n_panels:
             gens = [block_stream(seed, stream_base | p)._gen for p in paths]
-            n_draw = max(1, min(DRAW_STEPS, DRAW_BYTES // (8 * n_rows * n_panels * n_modes)))
-            buf = np.empty((n_rows, n_draw, n_panels, n_modes))
-        retired = True
-        for i in range(n_steps):
-            if retired:  # re-plan the tiles for the new live rows
-                n = idx.size
-                if n == 0:
-                    break
-                if stepper.has_q:
-                    n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
-                else:  # no tile of a single row
-                    n_tile_rows = n + (n % BLOCK_SIZE == 1)
-                ut = np.zeros((n_tile_rows, n_modes))
-                ut[:n] = u
-                zt = np.zeros((n_panels, n_tile_rows, n_modes)) if n_panels else None
+            buf = np.empty((n_rows, n_chunk, n_panels, n_modes))
+        for i0 in range(0, n_steps, n_chunk):
+            n, k = idx.size, min(n_chunk, n_steps - i0)
+            if n == 0:
+                break
+            if stepper.has_q:
+                n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
+            else:  # no tile of a single row
+                n_tile_rows = n + (n % BLOCK_SIZE == 1)
+            states = np.zeros((k + 1, n_tile_rows, n_modes))
+            states[0, :n] = u
             if n_panels:
-                j = i % n_draw
-                if j == 0:
-                    for p in idx.tolist():
-                        gens[p].standard_normal(out=buf[p])
-                zt[:, :n] = (buf[:, j] if n == n_rows else buf[idx, j]).swapaxes(0, 1)
-            t = i * stepper.dt
-            tiles = [stepper.step(t, ut[s:s + BLOCK_SIZE], None if zt is None else zt[:, s:s + BLOCK_SIZE])
-                     for s in range(0, n_tile_rows, BLOCK_SIZE)]
-            ut = tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
-            ut[n:] = 0.0
-            u = ut[:n]
-            bad = diverged_mask(u)
-            live = ~bad
-            if bad.any():
-                u[bad] = 0.0
-            obs.observe(i, u, idx, live, bad)
-            retired = not live.all()
-            if retired:
-                idx, u = idx[live], u[live]
+                for p in idx.tolist():
+                    gens[p].standard_normal(out=buf[p])
+                zt = np.zeros((k, n_panels, n_tile_rows, n_modes))
+                zt[:, :, :n] = (buf[:, :k] if n == n_rows else buf[idx, :k]).transpose(1, 2, 0, 3)
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging row runs on to the chunk's end
+                for j in range(k):
+                    t = (i0 + j) * stepper.dt
+                    for s in range(0, n_tile_rows, BLOCK_SIZE):
+                        states[j + 1, s:s + BLOCK_SIZE] = stepper.step(
+                            t, states[j, s:s + BLOCK_SIZE], zt[j, :, s:s + BLOCK_SIZE] if n_panels else None)
+                    states[j + 1, n:] = 0.0
+                chunk = states[1:, :n]
+                bad = diverged_mask(chunk)
+            first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
+            chunk[np.arange(k)[:, None] >= first_bad] = 0.0
+            live = obs.observe(i0, chunk, idx, first_bad) & (first_bad == k)
+            idx, u = idx[live], chunk[-1, live]
         live_end = np.zeros(n_rows, dtype=bool)
         live_end[idx] = True
         return obs.finish(live_end)

@@ -152,10 +152,12 @@ class ExitStats:
 class _ExitObserver:
     """Per-share exit measurement for `run_ensemble`.
 
-    Records the time G crosses the level (interpolated linearly between the
-    bracketing steps) and the non-constant norm at exit; exited rows leave
-    `live`.  Diverged rows are censored at the divergence time, rows still
-    live at the end at t_max.
+    Records the time G first crosses the level (interpolated linearly between
+    the bracketing steps; at the first step of a chunk the earlier one is the
+    last step of the previous chunk) and the non-constant norm at exit; an
+    exited row is not kept live.  A crossing at or after a row's first bad
+    step does not count: the row is censored at that step as diverged.  Rows
+    still live at the end are censored at t_max.
     """
 
     def __init__(self, dom: DomainSpec, dt: float, t_max: float, u0: np.ndarray):
@@ -164,23 +166,24 @@ class _ExitObserver:
         self.tau, self.nonconst = np.full((2, u0.shape[0]), np.nan)
         self.diverged = np.zeros(u0.shape[0], dtype=bool)
 
-    def observe(self, i: int, u: np.ndarray, idx: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
-        t_prev = i * self.dt
-        t = t_prev + self.dt
+    def observe(self, i0: int, states: np.ndarray, idx: np.ndarray, first_bad: np.ndarray) -> np.ndarray:
+        k, level = len(states), self.dom.level
+        gv = membership_values(self.dom, states)
+        crossed = (gv >= level) & (np.arange(k)[:, None] < first_bad)
+        j, cols = crossed.argmax(axis=0), np.arange(idx.size)
+        exits = crossed[j, cols]
+        bad = ~exits & (first_bad < k)
         if bad.any():
             self.diverged[idx[bad]] = True
-            self.tau[idx[bad]] = t
-        level = self.dom.level
-        gv = membership_values(self.dom, u)
-        crossed = live & (gv >= level)
-        if crossed.any():
-            rows = idx[crossed]
-            g0 = self.g_prev[rows]
-            frac = (level - g0) / (gv[crossed] - g0)
-            self.tau[rows] = t_prev + self.dt * np.clip(frac, 0.0, 1.0)
-            self.nonconst[rows] = np.linalg.norm(u[crossed][:, 1:], axis=1)
-            live &= ~crossed
-        self.g_prev[idx] = gv
+            self.tau[idx[bad]] = (i0 + first_bad[bad]) * self.dt + self.dt
+        if exits.any():
+            rows, j, cols = idx[exits], j[exits], cols[exits]
+            g0 = np.where(j > 0, gv[j - 1, cols], self.g_prev[rows])
+            frac = (level - g0) / (gv[j, cols] - g0)
+            self.tau[rows] = (i0 + j) * self.dt + self.dt * np.clip(frac, 0.0, 1.0)
+            self.nonconst[rows] = np.linalg.norm(states[j, cols, 1:], axis=1)
+        self.g_prev[idx] = gv[-1]
+        return ~exits
 
     def finish(self, live: np.ndarray):
         self.tau[live] = self.t_max

@@ -264,12 +264,17 @@ class _SupErrorObserver:
         self.err = np.zeros(u0.shape[0])
         self.sup = np.linalg.norm(u0, axis=1)
 
-    def observe(self, i: int, u: np.ndarray, idx: np.ndarray, live: np.ndarray, bad: np.ndarray) -> None:
-        self.sup[idx] = np.maximum(self.sup[idx], np.linalg.norm(u, axis=1))
-        if self.times[i + 1] >= self.delta:
-            d = u.copy()
-            d[:, 0] -= self.ref_values[i + 1]
-            self.err[idx] = np.maximum(self.err[idx], self.op.hmu_norm(d))
+    def observe(self, i0: int, states: np.ndarray, idx: np.ndarray, first_bad: np.ndarray) -> np.ndarray:
+        # a diverged row's states are zero from its first bad step, which leaves its
+        # sup of |u| as it was, and its error is NaN in the end
+        k = len(states)
+        self.sup[idx] = np.maximum(self.sup[idx], np.linalg.norm(states, axis=2).max(axis=0))
+        late = self.times[i0 + 1:i0 + k + 1] >= self.delta
+        if late.any():
+            d = states[late]
+            d[..., 0] -= self.ref_values[i0 + 1:i0 + k + 1][late, None]
+            self.err[idx] = np.maximum(self.err[idx], self.op.hmu_norm(d).max(axis=0))
+        return np.ones(idx.size, dtype=bool)
 
     def finish(self, live: np.ndarray):
         self.err[~live] = np.nan

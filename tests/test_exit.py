@@ -1,8 +1,13 @@
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
 import fastexit as fx
 from conftest import build_model, sample_in_domain
+from fastexit.ensemble import DRAW_STEPS, SpdeStepper, run_ensemble
+from fastexit.exit_times import _ExitObserver
 
 
 def _ball(op, r=0.25):
@@ -213,6 +218,97 @@ def test_exit_mc_censoring_consistency(ref_op, exit_reference):
     assert np.array_equal(s.taus[done], l.taus[done])  # concrete times unchanged
     assert l.n_censored <= s.n_censored
     assert s.lower_bound_only
+
+
+def _recorded_states(stepper, x0, n_paths, n_steps, seed):
+    """Each path's state after every step, (n_paths, n_steps, N), with every row kept live."""
+
+    class Recorder:
+        def __init__(self, u0):
+            self.states = np.zeros((u0.shape[0], n_steps, u0.shape[1]))
+
+        def observe(self, i0, states, idx, first_bad):
+            self.states[idx, i0:i0 + len(states)] = states.swapaxes(0, 1)
+            return np.ones(idx.size, dtype=bool)
+
+        def finish(self, live):
+            return (self.states,)
+
+    return run_ensemble(stepper, x0, n_paths, n_steps, seed, 0, 1, Recorder)[0]
+
+
+def _per_step_exits(dom, dt, x0, states):
+    """Exit observation one step at a time: tau, censored, nonconst and the exit step (-1 if none)."""
+    n_paths, n_steps, _ = states.shape
+    level = dom.level
+    g_prev = np.full(n_paths, fx.membership_values(dom, x0))
+    tau, nonconst = np.full((2, n_paths), np.nan)
+    step = np.full(n_paths, -1)
+    live = np.ones(n_paths, dtype=bool)
+    for i in range(n_steps):
+        u = states[:, i]
+        gv = fx.membership_values(dom, u)
+        crossed = live & (gv >= level)
+        frac = (level - g_prev[crossed]) / (gv[crossed] - g_prev[crossed])
+        tau[crossed] = i * dt + dt * np.clip(frac, 0.0, 1.0)
+        nonconst[crossed] = np.linalg.norm(u[crossed][:, 1:], axis=1)
+        step[crossed] = i
+        live &= ~crossed
+        g_prev = gv
+    tau[live] = n_steps * dt
+    return tau, live, nonconst, step
+
+
+def test_exit_chunks_match_per_step_observation(ref_op, exit_reference):
+    # 100 steps run as chunks of 32, 32, 32 and 4 steps; the chunked observer
+    # gives the per-step observation's tau, censoring and exit norm exactly
+    dom, dt, n_paths, n_steps = _ball(ref_op, 0.25), 0.01, 256, 100
+    stepper = SpdeStepper(exit_reference, fx.MultiscaleParams(eps=0.05, alpha=0.4, beta=0.4), dt)
+    x0 = ref_op.constant_field(0.0)
+    tau, censored, diverged, nonconst = run_ensemble(
+        stepper, x0, n_paths, n_steps, 5, 0, 1, partial(_ExitObserver, dom, dt, n_steps * dt))
+    ref_tau, ref_censored, ref_nonconst, step = _per_step_exits(
+        dom, dt, x0, _recorded_states(stepper, x0, n_paths, n_steps, 5))
+    # the paths cover the edges: crossings at the first step of a later chunk (tau
+    # interpolates against the previous chunk's last G) and at the last step of a
+    # chunk, crossings in the partial last chunk, and paths censored at t_max
+    exited = step[step >= 0]
+    assert np.any((exited % DRAW_STEPS == 0) & (exited >= DRAW_STEPS))
+    assert np.any(exited % DRAW_STEPS == DRAW_STEPS - 1)
+    assert np.any(exited >= 3 * DRAW_STEPS) and 0 < ref_censored.sum() < n_paths
+    assert np.array_equal(tau, ref_tau) and np.array_equal(censored, ref_censored)
+    assert np.array_equal(nonconst, ref_nonconst, equal_nan=True) and not diverged.any()
+
+
+@pytest.mark.parametrize("y0, tau_expected, exits", [(1e-70, 0.0425, True), (1e-71, 0.06, False)])
+def test_exit_divergence_mid_chunk(ref_op, y0, tau_expected, exits):
+    # noise off and f = 1e16 r: mode 0 grows 1e14-fold per step of 0.01.  From
+    # 1e-70 it is 1 after step 4 (G = 1, an exit at 0.04 + 0.01 * 0.25) and 1e14
+    # after step 5; from 1e-71 it is 0.1 after step 4 and 1e13 after step 5, so it
+    # crosses the level and diverges on the same step: a divergence at 0.06.  Both
+    # rows run on to the chunk's end through overflow, without a warning.
+    model = build_model(ref_op, f_spec={"kind": "linear", "slope": 1e16})
+    stepper = SpdeStepper(model, fx.MultiscaleParams(eps=0.05, alpha=0.0, beta=0.0), 0.01)
+    dom = _ball(ref_op, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau, censored, diverged, nonconst = run_ensemble(
+            stepper, ref_op.constant_field(y0), 2, 50, 1, 0, 1, partial(_ExitObserver, dom, 0.01, 0.5))
+    assert np.allclose(tau, tau_expected, rtol=1e-12, atol=0)
+    assert np.all(censored != exits) and np.all(diverged != exits)
+    assert np.all(np.isnan(nonconst) != exits)
+
+
+def test_exit_observer_counts_a_crossing_at_the_first_bad_step_as_divergence(ref_op):
+    # states handed over unzeroed: the row leaves D on step 1 of the chunk, which
+    # is also its first bad step, so it is censored there as diverged
+    dom = _ball(ref_op, 0.25)
+    obs = _ExitObserver(dom, 0.01, 1.0, np.zeros((1, ref_op.n_modes)))
+    states = np.zeros((3, 1, ref_op.n_modes))
+    states[1:, 0, 0] = 2.0
+    obs.observe(32, states, np.arange(1), np.array([1]))
+    tau, censored, diverged, nonconst = obs.finish(np.zeros(1, dtype=bool))
+    assert tau[0] == pytest.approx(0.34, rel=1e-12) and censored[0] and diverged[0] and np.isnan(nonconst[0])
 
 
 def test_exit_mc_all_censored_lower_bound_mode(ref_op):

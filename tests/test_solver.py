@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import fastexit as fx
 from fastexit.ldp import ControlPath
-from fastexit.ensemble import SpdeStepper, diverged_mask, run_ensemble
+from fastexit.ensemble import DRAW_STEPS, SpdeStepper, diverged_mask, run_ensemble
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
 
@@ -267,24 +269,28 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
     # f = 1e20 r takes every row past the divergence limit on the first step
     model = build_model(ref_op, f_spec={"kind": "linear", "slope": 1e20})
     stepper = SpdeStepper(model, _params(eps=0.1, alpha=0.1, beta=0.1), dt=0.01)
-    steps_seen = []
+    chunks_seen = []
 
     class Recorder:
         def __init__(self, u0):
             self.first_bad = np.full(u0.shape[0], -1)
 
-        def observe(self, i, u, idx, live, bad):
-            steps_seen.append(i)
-            assert np.all(u[bad] == 0.0) and not live[bad].any()
-            self.first_bad[idx[bad]] = i
+        def observe(self, i0, states, idx, first_bad):
+            chunks_seen.append((i0, len(states)))
+            assert np.all(states[np.arange(len(states))[:, None] >= first_bad] == 0.0)
+            self.first_bad[idx[first_bad < len(states)]] = i0 + first_bad[first_bad < len(states)]
+            return np.ones(idx.size, dtype=bool)  # the driver retires the diverged rows itself
 
         def finish(self, live):
             return self.first_bad, live.copy()
 
-    first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1), 100, 50,
-                                   seed=1, stream_base=0, threads=1, observer=Recorder)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rows overflow on later steps of the chunk, silently
+        first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1), 100, 50,
+                                       seed=1, stream_base=0, threads=1, observer=Recorder)
     assert first_bad.shape == (100,) and np.all(first_bad == 0) and not live.any()
-    assert steps_seen == [0]  # one share of 100 paths in two tiles, stopped once no row was live
+    # one share of 100 paths in two tiles, stopped after the first chunk once no row was live
+    assert chunks_seen == [(0, DRAW_STEPS)]
     # the check is on the norm, so it flags NaN and inf as well
     states = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.8e12, 0.8e12], [0.7e12, 0.7e12]])
     assert diverged_mask(states).tolist() == [True, True, True, False]
@@ -293,7 +299,8 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
 @pytest.mark.parametrize("g_spec", [None, LOGISTIC])
 def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
     # one path with stream_base = s follows solve_spde on RngStream(seed, s),
-    # across refills of its draw buffer; only the tile height differs
+    # across refills of its draw buffer and a partial last chunk (80 = 32 + 32 + 16
+    # steps); only the tile height differs
     model = build_model(ref_op, g_spec=g_spec)
     params = _params(eps=0.05, alpha=0.3, beta=0.3)
     x0, n_steps, stream = ref_op.constant_field(0.2), 80, (2 << 32) | 5
@@ -303,8 +310,9 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
         def __init__(self, u0):
             self.states = np.empty((n_steps, u0.shape[1]))
 
-        def observe(self, i, u, idx, live, bad):
-            self.states[i] = u[0]
+        def observe(self, i0, states, idx, first_bad):
+            self.states[i0:i0 + len(states)] = states[:, 0]
+            return np.ones(idx.size, dtype=bool)
 
         def finish(self, live):
             return (self.states,)
@@ -319,13 +327,15 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
                          ids=["None", "g_spec1", "f_spec2"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, f_spec, threads):
-    # retiring rows compacts the live rows into other tiles and stops the
-    # draws of retired paths; every row steps bit-identically while it lives
+    # retiring rows compacts the live rows into other tiles at the next chunk and
+    # stops the draws of retired paths; every row steps bit-identically while the
+    # driver steps it, to the end of the chunk it retires in
     model = build_model(ref_op, f_spec=f_spec, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
     n_paths, n_steps = 160, 40
     # retirement step per row of a share: the first 64 rows of each share
-    # empties early, and over the last ten steps one row is left alone
+    # empties early, and over the last ten steps (the second chunk) one row is
+    # left alone, in a tile padded to two rows
     retire_at = np.random.Generator(np.random.Philox(key=34)).integers(0, n_steps - 10, 3 * 64)
     retire_at[:64] = np.minimum(retire_at[:64], 5)
     retire_at[100] = n_steps
@@ -335,9 +345,9 @@ def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, f_spec, threads)
             def __init__(self, u0):
                 self.states = np.full((u0.shape[0], n_steps, u0.shape[1]), np.nan)
 
-            def observe(self, i, u, idx, live, bad):
-                self.states[idx, i] = u
-                live &= schedule[idx] != i
+            def observe(self, i0, states, idx, first_bad):
+                self.states[idx, i0:i0 + len(states)] = states.swapaxes(0, 1)
+                return (schedule[idx] < i0) | (schedule[idx] >= i0 + len(states))
 
             def finish(self, live):
                 return self.states, live.copy()
