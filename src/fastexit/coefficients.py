@@ -286,9 +286,17 @@ class AveragedModel:
 
     @cached_property
     def _f_means(self) -> tuple[float, float]:
-        """(<a_f>, <b_f>): the integrals over O of f's profile, so F_bar(u) = <a_f> phi_f(u) + <b_f>."""
-        a, b = self.coeffs.f.profile(self.op.grid)
-        return float(a @ self.op.quad_weights), float(b @ self.op.quad_weights)
+        """(<a_f>, <b_f>): the integrals over O of f's profile, so F_bar(u) = <a_f> phi_f(u) + <b_f>.
+
+        The grid quadrature is exact for every profile but a sine source, whose
+        integral amp (1 - cos k pi) / (k pi) + offset is taken in closed form."""
+        f, w = self.coeffs.f, self.op.quad_weights
+        a, b = f.profile(self.op.grid)
+        b_mean = float(b @ w)
+        if f.kind == "linear_plus_source":
+            p, k = f.params, f.params["source_freq"] * math.pi
+            b_mean = float(p["offset"] + (p["source_amp"] * (1.0 - math.cos(k)) / k if k else 0.0))
+        return float(a @ w), b_mean
 
     @cached_property
     def _g_rows(self) -> tuple[np.ndarray, np.ndarray]:

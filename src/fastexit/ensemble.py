@@ -6,7 +6,7 @@ included; a reaction affine in the state is one N x N matrix in mode space.
 `run_ensemble` gives every path its own counter-based stream, so a path's
 draws depend only on (seed, level, path, step): a live path draws one
 (n_panels, N) panel per step, in chunks of steps, and a path that has left
-draws nothing more.  The driver steps, checks for divergence and observes a
+draws nothing more.  It steps, checks for divergence and observes a
 chunk at a time, so that fixed per-step work is paid once per chunk.  Only
 the rows live at a chunk's start are stepped: each thread packs the live
 rows of its share of the paths into tiles of at most BLOCK_SIZE rows.
@@ -199,7 +199,7 @@ def block_stream(seed: int, stream: int) -> RngStream:
 
 
 def diverged_mask(u: np.ndarray) -> np.ndarray:
-    """Per-path divergence flag for a (P, N) state batch: |u| above the limit, NaN or inf."""
+    """Per-state divergence flag for a (..., N) batch of states: |u| above the limit, NaN or inf."""
     return ~(np.einsum("...k,...k->...", u, u) <= DIVERGENCE_LIMIT**2)
 
 

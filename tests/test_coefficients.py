@@ -21,7 +21,8 @@ def test_nemytskii_source_mean(ref_op):
         {"kind": "constant", "value": 1.0}, {"kind": "constant", "value": 1.0},
     )
     out = fx.nemytskii_F(cs, ref_op, np.zeros(ref_op.n_modes))
-    # grid quadrature of sin(pi xi) carries the midpoint-rule O(M^-2) error
+    # the step's grid projection of sin(pi xi) carries the midpoint-rule O(M^-2)
+    # error; F_bar takes the exact integral (test_averaged_F_values)
     assert fx.invariant_average(ref_op, out) == pytest.approx(2 / np.pi, abs=2e-4)
 
 
@@ -42,7 +43,12 @@ def test_averaged_F_values(ref_op):
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
     )
-    assert model.f_bar(0.7) == pytest.approx(-0.7 + 2 / np.pi, abs=2e-4)
+    assert model.f_bar(0.7) == pytest.approx(-0.7 + 2 / np.pi, abs=1e-15)  # the exact integral, not the quadrature
+    model = build_model(
+        ref_op,
+        f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 3, "offset": 0.2},
+    )
+    assert model.f_bar(0.7) == pytest.approx(-0.5 + 2 / (3 * np.pi), abs=1e-15)
     model = build_model(ref_op, f_spec={"kind": "linear", "slope": 0.0, "xi_slope": 1.0})
     assert model.f_bar(0.8) == pytest.approx(0.4, abs=1e-13)
 
@@ -228,7 +234,8 @@ SEPARABLE = [
 @pytest.mark.parametrize("spec", SEPARABLE, ids=lambda spec: spec["kind"])
 def test_averaged_forms_match_grid_quadrature(ref_op, spec, role):
     # the averaged forms, built from each coefficient's xi-integrals, equal the
-    # grid quadrature of f and g at the constant state u, for any shape of u
+    # grid quadrature of f and g at the constant state u, for any shape of u;
+    # a sine source in f is integrated exactly
     model = build_model(ref_op, **{f"{role}_spec": spec}, q_spec={"kind": "power", "amp": 1.3, "exponent": 0.5})
     f, g = model.coeffs.f, model.coeffs.g
     e, w = ref_op.modes_on_grid, ref_op.quad_weights
@@ -238,8 +245,12 @@ def test_averaged_forms_match_grid_quadrature(ref_op, spec, role):
         grid_u = np.asarray(u)[..., None]
         row = model.q_lambdas * ((g.value(ref_op.grid, grid_u) * w) @ e.T)
         row_prime = model.q_lambdas * ((g.d_dr(ref_op.grid, grid_u) * w) @ e.T)
+        f_bar = (f.value(ref_op.grid, grid_u) * w).sum(axis=-1)
+        if f.kind == "linear_plus_source":  # its sine source is integrated exactly, not by the quadrature
+            k = f.params["source_freq"] * np.pi
+            f_bar += f.params["source_amp"] * ((1.0 - np.cos(k)) / k - (np.sin(k * ref_op.grid) * w).sum())
         want = {
-            "f_bar": (f.value(ref_op.grid, grid_u) * w).sum(axis=-1),
+            "f_bar": f_bar,
             "f_bar_prime": (f.d_dr(ref_op.grid, grid_u) * w).sum(axis=-1),
             "row_h": row,
             "row_h_prime": row_prime,

@@ -114,10 +114,10 @@ def test_limit_ode_oracles(ref_op):
         ref_op,
         f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
     )
-    eq = float(model_src.f_bar(0.0))  # equilibrium F_bar(u*) = 0 at u* = quadrature of source
+    eq = float(model_src.f_bar(0.0))  # equilibrium F_bar(u*) = 0 at u* = integral of the source
     fixed = fx.solve_limit_ode(model_src, eq, t_final=1.0, dt=1e-3)
     assert np.abs(fixed.values - eq).max() < 1e-12
-    assert eq == pytest.approx(2 / np.pi, abs=2e-4)
+    assert eq == pytest.approx(2 / np.pi, abs=1e-15)
 
 
 def test_controlled_ode_zero_control(ref_op):
@@ -279,7 +279,7 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
             chunks_seen.append((i0, len(states)))
             assert np.all(states[np.arange(len(states))[:, None] >= first_bad] == 0.0)
             self.first_bad[idx[first_bad < len(states)]] = i0 + first_bad[first_bad < len(states)]
-            return np.ones(idx.size, dtype=bool)  # the driver retires the diverged rows itself
+            return np.ones(idx.size, dtype=bool)  # run_ensemble retires the diverged rows itself
 
         def finish(self, live):
             return self.first_bad, live.copy()
@@ -328,8 +328,8 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, f_spec, threads):
     # retiring rows compacts the live rows into other tiles at the next chunk and
-    # stops the draws of retired paths; every row steps bit-identically while the
-    # driver steps it, to the end of the chunk it retires in
+    # stops the draws of retired paths; every row steps bit-identically while
+    # run_ensemble steps it, to the end of the chunk it retires in
     model = build_model(ref_op, f_spec=f_spec, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
     n_paths, n_steps = 160, 40
