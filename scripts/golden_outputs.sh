@@ -10,7 +10,9 @@
 # 64 and 32 rows while every path lives) exercises several tiles, and one at
 # experiment.t_max = 1.0 (200 steps of dt = 0.005: six full chunks of 32 steps
 # and a last chunk of 8) exercises a partial last chunk and paths censored at
-# t_max.  Then prints
+# t_max.  One more average run of the multiplicative workload at --paths 100
+# (tiles of 64 and 36 rows, the second padded to 64 by the state-dependent
+# gain) exercises a padded tile of the interior-noise step.  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
@@ -53,6 +55,7 @@ done
 run configs-averaging_reference-simulate simulate configs/averaging_reference.json
 run configs-quasipotential_reference-action action configs/quasipotential_reference.json
 run perfbench-exit-additive-exit-160 exit perfbench/workloads/exit-additive.json 160
+run perfbench-average-multiplicative-average-100 average perfbench/workloads/average-multiplicative.json 100
 T_MAX_CONFIG="$OUT/exit-additive-tmax1.json"
 python3 - perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" <<'PY'
 import json

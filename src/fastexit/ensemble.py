@@ -82,13 +82,17 @@ class SpdeStepper:
     for a constant gain g.  A state-dependent gain is an approximation: the
     interior channel keeps its own panel with the diagonal law
     sum_j (lambda_j M_kj)^2 v_k, M_kj = <g e_j, e_k> frozen at the step start,
-    and drops the cross-mode covariance of M Lambda.  M Lambda comes from one
-    matrix product of the weighted gain values with a table precomputed for
-    the basis, T[m, (k, j)] = e_k(x_m) e_j(x_m) lambda_j, so like every other
-    product of a step it keeps a row's result independent of the other rows
-    at a fixed row count.  Optional deterministic control forcing enters with
-    the phi1 weight.  Panel order per step: the interior panel
-    (state-dependent g only) first, the additive panel last.
+    and drops the cross-mode covariance of M Lambda.  The gain's weighted grid
+    values g w = (a_g w) phi_g(r) + (b_g w) are formed once per step from its
+    profile.  M is symmetric, so one matrix product of g w with a table
+    precomputed for the basis, T_sym[m, (k, j)] = e_k(x_m) e_j(x_m) for the
+    N(N + 1)/2 pairs k <= j, gives its upper triangle, and one more product
+    of the squared triangle with A, A[(k, j), k] = lambda_j^2 and
+    A[(k, j), j] = lambda_k^2, sums every mode's variance over j.  Like every
+    other product of a step, both keep a row's result independent of the
+    other rows at a fixed row count.  Optional deterministic control
+    forcing enters with the phi1 weight.  Panel order per step: the interior
+    panel (state-dependent g only) first, the additive panel last.
     """
 
     def __init__(
@@ -104,7 +108,6 @@ class SpdeStepper:
         alpha, beta, eps = params.alpha, params.beta, params.eps
         self.dt = dt
         self.decay, v = ou_step_weights(op.eigenvalues, eps, dt)
-        self.sqrt_v = np.sqrt(v)
         self.phi1dt = decay_integral(op.eigenvalues / eps, dt)  # dt phi1(-alpha dt / eps)
         self.lambdas = model.q_lambdas
         self.g_const = cs.g.constant_value if cs.g.is_constant else None
@@ -116,15 +119,22 @@ class SpdeStepper:
             cov += np.diag((alpha * self.g_const * self.lambdas) ** 2 * v)
             self.has_q = False
         else:
-            self.q_scale = alpha
             self.has_q = alpha != 0.0 and np.any(self.lambdas > 0)
-            if self.has_q:  # T[m, (k, j)] = e_k(x_m) e_j(x_m) lambda_j, so g w @ T is M Lambda
-                e = op.modes_on_grid.T
-                self._mode_products = (e[:, :, None] * (e * self.lambdas)[:, None, :]).reshape(e.shape[0], -1)
+            if self.has_q:  # one column per pair k <= j: gw @ T_sym is M's upper triangle, M^2 @ A is var
+                e, (kk, jj) = op.modes_on_grid.T, np.triu_indices(op.n_modes)
+                self._pair_products = e[:, kk] * e[:, jj]
+                lam2, pairs = self.lambdas**2, np.arange(kk.size)
+                self._pair_weights = np.zeros((kk.size, op.n_modes))
+                self._pair_weights[pairs, kk] = lam2[jj]
+                self._pair_weights[pairs, jj] = lam2[kk]
+                self._q_amp = alpha * np.sqrt(v)
         self.factor = _psd_factor(cov) if np.any(cov != 0.0) else None
         self.n_panels = int(self.has_q) + int(self.factor is not None)
         self.control = control
         self.needs_g = self.has_q or (control is not None and self.g_const is None)
+        if self.needs_g:  # g w = (a w) phi(r) + (b w), the gain's grid values weighted once
+            a, b = cs.g.profile(op.grid)
+            self._gain_w = (a * op.quad_weights, b * op.quad_weights)
         self.affine = None
         if cs.f.shape_is_identity:  # f = a_f r + b_f: decay and reaction are u @ K + c
             a, b = cs.f.profile(op.grid)
@@ -151,19 +161,23 @@ class SpdeStepper:
         else:
             k, c = self.affine
             new = u @ k + c
-        g_vals = self.cs.g.value(op.grid, grid_u) if self.needs_g else None
+        gw = None
+        if self.needs_g:
+            aw, bw = self._gain_w
+            gw = aw * self.cs.g.phi(grid_u) + bw
         if self.control is not None:
-            new += self.phi1dt * self._control_forcing(t, g_vals)
+            new += self.phi1dt * self._control_forcing(t, gw)
         if self.has_q:
-            m_lam = ((g_vals * op.quad_weights) @ self._mode_products).reshape(u.shape[0], op.n_modes, -1)
-            var = np.einsum("pkj,pkj->pk", m_lam, m_lam)
-            new += self.q_scale * np.sqrt(var) * self.sqrt_v * z[0]
+            m2 = gw @ self._pair_products
+            m2 *= m2
+            new += self._q_amp * np.sqrt(m2 @ self._pair_weights) * z[0]
         if self.factor is not None:
             new += z[-1] @ self.factor
         return new
 
-    def _control_forcing(self, t: float, g_vals: np.ndarray | None) -> np.ndarray:
-        """The control's forcing at t; g_vals are the gain's grid values (None for a constant gain)."""
+    def _control_forcing(self, t: float, gw: np.ndarray | None) -> np.ndarray:
+        """The control's forcing at t; gw are the gain's grid values times the quadrature weights
+        (None for a constant gain)."""
         phi_h, phi_z = self.control(t)
         op = self.op
         sq_phi = self.lambdas * phi_h  # sqrt(Q) phi_H in modes
@@ -171,7 +185,7 @@ class SpdeStepper:
             interior = self.cw_h * self.g_const * sq_phi
         else:
             sq_grid = sq_phi @ op.modes_on_grid
-            interior = self.cw_h * ((g_vals * sq_grid * op.quad_weights) @ op.modes_on_grid.T)
+            interior = self.cw_h * ((gw * sq_grid) @ op.modes_on_grid.T)
         bnd = self.cw_z * (op.boundary_values @ (self._theta_sigma * phi_z))
         return interior + bnd
 

@@ -297,10 +297,12 @@ def run_quasipotential(resolved: dict, out_dir: Path) -> int:
 
 
 def _extrapolate(gammas: np.ndarray, values: np.ndarray, cis: np.ndarray):
-    """Weighted linear fit of values in gamma; None unless two distinct gammas exist."""
+    """Linear fit of values in gamma, weighted by 1 / ci^2; None unless two distinct gammas exist.
+
+    Every ci must be positive: a zero CI would take all the weight."""
     if len(set(gammas.tolist())) < 2:
         return None
-    w = 1.0 / np.clip(cis, 1e-12, None) ** 2
+    w = 1.0 / cis**2
     sw, swx = w.sum(), (w * gammas).sum()
     swy, swxx, swxy = (w * values).sum(), (w * gammas**2).sum(), (w * gammas * values).sum()
     denom = sw * swxx - swx**2
@@ -334,10 +336,19 @@ def run_exit(resolved: dict, out_dir: Path) -> int:
         tau_rows.extend([s.gamma, p, t] for p, t in enumerate(s.taus))
     taus_path = out_dir / "exit_taus.csv"
     write_csv(taus_path, ["gamma", "path", "tau"], tau_rows)
-    gammas = np.array([s.gamma for s in stats])
-    values = np.array([s.gamma_log_mean for s in stats])
-    cis = np.array([max(s.ci_halfwidth * s.gamma, 1e-12) for s in stats])
-    fit = _extrapolate(gammas, values, cis)
+    # a censored level's mean tau is only a lower bound, and a zero CI (all taus
+    # equal, as when every path is censored) has no weight to give: fit neither
+    fitted = [s for s in stats if s.n_censored == 0 and s.ci_halfwidth * s.gamma > 0]
+    fit = _extrapolate(np.array([s.gamma for s in fitted]), np.array([s.gamma_log_mean for s in fitted]),
+                       np.array([s.ci_halfwidth * s.gamma for s in fitted]))
+    note = {}
+    if fit is None:
+        note["extrapolation_note"] = (
+            f"no fit: {len(fitted)} of {len(stats)} levels have no censored path and a positive CI, "
+            "and a fit needs two distinct gammas among them")
+    elif len(fitted) < len(stats):
+        note["extrapolation_note"] = (
+            f"fitted {len(fitted)} of {len(stats)} levels, leaving out those with a censored path or a zero CI")
     vb = stats[0].v_bar_target
     summary = {
         "v_bar_target": vb,
@@ -348,6 +359,7 @@ def run_exit(resolved: dict, out_dir: Path) -> int:
         "extrapolation": fit,
         "extrapolated_value": fit["intercept"] if fit else None,
         "relative_gap": abs(fit["intercept"] - vb) / vb if fit else None,
+        **note,
         "lower_bound_only": any(s.lower_bound_only for s in stats),
         "speed_note": (
             "gamma = (alpha + beta)^2 is used as the rate speed; the raw-eps "

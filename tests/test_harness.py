@@ -446,6 +446,32 @@ def test_run_exit_repeated_gamma_no_extrapolation(tmp_path):
     assert summary["extrapolated_value"] is None and summary["relative_gap"] is None
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps, t_max, n_fitted", [([1.0, 0.25, 1e-4], 10.0, 2), ([0.0625, 0.015625], 0.05, 0)])
+def test_run_exit_extrapolates_only_uncensored_levels(tmp_path, eps, t_max, n_fitted):
+    # the last level censors every path (CI 0), and in the second case so does
+    # the first: only the uncensored levels enter the fit, and with fewer than
+    # two of them there is none, with the reason in the summary
+    cfg = reference_config(multiscale={"eps": eps}, n_paths=16)
+    cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}, "t_max": t_max}
+    assert run_exit(resolve_config(cfg), tmp_path) == 0
+    summary = json.loads((tmp_path / "exit_summary.json").read_text())
+    levels = summary["levels"]
+    assert levels[-1]["censored"] == 16 and levels[-1]["ci_halfwidth"] == 0.0
+    kept = [(lv["gamma"], lv["gamma_log_mean"]) for lv in levels if lv["censored"] == 0]
+    assert len(kept) == n_fitted
+    fit = summary["extrapolation"]
+    if n_fitted:
+        (g0, v0), (g1, v1) = kept  # two points: the weighted fit is the line through them
+        slope = (v1 - v0) / (g1 - g0)
+        assert fit["slope"] == pytest.approx(slope, rel=1e-9)
+        assert summary["extrapolated_value"] == fit["intercept"] == pytest.approx(v0 - slope * g0, rel=1e-9)
+        assert summary["extrapolation_note"].startswith("fitted 2 of 3 levels")
+    else:
+        assert fit is None and summary["extrapolated_value"] is None and summary["relative_gap"] is None
+        assert summary["extrapolation_note"].startswith("no fit: 0 of 2 levels")
+
+
 def test_domain_rejects_unknown_key(tmp_path, capsys):
     # a misspelt "center" must not leave the run on the default center 0
     cfg = reference_config()

@@ -251,8 +251,11 @@ def test_averaging_error_basic(ref_op):
         sup_error(x, 1.0)  # the window [delta, T] must not be empty
 
 
-def test_averaging_ensemble_deterministic_across_threads(ref_op):
-    model = build_model(ref_op)
+@pytest.mark.parametrize("g_spec", [None, LOGISTIC], ids=["constant_gain", "logistic_gain"])
+def test_averaging_ensemble_deterministic_across_threads(ref_op, g_spec):
+    # a state-dependent gain pads each last tile to 64 rows (100 = 64 + 36 and
+    # 70 = 64 + 6 paths), and the padding must not reach a kept row
+    model = build_model(ref_op, g_spec=g_spec)
     params = fx.MultiscaleParams(eps=0.1, alpha=np.sqrt(0.1), beta=np.sqrt(0.1))
     x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
     ref = fx.solve_limit_ode(model, fx.invariant_average(ref_op, x), t_final=0.5, dt=2e-3)
