@@ -1,9 +1,15 @@
 """Experiment configuration: schema, validation, resolution, and system building.
 
-Configs are single JSON documents.  Validation is schema-based; resolution
-materializes every default into the returned copy, so the config written next
-to the results re-validates and re-runs to the same outputs.  rho_bar = inf
-is encoded as the string "inf" (JSON has no infinity literal).
+Configs are single JSON documents.  Validation is schema-based: CONFIG_SCHEMA
+is a JSON Schema (draft 2020-12), and `schema_errors` interprets the keyword
+subset it uses with JSON Schema's semantics: type, enum, const, anyOf,
+minimum, exclusiveMinimum, items, minItems, required, properties and
+additionalProperties: false ($schema is read as a comment).  Any other
+keyword, anywhere in a schema, is an error, so a schema edit cannot drop a
+rule silently.  Resolution materializes every default into the returned
+copy, so the config written next to the results re-validates and re-runs to
+the same outputs.  rho_bar = inf is encoded as the string "inf" (JSON has no
+infinity literal).
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ import copy
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .coefficients import AveragedModel, catalog_params, make_coefficient_set
 from .errors import ConfigError
@@ -163,13 +169,103 @@ def load_config(path) -> dict:
         raise ConfigError("<root>", f"not valid JSON: {exc}") from exc
 
 
+_KEYWORDS = {"$schema", "type", "enum", "const", "anyOf", "minimum", "exclusiveMinimum", "items", "minItems",
+             "required", "properties", "additionalProperties"}
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)) or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _subschemas(schema: dict):
+    """schema and every schema nested in it."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("anyOf", ())]
+    for sub in nested + ([schema["items"]] if "items" in schema else []):
+        yield from _subschemas(sub)
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: a bool equals only a bool, though True == 1 in Python."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _errors(schema: dict, x, path: tuple):
+    """Yield (path, message) for each rule of schema that x breaks, in the order JSON Schema validators do.
+
+    A rule on numbers, arrays or objects passes any other kind of value.
+    """
+    is_number = _TYPES["number"](x)
+    for key, rule in schema.items():
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[t](x) for t in types):
+                yield path, f"{x!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if not any(_equal(x, v) for v in rule):
+                yield path, f"{x!r} is not one of {rule!r}"
+        elif key == "const":
+            if not _equal(x, rule):
+                yield path, f"{rule!r} was expected"
+        elif key == "anyOf":
+            if all(next(_errors(sub, x, path), None) for sub in rule):
+                yield path, f"{x!r} is not valid under any of the given schemas"
+        elif key == "minimum":
+            if is_number and x < rule:
+                yield path, f"{x!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if is_number and x <= rule:
+                yield path, f"{x!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "minItems":
+            if isinstance(x, list) and len(x) < rule:
+                yield path, f"{x!r} has fewer than {rule} items"
+        elif key == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    yield from _errors(rule, item, path + (i,))
+        elif key == "required":
+            if isinstance(x, dict):
+                yield from ((path, f"{name!r} is a required property") for name in rule if name not in x)
+        elif key == "properties":
+            if isinstance(x, dict):
+                for name, sub in rule.items():
+                    if name in x:
+                        yield from _errors(sub, x[name], path + (name,))
+        elif key == "additionalProperties":
+            extra = [name for name in x if name not in schema.get("properties", {})] if isinstance(x, dict) else []
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({', '.join(map(repr, extra))} {verb} unexpected)"
+
+
+def schema_errors(schema: dict, instance) -> list[tuple[tuple, str]]:
+    """Every (path, message) error of instance against schema, sorted by path, ties in schema order.
+
+    Raises NotImplementedError if schema uses a keyword outside the subset
+    named in the module docstring, a type JSON Schema does not define, or
+    additionalProperties other than false.
+    """
+    for sub in _subschemas(schema):
+        types = sub.get("type", [])
+        unknown = (set(sub) - _KEYWORDS) | (({types} if isinstance(types, str) else set(types)) - set(_TYPES))
+        if sub.get("additionalProperties", False) is not False:
+            unknown.add(f"additionalProperties: {sub['additionalProperties']!r}")
+        if unknown:
+            raise NotImplementedError(f"schema uses keywords or types that are not implemented: {sorted(unknown)}")
+    return sorted(_errors(schema, instance, ()), key=lambda e: e[0])
+
+
 def validate_config(raw: dict) -> None:
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    """Raise ConfigError for the first error of raw against CONFIG_SCHEMA, errors sorted by path."""
+    errors = schema_errors(CONFIG_SCHEMA, raw)
     if errors:
-        e = errors[0]
-        path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(path, e.message)
+        path, message = errors[0]
+        raise ConfigError(".".join(map(str, path)) or "<root>", message)
 
 
 def _merge(base: dict, override: dict) -> dict:

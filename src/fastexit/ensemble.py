@@ -22,7 +22,6 @@ total path count, the thread count, and the execution schedule.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,6 +55,8 @@ def map_blocks(fn, n_paths: int, threads: int = 1):
     shares = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     if n_shares == 1:
         return [fn(shares[0])]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: it loads logging, which a 1-thread run skips
+
     with ThreadPoolExecutor(max_workers=n_shares) as pool:
         return list(pool.map(fn, shares))
 
@@ -224,8 +225,9 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
     Each thread steps its share of the paths together, one chunk of steps at
     a time.  observer(u0) starts the measurement of a share, u0 holding one
     row per path.  Path p draws from stream stream_base | p: at the start of
-    each chunk every live path refills its own buffer with one draw, and step
-    i (from i dt to (i + 1) dt) reads its panel for i.  The rows live at the
+    each chunk every live path draws the panels of the chunk's steps, and no
+    more, into its own buffer in one draw, and step i (from i dt to
+    (i + 1) dt) reads its panel for i.  The rows live at the
     start of a chunk are gathered once, in path order, into padded tiles
     (module docstring) and stepped to the chunk's end, so a row that leaves
     mid-chunk is stepped on to the end on draws it has already made.  Then
@@ -260,7 +262,7 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
             states[0, :n] = u
             if n_panels:
                 for p in idx.tolist():
-                    gens[p].standard_normal(out=buf[p])
+                    gens[p].standard_normal(out=buf[p, :k])
                 zt = np.zeros((k, n_panels, n_tile_rows, n_modes))
                 zt[:, :, :n] = (buf[:, :k] if n == n_rows else buf[idx, :k]).transpose(1, 2, 0, 3)
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging row runs on to the chunk's end

@@ -13,7 +13,7 @@ import pytest
 import fastexit
 import fastexit.ldp
 from fastexit.cli import RUNS, main
-from fastexit.config import build_system, resolve_config, rho_bar_limit
+from fastexit.config import CONFIG_SCHEMA, build_system, resolve_config, rho_bar_limit, schema_errors
 from fastexit.errors import ConfigError
 from fastexit.runs import emit_plot_data, run_average, run_check, run_exit
 
@@ -61,6 +61,106 @@ def test_schema_rejects_bad_field():
     assert "solver.dt" in str(exc.value)
     with pytest.raises(ConfigError):
         resolve_config({"coefficients": {}, "experiment": {"kind": "check"}})
+
+
+ROOT = Path(__file__).parents[1]
+CONFIG_FILES = sorted([*(ROOT / "configs").glob("*.json"), *(ROOT / "perfbench" / "workloads").glob("*.json")])
+DELETE = object()
+
+
+def _mutated(path, value):
+    """The exit reference config with the field at path (keys) set to value, or deleted if value is DELETE."""
+    cfg = json.loads((ROOT / "configs" / "exit_reference.json").read_text())
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+# one or more mutations per schema keyword, each accepted or rejected
+SCHEMA_CASES = {
+    "type-string-for-integer": _mutated(["operator", "n_modes"], "16"),
+    "type-bool-for-number": _mutated(["solver", "dt"], True),
+    "type-bool-for-integer": _mutated(["seed"], False),
+    "type-float-integer": _mutated(["operator", "n_modes"], 16.0),
+    "type-fractional-for-integer": _mutated(["operator", "n_modes"], 16.5),
+    "type-root-not-object": [],
+    "type-number-for-object": _mutated(["solver"], 1.0),
+    "required-root": _mutated(["coefficients"], DELETE),
+    "required-nested": _mutated(["experiment", "kind"], DELETE),
+    "required-spec-kind": _mutated(["coefficients", "g", "kind"], DELETE),
+    "additional-root": _mutated(["colour"], "red"),
+    "additional-nested": _mutated(["experiment", "domain", "centre"], 0.3),
+    "additional-open-spec": _mutated(["experiment", "x0", "extra"], 1),
+    "required-and-additional-root": {**_mutated(["coefficients"], DELETE), "colour": "red"},
+    "enum-outside": _mutated(["experiment", "kind"], "mystery"),
+    "enum-bool": _mutated(["experiment", "kind"], True),
+    "enum-x0-kind": _mutated(["experiment", "x0", "kind"], "bogus"),
+    "minimum-edge": _mutated(["operator", "n_modes"], 2),
+    "minimum-below": _mutated(["operator", "n_modes"], 1),
+    "minimum-zero-seed": _mutated(["seed"], 0),
+    "minimum-negative-seed": _mutated(["seed"], -1),
+    "exclusive-minimum-edge": _mutated(["solver", "dt"], 0.0),
+    "exclusive-minimum-above": _mutated(["solver", "dt"], 1e-300),
+    "exclusive-minimum-negative-level": _mutated(["experiment", "domain", "level"], -0.25),
+    "min-items-empty-eps": _mutated(["multiscale", "eps"], []),
+    "items-eps-zero": _mutated(["multiscale", "eps"], [0.1, 0.0]),
+    "items-eps-string": _mutated(["multiscale", "eps"], [0.1, "x"]),
+    "items-y-values-null": _mutated(["experiment", "y_values"], [0.5, None]),
+    "items-e-sup-norms": _mutated(["noise", "e_sup_norms"], [1.0, "a"]),
+    "type-e-sup-norms-null": _mutated(["noise", "e_sup_norms"], None),
+    "any-of-rho-bar-inf": _mutated(["multiscale", "rho_bar"], "inf"),
+    "any-of-rho-bar-zero": _mutated(["multiscale", "rho_bar"], 0),
+    "any-of-rho-bar-negative": _mutated(["multiscale", "rho_bar"], -1),
+    "any-of-rho-bar-string": _mutated(["multiscale", "rho_bar"], "x"),
+    "any-of-rho-bar-bool": _mutated(["multiscale", "rho_bar"], True),
+    "t-max-null": _mutated(["experiment", "t_max"], None),
+    "t-max-zero": _mutated(["experiment", "t_max"], 0),
+    "path-file-null": _mutated(["experiment", "path_file"], None),
+    "path-file-number": _mutated(["experiment", "path_file"], 3),
+    "law-extra-key": _mutated(["multiscale", "alpha_law", "power"], 1.0),
+    "errors-at-two-paths": _mutated(["solver", "dt"], -1.0) | {"operator": {"n_modes": 1}},
+}
+
+
+@pytest.mark.parametrize("cfg, resolve", [
+    *(pytest.param(json.loads(p.read_text()), resolve, id=f"{p.parent.name}/{p.stem}{'-resolved' * resolve}")
+      for resolve in (False, True) for p in CONFIG_FILES),
+    *(pytest.param(cfg, False, id=name) for name, cfg in SCHEMA_CASES.items()),
+])
+def test_schema_errors_match_json_schema_reference(cfg, resolve):
+    # the in-package validator accepts and rejects what a JSON Schema validator
+    # does, with the same error paths in the same sorted order
+    jsonschema = pytest.importorskip("jsonschema")
+    if resolve:
+        cfg = resolve_config(cfg)
+    reference = sorted(jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    assert [path for path, _ in schema_errors(CONFIG_SCHEMA, cfg)] == [tuple(e.absolute_path) for e in reference]
+
+
+@pytest.mark.parametrize("schema, instance", [({"enum": [0, 1]}, True), ({"const": False}, 0), ({"const": 1}, 1.0)])
+def test_schema_errors_compare_bools_as_json(schema, instance):
+    # in JSON a bool is no number, though True == 1 in Python; 1.0 and 1 are equal
+    jsonschema = pytest.importorskip("jsonschema")
+    assert bool(schema_errors(schema, instance)) == (not jsonschema.Draft202012Validator(schema).is_valid(instance))
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"type": "array", "maxItems": 2}, [1, 2, 3]),
+    ({"type": "object", "properties": {"name": {"type": "string", "pattern": "^a"}}}, {}),
+    ({"type": "object", "additionalProperties": {"type": "number"}}, {"a": "x"}),
+    ({"anyOf": [{"type": "int"}, {"const": 1}]}, 1),
+], ids=["maxItems", "pattern-unreached", "additionalProperties-schema", "unknown-type"])
+def test_schema_errors_refuse_unimplemented_keywords(schema, instance):
+    # a keyword the validator does not implement is an error, even where the
+    # instance never reaches it, so no rule of a schema is silently skipped
+    with pytest.raises(NotImplementedError):
+        schema_errors(schema, instance)
 
 
 def test_resolution_materializes_defaults():
@@ -570,7 +670,9 @@ def test_import_pins_openblas_threads_unless_set(preset, expected):
 def test_cli_commands_do_not_load_scipy(tmp_path):
     # every command runs on numpy alone: the variational quasi-potential (the
     # quasipotential run and v_bar for a state-dependent gain) and the roots of
-    # a drift that changes sign in the explicit one included
+    # a drift that changes sign in the explicit one included.  Nor does any
+    # load jsonschema (configs are checked in-package) or, at one thread,
+    # concurrent.futures
     root = Path(__file__).parents[1]
     cfg = json.loads((root / "configs" / "exit_reference.json").read_text())
     cfg["multiscale"]["eps"] = [0.0625]
@@ -591,7 +693,7 @@ def test_cli_commands_do_not_load_scipy(tmp_path):
         *(f"assert main([{cmd!r}, '--config', {configs[cfg]!r}, '--paths', '4',"
           f" '--out', {str(tmp_path / 'results' / cfg / cmd)!r}]) == 0" for cmd, cfg in runs),
         f"assert main(['emit-plots', '--out', {str(tmp_path / 'results' / 'exit_reference' / 'exit')!r}]) == 0",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema', 'concurrent')))",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

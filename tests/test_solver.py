@@ -5,6 +5,7 @@ import pytest
 
 import fastexit as fx
 from fastexit.ldp import ControlPath
+from fastexit import ensemble
 from fastexit.ensemble import DRAW_STEPS, SpdeStepper, diverged_mask, run_ensemble
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
@@ -300,10 +301,18 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
 
 
 @pytest.mark.parametrize("g_spec", [None, LOGISTIC])
-def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
+def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec, monkeypatch):
     # one path with stream_base = s follows solve_spde on RngStream(seed, s),
     # across refills of its draw buffer and a partial last chunk (80 = 32 + 32 + 16
-    # steps); only the tile height differs
+    # steps); only the tile height differs.  It draws the panels of those 80
+    # steps and no more: the partial chunk draws only its own 16 steps
+    streams = []
+
+    def recording_stream(seed, stream):
+        streams.append(fx.RngStream(seed, stream))
+        return streams[-1]
+
+    monkeypatch.setattr(ensemble, "block_stream", recording_stream)
     model = build_model(ref_op, g_spec=g_spec)
     params = _params(eps=0.05, alpha=0.3, beta=0.3)
     x0, n_steps, stream = ref_op.constant_field(0.2), 80, (2 << 32) | 5
@@ -323,6 +332,9 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec):
     stepper = SpdeStepper(model, params, traj.times[1])
     states, = run_ensemble(stepper, x0, 1, n_steps, 3, stream, 1, Recorder)
     assert np.abs(states - traj.states[1:]).max() <= 1e-12
+    fresh = fx.RngStream(3, stream)._gen
+    fresh.standard_normal((n_steps, stepper.n_panels, ref_op.n_modes))
+    np.testing.assert_equal([s._gen.bit_generator.state for s in streams], [fresh.bit_generator.state])
 
 
 # the default linear f steps as one matrix, a logistic f on the grid
