@@ -12,7 +12,9 @@
 # and a last chunk of 8) exercises a partial last chunk and paths censored at
 # t_max.  One more average run of the multiplicative workload at --paths 100
 # (tiles of 64 and 36 rows, the second padded to 64 by the state-dependent
-# gain) exercises a padded tile of the interior-noise step.  Then prints
+# gain) exercises a padded tile of the interior-noise step.  One more exit
+# run of the exit reference at --paths 65 (a 64-row tile and a 1-row tile
+# padded to two) exercises the padded tile of the one-product step.  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
@@ -56,6 +58,7 @@ run configs-averaging_reference-simulate simulate configs/averaging_reference.js
 run configs-quasipotential_reference-action action configs/quasipotential_reference.json
 run perfbench-exit-additive-exit-160 exit perfbench/workloads/exit-additive.json 160
 run perfbench-average-multiplicative-average-100 average perfbench/workloads/average-multiplicative.json 100
+run configs-exit_reference-exit-65 exit configs/exit_reference.json 65
 T_MAX_CONFIG="$OUT/exit-additive-tmax1.json"
 python3 - perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" <<'PY'
 import json

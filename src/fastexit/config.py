@@ -161,10 +161,15 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+def _refuse_constant(name: str):
+    raise ConfigError("<root>", f"not valid JSON: {name} is not a number")
+
+
 def load_config(path) -> dict:
+    """Read a config file; NaN, Infinity and -Infinity, which Python's json reads, are refused."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError("<root>", f"not valid JSON: {exc}") from exc
 
@@ -280,10 +285,21 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _integers_as_int(schema: dict, x):
+    """x with each float at an integer-typed property of schema made an int.
+
+    JSON Schema counts 8.0 as an integer, but numpy and range do not take it.
+    """
+    if isinstance(x, dict):
+        props = schema.get("properties", {})
+        return {k: _integers_as_int(props[k], v) if k in props else v for k, v in x.items()}
+    return int(x) if schema.get("type") == "integer" and isinstance(x, float) else x
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate and materialize all defaults into a self-describing copy."""
     validate_config(raw)
-    resolved = _merge(DEFAULTS, raw)
+    resolved = _integers_as_int(CONFIG_SCHEMA, _merge(DEFAULTS, raw))
     if "domain" in resolved.get("experiment", {}):
         resolved["experiment"]["domain"] = _merge(
             {"kind": "quadratic", "scale": 1.0, "center": 0.0}, resolved["experiment"]["domain"]

@@ -2,19 +2,22 @@
 
 `SpdeStepper` advances a (P, N) batch of mode coefficients by one
 mild-solution step on a panel of standard normals, both noise channels
-included; a reaction affine in the state is one N x N matrix in mode space.
+included; a reaction affine in the state is one N x N matrix in mode space,
+and a step affine in (state, draws) is one product [u | 1 | z] @ B.
 `run_ensemble` gives every path its own counter-based stream, so a path's
 draws depend only on (seed, level, path, step): a live path draws one
 (n_panels, N) panel per step, in chunks of steps, and a path that has left
 draws nothing more.  It steps, checks for divergence and observes a
 chunk at a time, so that fixed per-step work is paid once per chunk.  Only
-the rows live at a chunk's start are stepped: each thread packs the live
-rows of its share of the paths into tiles of at most BLOCK_SIZE rows.
-A step with a state-dependent gain pads its last tile to BLOCK_SIZE rows, so
-each of its products keeps one shape; any other step pads only a single-row
-last tile, to two rows.  That a row's result does not depend on the other
-rows at any tile height from 2 to BLOCK_SIZE is a property of the BLAS, not
-of this code (a 1-row product takes another kernel), and
+the rows live at a chunk's start are stepped: each thread gathers the live
+rows of its share of the paths, with their draws, into one chunk buffer of
+rows [u | 1 | z], which `SpdeStepper.step_chunk` steps in tiles of at most
+BLOCK_SIZE rows.  A step with an interior panel (a state-dependent gain)
+pads its last tile to BLOCK_SIZE rows, so each of its products keeps one
+shape; any other step, the one-product step included, pads only a
+single-row last tile, to two rows.  That a row's result does not depend on
+the other rows at any tile height from 2 to BLOCK_SIZE is a property of the
+BLAS, not of this code (a 1-row product takes another kernel), and
 `test_run_ensemble_tiles_keep_surviving_rows` guards it for both kinds of
 noise and both kinds of reaction.  Results are therefore independent of the
 total path count, the thread count, and the execution schedule.
@@ -70,8 +73,13 @@ class SpdeStepper:
     folds with the decay into one matrix: the update is u @ K + c with
     K = diag(decay) + (E diag(a_f w) E^T) diag(phi1dt), c = phi1dt (b_f w) E^T,
     E the modes on the grid and w the quadrature weights, and the state goes
-    to the grid only when the gain needs grid values.  A logistic f is
-    evaluated on the grid.  The additive noise of a step is one
+    to the grid only when the gain needs grid values.  When the step has no
+    interior panel either (a constant gain, or alpha = 0), it is affine in
+    (u, z) and `fused`: `affine` is B = [K; c; R], (2N + 1) x N, or [K; c]
+    without additive noise, and the step, a control's forcing aside, is the
+    one product [u | 1 | z] @ B; without a control, `step_chunk` steps a
+    chunk with that product alone.  Otherwise `affine` is [K; c].  A
+    logistic f is evaluated on the grid.  The additive noise of a step is one
     centered Gaussian vector with the exact covariance C = C_B + C_Q,
 
         C_B[k, l] = beta^2 sum_j theta_j^2 b_kj b_lj W_kl,   W_kl = int_0^dt exp(-(a_k + a_l) s) ds,
@@ -136,11 +144,15 @@ class SpdeStepper:
         if self.needs_g:  # g w = (a w) phi(r) + (b w), the gain's grid values weighted once
             a, b = cs.g.profile(op.grid)
             self._gain_w = (a * op.quad_weights, b * op.quad_weights)
+        # the step, but for a control's forcing, is [u | 1 | z] @ B when it is affine in (u, z):
+        # f of the identity shape and no interior panel (a constant gain, or alpha = 0)
+        self.fused = cs.f.shape_is_identity and not self.has_q
         self.affine = None
-        if cs.f.shape_is_identity:  # f = a_f r + b_f: decay and reaction are u @ K + c
+        if cs.f.shape_is_identity:  # f = a_f r + b_f: decay and reaction are u @ K + c, B = [K; c (; R)]
             a, b = cs.f.profile(op.grid)
-            self.affine = (np.diag(self.decay) + op.to_modes(op.modes_on_grid * a) * self.phi1dt,
-                           self.phi1dt * op.to_modes(b))
+            k = np.diag(self.decay) + op.to_modes(op.modes_on_grid * a) * self.phi1dt
+            noise = [self.factor] if self.fused and self.factor is not None else []
+            self.affine = np.vstack([k, self.phi1dt * op.to_modes(b), *noise])
         if control is not None:
             if control_weights is None:
                 if params.gamma == 0:
@@ -155,13 +167,18 @@ class SpdeStepper:
 
     def step(self, t: float, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
         """Advance a (P, N) batch of mode coefficients from t to t + dt on the panel z = draw(gen, P)."""
-        op = self.op
+        op, n = self.op, self.op.n_modes
         grid_u = u @ op.modes_on_grid if self.needs_g or self.affine is None else None
         if self.affine is None:
             new = self.decay * u + self.phi1dt * op.to_modes(self.cs.f.value(op.grid, grid_u))
+        elif self.fused:
+            x = np.empty((u.shape[0], self.affine.shape[0]))
+            x[:, :n], x[:, n] = u, 1.0
+            if self.n_panels:
+                x[:, n + 1:] = z[-1]
+            new = x @ self.affine
         else:
-            k, c = self.affine
-            new = u @ k + c
+            new = u @ self.affine[:n] + self.affine[n]
         gw = None
         if self.needs_g:
             aw, bw = self._gain_w
@@ -172,9 +189,29 @@ class SpdeStepper:
             m2 = gw @ self._pair_products
             m2 *= m2
             new += self._q_amp * np.sqrt(m2 @ self._pair_weights) * z[0]
-        if self.factor is not None:
+        if self.factor is not None and not self.fused:
             new += z[-1] @ self.factor
         return new
+
+    def step_chunk(self, i0: int, x: np.ndarray) -> None:
+        """Step a chunk in place: x[j + 1, :, :N] = step((i0 + j) dt, x[j, :, :N], x[j]'s draws), j < k.
+
+        x has shape (k + 1, rows, N + 1 + n_panels N); row r of x[j] is
+        [u | 1 | z], u the state before step i0 + j and z its panels side by
+        side.  Rows are stepped in tiles of at most BLOCK_SIZE, each to the
+        chunk's end; a fused step is one product per tile-step, written
+        straight into the next state.
+        """
+        n, k, panels = self.op.n_modes, x.shape[0] - 1, self.n_panels
+        for s in range(0, x.shape[1], BLOCK_SIZE):
+            tile = x[:, s:s + BLOCK_SIZE]
+            if self.fused and self.control is None:
+                for src, dst in zip(tile[:-1], tile[1:, :, :n]):
+                    np.matmul(src, self.affine, out=dst)
+            else:
+                zs = tile[:-1, :, n + 1:].reshape(k, -1, panels, n).swapaxes(1, 2) if panels else [None] * k
+                for j, (u, z, dst) in enumerate(zip(tile[:-1, :, :n], zs, tile[1:, :, :n])):
+                    dst[...] = self.step((i0 + j) * self.dt, u, z)
 
     def _control_forcing(self, t: float, gw: np.ndarray | None) -> np.ndarray:
         """The control's forcing at t; gw are the gain's grid values times the quadrature weights
@@ -228,9 +265,10 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
     each chunk every live path draws the panels of the chunk's steps, and no
     more, into its own buffer in one draw, and step i (from i dt to
     (i + 1) dt) reads its panel for i.  The rows live at the
-    start of a chunk are gathered once, in path order, into padded tiles
-    (module docstring) and stepped to the chunk's end, so a row that leaves
-    mid-chunk is stepped on to the end on draws it has already made.  Then
+    start of a chunk, and their panels, are gathered once, in path order,
+    into the chunk buffer `step_chunk` steps, padded (module docstring), so a
+    row that leaves mid-chunk is stepped on to the end on draws it has
+    already made.  Then
     `first_bad` gives each row's first step whose state diverged (the chunk
     length where none did), the row's states are zeroed from that step on,
     and observe(i0, states, idx, first_bad) runs on the (k, rows, N) states
@@ -249,7 +287,7 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
         n_chunk = max(1, min(DRAW_STEPS, DRAW_BYTES // (8 * n_rows * max(n_panels, 1) * n_modes)))
         if n_panels:
             gens = [block_stream(seed, stream_base | p)._gen for p in paths]
-            buf = np.empty((n_rows, n_chunk, n_panels, n_modes))
+            buf = np.empty((n_rows, n_chunk, n_panels * n_modes))
         for i0 in range(0, n_steps, n_chunk):
             n, k = idx.size, min(n_chunk, n_steps - i0)
             if n == 0:
@@ -258,21 +296,16 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
                 n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
             else:  # no tile of a single row
                 n_tile_rows = n + (n % BLOCK_SIZE == 1)
-            states = np.zeros((k + 1, n_tile_rows, n_modes))
-            states[0, :n] = u
+            x = np.zeros((k + 1, n_tile_rows, n_modes + 1 + n_panels * n_modes))  # rows [u | 1 | z]
+            x[0, :n, :n_modes] = u
+            x[:, :, n_modes] = 1.0
             if n_panels:
                 for p in idx.tolist():
                     gens[p].standard_normal(out=buf[p, :k])
-                zt = np.zeros((k, n_panels, n_tile_rows, n_modes))
-                zt[:, :, :n] = (buf[:, :k] if n == n_rows else buf[idx, :k]).transpose(1, 2, 0, 3)
+                x[:k, :n, n_modes + 1:] = (buf[:, :k] if n == n_rows else buf[idx, :k]).swapaxes(0, 1)
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging row runs on to the chunk's end
-                for j in range(k):
-                    t = (i0 + j) * stepper.dt
-                    for s in range(0, n_tile_rows, BLOCK_SIZE):
-                        states[j + 1, s:s + BLOCK_SIZE] = stepper.step(
-                            t, states[j, s:s + BLOCK_SIZE], zt[j, :, s:s + BLOCK_SIZE] if n_panels else None)
-                    states[j + 1, n:] = 0.0
-                chunk = states[1:, :n]
+                stepper.step_chunk(i0, x)
+                chunk = x[1:, :n, :n_modes]
                 bad = diverged_mask(chunk)
             first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
             chunk[np.arange(k)[:, None] >= first_bad] = 0.0

@@ -383,6 +383,33 @@ def test_cli_average_rejects_empty_delta_window(tmp_path, capsys):
     assert "solver.delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("operator", "n_modes"), 8.0),
+    (("n_paths",), 8.0),
+    (("solver", "dt"), float("nan")),
+    (("solver", "t_final"), float("inf")),
+], ids=["n_modes-8.0", "n_paths-8.0", "dt-NaN", "t_final-Infinity"])
+def test_cli_schema_edge_values_end_cleanly(tmp_path, capsys, path, value):
+    # JSON Schema counts 8.0 as an integer, and Python's json reads NaN and
+    # Infinity: such a config runs as its integer twin or ends in status 1
+    cfg = json.loads((ROOT / "configs" / "averaging_reference.json").read_text())
+    cfg["multiscale"]["eps"], cfg["solver"], cfg["n_paths"] = [0.1], {"t_final": 0.1, "dt": 0.01, "delta": 0.05}, 8
+    *parents, key = path
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    p = write_config(tmp_path, cfg)
+    status = main(["average", "--config", str(p), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if isinstance(value, float) and value.is_integer():
+        assert status == 0
+        resolved = json.loads((tmp_path / "out" / "config_resolved.json").read_text())
+        assert isinstance(resolved[path[0]] if len(path) == 1 else resolved[path[0]][path[1]], int)
+    else:
+        assert status == 1 and len(err.splitlines()) == 1 and "not a number" in err
+
+
 def test_cli_fixed_horizon_runs_reject_dt_above_t_final(tmp_path, capsys):
     # simulate and average step from 0 to t_final, and action integrates the
     # limit ODE there: a step longer than the horizon is a config error

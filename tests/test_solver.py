@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_spde_affine_reaction_step_equals_grid_round_trip(ref_op, f_spec, n_rows
     model = build_model(ref_op, f_spec=f_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
     if f_spec["kind"] == "linear":  # a reaction that depends on xi couples the modes
-        k = stepper.affine[0]
+        k = stepper.affine[:ref_op.n_modes]
         assert np.abs(k - np.diag(k.diagonal())).max() > 1e-3
     rng = np.random.Generator(np.random.Philox(key=8))
     u = rng.standard_normal((n_rows, ref_op.n_modes))
@@ -377,6 +378,73 @@ def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, f_spec, threads)
         assert np.array_equal(live_some, retire_at[:n_paths] >= n_steps)
     stepped = ~np.isnan(s_some)
     assert np.array_equal(s_some[stepped], s_all[stepped])
+
+
+class _AllStates:
+    """run_ensemble observer that keeps every row live and records its states."""
+
+    def __init__(self, n_steps, u0):
+        self.states = np.empty((n_steps,) + u0.shape)
+
+    def observe(self, i0, states, idx, first_bad):
+        self.states[i0:i0 + len(states), idx] = states
+        return np.ones(idx.size, dtype=bool)
+
+    def finish(self, live):
+        return self.states.swapaxes(0, 1), live.copy()
+
+
+@pytest.mark.parametrize("g_spec", [None, LOGISTIC], ids=["constant_gain", "logistic_gain"])
+def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, monkeypatch):
+    # a linear f with a constant gain is stepped by step_chunk's one product per
+    # tile-step, never by step; a state-dependent gain still goes through step
+    model = build_model(ref_op, g_spec=g_spec)
+    stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
+
+    def no_step(*args):
+        raise RuntimeError("step called")
+
+    monkeypatch.setattr(SpdeStepper, "step", no_step)
+    args = (stepper, ref_op.constant_field(0.2), 70, 40, 3, 0, 1, partial(_AllStates, 40))
+    if g_spec is None:
+        assert stepper.fused and stepper.affine.shape == (2 * ref_op.n_modes + 1, ref_op.n_modes)
+        states, live = run_ensemble(*args)
+        assert live.all() and np.isfinite(states).all()
+    else:
+        with pytest.raises(RuntimeError, match="step called"):
+            run_ensemble(*args)
+
+
+@pytest.mark.parametrize("n_paths, n_steps, noise", [
+    (2, 40, 0.3),   # one 2-row tile over a full chunk and a partial one (40 = 32 + 8 steps)
+    (65, 8, 0.3),   # a 64-row tile and one live row, padded to two
+    (3, 40, 0.0),   # no noise: B is [K; c] and no panel is drawn
+], ids=["partial_chunk", "one_row_tile", "no_noise"])
+def test_affine_kernel_equals_step(ref_op, n_paths, n_steps, noise):
+    # run_ensemble's one product per tile-step gives, bit for bit, what step gives
+    # on the same tile and the same draws
+    model = build_model(ref_op, f_spec={"kind": "linear", "slope": -1.0, "xi_slope": 2.0, "offset": 0.3})
+    stepper = SpdeStepper(model, _params(eps=0.05, alpha=noise, beta=noise), dt=0.01)
+    n = ref_op.n_modes
+    assert stepper.fused and stepper.affine.shape == ((2 if noise else 1) * n + 1, n)
+    assert stepper.n_panels == (1 if noise else 0)
+    x0 = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.2)
+    states, _ = run_ensemble(stepper, x0, n_paths, n_steps, 5, 0, 1, partial(_AllStates, n_steps))
+
+    panels = np.zeros((n_steps, stepper.n_panels, n_paths + 1, n))  # one more row: a padding row's draws
+    for p in range(n_paths):
+        if stepper.n_panels:
+            panels[:, :, p] = ensemble.block_stream(5, p)._gen.standard_normal((n_steps, stepper.n_panels, n))
+    want = np.empty_like(states)
+    for s in range(0, n_paths, ensemble.BLOCK_SIZE):
+        rows = min(ensemble.BLOCK_SIZE, n_paths - s)
+        tile = rows + (rows == 1)  # a 1-row tile is padded with a zero row
+        u = np.zeros((tile, n))
+        u[:rows] = x0
+        for j in range(n_steps):
+            u = stepper.step(j * stepper.dt, u, panels[j, :, s:s + tile] if stepper.n_panels else None)
+            want[s:s + rows, j] = u[:rows]
+    assert np.array_equal(states, want)
 
 
 def test_eps_uniform_moment_probe(ref_op):
