@@ -7,8 +7,10 @@ A and B are OUT_DIRs written by `scripts/golden_outputs.sh` from two source
 trees.  For every run and every output file its manifest lists (except
 config_resolved.json, which records the output path), the CSV cells or JSON
 leaves are matched by position and key.  Prints one line per file: the
-largest relative difference |a - b| / max(|a|, |b|) over its numeric fields,
-or FAIL with the first mismatch when a non-numeric field differs, a file is
+largest difference |a - b| over its numeric fields, divided by the largest
+magnitude among the file's finite numeric fields in either tree (so a value
+near zero beside values of order one does not read as a large change), or
+FAIL with the first mismatch when a non-numeric field differs, a file is
 missing, or the files have a different shape.  Exits 1 if any file fails.
 A changed checksum whose file reports a difference at rounding level
 (around 1e-15) changed in its last digits only.
@@ -37,30 +39,38 @@ def _number(value):
         return None
 
 
-def _rel_diff(a: float, b: float) -> float:
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
-
-
-def _compare(a, b, where: str) -> float:
-    """Largest relative difference of the numeric leaves of a and b; Mismatch on anything else."""
+def _numeric_pairs(a, b, where: str):
+    """Yield the matched numeric leaves (x, y) of a and b; Mismatch on anything else."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             raise Mismatch(f"{where}: keys {sorted(a)} != {sorted(b)}")
-        return max((_compare(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
+        for k in a:
+            yield from _numeric_pairs(a[k], b[k], f"{where}.{k}")
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Mismatch(f"{where}: length {len(a)} != {len(b)}")
-        return max((_compare(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))), default=0.0)
-    x, y = _number(a), _number(b)
-    if x is not None and y is not None:
-        return _rel_diff(x, y)
-    if a != b:
-        raise Mismatch(f"{where}: {a!r} != {b!r}")
-    return 0.0
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _numeric_pairs(x, y, f"{where}[{i}]")
+    else:
+        x, y = _number(a), _number(b)
+        if x is not None and y is not None:
+            yield x, y
+        elif a != b:
+            raise Mismatch(f"{where}: {a!r} != {b!r}")
+
+
+def _compare(a, b, where: str) -> float:
+    """Largest |x - y| of the numeric leaves of a and b over the largest finite |x| or |y|."""
+    pairs = list(_numeric_pairs(a, b, where))
+    scale = max((abs(v) for pair in pairs for v in pair if math.isfinite(v)), default=0.0)
+    worst = 0.0
+    for x, y in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf
+        worst = max(worst, abs(x - y) / scale)
+    return worst
 
 
 def _load(path: Path):

@@ -51,7 +51,6 @@ from .ldp import (
 )
 from .noise import (
     RngStream,
-    check_hyp_eigenvalues,
     make_b_spectrum,
     make_q_spectrum,
 )

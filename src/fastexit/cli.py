@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: check, simulate, average, action, quasipotential, exit,
-emit-plots.  --seed, --paths, --threads and --out override the config and
-are recorded in config_resolved.json.
+Subcommands: check, simulate, average, action, quasipotential, exit.
+--seed, --paths, --threads and --out override the config and are recorded
+in config_resolved.json.
 Exit status: 0 success, 1 configuration or file error, 2 required
 hypothesis failed (a check, or a noise intensity H that vanishes where an
 action or quasi-potential needs it), 3 numerical failure: a diverged path or
@@ -20,7 +20,6 @@ from .errors import ConfigError, DivergenceError, NondegeneracyError, Optimizati
 from .runs import (
     EXIT_DIVERGED,
     EXIT_HYPOTHESIS_FAILED,
-    emit_plot_data,
     run_action,
     run_average,
     run_check,
@@ -56,19 +55,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--paths", type=int, default=None, help="override path count")
-    p = sub.add_parser("emit-plots", help="reshape run outputs into plot-ready CSVs")
-    p.add_argument("--out", required=True, help="results directory to read and write")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "emit-plots":
-            written = emit_plot_data(Path(args.out))
-            for p in written:
-                print(p)
-            return 0
         raw = load_config(args.config)
         if args.seed is not None:
             raw["seed"] = args.seed

@@ -65,8 +65,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "q_spectrum": _SPECTRUM_SCHEMA,
                 "b_spectrum": _SPECTRUM_SCHEMA,
-                "dimension": {"type": "integer", "minimum": 1},
-                "e_sup_norms": {"type": ["array", "null"], "items": {"type": "number"}},
             },
         },
         "multiscale": {
@@ -132,8 +130,6 @@ DEFAULTS = {
     "noise": {
         "q_spectrum": {"kind": "flat", "value": 1.0},
         "b_spectrum": {"kind": "flat", "value": 1.0},
-        "dimension": 1,
-        "e_sup_norms": None,
     },
     "multiscale": {
         "eps": [0.01],
@@ -161,15 +157,11 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
-def _refuse_constant(name: str):
-    raise ConfigError("<root>", f"not valid JSON: {name} is not a number")
-
-
 def load_config(path) -> dict:
-    """Read a config file; NaN, Infinity and -Infinity, which Python's json reads, are refused."""
+    """Read a config file.  Python's json reads NaN, Infinity and -Infinity; `resolve_config` refuses them."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_refuse_constant)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("<root>", f"not valid JSON: {exc}") from exc
 
@@ -296,8 +288,23 @@ def _integers_as_int(schema: dict, x):
     return int(x) if schema.get("type") == "integer" and isinstance(x, float) else x
 
 
+def _non_finite(x, path: tuple = ()):
+    """Yield (path, value) for each NaN or infinite float in x: they pass minimum and exclusiveMinimum."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _non_finite(v, path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _non_finite(v, path + (i,))
+    elif isinstance(x, float) and not math.isfinite(x):
+        yield path, x
+
+
 def resolve_config(raw: dict) -> dict:
-    """Validate and materialize all defaults into a self-describing copy."""
+    """Refuse non-finite numbers, validate, and materialize all defaults into a self-describing copy."""
+    bad = min(_non_finite(raw), key=lambda e: e[0], default=None)
+    if bad is not None:
+        raise ConfigError(".".join(map(str, bad[0])) or "<root>", f"{bad[1]!r} is not a number")
     validate_config(raw)
     resolved = _integers_as_int(CONFIG_SCHEMA, _merge(DEFAULTS, raw))
     if "domain" in resolved.get("experiment", {}):

@@ -47,10 +47,8 @@ from .operator import SpectralOperator
 
 __all__ = [
     "RngStream",
-    "EigenvalueCheckReport",
     "make_q_spectrum",
     "make_b_spectrum",
-    "check_hyp_eigenvalues",
     "ou_step_weights",
     "boundary_coupling",
 ]
@@ -106,102 +104,6 @@ class RngStream:
 
     def __post_init__(self):
         self._gen = Generator(Philox(key=np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)))
-
-
-@dataclass(frozen=True)
-class EigenvalueCheckReport:
-    dim: int
-    passed: bool
-    note: str
-    best_rho: float | None = None
-    kappa_q: float | None = None
-    best_beta: float | None = None
-    kappa_b: float | None = None
-
-
-def _tail_exponent(terms: np.ndarray) -> float:
-    """Log-log slope of the term sequence over its tail half (decay exponent p)."""
-    n = terms.shape[0]
-    tail = terms[n // 2 :]
-    k = np.arange(n // 2, n) + 1.0
-    good = tail > 0
-    if good.sum() < 3:
-        return np.inf  # identically-zero tail: series trivially summable
-    logs = np.log(tail[good])
-    logk = np.log(k[good])
-    slope = np.polyfit(logk, logs, 1)[0]
-    return -slope
-
-
-def _summability(terms: np.ndarray) -> tuple[bool, float]:
-    """Judge summability of a finite term list by its fitted tail decay.
-
-    Returns (finite, partial sum + integral tail bound).  Decay exponents
-    p > 1 are accepted; the tail estimate is a_n * n / (p - 1).
-    """
-    s = float(terms.sum())
-    p = _tail_exponent(terms)
-    if not np.isfinite(p):
-        return True, s
-    if p <= 1.0 + 1e-6:
-        return False, np.inf
-    n = terms.shape[0]
-    tail = float(terms[-1]) * n / (p - 1.0)
-    return True, s + tail
-
-
-def check_hyp_eigenvalues(dim: int, lambdas, e_sup_norms=None, thetas=None) -> EigenvalueCheckReport:
-    """Colored-noise admissibility check on the covariance eigenvalues.
-
-    For dim = 1 the check passes unconditionally (space-time white noise is
-    admissible) and says so.  For dim >= 2 it searches exponents rho below
-    2 dim / (dim - 2) (unbounded at dim = 2) and beta below 2 dim / (dim - 1)
-    for finite weighted sums
-
-        kappa_Q = sum_k lambda_k^rho |e_k|_inf^2,     kappa_B = sum_k theta_k^beta,
-
-    judging finiteness of the finite lists by their fitted tail decay.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    if dim == 1:
-        return EigenvalueCheckReport(
-            dim=1, passed=True, note="d = 1: white noise admissible, no eigenvalue condition"
-        )
-    lam = np.asarray(lambdas, dtype=float)
-    sup = np.ones_like(lam) if e_sup_norms is None else np.asarray(e_sup_norms, dtype=float)
-    rho_max = np.inf if dim == 2 else 2.0 * dim / (dim - 2.0)
-    beta_max = 2.0 * dim / (dim - 1.0)
-    rho_grid = [r for r in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0) if r < rho_max]
-    best_rho, kappa_q = None, None
-    for rho in rho_grid:
-        ok, s = _summability(lam**rho * sup**2)
-        if ok:
-            best_rho, kappa_q = rho, s
-            break
-    best_beta, kappa_b = None, None
-    if thetas is not None:
-        th = np.asarray(thetas, dtype=float)
-        beta_grid = [b for b in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0) if b < beta_max]
-        for beta in beta_grid:
-            ok, s = _summability(th**beta)
-            if ok:
-                best_beta, kappa_b = beta, s
-                break
-        b_ok = best_beta is not None
-    else:
-        b_ok = True
-    q_ok = best_rho is not None
-    note = "finite partial sums found" if (q_ok and b_ok) else "no admissible exponents on the search grid"
-    return EigenvalueCheckReport(
-        dim=dim,
-        passed=bool(q_ok and b_ok),
-        note=note,
-        best_rho=best_rho,
-        kappa_q=kappa_q,
-        best_beta=best_beta,
-        kappa_b=kappa_b,
-    )
 
 
 def decay_integral(rate: np.ndarray, dt: float) -> np.ndarray:

@@ -225,13 +225,21 @@ def test_criterion_9_hypothesis_checkers(tmp_path):
     def run(cfg, name):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(cfg))
-        return main(["check", "--config", str(p), "--out", str(tmp_path / name)])
+        status = main(["check", "--config", str(p), "--out", str(tmp_path / name)])
+        return status, json.loads((tmp_path / name / "check_report.json").read_text())["checks"]
 
-    code_d1 = run(base, "d1_flat")
+    code_base, _ = run(base, "base")
 
-    d2 = json.loads(json.dumps(base))
-    d2["noise"]["dimension"] = 2
-    code_d2 = run(d2, "d2_flat")
+    # rho_bar = 1 contradicts the laws, whose ratio beta / alpha = eps^0.25 tends to 0
+    mismatch = json.loads(json.dumps(base))
+    mismatch["multiscale"] = {
+        "eps": [0.01],
+        "alpha_law": {"coeff": 1.0, "exponent": 0.25},
+        "beta_law": {"coeff": 1.0, "exponent": 0.5},
+        "rho_bar": 1.0,
+    }
+    code_mismatch, checks = run(mismatch, "rho_mismatch")
+    rho_alone = not checks["rho_bar_consistency"]["passed"] and checks["nondegeneracy"]["passed"]
 
     mult = json.loads(json.dumps(base))
     mult["coefficients"]["g"] = {"kind": "linear", "slope": 1.0}
@@ -241,12 +249,11 @@ def test_criterion_9_hypothesis_checkers(tmp_path):
         "beta_law": {"coeff": 0.0, "exponent": 0.5},
         "rho_bar": 0.0,
     }
-    code_mult = run(mult, "mult_rho0")
-    report = json.loads((tmp_path / "mult_rho0" / "check_report.json").read_text())
-    nd = report["checks"]["nondegeneracy"]
-    ok = (code_d1 == 0 and code_d2 == 2 and code_mult == 2
+    code_mult, checks = run(mult, "mult_rho0")
+    nd = checks["nondegeneracy"]
+    ok = (code_base == 0 and code_mismatch == 2 and code_mult == 2 and rho_alone
           and not nd["passed"] and nd["argmin_u"] == 0.0)
-    _report(9, ok, f"exit statuses (d1 flat, d2 flat, multiplicative rho=0) = "
-                   f"({code_d1}, {code_d2}, {code_mult}), expected (0, 2, 2); "
-                   f"nondegeneracy fails at u = {nd['argmin_u']}")
+    _report(9, ok, f"exit statuses (flat noise, rho_bar 1 against a law limit of 0, multiplicative rho=0) = "
+                   f"({code_base}, {code_mismatch}, {code_mult}), expected (0, 2, 2); rho_bar check alone "
+                   f"fails the second: {rho_alone}; nondegeneracy fails at u = {nd['argmin_u']}")
     assert ok

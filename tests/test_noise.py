@@ -7,34 +7,6 @@ from fastexit.noise import boundary_coupling, ou_step_weights
 from conftest import build_model
 
 
-def test_hyp_check_d1_white_noise_passes():
-    rep = fx.check_hyp_eigenvalues(1, np.ones(64))
-    assert rep.passed
-    assert "white noise" in rep.note
-
-
-def test_hyp_check_d2_decaying_passes():
-    k = np.arange(1, 257)
-    rep = fx.check_hyp_eigenvalues(2, k**-2.0, e_sup_norms=np.full(256, np.sqrt(2)),
-                                   thetas=0.5 ** np.arange(1, 65))
-    assert rep.passed
-    assert rep.best_rho == pytest.approx(1.0)
-    # kappa_Q for rho = 1: sum 2 k^-2 = pi^2 / 3, plus a small tail estimate
-    assert rep.kappa_q == pytest.approx(np.pi**2 / 3, rel=0.05)
-
-
-def test_hyp_check_d2_flat_fails():
-    rep = fx.check_hyp_eigenvalues(2, np.ones(256), e_sup_norms=np.full(256, np.sqrt(2)))
-    assert not rep.passed
-
-
-def test_hyp_check_truncated_spectrum():
-    lam = np.zeros(64)
-    lam[0] = np.sqrt(2)
-    rep = fx.check_hyp_eigenvalues(3, lam, thetas=np.array([1.0, 1.0]))
-    assert rep.passed  # finitely many nonzero terms are always summable
-
-
 def test_block_stream_deterministic_repeat(ref_op):
     stepper = SpdeStepper(build_model(ref_op), fx.MultiscaleParams(eps=0.1, alpha=1.0, beta=1.0), dt=0.1)
     u = np.zeros((64, ref_op.n_modes))
