@@ -14,7 +14,12 @@
 # (tiles of 64 and 36 rows, the second padded to 64 by the state-dependent
 # gain) exercises a padded tile of the interior-noise step.  One more exit
 # run of the exit reference at --paths 65 (a 64-row tile and a 1-row tile
-# padded to two) exercises the padded tile of the one-product step.  Then prints
+# padded to two) exercises the padded tile of the one-product step.  One more
+# action run on the quasi-potential reference reads a path file that the
+# script writes under OUT_DIR (w(t) = 0.5 sin(pi t) + 0.2 t on [0, 1], step
+# 1e-3), so the duality gap and the skeleton round trip of a path that costs
+# something are covered too; it runs from OUT_DIR, so that action.json
+# records the file by a name that does not depend on OUT_DIR.  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
@@ -28,9 +33,9 @@ if [ $# -ne 1 ]; then
     exit 1
 fi
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-OUT="$1"
+mkdir -p "$1"
+OUT="$(cd "$1" && pwd)"
 SEED=7
-mkdir -p "$OUT"
 cd "$ROOT"
 
 run() {  # run NAME COMMAND CONFIG [PATHS]
@@ -69,3 +74,19 @@ config["experiment"]["t_max"] = 1.0
 json.dump(config, open(sys.argv[2], "w"), indent=2)
 PY
 run perfbench-exit-additive-exit-tmax1 exit "$T_MAX_CONFIG"
+PATH_CONFIG="$OUT/action-sine-path.json"
+python3 - configs/quasipotential_reference.json "$PATH_CONFIG" "$OUT/sine-path.csv" <<'PY'
+import json
+import math
+import sys
+
+config = json.load(open(sys.argv[1]))
+config["experiment"] = {"kind": "action", "path_file": "sine-path.csv"}
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+with open(sys.argv[3], "w") as fh:
+    fh.write("t,value\n")
+    for i in range(1001):
+        t = i / 1000
+        fh.write(f"{t!r},{0.5 * math.sin(math.pi * t) + 0.2 * t!r}\n")
+PY
+(cd "$OUT" && run configs-quasipotential_reference-action-sine-path action "$PATH_CONFIG")

@@ -19,7 +19,6 @@ from .coefficients import (
     check_nondegeneracy,
     make_coefficient,
     make_coefficient_set,
-    nemytskii_F,
 )
 from .errors import (
     ConfigError,
@@ -40,11 +39,9 @@ from .exit_times import (
 from .ldp import (
     ControlPath,
     action_I,
-    action_of_trajectory,
     control_cost,
     minimize_path_action,
     minimizing_control,
-    prefix_action_J,
     quasi_potential_explicit,
     quasi_potential_variational,
     v_bar,
@@ -58,8 +55,6 @@ from .operator import (
     SpectralOperator,
     build_neumann_laplacian_1d,
     invariant_average,
-    neumann_map,
-    semigroup_apply,
 )
 from .solver import (
     FieldTrajectory,

@@ -62,6 +62,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         raw = load_config(args.config)
+        if not isinstance(raw, dict):
+            raise ConfigError("<root>", f"{raw!r} is not of type 'object'")
+        experiment = raw.setdefault("experiment", {})
+        if not isinstance(experiment, dict):
+            raise ConfigError("experiment", f"{experiment!r} is not of type 'object'")
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.paths is not None:
@@ -70,9 +75,9 @@ def main(argv=None) -> int:
             raw["threads"] = args.threads
         if args.out is not None:
             raw["output_dir"] = args.out
-        raw.setdefault("experiment", {}).setdefault("kind", args.command)
-        if args.command != "check" and raw["experiment"]["kind"] != args.command:
-            raw["experiment"]["kind"] = args.command
+        experiment.setdefault("kind", args.command)
+        if args.command != "check" and experiment["kind"] != args.command:
+            experiment["kind"] = args.command
         resolved = resolve_config(raw)
         out_dir = Path(resolved["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)

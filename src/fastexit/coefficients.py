@@ -1,8 +1,8 @@
 """Reaction and gain coefficients, their averaged forms, and the noise intensity.
 
 Coefficients come from a small registered catalog of closed forms rather than
-arbitrary user code, so configs stay reproducible and Lipschitz / sup bounds
-are bookkept exactly.  Every kind is separable, c(xi, r) = a(xi) phi(r) + b(xi),
+arbitrary user code, so configs stay reproducible and sup bounds are
+bookkept exactly.  Every kind is separable, c(xi, r) = a(xi) phi(r) + b(xi),
 with the shape phi and the profile (a, b):
 
     kind                phi(r)           a(xi)                 b(xi)
@@ -11,8 +11,9 @@ with the shape phi and the profile (a, b):
     linear_plus_source  r                slope                 source_amp sin(source_freq pi xi) + offset
     logistic_clipped    tanh(r / width)  amp                   offset
 
-`value` and `d_dr` = a phi'(r) are derived from that one definition, and
-phi'' serves the Hessian of the action; a logistic width must be nonzero.  Every catalog coefficient is autonomous: f
+`value` is derived from that one definition, phi' and phi'' serve the
+derivatives of the averaged forms and the Hessian of the action, and a
+logistic width must be nonzero.  Every catalog coefficient is autonomous: f
 and g are functions of (xi, r), and the boundary gain sigma is either one
 value for both boundary points or a value per point.
 
@@ -58,7 +59,6 @@ __all__ = [
     "make_coefficient",
     "make_boundary_coefficient",
     "make_coefficient_set",
-    "nemytskii_F",
     "check_nondegeneracy",
 ]
 
@@ -145,21 +145,6 @@ class Coefficient:
         a, b = self.profile(xi)
         return a * self.phi(r) + b
 
-    def d_dr(self, xi, r):
-        return self.profile(xi)[0] * self.phi_prime(r)
-
-    @property
-    def lipschitz_bound(self) -> float:
-        p = self.params
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "linear":
-            xs = p["xi_slope"]
-            return max(abs(p["slope"]), abs(p["slope"] + xs))  # |slope + xs * xi| on [0, 1]
-        if self.kind == "linear_plus_source":
-            return abs(p["slope"])
-        return abs(p["amp"] / p["width"])
-
     @property
     def sup_bound(self) -> float | None:
         """Uniform bound over (xi, r), when the form admits one."""
@@ -197,10 +182,6 @@ class BoundaryCoefficient:
             return np.full(2, float(self.params["value"]))
         return np.array([self.params["left"], self.params["right"]], dtype=float)
 
-    @property
-    def sup_bound(self) -> float:
-        return float(np.abs(self.values()).max())
-
 
 def make_coefficient(spec: dict) -> Coefficient:
     spec = dict(spec)
@@ -229,11 +210,6 @@ def make_coefficient_set(f_spec: dict, g_spec: dict, sigma_spec: dict) -> Coeffi
         g=make_coefficient(g_spec),
         sigma=make_boundary_coefficient(sigma_spec),
     )
-
-
-def nemytskii_F(cs: CoefficientSet, op: SpectralOperator, u: np.ndarray) -> np.ndarray:
-    """F(u)(xi) = f(xi, u(xi)), applied on the grid and re-projected."""
-    return op.to_modes(cs.f.value(op.grid, op.to_grid(u)))
 
 
 @dataclass(frozen=True)
@@ -280,7 +256,13 @@ class AveragedModel:
 
     @cached_property
     def _nstar_m(self) -> np.ndarray:
-        """(N*_delta0 m)(p) at the two boundary points."""
+        """(N*_delta0 m)(p) at the two boundary points.
+
+        The Neumann map N_delta sends boundary flux data z = (z(0), z(1)) to
+        the solution of (delta - A) u = 0 with conormal derivative z; testing
+        against e_k and integrating by parts twice gives
+        <N_delta z, e_k> = (z(0) e_k(0) + z(1) e_k(1)) / (delta + alpha_k).
+        Its adjoint pairs with m: int_O (N_delta z) m = z . (N*_delta m)."""
         m_modes = self.op.quad_weights @ self.op.modes_on_grid.T  # the modes of m = 1
         return (m_modes / (self.delta0 + self.op.eigenvalues)) @ self.op.boundary_values
 

@@ -15,9 +15,10 @@ control achieving equality is
     c(t) = (w'(t) - F_bar(w(t))) / H(w(t)),
 
 with channel weights (w_H, w_Z) = (1/(1+rho), rho/(1+rho)).  Then
-1/2 |phi_hat|^2_{L2(V)} = I(w) and the skeleton ODE driven by phi_hat
-reproduces w; both identities are kept exactly at the discrete level and are
-the backbone of the test suite.
+1/2 |phi_hat|^2_{L2(V)} = I(w), exactly at the discrete level, and the
+skeleton ODE driven by phi_hat reproduces w up to the O(dt^2) of the
+derivative stencil and the control's interpolation; both identities are the
+backbone of the test suite, and the `action` run reports both.
 
 Quasi-potential: V(y) = inf over horizons T and paths 0 -> y of I; computed
 either from the closed form V(y) = (2/H) int_0^y max(-F_bar(s), 0) ds for
@@ -36,17 +37,14 @@ import numpy as np
 
 from .coefficients import AveragedModel
 from .errors import NondegeneracyError, NotApplicableError, OptimizationError
-from .operator import SpectralOperator
-from .solver import FieldTrajectory, ScalarPath, write_csv
+from .solver import ScalarPath, write_csv
 
 __all__ = [
     "ControlPath",
     "action_I",
-    "action_of_trajectory",
     "minimizing_control",
     "control_cost",
     "minimize_path_action",
-    "prefix_action_J",
     "quasi_potential_explicit",
     "quasi_potential_variational",
     "v_bar",
@@ -103,20 +101,6 @@ def action_I(model: AveragedModel, w: ScalarPath) -> float:
     resid = path_derivative(w.values, w.dt) - fbar
     dens = 0.5 * resid**2 / h
     return float(np.trapezoid(dens, w.times))
-
-
-def action_of_trajectory(
-    model: AveragedModel, op: SpectralOperator, traj: FieldTrajectory, atol: float = 1e-12
-) -> float:
-    """Action of a field-valued path; infinite unless it is spatially constant.
-
-    Any non-constant mode exceeding atol makes the action math.inf, the
-    finiteness guard of the rate functional.
-    """
-    if np.any(np.abs(traj.states[:, 1:]) > atol):
-        return math.inf
-    w = ScalarPath(times=traj.times, values=traj.states[:, 0].copy())
-    return action_I(model, w)
 
 
 def minimizing_control(model: AveragedModel, w: ScalarPath) -> ControlPath:
@@ -324,20 +308,6 @@ def minimize_path_action(
     if not res.success:
         raise OptimizationError("path action minimization did not converge", best_value=float(res.fun))
     return MinimizedPath(path=path, value=float(res.fun), n_iter=int(res.nit))
-
-
-def prefix_action_J(
-    model: AveragedModel, x_mean: float, y_delta: float, delta: float, n_nodes: int = 101
-) -> float:
-    """Minimal action to steer from <x, mu> to y over the window [0, delta].
-
-    This is the prefix cost of the two-stage decomposition of the action with
-    a free initial layer: it depends only on the initial mean and the value
-    the path must reach at time delta.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be strictly positive")
-    return minimize_path_action(model, (0.0, delta), x_mean, y_delta, n_nodes).value
 
 
 def quasi_potential_explicit(model: AveragedModel, y: float) -> float:

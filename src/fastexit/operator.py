@@ -20,14 +20,6 @@ Point evaluation uses a fixed midpoint quadrature grid.  Midpoint quadrature
 is exact for products of the cosine modes (discrete cosine orthogonality), so
 orthonormality and Parseval identities hold to rounding as long as the grid
 has at least 2 N points; we default to 4 N.
-
-The Neumann map N_delta sends boundary flux data z = (z(0), z(1)) to the
-solution of (delta - A) u = 0 with conormal derivative z.  Testing against
-e_k and integrating by parts twice gives the mode formula
-
-    <N_delta z, e_k> = (z(0) e_k(0) + z(1) e_k(1)) / (delta + alpha_k),
-
-which is what converts boundary forcing into interior modes.
 """
 
 from __future__ import annotations
@@ -40,9 +32,7 @@ import numpy as np
 __all__ = [
     "SpectralOperator",
     "build_neumann_laplacian_1d",
-    "semigroup_apply",
     "invariant_average",
-    "neumann_map",
 ]
 
 
@@ -69,18 +59,6 @@ class SpectralOperator:
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def spectral_gap(self) -> float:
-        """Smallest strictly positive eigenvalue."""
-        return float(self.eigenvalues[1])
-
-    def eigenfunction_at(self, k: int, xi):
-        """Evaluate e_k pointwise: 1 for k = 0, else sqrt(2) cos(k pi xi)."""
-        xi = np.asarray(xi, dtype=float)
-        if k == 0:
-            return np.ones_like(xi)
-        return np.sqrt(2.0) * np.cos(k * np.pi * xi)
 
     # -- transforms between mode coefficients and grid values -------------
 
@@ -138,24 +116,8 @@ def build_neumann_laplacian_1d(n_modes: int, grid_factor: int = 4) -> SpectralOp
     )
 
 
-def semigroup_apply(op: SpectralOperator, t: float, h: np.ndarray) -> np.ndarray:
-    """Apply exp(t A): multiply mode k by exp(-alpha_k t)."""
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    return np.exp(-op.eigenvalues * t) * h
-
-
 def invariant_average(op: SpectralOperator, h: np.ndarray) -> float:
     """<h, mu> = integral of h over O, by quadrature."""
     vals = op.to_grid(h)
     return float((vals * op.quad_weights).sum())
 
-
-def neumann_map(op: SpectralOperator, delta: float, h: np.ndarray) -> np.ndarray:
-    """Solve (delta - A) u = 0 with conormal derivative h = (h(0), h(1)) on the boundary.
-
-    Mode formula: <u, e_k> = (h(0) e_k(0) + h(1) e_k(1)) / (delta + alpha_k).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be strictly positive")
-    return op.boundary_values @ h / (delta + op.eigenvalues)

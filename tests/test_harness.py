@@ -391,6 +391,21 @@ def test_cli_schema_edge_values_end_cleanly(tmp_path, capsys, path, value):
         assert status == 1 and len(err.splitlines()) == 1 and "not a number" in err
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ([], "<root>"),
+    ({"experiment": [], "coefficients": {}}, "experiment"),
+], ids=["root-list", "experiment-list"])
+def test_cli_non_object_config_ends_cleanly(tmp_path, capsys, cfg, field):
+    # the command line writes its overrides into the root and the experiment
+    # objects before the schema sees them: either one of another type ends in
+    # status 1 and one line naming it, not a traceback
+    p = write_config(tmp_path, cfg)
+    assert main(["check", "--config", str(p), "--seed", "3", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"config field '{field}': [] is not of type 'object'" in err
+
+
 def test_resolve_config_refuses_non_finite_numbers():
     # NaN and infinity pass the schema's number rules: a config built in Python
     # is refused at resolution, at the first such field by path, as a file is
@@ -463,6 +478,27 @@ def test_cli_action_and_quasipotential(tmp_path):
     row = np.genfromtxt(out2 / "quasipotential.csv", delimiter=",", names=True)
     assert float(row["v_explicit"]) == pytest.approx(0.25, rel=1e-8)
     assert float(row["v_variational"]) == pytest.approx(0.25, rel=0.05)
+
+
+def test_cli_action_skeleton_roundtrip_on_path_file(tmp_path):
+    # the skeleton ODE driven by the minimizing control reproduces a non-trivial
+    # path (one of criterion 2's random paths), on a grid that starts after 0,
+    # within the bounds of criterion 2 at its step 1e-4
+    rng = np.random.Generator(np.random.Philox(key=102))
+    t = 0.5 + np.arange(10001) * 1e-4
+    w = np.full_like(t, 0.3 * rng.standard_normal())
+    for m in range(1, 4):
+        w += 0.3 / m**2 * rng.standard_normal() * np.sin(m * np.pi * t + rng.uniform(0, 2 * np.pi))
+    path_file = tmp_path / "path.csv"
+    path_file.write_text("t,value\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, w)))
+    cfg = reference_config()
+    cfg["experiment"] = {"kind": "action", "path_file": str(path_file)}
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "act"
+    assert main(["action", "--config", str(p), "--out", str(out)]) == 0
+    rep = json.loads((out / "action.json").read_text())
+    assert rep["action"] > 0.01
+    assert rep["skeleton_roundtrip_sup"] < 1e-6 and rep["duality_gap"] < 1e-8
 
 
 @pytest.mark.parametrize("text", [

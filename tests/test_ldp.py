@@ -57,20 +57,6 @@ def test_action_nondegeneracy_guard(ref_op):
         fx.action_I(model, through_zero)
 
 
-def test_spatial_dependence_rejected(ref_op):
-    model = _linear_drift_model(ref_op)
-    t = np.linspace(0, 1, 11)
-    states = np.zeros((11, ref_op.n_modes))
-    states[:, 0] = 0.3
-    traj = fx.FieldTrajectory(times=t, states=states)
-    assert math.isfinite(fx.action_of_trajectory(model, ref_op, traj))
-    states2 = states.copy()
-    states2[:, 2] = 1e-6
-    traj2 = fx.FieldTrajectory(times=t, states=states2)
-    val = fx.action_of_trajectory(model, ref_op, traj2)
-    assert not math.isfinite(val) and val == math.inf
-
-
 def test_minimizing_control_on_flow_is_zero(ref_op):
     model = _linear_drift_model(ref_op)
     flow = fx.solve_limit_ode(model, 0.8, t_final=1.0, dt=1e-3)
@@ -197,12 +183,13 @@ def test_newton_from_an_indefinite_start_reaches_the_straight_line_value(ref_op)
 
 
 def test_prefix_action_free_lagrangian(ref_op):
+    # the minimal action from x to y over [0, delta]: (y - x)^2 / (2 delta) when F_bar = 0, H = 1
     flat = _flat_drift_model(ref_op)
     x, y = 0.2, 0.9
     for delta in (0.2, 0.4, 0.8):
-        val = fx.prefix_action_J(flat, x, y, delta, n_nodes=101)
+        val = fx.minimize_path_action(flat, (0.0, delta), x, y, 101).value
         assert val == pytest.approx((y - x) ** 2 / (2 * delta), rel=1e-8)
-    vals = [fx.prefix_action_J(flat, x, y, d, n_nodes=101) for d in (0.2, 0.4, 0.8)]
+    vals = [fx.minimize_path_action(flat, (0.0, d), x, y, 101).value for d in (0.2, 0.4, 0.8)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -210,7 +197,7 @@ def test_prefix_action_flow_endpoint_is_free(ref_op):
     model = _linear_drift_model(ref_op)
     delta = 0.5
     flow = fx.solve_limit_ode(model, 0.8, t_final=delta, dt=1e-3)
-    val = fx.prefix_action_J(model, 0.8, float(flow.values[-1]), delta, n_nodes=201)
+    val = fx.minimize_path_action(model, (0.0, delta), 0.8, float(flow.values[-1]), 201).value
     assert val < 1e-6
 
 
@@ -284,7 +271,7 @@ def test_action_decomposition_two_stage(ref_op):
     j_split = int(round(delta / (times[1] - times[0])))
     u_tail = 0.3 + 0.2 * np.sin(times[j_split:])
     x_mean = 0.6
-    j_val = fx.prefix_action_J(model, x_mean, float(u_tail[0]), delta, n_nodes=j_split + 1)
+    j_val = fx.minimize_path_action(model, (0.0, delta), x_mean, float(u_tail[0]), j_split + 1).value
     tail_action = fx.action_I(model, ScalarPath(times=times[j_split:], values=u_tail))
     # joint minimization over the prefix nodes of the concatenated discrete action
     def joint(interior):

@@ -4,22 +4,38 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 import fastexit as fx
+from fastexit.noise import ou_step_weights
+from conftest import build_model
+
+
+def _cosine_mode(k, xi):
+    """e_k(xi): 1 for k = 0, else sqrt(2) cos(k pi xi)."""
+    xi = np.asarray(xi, dtype=float)
+    return np.ones_like(xi) if k == 0 else np.sqrt(2.0) * np.cos(k * np.pi * xi)
+
+
+def _decay(op, t):
+    """The semigroup exp(tA) in modes, as the stepper applies it: ou_step_weights' decay at eps = 1."""
+    return ou_step_weights(op.eigenvalues, 1.0, t)[0]
 
 
 def test_reference_eigenvalues():
     op = fx.build_neumann_laplacian_1d(4)
     assert np.allclose(op.eigenvalues, [0.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
-    assert op.spectral_gap == pytest.approx(np.pi**2, rel=1e-14)
+    assert op.eigenvalues[1] == pytest.approx(np.pi**2, rel=1e-14)
 
 
 def test_eigenfunctions_satisfy_operator_fd():
     # central second differences on a fine grid: e_k'' = -alpha_k e_k,
-    # zero derivative at the boundary
+    # zero derivative at the boundary, for the operator's eigenvalues and the
+    # cosines its grid values and boundary values hold
     op = fx.build_neumann_laplacian_1d(4)
     h = 1e-4
     xi = np.linspace(0, 1, int(1 / h) + 1)
     for k in range(1, 4):
-        e = op.eigenfunction_at(k, xi)
+        assert np.allclose(op.modes_on_grid[k], _cosine_mode(k, op.grid), atol=1e-14)
+        assert np.allclose(op.boundary_values[k], _cosine_mode(k, [0.0, 1.0]), atol=1e-14)
+        e = _cosine_mode(k, xi)
         lap = (e[2:] - 2 * e[1:-1] + e[:-2]) / h**2
         resid = lap + op.eigenvalues[k] * e[1:-1]
         assert np.abs(resid).max() < 50 * op.eigenvalues[k] ** 2 * h**2
@@ -44,25 +60,26 @@ def test_builder_rejects_tiny_mode_count():
 
 
 def test_semigroup_identity_and_decay(ref_op):
-    h = np.arange(1.0, ref_op.n_modes + 1.0)
-    assert np.array_equal(fx.semigroup_apply(ref_op, 0.0, h), h)
+    # the stepper's decay leaves the constant mode as it is, damps e_1 by exp(-pi^2 t),
+    # and takes only a positive step
     e1 = np.eye(ref_op.n_modes)[1]
-    out = fx.semigroup_apply(ref_op, 1 / np.pi**2, e1)
+    out = _decay(ref_op, 1 / np.pi**2) * e1
     assert out[1] == pytest.approx(np.exp(-1.0), rel=1e-14)
     e0 = np.eye(ref_op.n_modes)[0]
-    assert np.array_equal(fx.semigroup_apply(ref_op, 3.7, e0), e0)
-    with pytest.raises(ValueError):
-        fx.semigroup_apply(ref_op, -0.1, h)
+    assert np.array_equal(_decay(ref_op, 3.7) * e0, e0)
+    for t in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            _decay(ref_op, t)
 
 
 def test_semigroup_property_and_contraction(ref_op):
     rng = np.random.Generator(np.random.Philox(key=1))
     h = rng.standard_normal(ref_op.n_modes)
-    a = fx.semigroup_apply(ref_op, 0.3, fx.semigroup_apply(ref_op, 0.2, h))
-    b = fx.semigroup_apply(ref_op, 0.5, h)
+    a = _decay(ref_op, 0.3) * (_decay(ref_op, 0.2) * h)
+    b = _decay(ref_op, 0.5) * h
     assert np.allclose(a, b, rtol=1e-14, atol=1e-15)
-    for t in (0.0, 0.01, 0.5, 2.0):
-        out = fx.semigroup_apply(ref_op, t, h)
+    for t in (0.01, 0.5, 2.0):
+        out = _decay(ref_op, t) * h
         assert ref_op.hmu_norm(out) <= ref_op.hmu_norm(h) * (1 + 1e-14)
 
 
@@ -71,7 +88,7 @@ def test_mass_conservation(ref_op):
     h = rng.standard_normal(ref_op.n_modes)
     m0 = fx.invariant_average(ref_op, h)
     for t in (0.1, 1.0, 10.0):
-        assert fx.invariant_average(ref_op, fx.semigroup_apply(ref_op, t, h)) == pytest.approx(m0, abs=1e-13)
+        assert fx.invariant_average(ref_op, _decay(ref_op, t) * h) == pytest.approx(m0, abs=1e-13)
 
 
 def test_invariant_average_values(ref_op):
@@ -87,7 +104,7 @@ def _gap_margins(op, h, times):
     times = np.asarray(times, dtype=float)
     dev = np.exp(-np.outer(times, op.eigenvalues)) * h
     dev[:, 0] -= fx.invariant_average(op, h)  # the constant <h, mu> is mode 0, since e_0 = 1
-    return np.exp(-op.spectral_gap * times) * op.hmu_norm(h) - op.hmu_norm(dev), op.hmu_norm(dev)
+    return np.exp(-op.eigenvalues[1] * times) * op.hmu_norm(h) - op.hmu_norm(dev), op.hmu_norm(dev)
 
 
 def test_spectral_gap_check_equality_case(ref_op):
@@ -118,35 +135,27 @@ def test_basis_orthonormal_and_contracting_on_every_grid(n_modes, grid_factor):
     assert np.all(op.modes_on_grid[0] == 1.0) and op.quad_weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert np.allclose(op.eigenvalues, (np.arange(n_modes) * np.pi) ** 2, rtol=1e-14)
     for k in range(n_modes):
-        assert np.allclose(op.boundary_values[k], op.eigenfunction_at(k, [0.0, 1.0]), atol=1e-14)
-        assert np.allclose(op.modes_on_grid[k], op.eigenfunction_at(k, op.grid), atol=1e-14)
+        assert np.allclose(op.boundary_values[k], _cosine_mode(k, [0.0, 1.0]), atol=1e-14)
+        assert np.allclose(op.modes_on_grid[k], _cosine_mode(k, op.grid), atol=1e-14)
     rng = np.random.Generator(np.random.Philox(key=6))
     for _ in range(20):
         margins, _ = _gap_margins(op, rng.standard_normal(n_modes), [0.01, 0.1, 1.0])
         assert np.all(margins >= -1e-12)
 
 
-def test_neumann_map_zero_and_mean(ref_op):
-    zero = fx.neumann_map(ref_op, 1.0, np.array([0.0, 0.0]))
-    assert np.all(zero == 0.0)
-    out = fx.neumann_map(ref_op, 1.0, np.array([1.0, 1.0]))
-    # mean of the solution of u - u'' = 0 with fluxes (1, 1) is (h0 + h1)/delta
-    assert out[0] == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        fx.neumann_map(ref_op, 0.0, np.array([1.0, 0.0]))
-
-
 def test_neumann_map_against_closed_form(ref_op):
-    # delta = 1, h = (1, 1): u(xi) = (1 + cosh 1)/sinh 1 * cosh(xi) - sinh(xi)
-    a = (1 + np.cosh(1)) / np.sinh(1)
-    u_exact = lambda x: a * np.cosh(x) - np.sinh(x)
-    out = fx.neumann_map(ref_op, 1.0, np.array([1.0, 1.0]))
-    for k in range(8):
-        ck, _ = quad(lambda x: u_exact(x) * ref_op.eigenfunction_at(k, x), 0, 1, limit=200)
-        assert out[k] == pytest.approx(ck, abs=1e-10)
-    # delta = 1, h = (1, 0): mode-1 coefficient sqrt(2)/(1 + pi^2)
-    out10 = fx.neumann_map(ref_op, 1.0, np.array([1.0, 0.0]))
-    assert out10[1] == pytest.approx(np.sqrt(2) / (1 + np.pi**2), rel=1e-14)
+    # the boundary row pairs flux data z with N*_delta0 m: int_O N_delta0 z = z . N*_delta0 m,
+    # here against closed-form solutions of u - u'' = 0 with outward flux z at delta0 = 1
+    nstar_m = build_model(ref_op, delta0=1.0)._nstar_m
+    c = np.cosh(1) / np.sinh(1)
+    solutions = {  # z: u(xi)
+        (1.0, 1.0): lambda x: (1 + np.cosh(1)) / np.sinh(1) * np.cosh(x) - np.sinh(x),
+        (1.0, 0.0): lambda x: c * np.cosh(x) - np.sinh(x),
+        (0.0, 1.0): lambda x: np.cosh(x) / np.sinh(1),
+    }
+    for z, u_exact in solutions.items():
+        mass, _ = quad(u_exact, 0, 1, limit=200)
+        assert np.array(z) @ nstar_m == pytest.approx(mass, abs=1e-10)
 
 
 def _neumann_fd_solve(delta, h0, h1, m):
@@ -165,13 +174,15 @@ def _neumann_fd_solve(delta, h0, h1, m):
 
 
 def test_neumann_map_against_fd_solve(ref_op):
+    # int_O N_delta0 z = z . N*_delta0 m, against a finite-volume solve for each delta0
     m = 4000
+    z = np.array([1.0, 0.5])
     for delta in (1.0, 2.0, 10.0):
-        u_fd, grid = _neumann_fd_solve(delta, 1.0, 0.5, m)
-        out = fx.neumann_map(ref_op, delta, np.array([1.0, 0.5]))
-        for k in range(8):
-            ck = (u_fd * ref_op.eigenfunction_at(k, grid)).sum() / m
-            assert abs(out[k] - ck) < 100 / m**2
+        u_fd, _ = _neumann_fd_solve(delta, *z, m)
+        nstar_m = build_model(ref_op, delta0=delta)._nstar_m
+        assert abs(z @ nstar_m - u_fd.sum() / m) < 100 / m**2
+    with pytest.raises(ValueError):  # delta0 - A must be invertible
+        build_model(ref_op, delta0=0.0)
 
 
 def test_field_parseval(ref_op):
