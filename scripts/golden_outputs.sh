@@ -19,7 +19,10 @@
 # script writes under OUT_DIR (w(t) = 0.5 sin(pi t) + 0.2 t on [0, 1], step
 # 1e-3), so the duality gap and the skeleton round trip of a path that costs
 # something are covered too; it runs from OUT_DIR, so that action.json
-# records the file by a name that does not depend on OUT_DIR.  Then prints
+# records the file by a name that does not depend on OUT_DIR.  A `check` run
+# of the quasi-potential workload and an `action` run of its model on the
+# same path file cover the nondegeneracy check and the skeleton ODE with a
+# state-dependent gain (every reference config's gain is constant).  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
@@ -90,3 +93,14 @@ with open(sys.argv[3], "w") as fh:
         fh.write(f"{t!r},{0.5 * math.sin(math.pi * t) + 0.2 * t!r}\n")
 PY
 (cd "$OUT" && run configs-quasipotential_reference-action-sine-path action "$PATH_CONFIG")
+run perfbench-quasipotential-multiplicative-check check perfbench/workloads/quasipotential-multiplicative.json
+MULT_PATH_CONFIG="$OUT/action-sine-path-multiplicative.json"
+python3 - perfbench/workloads/quasipotential-multiplicative.json "$MULT_PATH_CONFIG" <<'PY'
+import json
+import sys
+
+config = json.load(open(sys.argv[1]))
+config["experiment"] = {"kind": "action", "path_file": "sine-path.csv"}
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+PY
+(cd "$OUT" && run perfbench-quasipotential-multiplicative-action-sine-path action "$MULT_PATH_CONFIG")

@@ -34,7 +34,8 @@ whose squared norms combine into the scalar noise intensity
 with the rho_bar = inf case defined as the limit |row_Z|^2.  At a constant
 state u the xi-integrals separate: F_bar(u) = <a_f> phi_f(u) + <b_f> and
 row_H(u) = phi_g(u) sqrt(Q)[a_g m] + sqrt(Q)[b_g m], so each averaged form is
-integrated once per model and costs O(N) per state.  The adjoint Neumann
+integrated once per model and costs O(N) per state; H, a quadratic in
+phi_g(u), costs O(1).  The adjoint Neumann
 map evaluates as (N*_delta m)(p) = sum_k <m, e_k> e_k(p) / (delta + alpha_k);
 for m = 1 = e_0 only the k = 0 term survives and delta0 cancels, which is why
 the boundary row does not depend on delta0.
@@ -281,7 +282,7 @@ class AveragedModel:
         return float(a @ w), b_mean
 
     @cached_property
-    def _g_rows(self) -> tuple[np.ndarray, np.ndarray]:
+    def g_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """sqrt(Q)[a_g m] and sqrt(Q)[b_g m] in modes, so row_H(u) = phi_g(u) sqrt(Q)[a_g m] + sqrt(Q)[b_g m]."""
         a, b = self.coeffs.g.profile(self.op.grid)
         return self.q_lambdas * self.op.to_modes(a), self.q_lambdas * self.op.to_modes(b)
@@ -299,35 +300,48 @@ class AveragedModel:
 
     def row_h(self, u):
         """sqrt(Q)[g(., u) m] as mode coefficients; shape (..., N)."""
-        a, b = self._g_rows
+        a, b = self.g_rows
         return self.coeffs.g.phi(u)[..., None] * a + b
 
     def row_h_prime(self, u):
-        return self.coeffs.g.phi_prime(u)[..., None] * self._g_rows[0]
+        return self.coeffs.g.phi_prime(u)[..., None] * self.g_rows[0]
 
     def row_z(self) -> np.ndarray:
         """delta0 sqrt(B)[Sigma N*_delta0 m] at the two boundary points."""
         sig = self.coeffs.sigma.values()
         return self.delta0 * self.b_thetas * sig * self._nstar_m
 
-    def h(self, u):
-        """Noise intensity H(u); broadcasts over u."""
-        w_h, w_z = self.weights
-        rh = self.row_h(u)
+    @cached_property
+    def _h_coeffs(self) -> tuple[float, float, float]:
+        """(A, B, C) = (w_H^2 |a|^2, w_H^2 a.b, w_H^2 |b|^2 + w_Z^2 |row_Z|^2) with (a, b) = g_rows."""
+        a, b = self.g_rows
         rz = self.row_z()
-        return w_h**2 * (rh * rh).sum(axis=-1) + w_z**2 * (rz * rz).sum()
+        w_h, w_z = self.weights
+        return float(w_h**2 * (a @ a)), float(w_h**2 * (a @ b)), float(w_h**2 * (b @ b) + w_z**2 * (rz @ rz))
+
+    def h(self, u):
+        """Noise intensity H(u); broadcasts over u.
+
+        row_H(u) = phi_g(u) a + b makes H a quadratic in phi_g,
+
+            H(u) = A phi_g(u)^2 + 2 B phi_g(u) + C,
+
+        with the constants (A, B, C) of `_h_coeffs`, so H and its derivatives
+        cost O(1) per state."""
+        a, b, c = self._h_coeffs
+        p = self.coeffs.g.phi(u)
+        return (a * p + 2.0 * b) * p + c
 
     def h_prime(self, u):
-        w_h, _ = self.weights
-        rh = self.row_h(u)
-        drh = self.row_h_prime(u)
-        return 2.0 * w_h**2 * (rh * drh).sum(axis=-1)
+        a, b, _ = self._h_coeffs
+        g = self.coeffs.g
+        return 2.0 * (a * g.phi(u) + b) * g.phi_prime(u)
 
     def h_second(self, u):
-        w_h, _ = self.weights
-        drh = self.row_h_prime(u)
-        d2rh = self.coeffs.g.phi_second(u)[..., None] * self._g_rows[0]
-        return 2.0 * w_h**2 * (drh * drh + self.row_h(u) * d2rh).sum(axis=-1)
+        a, b, _ = self._h_coeffs
+        g = self.coeffs.g
+        dp = g.phi_prime(u)
+        return 2.0 * (a * dp * dp + (a * g.phi(u) + b) * g.phi_second(u))
 
 
 @dataclass(frozen=True)

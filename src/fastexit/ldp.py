@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,6 +121,28 @@ def control_cost(control: ControlPath) -> float:
     return 0.5 * control.norm_sq_l2v()
 
 
+@lru_cache(maxsize=16)
+def _stencil(n: int, dt: float):
+    """What the discrete action takes from its grid of n nodes and step dt alone.
+
+    The trapezoid weights tau, the off-diagonals of the derivative stencil D
+    by rows, lo[i] = D[i, i - 1] and up[i] = D[i, i + 1] (D's diagonal is
+    -1/dt and 1/dt at the endpoints, 0 between them), and the products
+    lo[i + 1]^2, up[i]^2 and lo[i + 1] up[i + 1] that the Hessian bands use.
+    """
+    tau = np.full(n, dt)
+    tau[0] = tau[-1] = dt / 2.0
+    lo = np.full(n, -0.5 / dt)
+    up = np.full(n, 0.5 / dt)
+    lo[0] = up[-1] = 0.0
+    up[0] = 1.0 / dt
+    lo[-1] = -1.0 / dt
+    out = (tau, lo, up, lo[1:] ** 2, up[:-1] ** 2, lo[1:-1] * up[1:-1])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _action_derivatives(model: AveragedModel, times: np.ndarray, values: np.ndarray):
     """Action of the nodal path, its gradient and the upper bands of its Hessian.
 
@@ -133,84 +156,81 @@ def _action_derivatives(model: AveragedModel, times: np.ndarray, values: np.ndar
     bands[k, i] = Hess[i, i + k] for k = 0, 1, 2 (zero past the last node).
     """
     n = len(times)
-    dt = times[1] - times[0]
+    dt = float(times[1] - times[0])
+    tau, lo, up, lo_sq, up_sq, lo_up = _stencil(n, dt)
     fbar, h = _path_quantities(model, values)
-    fbar_p = model.f_bar_prime(values)
     h_p = model.h_prime(values)
     d = path_derivative(values, dt) - fbar
-    tau = np.full(n, dt)
-    tau[0] = tau[-1] = dt / 2.0
-    action = float((tau * 0.5 * d**2 / h).sum())
-    # J by rows: lo[i] = J[i, i - 1], di[i] = J[i, i], up[i] = J[i, i + 1]
-    lo = np.full(n, -0.5 / dt)
-    up = np.full(n, 0.5 / dt)
-    di = -fbar_p
-    lo[0] = up[-1] = 0.0
-    up[0] = 1.0 / dt
-    lo[-1] = -1.0 / dt
-    di[0] -= 1.0 / dt
-    di[-1] += 1.0 / dt
     s = tau / h
     q = s * d
+    action = 0.5 * float(q @ d)
+    # J's diagonal; its off-diagonals are D's, lo and up
+    di = -model.f_bar_prime(values)
+    di[0] -= 1.0 / dt
+    di[-1] += 1.0 / dt
     r = q * h_p / h
     grad = di * q - 0.5 * r * d
     grad[:-1] += lo[1:] * q[1:]
     grad[1:] += up[:-1] * q[:-1]
+    sdi = s * di
     bands = np.zeros((3, n))
-    bands[0] = (s * di - 2.0 * r) * di - q * model.f_bar_second(values)
+    bands[0] = (sdi - 2.0 * r) * di - q * model.f_bar_second(values)
     bands[0] += (r * h_p - 0.5 * q * model.h_second(values)) * d / h
-    bands[0, :-1] += s[1:] * lo[1:] ** 2
-    bands[0, 1:] += s[:-1] * up[:-1] ** 2
-    bands[1, :-1] = (s[:-1] * di[:-1] - r[:-1]) * up[:-1] + (s[1:] * di[1:] - r[1:]) * lo[1:]
-    bands[2, :-2] = s[1:-1] * lo[1:-1] * up[1:-1]
+    bands[0, :-1] += s[1:] * lo_sq
+    bands[0, 1:] += s[:-1] * up_sq
+    bands[1, :-1] = (sdi[:-1] - r[:-1]) * up[:-1] + (sdi[1:] - r[1:]) * lo[1:]
+    bands[2, :-2] = s[1:-1] * lo_up
     return action, grad, bands
 
 
-def _solve_pentadiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve A x = rhs by LDL^T for symmetric pentadiagonal A, bands[k, i] = A[i, i + k].
+def _solve_pentadiagonal(bands: np.ndarray, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray | None:
+    """Solve (A + shift I) x = rhs by LDL^T for symmetric pentadiagonal A, bands[k, i] = A[i, i + k].
 
-    Returns None at the first pivot that is not positive, that is when A is
-    not positive definite.
+    One pass factors and substitutes forward, a second substitutes back.
+    Returns None at the first pivot that is not positive, that is when
+    A + shift I is not positive definite.
     """
-    a0 = bands[0].tolist()
-    a1 = [0.0] + bands[1].tolist()        # a1[i] = A[i - 1, i]
-    a2 = [0.0, 0.0] + bands[2].tolist()   # a2[i] = A[i - 2, i]
-    piv, l1, l2 = [], [], []              # D[i], L[i, i - 1], L[i, i - 2]
+    a1 = [0.0, *bands[1].tolist()]        # a1[i] = A[i - 1, i]
+    a2 = [0.0, 0.0, *bands[2].tolist()]   # a2[i] = A[i - 2, i]
+    y, l1, l2 = [], [], []                # (D^-1 L^-1 rhs)[i], L[i, i - 1], L[i, i - 2]
     p2, p1, c1 = 1.0, 1.0, 0.0            # D[i - 2], D[i - 1], L[i - 1, i - 2]
-    for i in range(len(a0)):
-        b = a2[i] / p2
-        c = (a1[i] - b * p2 * c1) / p1
-        p = a0[i] - b * b * p2 - c * c * p1
+    z2 = z1 = 0.0                         # (L^-1 rhs)[i - 2], (L^-1 rhs)[i - 1]
+    for a0i, a1i, a2i, f in zip(bands[0].tolist(), a1, a2, rhs.tolist()):
+        e = a1i - a2i * c1                # L[i, i - 1] D[i - 1]
+        b = a2i / p2
+        c = e / p1
+        p = a0i + shift - b * a2i - c * e
         if not p > 0.0:
             return None
-        piv.append(p)
-        l1.append(c)
-        l2.append(b)
-        p2, p1, c1 = p1, p, c
-    z2 = z1 = 0.0
-    y = []
-    for f, c, b, p in zip(rhs.tolist(), l1, l2, piv):
         z = f - c * z1 - b * z2
         y.append(z / p)
-        z2, z1 = z1, z
-    x, x1, x2 = [], 0.0, 0.0
-    for yi, c, b in zip(reversed(y), reversed(l1[1:] + [0.0]), reversed(l2[2:] + [0.0, 0.0])):
-        xi = yi - c * x1 - b * x2            # c = L[i + 1, i], b = L[i + 2, i]
+        l1.append(c)
+        l2.append(b)
+        p2, p1, c1, z2, z1 = p1, p, c, z1, z
+    # back substitution, x[i] = y[i] - L[i + 1, i] x[i + 1] - L[i + 2, i] x[i + 2]: once x[i]
+    # is known, its terms in x[i - 1] and x[i - 2] are carried in t1 and t2
+    x, t1, t2 = [], 0.0, 0.0
+    for yi, c, b in zip(reversed(y), reversed(l1), reversed(l2)):
+        xi = yi - t1
         x.append(xi)
-        x2, x1 = x1, xi
+        t1, t2 = t2 + c * xi, b * xi
     return np.array(x[::-1])
 
 
 def _newton_direction(bands: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """-(Hess + mu I)^-1 grad with the least mu >= 0 on a doubling ladder that
-    makes the shifted Hessian positive definite; None if none does."""
-    scale = 1e-3 * max(float(np.abs(bands[0]).max()), 1.0)
-    mu = 0.0
-    for _ in range(64):
-        step = _solve_pentadiagonal(bands + np.array([[mu], [0.0], [0.0]]), -grad)
+    """-(Hess + mu I)^-1 grad with the least mu >= 0 on the ladder 0, then
+    doubling from 1e-3 max(|Hess_ii|, 1), that makes the shifted Hessian
+    positive definite; None if none of 64 rungs does."""
+    rhs = -grad
+    step = _solve_pentadiagonal(bands, rhs)
+    if step is not None:
+        return step
+    mu = 1e-3 * max(float(np.abs(bands[0]).max()), 1.0)
+    for _ in range(63):
+        step = _solve_pentadiagonal(bands, rhs, mu)
         if step is not None:
             return step
-        mu = max(2.0 * mu, scale)
+        mu *= 2.0
     return None
 
 

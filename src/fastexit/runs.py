@@ -24,7 +24,7 @@ from . import __version__
 from .coefficients import check_nondegeneracy
 from .config import BuiltSystem, build_system, config_hash, rho_bar_limit
 from .ensemble import NOISE_DRAW_LAYOUT
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NondegeneracyError
 from .exit_times import DomainSpec, build_domain, check_exit_hypotheses, exit_time_mc, membership_values
 from .ldp import (
     action_I,
@@ -288,6 +288,13 @@ def run_quasipotential(resolved: dict, out_dir: Path) -> int:
     started = time.monotonic()
     system = build_system(resolved)
     exp = resolved["experiment"]
+    # every path runs from 0 to its y, so H must stay positive on the segment that holds them all
+    span = (min([0.0, *exp["y_values"]]), max([0.0, *exp["y_values"]]))
+    report = check_nondegeneracy(system.model, np.linspace(*span, 41), floor=exp["nondegeneracy_floor"])
+    if not report.passed:
+        raise NondegeneracyError(
+            f"noise intensity H falls to {report.min_h:.6g} at u = {report.argmin_u:.6g} on "
+            f"[{span[0]:g}, {span[1]:g}], not above the floor {report.floor:g}")
     rows = []
     for y in exp["y_values"]:
         v_var = quasi_potential_variational(system.model, y, tuple(exp["horizons"]), exp["n_nodes"])

@@ -142,23 +142,21 @@ def _time_grid(t_final: float, dt: float) -> tuple[np.ndarray, float, int]:
     return np.arange(n + 1) * dt_eff, dt_eff, n
 
 
-def _control_interpolant(node_times: np.ndarray, phi_h: np.ndarray, phi_z: np.ndarray):
-    """Piecewise-linear t -> (phi_H(t), phi_Z(t)) on a uniform node grid.
+def _control_interpolant(node_times: np.ndarray, *controls: np.ndarray):
+    """Piecewise-linear t -> [c(t) for c in controls] on a uniform node grid.
 
-    The node axis is the second to last: phi_h is (..., n_nodes, N) and phi_z
-    (..., n_nodes, 2), so one control or a batch of controls interpolates alike.
+    The node axis of each control is its second to last, as in phi_h of shape
+    (..., n_nodes, N) and phi_z of shape (..., n_nodes, 2), so one control or a
+    batch of controls interpolates alike.
     """
     t0, dtg = node_times[0], node_times[1] - node_times[0]
-    n_nodes = len(node_times)
+    last = len(node_times) - 1
 
     def at(t):
-        s = np.clip((t - t0) / dtg, 0.0, n_nodes - 1.0)
-        i = min(int(s), n_nodes - 2)
+        s = min(max((t - t0) / dtg, 0.0), float(last))
+        i = min(int(s), last - 1)
         w = s - i
-        return (
-            (1.0 - w) * phi_h[..., i, :] + w * phi_h[..., i + 1, :],
-            (1.0 - w) * phi_z[..., i, :] + w * phi_z[..., i + 1, :],
-        )
+        return [(1.0 - w) * c[..., i, :] + w * c[..., i + 1, :] for c in controls]
 
     return at
 
@@ -212,7 +210,7 @@ def _rk4(rhs, u0, times):
         k3 = rhs(t + dt / 2, u + dt / 2 * k2)
         k4 = rhs(t + dt, u + dt * k3)
         u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise DivergenceError(step=i + 1, t=times[i + 1])
         out[i + 1] = u
     return out[:, 0] if scalar else out
@@ -242,16 +240,22 @@ def solve_controlled_ode_batch(
     control interpolated linearly between nodes.  phi_h_all has shape
     (P, n_nodes, N) and phi_z_all (P, n_nodes, 2); returns the
     (n_steps + 1, P) array of path values.  One control is the case P = 1.
+
+    row_H(u) = phi_g(u) a + b, so the forcing is phi_g(u) w_H <phi_H, a> +
+    w_H <phi_H, b> + w_Z <phi_Z, row_Z>: the control is projected onto these
+    two scalars per node once, and each stage interpolates P pairs.
     """
     times, _, _ = _time_grid(t_final, dt)
     w_h, w_z = model.weights
-    row_z = model.row_z()
-    ctrl = _control_interpolant(node_times, phi_h_all, phi_z_all)
+    a, b = model.g_rows
+    gain = w_h * (phi_h_all @ a)
+    rest = w_h * (phi_h_all @ b) + w_z * (phi_z_all @ model.row_z())
+    ctrl = _control_interpolant(node_times, np.stack([gain, rest], axis=-1))
+    phi_g = model.coeffs.g.phi
 
     def rhs(t, u):
-        phi_h, phi_z = ctrl(t)
-        forcing = w_h * (model.row_h(u) * phi_h).sum(axis=-1) + w_z * (phi_z @ row_z)
-        return model.f_bar(u) + forcing
+        (c,) = ctrl(t)
+        return model.f_bar(u) + phi_g(u) * c[:, 0] + c[:, 1]
 
     return _rk4(rhs, np.asarray(x_means, dtype=float), times)
 

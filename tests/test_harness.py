@@ -449,6 +449,27 @@ def test_cli_quasipotential_degenerate_h_fails_hypothesis(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "noise intensity H" in err
 
 
+@pytest.mark.parametrize("offset", [-0.7, -0.5, -0.3])
+def test_cli_quasipotential_checks_h_between_0_and_the_y_values(tmp_path, capsys, offset):
+    # g = r + offset vanishes at u = -offset, inside [-0.2, 1] but at no path's endpoint: without
+    # the segment check, the minimizing path can step over the zero between two nodes and the
+    # run ends with status 0 and a finite V(1.0)
+    cfg = reference_config(
+        coefficients={
+            "f": {"kind": "linear", "slope": -1.0},
+            "g": {"kind": "linear", "slope": 1.0, "offset": offset},
+            "sigma": {"kind": "constant", "value": 1.0},
+        },
+        multiscale={"beta_law": {"coeff": 0.0, "exponent": 0.25}, "rho_bar": 0.0},
+    )
+    cfg["experiment"] = {"kind": "quasipotential", "y_values": [1.0, -0.2], "horizons": [2.0], "n_nodes": 40}
+    p = write_config(tmp_path, cfg)
+    assert main(["quasipotential", "--config", str(p), "--out", str(tmp_path / "qp")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "noise intensity H" in err
+    assert not (tmp_path / "qp" / "quasipotential.csv").exists()
+
+
 def test_cli_overrides_apply(tmp_path):
     cfg = reference_config()
     cfg["experiment"] = {"kind": "simulate", "x0": {"kind": "constant", "value": 0.2}}

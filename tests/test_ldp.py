@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fastexit as fx
+from fastexit.config import build_system, resolve_config
 from fastexit.ldp import ScalarPath, _action_derivatives, _solve_pentadiagonal, minimize, path_derivative
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
@@ -157,11 +158,25 @@ def test_pentadiagonal_solve_and_indefinite_pivot():
     bands = rng.standard_normal((3, 30))
     bands[0] += 8.0
     bands[1, -1:] = bands[2, -2:] = 0.0
-    a = sum(np.diag(bands[k, :30 - k], k) + (np.diag(bands[k, :30 - k], -k) if k else 0) for k in range(3))
     rhs = rng.standard_normal(30)
-    np.testing.assert_allclose(_solve_pentadiagonal(bands, rhs), np.linalg.solve(a, rhs), rtol=1e-12, atol=1e-14)
+
+    def dense(b):
+        return sum(np.diag(b[k, :30 - k], k) + (np.diag(b[k, :30 - k], -k) if k else 0) for k in range(3))
+
+    np.testing.assert_allclose(_solve_pentadiagonal(bands, rhs), np.linalg.solve(dense(bands), rhs),
+                               rtol=1e-12, atol=1e-14)
     bands[0, 17] = -1.0
     assert _solve_pentadiagonal(bands, rhs) is None
+    # the shift mu solves (A + mu I) x = rhs, and fails exactly when A + mu I is indefinite
+    a = dense(bands)
+    lowest = np.linalg.eigvalsh(a)[0]
+    assert lowest < 0
+    for mu in lowest + np.array([-3.0, -0.5, -0.05, 0.05, 0.5, 3.0]):
+        got = _solve_pentadiagonal(bands, rhs, mu)
+        if lowest + mu < 0:
+            assert got is None, mu
+        else:
+            np.testing.assert_allclose(got, np.linalg.solve(a + mu * np.eye(30), rhs), rtol=1e-12, atol=1e-14)
 
 
 def test_newton_from_an_indefinite_start_reaches_the_straight_line_value(ref_op):
@@ -239,6 +254,38 @@ def test_quasi_potential_variational_matches_explicit(ref_op):
     assert fx.quasi_potential_variational(model, 0.0) == 0.0
     v = fx.quasi_potential_variational(model, 0.5, horizons=(2.0, 4.0), n_nodes=100)
     assert v == pytest.approx(0.25, rel=0.03)
+
+
+def test_quasi_potential_variational_keeps_its_values_on_the_benchmark_model():
+    # the quasipotential-multiplicative benchmark's model: logistic gain, 16 modes, eps = 0.01;
+    # the values are those of the solver before H became a closed form in phi_g
+    cfg = {
+        "operator": {"builder": "neumann_laplacian_1d", "n_modes": 16, "grid_factor": 4},
+        "coefficients": {
+            "f": {"kind": "linear", "slope": -1.0},
+            "g": {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0},
+            "sigma": {"kind": "constant", "value": 1.0},
+        },
+        "noise": {
+            "q_spectrum": {"kind": "flat", "value": math.sqrt(2.0)},
+            "b_spectrum": {"kind": "list", "values": [1.0, 1.0]},
+        },
+        "multiscale": {
+            "eps": [0.01],
+            "alpha_law": {"coeff": 0.5, "exponent": 0.25},
+            "beta_law": {"coeff": 0.5, "exponent": 0.25},
+            "rho_bar": 1.0,
+            "delta0": 1.0,
+        },
+        "experiment": {"kind": "quasipotential"},
+    }
+    model = build_system(resolve_config(cfg)).model
+    want = {
+        -0.9: 1.049099273612606, -0.6: 0.4340688471652492, -0.3: 0.09932741795082183,
+        0.3: 0.08163981902835228, 0.6: 0.2995340403607161, 0.9: 0.6280981966263047,
+    }
+    for y, v in want.items():
+        assert fx.quasi_potential_variational(model, y, (2.0, 4.0, 8.0), 200) == pytest.approx(v, rel=1e-12), y
 
 
 def test_quasi_potential_horizon_monotonicity(ref_op):
