@@ -12,11 +12,12 @@
 # and a last chunk of 8) exercises a partial last chunk and paths censored at
 # t_max.  One more average run of the multiplicative workload at --paths 100
 # (tiles of 64 and 36 rows, the second padded to 64 by the state-dependent
-# gain) exercises a padded tile of the interior-noise step.  One more exit
-# run of the exit reference at --paths 65 (a 64-row tile and a 1-row tile
-# padded to two) exercises the padded tile of the one-product step.  One more
-# action run on the quasi-potential reference reads a path file that the
-# script writes under OUT_DIR (w(t) = 0.5 sin(pi t) + 0.2 t on [0, 1], step
+# gain) exercises a padded tile of the interior-noise step, and a `simulate`
+# run of that workload steps one path of the state-dependent gain with the
+# single-row step.  One more exit run of the exit reference at --paths 65 (a
+# 64-row tile and a 1-row tile padded to two) exercises the padded tile of
+# the one-product step.  One more action run on the quasi-potential
+# reference reads a path file that the script writes under OUT_DIR (w(t) = 0.5 sin(pi t) + 0.2 t on [0, 1], step
 # 1e-3), so the duality gap and the skeleton round trip of a path that costs
 # something are covered too; it runs from OUT_DIR, so that action.json
 # records the file by a name that does not depend on OUT_DIR.  A `check` run
@@ -66,6 +67,7 @@ run configs-averaging_reference-simulate simulate configs/averaging_reference.js
 run configs-quasipotential_reference-action action configs/quasipotential_reference.json
 run perfbench-exit-additive-exit-160 exit perfbench/workloads/exit-additive.json 160
 run perfbench-average-multiplicative-average-100 average perfbench/workloads/average-multiplicative.json 100
+run perfbench-average-multiplicative-simulate simulate perfbench/workloads/average-multiplicative.json
 run configs-exit_reference-exit-65 exit configs/exit_reference.json 65
 T_MAX_CONFIG="$OUT/exit-additive-tmax1.json"
 python3 - perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" <<'PY'

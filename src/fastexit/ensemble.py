@@ -3,7 +3,8 @@
 `SpdeStepper` advances a (P, N) batch of mode coefficients by one
 mild-solution step on a panel of standard normals, both noise channels
 included; a reaction affine in the state is one N x N matrix in mode space,
-and a step affine in (state, draws) is one product [u | 1 | z] @ B.
+and with it a step is one product [u | 1 | z] @ B, plus the interior term of
+a state-dependent gain.
 `run_ensemble` gives every path its own counter-based stream, so a path's
 draws depend only on (seed, level, path, step): a live path draws one
 (n_panels, N) panel per step, in chunks of steps, and a path that has left
@@ -14,8 +15,9 @@ rows of its share of the paths, with their draws, into one chunk buffer of
 rows [u | 1 | z], which `SpdeStepper.step_chunk` steps in tiles of at most
 BLOCK_SIZE rows.  A step with an interior panel (a state-dependent gain)
 pads its last tile to BLOCK_SIZE rows, so each of its products keeps one
-shape; any other step, the one-product step included, pads only a
-single-row last tile, to two rows.  That a row's result does not depend on
+shape and the chunk is a stack of whole tiles that one call per product
+steps (numpy still calls the BLAS once per tile); any other step pads only
+a single-row last tile, to two rows.  That a row's result does not depend on
 the other rows at any tile height from 2 to BLOCK_SIZE is a property of the
 BLAS, not of this code (a 1-row product takes another kernel), and
 `test_run_ensemble_tiles_keep_surviving_rows` guards it for both kinds of
@@ -31,6 +33,7 @@ import numpy as np
 
 from .coefficients import AveragedModel
 from .noise import RngStream, boundary_coupling, decay_integral, ou_step_weights
+from .operator import cosine_product_moments
 
 if TYPE_CHECKING:
     from .solver import MultiscaleParams
@@ -70,17 +73,16 @@ class SpdeStepper:
     The linear part is integrated exactly (diagonal exponential), the
     reaction term with the phi1 weight.  A reaction with the identity shape,
     f = a_f(xi) r + b_f(xi) (kinds constant, linear, linear_plus_source),
-    folds with the decay into one matrix: the update is u @ K + c with
-    K = diag(decay) + (E diag(a_f w) E^T) diag(phi1dt), c = phi1dt (b_f w) E^T,
-    E the modes on the grid and w the quadrature weights, and the state goes
-    to the grid only when the gain needs grid values.  When the step has no
-    interior panel either (a constant gain, or alpha = 0), it is affine in
-    (u, z) and `fused`: `affine` is B = [K; c; R], (2N + 1) x N, or [K; c]
-    without additive noise, and the step, a control's forcing aside, is the
-    one product [u | 1 | z] @ B; without a control, `step_chunk` steps a
-    chunk with that product alone.  Otherwise `affine` is [K; c].  A
-    logistic f is evaluated on the grid.  The additive noise of a step is one
-    centered Gaussian vector with the exact covariance C = C_B + C_Q,
+    folds with the decay into one matrix: the deterministic update is
+    u @ K + c with K = diag(decay) + (E diag(a_f w) E^T) diag(phi1dt),
+    c = phi1dt (b_f w) E^T, E the modes on the grid and w the quadrature
+    weights.  With the additive noise below it is one product
+    [u | 1 | z] @ B, `affine` B = [K; c; 0; R]: zero rows under the interior
+    panel (a state-dependent gain only), R under the additive one (noise
+    only); the state goes to the grid only when the gain needs grid values.
+    A logistic f is evaluated on the grid, and `affine` is None.  The
+    additive noise of a step is one centered Gaussian vector with the exact
+    covariance C = C_B + C_Q,
 
         C_B[k, l] = beta^2 sum_j theta_j^2 b_kj b_lj W_kl,   W_kl = int_0^dt exp(-(a_k + a_l) s) ds,
         C_Q = diag((alpha g lambda_k)^2 v_k),
@@ -91,17 +93,18 @@ class SpdeStepper:
     for a constant gain g.  A state-dependent gain is an approximation: the
     interior channel keeps its own panel with the diagonal law
     sum_j (lambda_j M_kj)^2 v_k, M_kj = <g e_j, e_k> frozen at the step start,
-    and drops the cross-mode covariance of M Lambda.  The gain's weighted grid
-    values g w = (a_g w) phi_g(r) + (b_g w) are formed once per step from its
-    profile.  M is symmetric, so one matrix product of g w with a table
-    precomputed for the basis, T_sym[m, (k, j)] = e_k(x_m) e_j(x_m) for the
-    N(N + 1)/2 pairs k <= j, gives its upper triangle, and one more product
-    of the squared triangle with A, A[(k, j), k] = lambda_j^2 and
-    A[(k, j), j] = lambda_k^2, sums every mode's variance over j.  Like every
-    other product of a step, both keep a row's result independent of the
-    other rows at a fixed row count.  Optional deterministic control
-    forcing enters with the phi1 weight.  Panel order per step: the interior
-    panel (state-dependent g only) first, the additive panel last.
+    and drops the cross-mode covariance of M Lambda.  In the cosine basis
+    e_k e_j = (s_k s_j / 2)(c_|k-j| + c_k+j) (`cosine_product_moments`), so
+    M is Toeplitz plus Hankel in the 2N - 1 cosine moments of g w,
+    g_hat = phi_g(u) @ (diag(a_g w) C) + (b_g w) @ C, and its upper triangle
+    (M is symmetric) is g_hat @ P, one column per pair k <= j.  One more
+    product of the squared triangle with A, A[(k, j), k] = alpha^2 v_k
+    lambda_j^2 and A[(k, j), j] = alpha^2 v_j lambda_k^2, sums every mode's
+    variance over j.  Like every other product of a step, these keep a row's
+    result independent of the other rows at a fixed row count.  Optional
+    deterministic control forcing enters with the phi1 weight.  Panel order
+    per step: the interior panel (state-dependent g only) first, the
+    additive panel last.
     """
 
     def __init__(
@@ -128,31 +131,28 @@ class SpdeStepper:
             cov += np.diag((alpha * self.g_const * self.lambdas) ** 2 * v)
             self.has_q = False
         else:
-            self.has_q = alpha != 0.0 and np.any(self.lambdas > 0)
-            if self.has_q:  # one column per pair k <= j: gw @ T_sym is M's upper triangle, M^2 @ A is var
-                e, (kk, jj) = op.modes_on_grid.T, np.triu_indices(op.n_modes)
-                self._pair_products = e[:, kk] * e[:, jj]
-                lam2, pairs = self.lambdas**2, np.arange(kk.size)
+            self.has_q = bool(alpha != 0.0 and np.any(self.lambdas > 0))
+            if self.has_q:  # M's upper triangle from the gain's cosine moments; squared, @ A gives var
+                cosines, self._pair_moments = cosine_product_moments(op)
+                a, b = cs.g.profile(op.grid)
+                self._moments_a = (a * op.quad_weights)[:, None] * cosines
+                self._moments_b = (b * op.quad_weights) @ cosines
+                kk, jj = np.triu_indices(op.n_modes)
+                lam2, var_amp, pairs = self.lambdas**2, alpha**2 * v, np.arange(kk.size)
                 self._pair_weights = np.zeros((kk.size, op.n_modes))
-                self._pair_weights[pairs, kk] = lam2[jj]
-                self._pair_weights[pairs, jj] = lam2[kk]
-                self._q_amp = alpha * np.sqrt(v)
+                self._pair_weights[pairs, kk] = lam2[jj] * var_amp[kk]
+                self._pair_weights[pairs, jj] = lam2[kk] * var_amp[jj]
         self.factor = _psd_factor(cov) if np.any(cov != 0.0) else None
         self.n_panels = int(self.has_q) + int(self.factor is not None)
         self.control = control
         self.needs_g = self.has_q or (control is not None and self.g_const is None)
-        if self.needs_g:  # g w = (a w) phi(r) + (b w), the gain's grid values weighted once
-            a, b = cs.g.profile(op.grid)
-            self._gain_w = (a * op.quad_weights, b * op.quad_weights)
-        # the step, but for a control's forcing, is [u | 1 | z] @ B when it is affine in (u, z):
-        # f of the identity shape and no interior panel (a constant gain, or alpha = 0)
-        self.fused = cs.f.shape_is_identity and not self.has_q
         self.affine = None
-        if cs.f.shape_is_identity:  # f = a_f r + b_f: decay and reaction are u @ K + c, B = [K; c (; R)]
+        if cs.f.shape_is_identity:  # f = a_f r + b_f: the step is [u | 1 | z] @ B, B = [K; c (; 0) (; R)]
             a, b = cs.f.profile(op.grid)
             k = np.diag(self.decay) + op.to_modes(op.modes_on_grid * a) * self.phi1dt
-            noise = [self.factor] if self.fused and self.factor is not None else []
-            self.affine = np.vstack([k, self.phi1dt * op.to_modes(b), *noise])
+            panels = [np.zeros_like(k)] if self.has_q else []
+            panels += [self.factor] if self.factor is not None else []
+            self.affine = np.vstack([k, self.phi1dt * op.to_modes(b), *panels])
         if control is not None:
             if control_weights is None:
                 if params.gamma == 0:
@@ -160,6 +160,9 @@ class SpdeStepper:
                 control_weights = (alpha / np.sqrt(params.gamma), beta / np.sqrt(params.gamma))
             self.cw_h, self.cw_z = control_weights
             self._theta_sigma = model.b_thetas * sigma_vals
+            if self.g_const is None:  # g w = (a w) phi(r) + (b w), the gain's grid values weighted once
+                a, b = cs.g.profile(op.grid)
+                self._gain_w = (a * op.quad_weights, b * op.quad_weights)
 
     def draw(self, gen, rows: int) -> np.ndarray | None:
         """The standard normals of one step for `rows` rows: (n_panels, rows, N), or None."""
@@ -167,29 +170,18 @@ class SpdeStepper:
 
     def step(self, t: float, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
         """Advance a (P, N) batch of mode coefficients from t to t + dt on the panel z = draw(gen, P)."""
-        op, n = self.op, self.op.n_modes
+        op = self.op
         grid_u = u @ op.modes_on_grid if self.needs_g or self.affine is None else None
         if self.affine is None:
             new = self.decay * u + self.phi1dt * op.to_modes(self.cs.f.value(op.grid, grid_u))
-        elif self.fused:
-            x = np.empty((u.shape[0], self.affine.shape[0]))
-            x[:, :n], x[:, n] = u, 1.0
-            if self.n_panels:
-                x[:, n + 1:] = z[-1]
-            new = x @ self.affine
         else:
-            new = u @ self.affine[:n] + self.affine[n]
-        gw = None
-        if self.needs_g:
-            aw, bw = self._gain_w
-            gw = aw * self.cs.g.phi(grid_u) + bw
+            new = np.hstack([u, np.ones((u.shape[0], 1)), *(() if z is None else z)]) @ self.affine
+        phi = self.cs.g.phi(grid_u) if self.needs_g else None
         if self.control is not None:
-            new += self.phi1dt * self._control_forcing(t, gw)
+            new += self.phi1dt * self._control_forcing(t, phi)
         if self.has_q:
-            m2 = gw @ self._pair_products
-            m2 *= m2
-            new += self._q_amp * np.sqrt(m2 @ self._pair_weights) * z[0]
-        if self.factor is not None and not self.fused:
+            new += self._interior_sd(phi) * z[0]
+        if self.factor is not None and self.affine is None:
             new += z[-1] @ self.factor
         return new
 
@@ -198,32 +190,54 @@ class SpdeStepper:
 
         x has shape (k + 1, rows, N + 1 + n_panels N); row r of x[j] is
         [u | 1 | z], u the state before step i0 + j and z its panels side by
-        side.  Rows are stepped in tiles of at most BLOCK_SIZE, each to the
-        chunk's end; a fused step is one product per tile-step, written
-        straight into the next state.
+        side.  Without a control, an affine step is one product x[j] @ B per
+        tile-step, written straight into the next state, plus the interior
+        term when there is one; rows are then a whole number of tiles, and
+        each product or ufunc is one call on a (tiles, BLOCK_SIZE, .) stack.
+        Otherwise the rows are stepped by `step` in tiles of at most
+        BLOCK_SIZE, each to the chunk's end.
         """
         n, k, panels = self.op.n_modes, x.shape[0] - 1, self.n_panels
-        for s in range(0, x.shape[1], BLOCK_SIZE):
-            tile = x[:, s:s + BLOCK_SIZE]
-            if self.fused and self.control is None:
-                for src, dst in zip(tile[:-1], tile[1:, :, :n]):
-                    np.matmul(src, self.affine, out=dst)
-            else:
+        if self.affine is None or self.control is not None:
+            for s in range(0, x.shape[1], BLOCK_SIZE):
+                tile = x[:, s:s + BLOCK_SIZE]
                 zs = tile[:-1, :, n + 1:].reshape(k, -1, panels, n).swapaxes(1, 2) if panels else [None] * k
                 for j, (u, z, dst) in enumerate(zip(tile[:-1, :, :n], zs, tile[1:, :, :n])):
                     dst[...] = self.step((i0 + j) * self.dt, u, z)
+        elif self.has_q:
+            tiles = x.reshape(k + 1, -1, BLOCK_SIZE, x.shape[2])
+            for src, dst in zip(tiles[:-1], tiles[1:, ..., :n]):
+                sd = self._interior_sd(self.cs.g.phi(src[..., :n] @ self.op.modes_on_grid))
+                np.matmul(src, self.affine, out=dst)
+                sd *= src[..., n + 1:2 * n + 1]
+                dst += sd
+        else:
+            for s in range(0, x.shape[1], BLOCK_SIZE):
+                for src, dst in zip(x[:-1, s:s + BLOCK_SIZE], x[1:, s:s + BLOCK_SIZE, :n]):
+                    np.matmul(src, self.affine, out=dst)
 
-    def _control_forcing(self, t: float, gw: np.ndarray | None) -> np.ndarray:
-        """The control's forcing at t; gw are the gain's grid values times the quadrature weights
-        (None for a constant gain)."""
+    def _interior_sd(self, phi: np.ndarray) -> np.ndarray:
+        """Per-mode std alpha sqrt(v_k sum_j (lambda_j M_kj)^2) of the interior channel, from the
+        gain's shape phi_g(u) on the grid: M's upper triangle is its 2N - 1 cosine moments times P."""
+        moments = phi @ self._moments_a
+        moments += self._moments_b
+        tri = moments @ self._pair_moments
+        tri *= tri
+        var = tri @ self._pair_weights
+        return np.sqrt(var, out=var)
+
+    def _control_forcing(self, t: float, phi: np.ndarray | None) -> np.ndarray:
+        """The control's forcing at t; phi is the gain's shape phi_g(u) on the grid (None for a
+        constant gain)."""
         phi_h, phi_z = self.control(t)
         op = self.op
         sq_phi = self.lambdas * phi_h  # sqrt(Q) phi_H in modes
         if self.g_const is not None:
             interior = self.cw_h * self.g_const * sq_phi
         else:
+            aw, bw = self._gain_w
             sq_grid = sq_phi @ op.modes_on_grid
-            interior = self.cw_h * ((gw * sq_grid) @ op.modes_on_grid.T)
+            interior = self.cw_h * (((aw * phi + bw) * sq_grid) @ op.modes_on_grid.T)
         bnd = self.cw_z * (op.boundary_values @ (self._theta_sigma * phi_z))
         return interior + bnd
 

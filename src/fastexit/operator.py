@@ -19,7 +19,10 @@ Boundary data z in Z = L2 of the two boundary points is its (2,) array
 Point evaluation uses a fixed midpoint quadrature grid.  Midpoint quadrature
 is exact for products of the cosine modes (discrete cosine orthogonality), so
 orthonormality and Parseval identities hold to rounding as long as the grid
-has at least 2 N points; we default to 4 N.
+has at least 2 N points; we default to 4 N.  The product of two modes is a
+sum of two cosines of at most twice the top frequency, so the quadrature of
+a function against every pair of modes needs only its 2N - 1 cosine moments
+(`cosine_product_moments`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 __all__ = [
     "SpectralOperator",
     "build_neumann_laplacian_1d",
+    "cosine_product_moments",
     "invariant_average",
 ]
 
@@ -84,7 +88,8 @@ class SpectralOperator:
 
     def hmu_norm(self, coeffs: np.ndarray) -> np.ndarray:
         """L2(O, mu) norm: mu is Lebesgue on |O| = 1, so the Euclidean norm of the coefficients."""
-        return np.linalg.norm(np.asarray(coeffs), axis=-1)
+        c = np.asarray(coeffs)
+        return np.sqrt(np.einsum("...k,...k->...", c, c))
 
 
 def build_neumann_laplacian_1d(n_modes: int, grid_factor: int = 4) -> SpectralOperator:
@@ -114,6 +119,30 @@ def build_neumann_laplacian_1d(n_modes: int, grid_factor: int = 4) -> SpectralOp
         modes_on_grid=modes,
         boundary_values=boundary,
     )
+
+
+def cosine_product_moments(op: SpectralOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(C, P): every product of two modes on the grid as C @ P, through the 2N - 1 cosines.
+
+    With c_i(xi) = cos(i pi xi), s_0 = 1 and s_k = sqrt(2), the product rule
+    e_k e_j = (s_k s_j / 2)(c_|k-j| + c_k+j) holds pointwise, so it holds on
+    the grid too: C[m, i] = c_i(x_m) for i < 2N - 1 is (M, 2N - 1), and P,
+    (2N - 1) x N(N + 1)/2, holds s_k s_j / 2 in rows |k - j| and k + j of the
+    column of the pair k <= j (pairs in np.triu_indices order).  So the
+    quadrature sums <h e_j, e_k> of a weighted grid function h w over all
+    pairs are its 2N - 1 cosine moments (h w) @ C times P: the upper triangle
+    of a Toeplitz-plus-Hankel matrix.
+    """
+    n = op.n_modes
+    # i xi taken mod 2 before the factor pi, so that an argument near 2N pi adds no rounding of its own
+    cosines = np.cos(np.pi * np.fmod(np.outer(op.grid, np.arange(2 * n - 1)), 2.0))
+    kk, jj = np.triu_indices(n)
+    s = np.where(np.arange(n) == 0, 1.0, np.sqrt(2.0))
+    half, pairs = s[kk] * s[jj] / 2, np.arange(kk.size)
+    moments = np.zeros((2 * n - 1, kk.size))
+    np.add.at(moments, (jj - kk, pairs), half)
+    np.add.at(moments, (jj + kk, pairs), half)
+    return cosines, moments
 
 
 def invariant_average(op: SpectralOperator, h: np.ndarray) -> float:

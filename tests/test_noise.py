@@ -103,13 +103,23 @@ def test_interior_std_matches_frozen_gain_definition(grid_factor, g_spec):
     # the interior channel of a state-dependent gain has the per-mode std
     # alpha sqrt(sum_j (lambda_j M_kj)^2 v_k), M_kj = <g e_j, e_k> by grid
     # quadrature, evaluated here term by term on 64 rows of one tile
+    # (the step evaluates it from the gain's cosine moments)
     op = fx.build_neumann_laplacian_1d(16, grid_factor)
     model = _noise_only(op, q_values=np.linspace(1.0, 0.2, op.n_modes), g_spec=g_spec)
     alpha, eps, dt = 0.7, 0.1, 0.01
     stepper = SpdeStepper(model, fx.MultiscaleParams(eps=eps, alpha=alpha, beta=0.0), dt=dt)
     assert stepper.n_panels == 1
     u = 0.5 * np.random.Generator(np.random.Philox(key=36)).standard_normal((64, op.n_modes))
-    std = stepper.step(0.0, u, np.ones((1, 64, op.n_modes))) - stepper.step(0.0, u, np.zeros((1, 64, op.n_modes)))
+    n = op.n_modes
+    std = stepper.step(0.0, u, np.ones((1, 64, n))) - stepper.step(0.0, u, np.zeros((1, 64, n)))
+    # the same on the path run_ensemble takes: one step_chunk on a stack of two
+    # tiles of rows [u | 1 | z], the first with unit draws and the second with none
+    x = np.zeros((2, 128, 2 * n + 1))
+    x[0, :, :n] = np.vstack([u, u])
+    x[:, :, n] = 1.0
+    x[0, :64, n + 1:] = 1.0
+    stepper.step_chunk(0, x)
+    assert np.array_equal(x[1, :64, :n] - x[1, 64:, :n], std)
     g = model.coeffs.g.value(op.grid, op.to_grid(u))
     m = np.einsum("pm,km,jm->pkj", g * op.quad_weights, op.modes_on_grid, op.modes_on_grid)
     _, v = ou_step_weights(op.eigenvalues, eps, dt)

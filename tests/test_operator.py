@@ -5,6 +5,7 @@ from scipy.linalg import solve_banded
 
 import fastexit as fx
 from fastexit.noise import ou_step_weights
+from fastexit.operator import cosine_product_moments
 from conftest import build_model
 
 
@@ -23,6 +24,25 @@ def test_reference_eigenvalues():
     op = fx.build_neumann_laplacian_1d(4)
     assert np.allclose(op.eigenvalues, [0.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
     assert op.eigenvalues[1] == pytest.approx(np.pi**2, rel=1e-14)
+
+
+@pytest.mark.parametrize("grid_factor", [2, 4])
+@pytest.mark.parametrize("n_modes", [2, 3, 16])
+def test_cosine_product_rule_gives_every_mode_product(n_modes, grid_factor):
+    # e_k e_j = (s_k s_j / 2)(c_|k-j| + c_k+j) on the grid, for every pair k <= j,
+    # against e_k on the midpoints x_m = (2m + 1) / 2M with k (2m + 1) reduced mod
+    # 4M in integers, so that the reference carries no rounding of a large argument
+    op = fx.build_neumann_laplacian_1d(n_modes, grid_factor)
+    cosines, moments = cosine_product_moments(op)
+    m = grid_factor * n_modes
+    assert cosines.shape == (m, 2 * n_modes - 1)
+    assert moments.shape == (2 * n_modes - 1, n_modes * (n_modes + 1) // 2)
+    k = np.arange(n_modes)
+    e = np.cos(np.pi * (np.outer(k, 2 * np.arange(m) + 1) % (4 * m)) / (2 * m))
+    e[1:] *= np.sqrt(2.0)
+    np.testing.assert_allclose(e, op.modes_on_grid, rtol=0, atol=1e-13)
+    kk, jj = np.triu_indices(n_modes)
+    np.testing.assert_allclose(cosines @ moments, (e[kk] * e[jj]).T, rtol=0, atol=1e-14)
 
 
 def test_eigenfunctions_satisfy_operator_fd():

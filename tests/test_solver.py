@@ -394,11 +394,13 @@ class _AllStates:
         return self.states.swapaxes(0, 1), live.copy()
 
 
-@pytest.mark.parametrize("g_spec", [None, LOGISTIC], ids=["constant_gain", "logistic_gain"])
-def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, monkeypatch):
-    # a linear f with a constant gain is stepped by step_chunk's one product per
-    # tile-step, never by step; a state-dependent gain still goes through step
-    model = build_model(ref_op, g_spec=g_spec)
+@pytest.mark.parametrize("g_spec, f_spec", [(None, None), (LOGISTIC, None), (None, LOGISTIC)],
+                         ids=["constant_gain", "logistic_gain", "logistic_f"])
+def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, f_spec, monkeypatch):
+    # a linear f is stepped by step_chunk's one product per tile-step, plus the
+    # interior term of a state-dependent gain, never by step; a logistic f
+    # still goes through step
+    model = build_model(ref_op, f_spec=f_spec, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
 
     def no_step(*args):
@@ -406,39 +408,48 @@ def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, monkeypatch):
 
     monkeypatch.setattr(SpdeStepper, "step", no_step)
     args = (stepper, ref_op.constant_field(0.2), 70, 40, 3, 0, 1, partial(_AllStates, 40))
-    if g_spec is None:
-        assert stepper.fused and stepper.affine.shape == (2 * ref_op.n_modes + 1, ref_op.n_modes)
+    if f_spec is None:
+        n = ref_op.n_modes
+        assert stepper.n_panels == 1 + stepper.has_q and stepper.affine.shape == (n + 1 + stepper.n_panels * n, n)
+        assert not stepper.affine[n + 1:-n].any()  # B's rows under an interior panel are zero
         states, live = run_ensemble(*args)
         assert live.all() and np.isfinite(states).all()
     else:
+        assert stepper.affine is None
         with pytest.raises(RuntimeError, match="step called"):
             run_ensemble(*args)
 
 
-@pytest.mark.parametrize("n_paths, n_steps, noise", [
-    (2, 40, 0.3),   # one 2-row tile over a full chunk and a partial one (40 = 32 + 8 steps)
-    (65, 8, 0.3),   # a 64-row tile and one live row, padded to two
-    (3, 40, 0.0),   # no noise: B is [K; c] and no panel is drawn
-], ids=["partial_chunk", "one_row_tile", "no_noise"])
-def test_affine_kernel_equals_step(ref_op, n_paths, n_steps, noise):
-    # run_ensemble's one product per tile-step gives, bit for bit, what step gives
-    # on the same tile and the same draws
-    model = build_model(ref_op, f_spec={"kind": "linear", "slope": -1.0, "xi_slope": 2.0, "offset": 0.3})
+@pytest.mark.parametrize("n_paths, n_steps, noise, g_spec", [
+    (2, 40, 0.3, None),       # one 2-row tile over a full chunk and a partial one (40 = 32 + 8 steps)
+    (65, 8, 0.3, None),       # a 64-row tile and one live row, padded to two
+    (3, 40, 0.0, None),       # no noise: B is [K; c] and no panel is drawn
+    (100, 40, 0.3, LOGISTIC),  # a state-dependent gain: tiles of 64 and 36 rows, the second padded to 64
+], ids=["partial_chunk", "one_row_tile", "no_noise", "padded_tiles"])
+def test_affine_kernel_equals_step(ref_op, n_paths, n_steps, noise, g_spec):
+    # run_ensemble's one product per tile-step, on a stack of whole tiles for a
+    # state-dependent gain, gives, bit for bit, what step gives on the same
+    # tile and the same draws
+    model = build_model(ref_op, f_spec={"kind": "linear", "slope": -1.0, "xi_slope": 2.0, "offset": 0.3},
+                        g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=noise, beta=noise), dt=0.01)
     n = ref_op.n_modes
-    assert stepper.fused and stepper.affine.shape == ((2 if noise else 1) * n + 1, n)
-    assert stepper.n_panels == (1 if noise else 0)
+    assert stepper.has_q == (g_spec is not None)
+    assert stepper.n_panels == (1 + stepper.has_q if noise else 0)
+    assert stepper.affine.shape == (n + 1 + stepper.n_panels * n, n)
     x0 = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.2)
     states, _ = run_ensemble(stepper, x0, n_paths, n_steps, 5, 0, 1, partial(_AllStates, n_steps))
 
-    panels = np.zeros((n_steps, stepper.n_panels, n_paths + 1, n))  # one more row: a padding row's draws
+    # padding rows draw zeros
+    panels = np.zeros((n_steps, stepper.n_panels, n_paths + ensemble.BLOCK_SIZE, n))
     for p in range(n_paths):
         if stepper.n_panels:
             panels[:, :, p] = ensemble.block_stream(5, p)._gen.standard_normal((n_steps, stepper.n_panels, n))
     want = np.empty_like(states)
     for s in range(0, n_paths, ensemble.BLOCK_SIZE):
         rows = min(ensemble.BLOCK_SIZE, n_paths - s)
-        tile = rows + (rows == 1)  # a 1-row tile is padded with a zero row
+        # the tile is padded with zero rows: to 64 rows with an interior panel, else a 1-row tile to two
+        tile = ensemble.BLOCK_SIZE if stepper.has_q else rows + (rows == 1)
         u = np.zeros((tile, n))
         u[:rows] = x0
         for j in range(n_steps):
