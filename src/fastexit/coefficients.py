@@ -71,6 +71,7 @@ _COEFF_KINDS = {
     "logistic_clipped": (("amp", "width"), {"offset": 0.0}),
 }
 _SIGMA_KINDS = {"constant": (("value",), {}), "per_point": (("left", "right"), {})}
+H_RTOL = 1e-12  # H within this fraction of the size of its terms is a rounded zero (`AveragedModel.h_min`)
 
 
 def catalog_params(catalog: dict, what: str, spec: dict) -> dict:
@@ -331,6 +332,23 @@ class AveragedModel:
         a, b, c = self._h_coeffs
         p = self.coeffs.g.phi(u)
         return (a * p + 2.0 * b) * p + c
+
+    def h_min(self, lo: float, hi: float) -> float:
+        """The least noise intensity H(u) over lo <= u <= hi, in closed form.
+
+        Every catalog phi_g is monotone, so phi_g maps [lo, hi] onto the
+        interval between phi_g(lo) and phi_g(hi), and the least H is the least
+        of A p^2 + 2 B p + C there: at the vertex p = -B/A clipped to the
+        interval (H = C when A = 0).  A, B and C are sums over the N modes, so
+        a vanishing H can come out as a few ulps of the size of its terms,
+        A p^2 + 2 |B p| + C; a value within H_RTOL of that size returns as 0.0."""
+        a, b, c = self._h_coeffs
+        if a == 0.0:
+            return c
+        ends = self.coeffs.g.phi(np.array([lo, hi], dtype=float))
+        p = min(max(-b / a, float(ends.min())), float(ends.max()))
+        h = (a * p + 2.0 * b) * p + c
+        return 0.0 if h <= H_RTOL * ((a * p + 2.0 * abs(b)) * abs(p) + c) else h
 
     def h_prime(self, u):
         a, b, _ = self._h_coeffs

@@ -25,7 +25,8 @@ either from the closed form V(y) = (2/H) int_0^y max(-F_bar(s), 0) ds for
 y > 0, mirrored for y < 0 (additive noise, constant H),
 or variationally by a banded Newton minimization over interior path nodes
 with the exact gradient and pentadiagonal Hessian of the discrete action,
-straight-line initialization, and an outer minimum over a horizon grid.
+started from the exact minimizer of the action with F_bar linearized at the
+start state, and an outer minimum over a horizon grid.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ GRAD_TOL = 1e-8
 MAX_ITER = 200
 ARMIJO = 1e-4     # sufficient-decrease constant of the backtracking line search
 MIN_STEP = 1e-12  # the shortest step fraction the line search tries
+F_ROUND = 1e-13   # a decrease below this fraction of the action is lost in its rounding
+LINEAR_KT = 1e-8  # below this k T the linearized start is the straight line
 
 
 @dataclass(frozen=True)
@@ -89,11 +92,13 @@ def path_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _path_quantities(model: AveragedModel, values):
-    h = model.h(values)
-    if np.any(h <= 0):
-        raise NondegeneracyError("noise intensity H vanished along the path")
-    fbar = model.f_bar(values)
-    return fbar, h
+    """F_bar and H at the nodes, once H is known to stay positive between them too.
+
+    The piecewise-linear path visits every state between its least and largest
+    node, so that is where H must not vanish."""
+    if not model.h_min(float(values.min()), float(values.max())) > 0.0:
+        raise NondegeneracyError("noise intensity H vanishes on the path")
+    return model.f_bar(values), model.h(values)
 
 
 def action_I(model: AveragedModel, w: ScalarPath) -> float:
@@ -234,6 +239,36 @@ def _newton_direction(bands: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _linearized_start(model: AveragedModel, times: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The exact minimizer of the action from a to b with F_bar linearized at a and H frozen there.
+
+    With f1 = F_bar'(a), k = |f1| and w_eq = a - F_bar(a) / f1, the Euler-Lagrange
+    equation w'' = k^2 (w - w_eq) gives, with s = t - t0 and T = t1 - t0,
+
+        w = w_eq + (a - w_eq) S(T - s) + (b - w_eq) S(s),   S(s) = sinh(k s) / sinh(k T),
+
+    S evaluated as e^(k (s - T)) (1 - e^(-2 k s)) / (1 - e^(-2 k T)), so that a
+    large k T cannot overflow.  Below k T = LINEAR_KT it is the straight line, the
+    k -> 0 limit: the two differ there by about k T^2 |F_bar(a)|, no more than
+    the rounding of the large w_eq would add.  The path is clipped to
+    [min(a, b), max(a, b)], so it visits only the states the straight line visits.
+    """
+    s = times - times[0]
+    t_len = float(s[-1])
+    f1 = float(model.f_bar_prime(a))
+    k = abs(f1)
+    if not k * t_len >= LINEAR_KT:
+        return np.linspace(a, b, len(times))
+    w_eq = a - float(model.f_bar(a)) / f1
+    denom = -math.expm1(-2.0 * k * t_len)
+
+    def ratio(x):
+        return np.exp(k * (x - t_len)) * -np.expm1(-2.0 * k * x) / denom
+
+    w = w_eq + (a - w_eq) * ratio(t_len - s) + (b - w_eq) * ratio(s)
+    return np.clip(w, min(a, b), max(a, b))
+
+
 @dataclass
 class MinimizedPath:
     path: ScalarPath
@@ -259,18 +294,24 @@ def minimize(objective, x0, gtol: float = GRAD_TOL, max_iter: int = MAX_ITER) ->
     defined.  Each iteration factors the Hessian by LDL^T, shifted by mu I
     when it is not positive definite, and backtracks from the full step until
     the Armijo condition holds at a point where the objective is defined.
-    Success means max |gradient| < gtol within max_iter iterations; a line
-    search that finds no decrease ends the run unsuccessfully.
+    When the decrease the step predicts, -gradient . step, is below F_ROUND of
+    the value, the value cannot tell a better point from rounding: a trial is
+    then accepted as well where the value stays within that rounding and the
+    gradient's largest entry falls.  Success means max |gradient| < gtol
+    within max_iter iterations; a line search that finds neither ends the run
+    unsuccessfully.
     """
     x = np.array(x0, dtype=float)
     fun, jac, bands = objective(x)
     nit, nfev = 0, 1
-    while not np.max(np.abs(jac), initial=0.0) < gtol and nit < max_iter:
+    g_max = np.max(np.abs(jac), initial=0.0)
+    while not g_max < gtol and nit < max_iter:
         step = _newton_direction(bands, jac)
         if step is None:
             break
         nit += 1
         slope = float(jac @ step)
+        rounding = F_ROUND * abs(fun)
         alpha = 1.0
         while alpha >= MIN_STEP:
             trial = x + alpha * step
@@ -278,14 +319,18 @@ def minimize(objective, x0, gtol: float = GRAD_TOL, max_iter: int = MAX_ITER) ->
             try:
                 t_fun, t_jac, t_bands = objective(trial)
             except NondegeneracyError:
-                t_fun = math.nan
+                alpha *= 0.5
+                continue
+            t_max = np.max(np.abs(t_jac), initial=0.0)
             if t_fun <= fun + ARMIJO * alpha * slope:
+                break
+            if -slope <= rounding and t_fun <= fun + rounding and t_max < g_max:
                 break
             alpha *= 0.5
         else:
             break
-        x, fun, jac, bands = trial, t_fun, t_jac, t_bands
-    success = bool(np.max(np.abs(jac), initial=0.0) < gtol)
+        x, fun, jac, bands, g_max = trial, t_fun, t_jac, t_bands, t_max
+    success = bool(g_max < gtol)
     return NewtonResult(x=x, fun=fun, jac=jac, success=success, nit=nit, nfev=nfev)
 
 
@@ -301,9 +346,10 @@ def minimize_path_action(
 ) -> MinimizedPath:
     """Minimize the discrete action over interior nodes with fixed endpoints.
 
-    Banded Newton with the exact gradient and pentadiagonal Hessian,
-    initialized from the straight line unless init is given; converged when
-    the gradient infinity norm drops below gtol, raising OptimizationError
+    Banded Newton with the exact gradient and pentadiagonal Hessian, started
+    from init or else from the exact minimizer of the action with F_bar
+    linearized at w_start and H frozen there (`_linearized_start`); converged
+    when the gradient infinity norm drops below gtol, raising OptimizationError
     (carrying the best value) otherwise after max_iter iterations.
     """
     t0, t1 = t_span
@@ -312,7 +358,10 @@ def minimize_path_action(
     if n_nodes < 3:
         raise ValueError("need at least 3 nodes")
     times = np.linspace(t0, t1, n_nodes)
-    base = np.linspace(w_start, w_end, n_nodes) if init is None else np.asarray(init, dtype=float).copy()
+    if init is None:
+        base = _linearized_start(model, times, w_start, w_end)
+    else:
+        base = np.asarray(init, dtype=float).copy()
     base[0], base[-1] = w_start, w_end
 
     def objective(interior):

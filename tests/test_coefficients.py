@@ -132,6 +132,22 @@ def test_nondegeneracy_checker(ref_op):
     assert rep.passed
 
 
+@pytest.mark.parametrize("g_spec, rho_bar", [
+    ({"kind": "constant", "value": 1.0}, 1.0),
+    ({"kind": "linear", "slope": 1.0, "offset": -0.3}, 0.0),
+    ({"kind": "linear", "slope": -2.0, "offset": 0.5}, 1.0),
+    ({"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 0.2}, 1.0),
+    ({"kind": "logistic_clipped", "amp": 1.0, "width": -0.5, "offset": 0.3}, 0.0),
+])
+def test_h_min_is_the_least_h_on_the_interval(ref_op, g_spec, rho_bar):
+    # against a fine grid, for increasing and decreasing phi_g, on intervals holding the vertex or not
+    model = build_model(ref_op, g_spec=g_spec, rho_bar=rho_bar)
+    for lo, hi in [(-1.0, 1.0), (0.4, 0.9), (-0.8, -0.6), (0.25, 0.25)]:
+        fine = float(model.h(np.linspace(lo, hi, 20001)).min())
+        got = model.h_min(lo, hi)
+        assert got <= fine + 1e-15 and got == pytest.approx(fine, abs=1e-8), (lo, hi)
+
+
 def test_gbar_pairing_lipschitz(ref_op):
     model = build_model(
         ref_op, g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}

@@ -5,9 +5,13 @@ import pytest
 
 import fastexit as fx
 from fastexit.config import build_system, resolve_config
-from fastexit.ldp import ScalarPath, _action_derivatives, _solve_pentadiagonal, minimize, path_derivative
+from fastexit.ldp import (
+    ScalarPath, _action_derivatives, _linearized_start, _solve_pentadiagonal, minimize, path_derivative,
+)
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
+
+LOGISTIC_GAIN = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
 
 
 def _flat_drift_model(ref_op):
@@ -22,6 +26,20 @@ def _flat_drift_model(ref_op):
 def _linear_drift_model(ref_op):
     model = build_model(ref_op, q_spec={"kind": "flat", "value": np.sqrt(2.0)})
     return model
+
+
+def _logistic_drift_model(ref_op):
+    # F_bar = -tanh(2u), with the logistic gain
+    return build_model(
+        ref_op, f_spec={"kind": "logistic_clipped", "amp": -1.0, "width": 0.5}, g_spec=LOGISTIC_GAIN,
+        q_spec={"kind": "flat", "value": np.sqrt(2.0)},
+    )
+
+
+def _benchmark_model(ref_op):
+    # the quasipotential-multiplicative benchmark's model, as in
+    # test_quasi_potential_variational_keeps_its_values_on_the_benchmark_model
+    return build_model(ref_op, g_spec=LOGISTIC_GAIN, q_spec={"kind": "flat", "value": np.sqrt(2.0)})
 
 
 def smooth_random_path(rng, t_final=1.0, dt=1e-4, n_harmonics=3):
@@ -56,6 +74,23 @@ def test_action_nondegeneracy_guard(ref_op):
     through_zero = ScalarPath(times=t, values=t - 0.5)
     with pytest.raises(fx.NondegeneracyError):
         fx.action_I(model, through_zero)
+
+
+def test_h_vanishing_between_nodes_is_refused():
+    # g = r - 0.7 and rho_bar = 0: H = 2 (u - 0.7)^2 vanishes at u = 0.7, which no node of
+    # a 40-node path from 0 to 1 hits
+    op = fx.build_neumann_laplacian_1d(8)
+    model = build_model(
+        op, g_spec={"kind": "linear", "slope": 1.0, "offset": -0.7},
+        q_spec={"kind": "flat", "value": np.sqrt(2.0)}, rho_bar=0.0,
+    )
+    assert model.h_min(0.0, 1.0) == 0.0
+    with pytest.raises(fx.NondegeneracyError):
+        fx.quasi_potential_variational(model, 1.0, (2.0,), 40)
+    t = np.linspace(0.0, 1.0, 40)
+    with pytest.raises(fx.NondegeneracyError):
+        fx.action_I(model, ScalarPath(times=t, values=t.copy()))
+    assert math.isfinite(fx.quasi_potential_variational(model, 0.5, (2.0,), 40))
 
 
 def test_minimizing_control_on_flow_is_zero(ref_op):
@@ -122,9 +157,6 @@ def test_discrete_gradient_matches_finite_differences(ref_op):
         assert grad[j] == pytest.approx((ap - am) / (2 * h), rel=1e-5, abs=1e-8)
 
 
-LOGISTIC_GAIN = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
-
-
 @pytest.mark.parametrize("f_spec, g_spec", [
     (None, {"kind": "constant", "value": 1.0}),
     (None, {"kind": "linear", "slope": 0.5, "offset": 1.0}),
@@ -181,20 +213,69 @@ def test_pentadiagonal_solve_and_indefinite_pivot():
 
 def test_newton_from_an_indefinite_start_reaches_the_straight_line_value(ref_op):
     # far from the minimizer the Hessian is indefinite: the shifted steps must
-    # still land on the minimum found from the straight line
-    model = build_model(
-        ref_op, f_spec={"kind": "logistic_clipped", "amp": -1.0, "width": 0.5}, g_spec=LOGISTIC_GAIN,
-        q_spec={"kind": "flat", "value": np.sqrt(2.0)},
-    )
+    # still land on the minimum found from the straight line, as the default start does
+    model = _logistic_drift_model(ref_op)
     t = np.linspace(0.0, 4.0, 101)
     init = np.sin(np.pi * t / 4.0)
     init[-1] = 0.5
     _, grad, bands = _action_derivatives(model, t, init)
     assert _solve_pentadiagonal(bands[:, 1:-1], grad[1:-1]) is None
-    straight = fx.minimize_path_action(model, (0.0, 4.0), 0.0, 0.5, 101)
+    straight = fx.minimize_path_action(model, (0.0, 4.0), 0.0, 0.5, 101, init=np.linspace(0.0, 0.5, 101))
+    default = fx.minimize_path_action(model, (0.0, 4.0), 0.0, 0.5, 101)
     far = fx.minimize_path_action(model, (0.0, 4.0), 0.0, 0.5, 101, init=init)
+    assert default.value == pytest.approx(straight.value, rel=1e-12)
     assert far.value == pytest.approx(straight.value, rel=1e-12)
     np.testing.assert_allclose(far.path.values, straight.path.values, atol=1e-8)
+
+
+def test_linearized_start_closed_forms(ref_op):
+    t = np.linspace(0.0, 4.0, 101)
+    # F_bar = -u, H constant: the continuous minimizer from 0 to y
+    np.testing.assert_allclose(
+        _linearized_start(_linear_drift_model(ref_op), t, 0.0, 0.7), 0.7 * np.sinh(t) / np.sinh(4.0),
+        rtol=0, atol=1e-12,
+    )
+    # F_bar' = 0: the straight line
+    np.testing.assert_array_equal(_linearized_start(_flat_drift_model(ref_op), t, 0.2, 0.9), np.linspace(0.2, 0.9, 101))
+
+
+def test_linearized_start_stays_in_the_segment(ref_op):
+    # slope -1000 over T = 8 (k T = 8000): finite, and at the equilibrium 0.1 away from the ends
+    steep = build_model(ref_op, f_spec={"kind": "linear", "slope": -1000.0, "offset": 100.0})
+    t = np.linspace(0.0, 8.0, 200)
+    start = _linearized_start(steep, t, -0.4, 0.3)
+    assert np.all(np.isfinite(start)) and start.min() >= -0.4 and start.max() <= 0.3
+    assert start[100] == pytest.approx(0.1, abs=1e-12)
+    # from a = 0.8, not an equilibrium, the linearized minimizer sags below b = 0.5 and is clipped
+    model = _logistic_drift_model(ref_op)
+    t = np.linspace(0.0, 4.0, 101)
+    a, b = 0.8, 0.5
+    f1 = float(model.f_bar_prime(a))
+    k, w_eq = abs(f1), a - float(model.f_bar(a)) / f1
+    free = w_eq + ((a - w_eq) * np.sinh(k * (4.0 - t)) + (b - w_eq) * np.sinh(k * t)) / np.sinh(4.0 * k)
+    assert free.min() < b
+    np.testing.assert_allclose(_linearized_start(model, t, a, b), np.clip(free, b, a), rtol=0, atol=1e-12)
+
+
+def test_newton_from_the_linearized_start_on_the_benchmark_model(ref_op):
+    # from the straight line these 18 solves take 60 Newton iterations
+    model = _benchmark_model(ref_op)
+    n_iter = sum(
+        fx.minimize_path_action(model, (0.0, t_end), 0.0, y, 200).n_iter
+        for y in (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9) for t_end in (2.0, 4.0, 8.0)
+    )
+    assert n_iter <= 30
+
+
+def test_newton_converges_where_the_action_is_flat_to_rounding(ref_op):
+    # from the linearized start, the first step of this solve leaves a gradient of 1.7e-8 and a
+    # predicted decrease of 3e-16, under one ulp of the action 1.068: the value cannot rank the
+    # next trials, so the line search must take the one that cuts the gradient
+    model = _benchmark_model(ref_op)
+    y = -0.9073983952032988
+    got = fx.minimize_path_action(model, (0.0, 8.0), 0.0, y, 200)
+    straight = fx.minimize_path_action(model, (0.0, 8.0), 0.0, y, 200, init=np.linspace(0.0, y, 200))
+    assert got.value == pytest.approx(straight.value, rel=1e-12)
 
 
 def test_prefix_action_free_lagrangian(ref_op):
