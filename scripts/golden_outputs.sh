@@ -13,17 +13,20 @@
 # t_max.  One more average run of the multiplicative workload at --paths 100
 # (tiles of 64 and 36 rows, the second padded to 64 by the state-dependent
 # gain) exercises a padded tile of the interior-noise step, and a `simulate`
-# run of that workload steps one path of the state-dependent gain with the
-# single-row step.  One more exit run of the exit reference at --paths 65 (a
-# 64-row tile and a 1-row tile padded to two) exercises the padded tile of
-# the one-product step.  One more action run on the quasi-potential
+# run of that workload steps its one path of the state-dependent gain as a
+# tile of two rows, the second padding.  One more exit run of the exit
+# reference at --paths 65 (a 64-row tile and a 1-row tile padded to two)
+# exercises the padded tile of the one-product step.  One more action run on the quasi-potential
 # reference reads a path file that the script writes under OUT_DIR (w(t) = 0.5 sin(pi t) + 0.2 t on [0, 1], step
 # 1e-3), so the duality gap and the skeleton round trip of a path that costs
 # something are covered too; it runs from OUT_DIR, so that action.json
 # records the file by a name that does not depend on OUT_DIR.  A `check` run
 # of the quasi-potential workload and an `action` run of its model on the
 # same path file cover the nondegeneracy check and the skeleton ODE with a
-# state-dependent gain (every reference config's gain is constant).  Then prints
+# state-dependent gain (every reference config's gain is constant).  A
+# `check` run of the exit reference with the gain tanh(r / 2) - 0.9 and no
+# boundary noise, on the domain level 9 (the section (-3, 3)), finds where H
+# vanishes, at r = 2 atanh(0.9), and exits with status 2.  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
@@ -42,10 +45,14 @@ OUT="$(cd "$1" && pwd)"
 SEED=7
 cd "$ROOT"
 
-run() {  # run NAME COMMAND CONFIG [PATHS]
-    local name="$1" command="$2" config="$3" paths="${4:-64}"
+run() {  # run NAME COMMAND CONFIG [PATHS [STATUS]]
+    local name="$1" command="$2" config="$3" paths="${4:-64}" want="${5:-0}" status=0
     PYTHONPATH="$ROOT/src" python3 -m fastexit "$command" --config "$config" \
-        --paths "$paths" --seed "$SEED" --out "$OUT/$name" > /dev/null
+        --paths "$paths" --seed "$SEED" --out "$OUT/$name" > /dev/null || status=$?
+    if [ "$status" -ne "$want" ]; then
+        echo "$name: exit status $status, expected $want" >&2
+        exit 1
+    fi
     python3 - "$name" "$OUT/$name/run_manifest.json" <<'PY'
 import json
 import sys
@@ -106,3 +113,17 @@ config["experiment"] = {"kind": "action", "path_file": "sine-path.csv"}
 json.dump(config, open(sys.argv[2], "w"), indent=2)
 PY
 (cd "$OUT" && run perfbench-quasipotential-multiplicative-action-sine-path action "$MULT_PATH_CONFIG")
+DEGENERATE_CONFIG="$OUT/check-gain-vanishes.json"
+python3 - configs/exit_reference.json "$DEGENERATE_CONFIG" <<'PY'
+import json
+import sys
+
+config = json.load(open(sys.argv[1]))
+config["coefficients"]["g"] = {"kind": "logistic_clipped", "amp": 1.0, "width": 2.0, "offset": -0.9}
+config["multiscale"]["rho_bar"] = 0.0
+config["multiscale"]["beta_law"]["coeff"] = 0.0
+config["experiment"]["kind"] = "check"
+config["experiment"]["domain"]["level"] = 9.0
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+PY
+run configs-exit_reference-check-gain-vanishes check "$DEGENERATE_CONFIG" 64 2

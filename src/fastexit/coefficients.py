@@ -143,6 +143,11 @@ class Coefficient:
         t = np.tanh(r / w)
         return -2.0 * t * (1.0 - t * t) / w**2
 
+    def phi_inverse(self, p):
+        """The r with phi(r) = p: p itself, or width atanh(p); nan where p lies outside phi's range."""
+        p = np.asarray(p, dtype=float)
+        return p if self.shape_is_identity else self.params["width"] * np.arctanh(np.where(abs(p) < 1, p, np.nan))
+
     def value(self, xi, r):
         a, b = self.profile(xi)
         return a * self.phi(r) + b
@@ -293,6 +298,13 @@ class AveragedModel:
         a, b = self._f_means
         return a * self.coeffs.f.phi(u) + b
 
+    @property
+    def f_bar_root(self) -> float:
+        """The one state where F_bar vanishes, phi_f^-1(-<b_f> / <a_f>) (phi_f is monotone); nan when
+        there is none: <a_f> = 0, or the ratio outside phi_f's range."""
+        a, b = self._f_means
+        return float(self.coeffs.f.phi_inverse(-b / a)) if a else math.nan
+
     def f_bar_prime(self, u):
         return self._f_means[0] * self.coeffs.f.phi_prime(u)
 
@@ -333,22 +345,25 @@ class AveragedModel:
         p = self.coeffs.g.phi(u)
         return (a * p + 2.0 * b) * p + c
 
-    def h_min(self, lo: float, hi: float) -> float:
-        """The least noise intensity H(u) over lo <= u <= hi, in closed form.
+    def h_min(self, lo: float, hi: float) -> tuple[float, float]:
+        """The least noise intensity H on [lo, hi], and a state u where it is reached, in closed form.
 
-        Every catalog phi_g is monotone, so phi_g maps [lo, hi] onto the
-        interval between phi_g(lo) and phi_g(hi), and the least H is the least
-        of A p^2 + 2 B p + C there: at the vertex p = -B/A clipped to the
-        interval (H = C when A = 0).  A, B and C are sums over the N modes, so
-        a vanishing H can come out as a few ulps of the size of its terms,
-        A p^2 + 2 |B p| + C; a value within H_RTOL of that size returns as 0.0."""
+        Every catalog phi_g is monotone, so H = A p^2 + 2 B p + C, p = phi_g(u),
+        is least at the vertex p = -B/A clipped to the interval between phi_g(lo)
+        and phi_g(hi): at the segment end where it clips, else at
+        u = phi_g^-1(-B/A) (H = C, at lo, when A = 0).  A, B and C are sums over the N modes, so a vanishing H can come
+        out as a few ulps of the size of its terms, A p^2 + 2 |B p| + C; a value
+        within H_RTOL of that size returns as 0.0."""
         a, b, c = self._h_coeffs
+        lo, hi = float(lo), float(hi)
         if a == 0.0:
-            return c
-        ends = self.coeffs.g.phi(np.array([lo, hi], dtype=float))
-        p = min(max(-b / a, float(ends.min())), float(ends.max()))
+            return c, lo
+        g = self.coeffs.g
+        ends = g.phi(np.array([lo, hi])).tolist()
+        p = min(max(-b / a, min(ends)), max(ends))
+        u = (lo, hi)[ends.index(p)] if p in ends else min(max(float(g.phi_inverse(p)), lo), hi)
         h = (a * p + 2.0 * b) * p + c
-        return 0.0 if h <= H_RTOL * ((a * p + 2.0 * abs(b)) * abs(p) + c) else h
+        return (0.0 if h <= H_RTOL * ((a * p + 2.0 * abs(b)) * abs(p) + c) else h), u
 
     def h_prime(self, u):
         a, b, _ = self._h_coeffs
@@ -370,26 +385,8 @@ class NondegeneracyReport:
     passed: bool
 
 
-def check_nondegeneracy(model: AveragedModel, u_grid, floor: float = 1e-12) -> NondegeneracyReport:
-    """Report the minimum of H over an increasing grid of states u against a positive floor.
-
-    A golden-section search between the neighbours of each grid point no higher
-    than them finds a zero of H that lies between two grid points."""
-    u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if u.size == 0:
-        raise ValueError("nondegeneracy grid must be nonempty")
-    hs = model.h(u)
-    padded = np.concatenate(([np.inf], hs, [np.inf]))
-    m = np.flatnonzero((hs <= padded[:-2]) & (hs <= padded[2:]))
-    a, b = u[np.maximum(m - 1, 0)], u[np.minimum(m + 1, u.size - 1)]
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        c, d = b - ratio * (b - a), a + ratio * (b - a)
-        hc, hd = np.split(model.h(np.concatenate([c, d])), 2)
-        lower = hc < hd
-        a, b = np.where(lower, a, c), np.where(lower, d, b)
-    u = np.concatenate([u, 0.5 * (a + b)])
-    hs = np.concatenate([hs, model.h(u[hs.size:])])
-    i = int(np.argmin(hs))
-    min_h = float(hs[i])
-    return NondegeneracyReport(min_h=min_h, argmin_u=float(u[i]), floor=floor, passed=min_h > floor)
+def check_nondegeneracy(model: AveragedModel, lo: float, hi: float, floor: float = 1e-12) -> NondegeneracyReport:
+    """Report the least H on [lo, hi], and the state where it is reached (`AveragedModel.h_min`), against a
+    positive floor."""
+    min_h, argmin_u = model.h_min(lo, hi)
+    return NondegeneracyReport(min_h=min_h, argmin_u=argmin_u, floor=floor, passed=min_h > floor)

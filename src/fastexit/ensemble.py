@@ -13,16 +13,17 @@ chunk at a time, so that fixed per-step work is paid once per chunk.  Only
 the rows live at a chunk's start are stepped: each thread gathers the live
 rows of its share of the paths, with their draws, into one chunk buffer of
 rows [u | 1 | z], which `SpdeStepper.step_chunk` steps in tiles of at most
-BLOCK_SIZE rows.  A step with an interior panel (a state-dependent gain)
-pads its last tile to BLOCK_SIZE rows, so each of its products keeps one
-shape and the chunk is a stack of whole tiles that one call per product
-steps (numpy still calls the BLAS once per tile); any other step pads only
-a single-row last tile, to two rows.  That a row's result does not depend on
-the other rows at any tile height from 2 to BLOCK_SIZE is a property of the
-BLAS, not of this code (a 1-row product takes another kernel), and
-`test_run_ensemble_tiles_keep_surviving_rows` guards it for both kinds of
-noise and both kinds of reaction.  Results are therefore independent of the
-total path count, the thread count, and the execution schedule.
+BLOCK_SIZE rows.  A chunk of more than BLOCK_SIZE rows with an interior
+panel (a state-dependent gain) pads its last tile to BLOCK_SIZE rows, so each
+of its products keeps one shape and the chunk is a stack of whole tiles that
+one call per product steps (numpy still calls the BLAS once per tile); any
+other chunk pads only a single-row last tile, to two rows, so a chunk of at
+most BLOCK_SIZE rows is one tile of its own height.  That a row's result does
+not depend on the other rows at any tile height from 2 to BLOCK_SIZE is a
+property of the BLAS, not of this code (a 1-row product takes another
+kernel), and `test_run_ensemble_tiles_keep_surviving_rows` guards it for both
+kinds of noise and both kinds of reaction.  Results are therefore independent
+of the total path count, the thread count, and the execution schedule.
 """
 
 from __future__ import annotations
@@ -192,8 +193,9 @@ class SpdeStepper:
         [u | 1 | z], u the state before step i0 + j and z its panels side by
         side.  Without a control, an affine step is one product x[j] @ B per
         tile-step, written straight into the next state, plus the interior
-        term when there is one; rows are then a whole number of tiles, and
-        each product or ufunc is one call on a (tiles, BLOCK_SIZE, .) stack.
+        term when there is one; rows are then one tile or a whole number of
+        BLOCK_SIZE-row tiles, and each product or ufunc is one call on the stack
+        of tiles.
         Otherwise the rows are stepped by `step` in tiles of at most
         BLOCK_SIZE, each to the chunk's end.
         """
@@ -205,7 +207,7 @@ class SpdeStepper:
                 for j, (u, z, dst) in enumerate(zip(tile[:-1, :, :n], zs, tile[1:, :, :n])):
                     dst[...] = self.step((i0 + j) * self.dt, u, z)
         elif self.has_q:
-            tiles = x.reshape(k + 1, -1, BLOCK_SIZE, x.shape[2])
+            tiles = x.reshape(k + 1, -1, min(x.shape[1], BLOCK_SIZE), x.shape[2])
             for src, dst in zip(tiles[:-1], tiles[1:, ..., :n]):
                 sd = self._interior_sd(self.cs.g.phi(src[..., :n] @ self.op.modes_on_grid))
                 np.matmul(src, self.affine, out=dst)
@@ -306,10 +308,9 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
             n, k = idx.size, min(n_chunk, n_steps - i0)
             if n == 0:
                 break
-            if stepper.has_q:
+            n_tile_rows = n + (n % BLOCK_SIZE == 1)  # no tile of a single row
+            if stepper.has_q and n > BLOCK_SIZE:  # whole tiles, stepped as one stack
                 n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
-            else:  # no tile of a single row
-                n_tile_rows = n + (n % BLOCK_SIZE == 1)
             x = np.zeros((k + 1, n_tile_rows, n_modes + 1 + n_panels * n_modes))  # rows [u | 1 | z]
             x[0, :n, :n_modes] = u
             x[:, :, n_modes] = 1.0

@@ -41,7 +41,6 @@ import numpy as np
 from .coefficients import AveragedModel
 from .ensemble import SpdeStepper, run_ensemble
 from .ldp import v_bar
-from .operator import SpectralOperator
 from .solver import MultiscaleParams
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
 class DomainSpec:
     """The exit ball { h : s |h - c e_0|^2 < r }."""
 
-    op: SpectralOperator
     scale: float
     center: float
     level: float
@@ -92,7 +90,7 @@ def membership_values(dom: DomainSpec, states: np.ndarray) -> np.ndarray:
     return dom.scale * (np.einsum("...k,...k->...", u, u) - 2.0 * c * u[..., 0] + c * c)
 
 
-def build_domain(g_spec: dict, r: float, op: SpectralOperator) -> DomainSpec:
+def build_domain(g_spec: dict, r: float) -> DomainSpec:
     """Construct the exit ball from {"kind": "quadratic", "scale": s, "center": c} and level r."""
     if g_spec["kind"] != "quadratic":
         raise ValueError(f"unknown domain kind {g_spec['kind']!r}")
@@ -102,7 +100,7 @@ def build_domain(g_spec: dict, r: float, op: SpectralOperator) -> DomainSpec:
     r_min = scale * center**2
     if r <= r_min:
         raise ValueError(f"level r must exceed s c^2 = {r_min:.6g} so that 0 lies inside")
-    return DomainSpec(op=op, scale=scale, center=center, level=r)
+    return DomainSpec(scale=scale, center=center, level=r)
 
 
 @dataclass

@@ -96,7 +96,7 @@ def _path_quantities(model: AveragedModel, values):
 
     The piecewise-linear path visits every state between its least and largest
     node, so that is where H must not vanish."""
-    if not model.h_min(float(values.min()), float(values.max())) > 0.0:
+    if not model.h_min(float(values.min()), float(values.max()))[0] > 0.0:
         raise NondegeneracyError("noise intensity H vanishes on the path")
     return model.f_bar(values), model.h(values)
 
@@ -394,20 +394,10 @@ def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
     if y == 0.0:
         return 0.0
     clip = np.minimum if y > 0 else np.maximum
-    # cut [0, y] at the sign changes of F_bar, so the clipped integrand is
-    # smooth on each piece, and apply a fixed Gauss-Legendre rule per piece
-    sample = np.linspace(0.0, y, 65)
-    f = model.f_bar(sample)
-    cuts = list(sample[1:-1][f[1:-1] == 0.0])
-    crossings = np.flatnonzero(f[:-1] * f[1:] < 0)
-    if crossings.size:  # bisect every bracketing pair at once, down to adjacent floats
-        a, b, fa = sample[crossings], sample[crossings + 1], np.sign(f[crossings])
-        for _ in range(64):
-            mid = 0.5 * (a + b)
-            keep_a = np.sign(model.f_bar(mid)) != fa
-            a, b = np.where(keep_a, a, mid), np.where(keep_a, mid, b)
-        cuts += list(0.5 * (a + b))
-    ends = [0.0, *sorted(cuts, key=abs), y]
+    # cut [0, y] at F_bar's one root (F_bar is monotone), so the clipped
+    # integrand is smooth on each piece, and apply a fixed Gauss-Legendre rule per piece
+    root = model.f_bar_root
+    ends = [0.0, root, y] if min(0.0, y) < root < max(0.0, y) else [0.0, y]
     nodes, weights = np.polynomial.legendre.leggauss(64)
     integral = 0.0
     for a, b in zip(ends, ends[1:]):

@@ -126,7 +126,7 @@ def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
         dspec = dict(cfg["experiment"]["domain"])
         level = dspec.pop("level")
         try:
-            dom = build_domain(dspec, level, model.op)
+            dom = build_domain(dspec, level)
         except ValueError as exc:
             checks["exit_hypotheses"] = {"passed": False, "error": str(exc)}
         else:
@@ -138,7 +138,7 @@ def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
             span = (min(y1, span[0]), max(y2, span[1]))
 
     floor = cfg["experiment"]["nondegeneracy_floor"]
-    checks["nondegeneracy"] = _jsonable(check_nondegeneracy(model, np.linspace(*span, 41), floor=floor))
+    checks["nondegeneracy"] = _jsonable(check_nondegeneracy(model, *span, floor=floor))
     return checks, dom
 
 
@@ -187,7 +187,7 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
             continue
         traj.write_csv(path)
         outputs.append(path)
-    finalize_run(out_dir, resolved, outputs, started, len(system.params_list))
+    finalize_run(out_dir, resolved, outputs, started, len(system.params_list), ran_ensemble=True)
     return status
 
 
@@ -290,7 +290,7 @@ def run_quasipotential(resolved: dict, out_dir: Path) -> int:
     exp = resolved["experiment"]
     # every path runs from 0 to its y, so H must stay positive on the segment that holds them all
     span = (min([0.0, *exp["y_values"]]), max([0.0, *exp["y_values"]]))
-    report = check_nondegeneracy(system.model, np.linspace(*span, 41), floor=exp["nondegeneracy_floor"])
+    report = check_nondegeneracy(system.model, *span, floor=exp["nondegeneracy_floor"])
     if not report.passed:
         raise NondegeneracyError(
             f"noise intensity H falls to {report.min_h:.6g} at u = {report.argmin_u:.6g} on "

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .coefficients import AveragedModel
-from .ensemble import SpdeStepper, diverged_mask, run_ensemble
+from .ensemble import SpdeStepper, run_ensemble
 from .errors import DivergenceError
 from .noise import RngStream
 from .operator import SpectralOperator
@@ -161,6 +161,23 @@ def _control_interpolant(node_times: np.ndarray, *controls: np.ndarray):
     return at
 
 
+class _PathObserver:
+    """`run_ensemble` observer of one path: its states from step 0 on, and the index
+    of its first diverged state (0 while none has)."""
+
+    def __init__(self, n_steps: int, u0: np.ndarray):
+        self.states = np.concatenate([u0, np.empty((n_steps, u0.shape[1]))])
+        self.first_bad = np.zeros(1, dtype=int)
+
+    def observe(self, i0: int, states: np.ndarray, idx: np.ndarray, first_bad: np.ndarray) -> np.ndarray:
+        self.states[i0 + 1:i0 + len(states) + 1] = states[:, 0]
+        self.first_bad = np.where(first_bad < len(states), i0 + 1 + first_bad, self.first_bad)
+        return np.ones(1, dtype=bool)
+
+    def finish(self, live: np.ndarray):
+        return self.states[None], self.first_bad
+
+
 def solve_spde(
     model: AveragedModel,
     params: MultiscaleParams,
@@ -174,9 +191,10 @@ def solve_spde(
     """Mild-solution forward solve (exponential Euler per mode) of one path
     of the system `model` at the scaling level `params`.
 
+    The path is an ensemble of one for `run_ensemble`, drawn from the start
+    of rng's stream; a DivergenceError names its first diverged state.
     control may be None (plain forward solve) or a ControlPath, added as a
-    deterministic forcing; a zero control reproduces the uncontrolled solve
-    pathwise for the same stream.
+    deterministic forcing; a zero control reproduces the uncontrolled solve.
     """
     times, dt_eff, n = _time_grid(t_final, dt)
     stepper = SpdeStepper(
@@ -184,16 +202,11 @@ def solve_spde(
         control=None if control is None else _control_interpolant(control.times, control.phi_h, control.phi_z),
         control_weights=control_weights,
     )
-    u = np.array([x], dtype=float)
-    states = np.empty((n + 1, model.op.n_modes))
-    states[0] = u[0]
-    gen = rng._gen
-    for i in range(n):
-        u = stepper.step(times[i], u, stepper.draw(gen, 1))
-        if diverged_mask(u)[0]:
-            raise DivergenceError(step=i + 1, t=times[i + 1])
-        states[i + 1] = u[0]
-    return FieldTrajectory(times=times, states=states)
+    states, (bad,) = run_ensemble(stepper, np.asarray(x, dtype=float), 1, n, rng.seed, rng.stream, 1,
+                                  partial(_PathObserver, n))
+    if bad:
+        raise DivergenceError(step=int(bad), t=times[bad])
+    return FieldTrajectory(times=times, states=states[0])
 
 
 def _rk4(rhs, u0, times):

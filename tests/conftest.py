@@ -43,12 +43,12 @@ def exit_reference(ref_op):
     return build_model(ref_op, q_spec={"kind": "flat", "value": np.sqrt(2.0)})
 
 
-def sample_in_domain(dom, rng, target_frac=0.9):
-    """Random unit field x scaled along its ray to G = target_frac * r in the exit ball dom.
+def sample_in_domain(dom, n_modes, rng, target_frac=0.9):
+    """Random unit field x of n_modes modes scaled along its ray to G = target_frac * r in the exit ball dom.
 
     The scale t is the positive root of s (t^2 - 2 c t x_0 + c^2) = target_frac * r.
     """
-    x = rng.standard_normal(dom.op.n_modes)
+    x = rng.standard_normal(n_modes)
     x /= np.linalg.norm(x)
     b = dom.center * x[0]
     t = b + math.sqrt(b * b - dom.center**2 + target_frac * dom.level / dom.scale)

@@ -116,7 +116,7 @@ def test_criterion_4_averaging_vanishing_noise(ref_op):
 
 def test_criterion_5_exit_time_scaling(ref_op, exit_reference):
     model = exit_reference
-    dom = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 0.25, ref_op)
+    dom = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 0.25)
     levels = []
     for gamma in (0.25, 0.125, 0.0625):
         a = np.sqrt(gamma) / 2  # alpha = beta: rho_bar = 1, (alpha + beta)^2 = gamma
@@ -197,12 +197,12 @@ def test_criterion_7_noise_covariance():
 
 def test_criterion_8_domain_invariance(ref_op):
     # G is nonincreasing along the semigroup, and the mean state of a point of D lies in D
-    dom = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 0.25, ref_op)
+    dom = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 0.25)
     rng = np.random.Generator(np.random.Philox(key=108))
     times = np.array([0.01, 0.1, 1.0])
     n_samples, worst, jensen = 100, np.inf, True
     for _ in range(n_samples):
-        x = sample_in_domain(dom, rng)
+        x = sample_in_domain(dom, ref_op.n_modes, rng)
         x_t = np.exp(-np.outer(times, ref_op.eigenvalues)) * x
         worst = min(worst, float((fx.membership_values(dom, x) - fx.membership_values(dom, x_t)).min()))
         jensen &= bool(fx.membership_values(dom, [fx.invariant_average(ref_op, x)]) < dom.level)

@@ -121,14 +121,14 @@ def test_additive_row_u_independent(ref_op):
 
 def test_nondegeneracy_checker(ref_op):
     model = build_model(ref_op, rho_bar=1.0)
-    rep = fx.check_nondegeneracy(model, np.linspace(-1, 1, 11))
+    rep = fx.check_nondegeneracy(model, -1.0, 1.0)
     assert rep.passed and rep.min_h == pytest.approx(0.75, abs=1e-12)
     model = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0}, rho_bar=0.0)
-    rep = fx.check_nondegeneracy(model, np.linspace(-1, 1, 11))
+    rep = fx.check_nondegeneracy(model, -1.0, 1.0)
     assert not rep.passed and rep.min_h == pytest.approx(0.0, abs=1e-15)
     assert rep.argmin_u == 0.0
     model = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0}, rho_bar=np.inf)
-    rep = fx.check_nondegeneracy(model, np.linspace(-1, 1, 11))
+    rep = fx.check_nondegeneracy(model, -1.0, 1.0)
     assert rep.passed
 
 
@@ -140,12 +140,14 @@ def test_nondegeneracy_checker(ref_op):
     ({"kind": "logistic_clipped", "amp": 1.0, "width": -0.5, "offset": 0.3}, 0.0),
 ])
 def test_h_min_is_the_least_h_on_the_interval(ref_op, g_spec, rho_bar):
-    # against a fine grid, for increasing and decreasing phi_g, on intervals holding the vertex or not
+    # against a fine grid, for increasing and decreasing phi_g, on intervals holding the vertex or not;
+    # the state returned lies on the interval, and H there is the minimum to rounding
     model = build_model(ref_op, g_spec=g_spec, rho_bar=rho_bar)
     for lo, hi in [(-1.0, 1.0), (0.4, 0.9), (-0.8, -0.6), (0.25, 0.25)]:
         fine = float(model.h(np.linspace(lo, hi, 20001)).min())
-        got = model.h_min(lo, hi)
+        got, u = model.h_min(lo, hi)
         assert got <= fine + 1e-15 and got == pytest.approx(fine, abs=1e-8), (lo, hi)
+        assert lo <= u <= hi and float(model.h(u)) == pytest.approx(got, rel=1e-13, abs=1e-15), (lo, hi)
 
 
 def test_gbar_pairing_lipschitz(ref_op):

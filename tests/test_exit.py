@@ -10,38 +10,38 @@ from fastexit.ensemble import DRAW_STEPS, SpdeStepper, run_ensemble
 from fastexit.exit_times import _ExitObserver
 
 
-def _ball(op, r=0.25):
-    return fx.build_domain({"kind": "quadratic", "scale": 1.0}, r, op)
+def _ball(r=0.25):
+    return fx.build_domain({"kind": "quadratic", "scale": 1.0}, r)
 
 
 def test_build_domain_constant_section(ref_op):
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     assert dom.constant_section == pytest.approx((-0.5, 0.5), abs=1e-12)
     assert dom.attraction_radius == pytest.approx(0.05, abs=1e-15)
-    shifted = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, ref_op)
+    shifted = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0)
     assert shifted.constant_section == pytest.approx((0.3 - np.sqrt(0.5), 0.3 + np.sqrt(0.5)), abs=1e-12)
     assert shifted.attraction_radius == pytest.approx(0.1 * (np.sqrt(0.5) - 0.3), abs=1e-15)
     with pytest.raises(ValueError):
-        fx.build_domain({"kind": "quadratic", "scale": 1.0, "center": 1.0}, 0.5, ref_op)
+        fx.build_domain({"kind": "quadratic", "scale": 1.0, "center": 1.0}, 0.5)
     with pytest.raises(ValueError, match="kind"):
-        fx.build_domain({"kind": "quartic", "scale": 1.0}, 0.25, ref_op)
+        fx.build_domain({"kind": "quartic", "scale": 1.0}, 0.25)
     with pytest.raises(ValueError, match="scale"):
-        fx.build_domain({"kind": "quadratic", "scale": 0.0}, 0.25, ref_op)
+        fx.build_domain({"kind": "quadratic", "scale": 0.0}, 0.25)
     with pytest.raises(ValueError, match="level"):  # r = s c^2 puts 0 on the boundary
-        fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.5}, 0.5, ref_op)
+        fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.5}, 0.5)
 
 
 def test_sample_in_domain_lands_on_target_level(ref_op):
-    dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, ref_op)
+    dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0)
     rng = np.random.Generator(np.random.Philox(key=34))
     for _ in range(50):
-        x = sample_in_domain(dom, rng)
+        x = sample_in_domain(dom, ref_op.n_modes, rng)
         g = 2.0 * (float((x**2).sum()) - 2 * 0.3 * x[0] + 0.3**2)
         assert abs(g - 0.9) <= 1e-12
 
 
 def test_membership_is_squared_norm_for_quadratic(ref_op):
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     rng = np.random.Generator(np.random.Philox(key=31))
     c = rng.standard_normal(ref_op.n_modes)
     g = fx.membership_values(dom, c[None, :])[0]
@@ -51,14 +51,14 @@ def test_membership_is_squared_norm_for_quadratic(ref_op):
 @pytest.mark.parametrize("grid_factor", [4, 2], ids=["neumann_laplacian", "neumann_laplacian_grid2"])
 def test_membership_parseval_matches_grid_quadrature(grid_factor):
     op = fx.build_neumann_laplacian_1d(16, grid_factor)
-    dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0, op)
+    dom = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.3}, 1.0)
     states = np.random.Generator(np.random.Philox(key=33)).standard_normal((200, op.n_modes))
     quadrature = (2.0 * (op.to_grid(states) - 0.3) ** 2 * op.quad_weights).sum(axis=-1)
     assert np.all(np.abs(fx.membership_values(dom, states) - quadrature) <= 1e-12 * quadrature)
 
 
 def test_semigroup_shrinks_membership(ref_op):
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     x = np.zeros(ref_op.n_modes)
     x[1] = 0.4
     for t in (0.01, 0.1, 1.0):
@@ -69,7 +69,7 @@ def test_semigroup_shrinks_membership(ref_op):
 
 
 def test_jensen_step(ref_op):
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     rng = np.random.Generator(np.random.Philox(key=32))
     for _ in range(20):
         c = rng.standard_normal(ref_op.n_modes)
@@ -85,7 +85,7 @@ def _noise_free(model, dom, x, dt, t_max):
 
 def test_first_exit_censored_for_attracting_flow(ref_op):
     model = build_model(ref_op)
-    st = _noise_free(model, _ball(ref_op, 0.25), ref_op.constant_field(0.4), dt=1e-2, t_max=2.0)
+    st = _noise_free(model, _ball(0.25), ref_op.constant_field(0.4), dt=1e-2, t_max=2.0)
     assert st.n_censored == st.n_paths and st.lower_bound_only
     assert np.all(st.taus == st.t_max) and st.t_max == pytest.approx(2.0)
 
@@ -95,17 +95,17 @@ def test_first_exit_interpolated_ramp(ref_op):
     # interpolates G linearly between the steps at 0.48 and 0.52
     model = build_model(ref_op, f_spec={"kind": "constant", "value": 1.0})
     x = ref_op.constant_field(0.0)
-    st = _noise_free(model, _ball(ref_op, 0.25), x, dt=0.04, t_max=2.0)
+    st = _noise_free(model, _ball(0.25), x, dt=0.04, t_max=2.0)
     expected = 0.48 + 0.04 * (0.25 - 0.48**2) / (0.52**2 - 0.48**2)  # 0.4996, against 0.5 in continuous time
     assert st.n_censored == 0
     assert np.allclose(st.taus, expected, rtol=1e-12, atol=0)
-    bigger = _noise_free(model, _ball(ref_op, 0.36), x, dt=0.04, t_max=2.0)
+    bigger = _noise_free(model, _ball(0.36), x, dt=0.04, t_max=2.0)
     assert np.allclose(bigger.taus, 0.6, rtol=1e-12, atol=0)  # nested level sets: a larger level exits later
 
 
 def test_exit_hypotheses_reference_passes(ref_op, exit_reference):
     model = exit_reference
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     rep = fx.check_exit_hypotheses(model, dom)
     assert rep.passed and rep.flow_witness is None
     assert rep.g_sup_bound == 1.0
@@ -116,7 +116,7 @@ def test_exit_hypotheses_repelling_flow_fails(ref_op):
         ref_op, f_spec={"kind": "linear", "slope": 1.0},
         q_spec={"kind": "flat", "value": np.sqrt(2.0)},
     )
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     rep = fx.check_exit_hypotheses(model, dom)
     assert not rep.passed
     assert not (rep.flow_contained_passed and rep.flow_attracted_passed)
@@ -144,8 +144,8 @@ FLOW_SPECS = [
 def test_exit_hypotheses_endpoint_verdict_matches_dense_scan(ref_op, f_spec):
     # the endpoint test of the averaged flow against a 1,001-point sign scan of F_bar per side
     model = build_model(ref_op, f_spec=f_spec)
-    shifted = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.1}, 0.5, ref_op)
-    for dom in (_ball(ref_op, 0.25), shifted):
+    shifted = fx.build_domain({"kind": "quadratic", "scale": 2.0, "center": 0.1}, 0.5)
+    for dom in (_ball(0.25), shifted):
         y1, y2 = dom.constant_section
         b = dom.attraction_radius
         left, right = model.f_bar(np.linspace(y1, -b, 1001)), model.f_bar(np.linspace(b, y2, 1001))
@@ -161,7 +161,7 @@ def test_exit_hypotheses_endpoint_verdict_matches_dense_scan(ref_op, f_spec):
 
 def test_exit_hypotheses_unbounded_gain_fails(ref_op):
     model = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0})
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     rep = fx.check_exit_hypotheses(model, dom)
     assert not rep.g_bounded_passed and not rep.passed
 
@@ -176,7 +176,7 @@ def _reference_levels():
 
 def test_exit_mc_deterministic_and_thread_independent(ref_op, exit_reference):
     model = exit_reference
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     x = ref_op.constant_field(0.0)
     levels = _reference_levels()[:1]
     kw = dict(n_paths=96, dt=0.01, seed=5)
@@ -199,16 +199,16 @@ def test_exit_mc_level_nesting_pathwise(ref_op, exit_reference):
     model = exit_reference
     x = ref_op.constant_field(0.0)
     levels = _reference_levels()[:1]
-    small = fx.exit_time_mc(model, levels, _ball(ref_op, 0.16), x, n_paths=64, dt=0.01, seed=6,
+    small = fx.exit_time_mc(model, levels, _ball(0.16), x, n_paths=64, dt=0.01, seed=6,
                             t_max=200.0)
-    big = fx.exit_time_mc(model, levels, _ball(ref_op, 0.25), x, n_paths=64, dt=0.01, seed=6,
+    big = fx.exit_time_mc(model, levels, _ball(0.25), x, n_paths=64, dt=0.01, seed=6,
                           t_max=200.0)
     assert np.all(small[0].taus <= big[0].taus)
 
 
 def test_exit_mc_censoring_consistency(ref_op, exit_reference):
     model = exit_reference
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     x = ref_op.constant_field(0.0)
     levels = _reference_levels()[:1]
     short = fx.exit_time_mc(model, levels, dom, x, n_paths=64, dt=0.01, seed=7, t_max=1.0)
@@ -262,7 +262,7 @@ def _per_step_exits(dom, dt, x0, states):
 def test_exit_chunks_match_per_step_observation(ref_op, exit_reference):
     # 100 steps run as chunks of 32, 32, 32 and 4 steps; the chunked observer
     # gives the per-step observation's tau, censoring and exit norm exactly
-    dom, dt, n_paths, n_steps = _ball(ref_op, 0.25), 0.01, 256, 100
+    dom, dt, n_paths, n_steps = _ball(0.25), 0.01, 256, 100
     stepper = SpdeStepper(exit_reference, fx.MultiscaleParams(eps=0.05, alpha=0.4, beta=0.4), dt)
     x0 = ref_op.constant_field(0.0)
     tau, censored, diverged, nonconst = run_ensemble(
@@ -289,7 +289,7 @@ def test_exit_divergence_mid_chunk(ref_op, y0, tau_expected, exits):
     # rows run on to the chunk's end through overflow, without a warning.
     model = build_model(ref_op, f_spec={"kind": "linear", "slope": 1e16})
     stepper = SpdeStepper(model, fx.MultiscaleParams(eps=0.05, alpha=0.0, beta=0.0), 0.01)
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tau, censored, diverged, nonconst = run_ensemble(
@@ -302,7 +302,7 @@ def test_exit_divergence_mid_chunk(ref_op, y0, tau_expected, exits):
 def test_exit_observer_counts_a_crossing_at_the_first_bad_step_as_divergence(ref_op):
     # states handed over unzeroed: the row leaves D on step 1 of the chunk, which
     # is also its first bad step, so it is censored there as diverged
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     obs = _ExitObserver(dom, 0.01, 1.0, np.zeros((1, ref_op.n_modes)))
     states = np.zeros((3, 1, ref_op.n_modes))
     states[1:, 0, 0] = 2.0
@@ -314,7 +314,7 @@ def test_exit_observer_counts_a_crossing_at_the_first_bad_step_as_divergence(ref
 def test_exit_mc_all_censored_lower_bound_mode(ref_op):
     model = build_model(ref_op, q_spec={"kind": "flat", "value": 1e-3},
                         b_spec={"kind": "list", "values": [1e-3, 1e-3]})
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     x = ref_op.constant_field(0.0)
     levels = [fx.MultiscaleParams(eps=0.01, alpha=0.05, beta=0.05)]
     stats = fx.exit_time_mc(model, levels, dom, x, n_paths=32, dt=0.01, seed=8, t_max=0.5)
@@ -324,7 +324,7 @@ def test_exit_mc_all_censored_lower_bound_mode(ref_op):
 
 def test_exit_mc_rejects_exterior_start(ref_op, exit_reference):
     model = exit_reference
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     with pytest.raises(ValueError):
         fx.exit_time_mc(model, _reference_levels()[:1], dom, ref_op.constant_field(0.9),
                         n_paths=8, dt=0.01, seed=9)
@@ -332,7 +332,7 @@ def test_exit_mc_rejects_exterior_start(ref_op, exit_reference):
 
 def test_exit_location_concentrates_on_constant_states(ref_op, exit_reference):
     model = exit_reference
-    dom = _ball(ref_op, 0.25)
+    dom = _ball(0.25)
     x = ref_op.constant_field(0.0)
     stats = fx.exit_time_mc(model, _reference_levels(), dom, x, n_paths=128, dt=0.01, seed=10)
     f_big_gamma = stats[0].concentration_fraction

@@ -584,11 +584,32 @@ def test_nondegeneracy_spans_the_exit_section(tmp_path):
         assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 2
         reports[kind] = json.loads((tmp_path / kind / "check_report.json").read_text())
     nd = reports["check"]["checks"]["nondegeneracy"]
-    assert not nd["passed"] and nd["argmin_u"] == pytest.approx(2 * np.arctanh(0.9), abs=1e-6)
+    assert not nd["passed"] and nd["argmin_u"] == pytest.approx(2 * np.arctanh(0.9), rel=1e-12)
     # both runs write one report: the same keys, and the same verdict on the same checks
     assert reports["check"].keys() == reports["exit"].keys()
     assert reports["check"]["missing"] == reports["exit"]["missing"] == []
     assert reports["check"]["checks"] == reports["exit"]["checks"]
+
+
+def test_cli_simulate_divergence_names_the_step(tmp_path):
+    # without noise, f = 5 r steps the constant state by u <- 1.05 u at dt = 0.01, which
+    # first passes the divergence limit 1e12 at step 567: status 3, and the step on record
+    cfg = reference_config(
+        coefficients={
+            "f": {"kind": "linear", "slope": 5.0},
+            "g": {"kind": "constant", "value": 1.0},
+            "sigma": {"kind": "constant", "value": 1.0},
+        },
+        multiscale={"eps": [0.1], "alpha_law": {"coeff": 0.0, "exponent": 0.25},
+                    "beta_law": {"coeff": 0.0, "exponent": 0.25}},
+        solver={"t_final": 10.0, "dt": 0.01, "delta": 0.5},
+    )
+    cfg["experiment"] = {"kind": "simulate", "x0": {"kind": "constant", "value": 1.0}}
+    p = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+    record = json.loads((tmp_path / "out" / "divergence_eps0.json").read_text())
+    assert record["eps"] == 0.1 and record["step"] == 567 and record["t"] == pytest.approx(5.67, rel=1e-12)
+    assert not (tmp_path / "out" / "trajectory_eps0.csv").exists()
 
 
 def test_cli_exit_optimizer_failure_is_numerical(tmp_path, capsys, monkeypatch):
@@ -708,8 +729,8 @@ def test_cli_threads_flag_goes_through_the_config(tmp_path, capsys):
 
 
 def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
-    # exit and average draw through run_ensemble, whose panel layout the key
-    # names; the other runs draw nothing or draw one row per step
+    # simulate, average and exit draw through run_ensemble, whose panel layout
+    # the key names; the other runs draw nothing
     experiments = {
         "check": {"kind": "check"},
         "simulate": {"kind": "simulate"},
@@ -724,7 +745,7 @@ def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
         p = write_config(tmp_path, cfg, f"{kind}.json")
         assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 0
         manifest = json.loads((tmp_path / kind / "run_manifest.json").read_text())
-        assert ("noise_draw_layout" in manifest) == (kind in ("average", "exit")), kind
+        assert ("noise_draw_layout" in manifest) == (kind in ("simulate", "average", "exit")), kind
 
 
 def test_build_system_errors():

@@ -84,7 +84,8 @@ def test_h_vanishing_between_nodes_is_refused():
         op, g_spec={"kind": "linear", "slope": 1.0, "offset": -0.7},
         q_spec={"kind": "flat", "value": np.sqrt(2.0)}, rho_bar=0.0,
     )
-    assert model.h_min(0.0, 1.0) == 0.0
+    h, u = model.h_min(0.0, 1.0)
+    assert h == 0.0 and u == pytest.approx(0.7, rel=1e-12)
     with pytest.raises(fx.NondegeneracyError):
         fx.quasi_potential_variational(model, 1.0, (2.0,), 40)
     t = np.linspace(0.0, 1.0, 40)
@@ -315,6 +316,23 @@ def test_quasi_potential_explicit(ref_op):
         fx.quasi_potential_explicit(multiplicative, 0.5)
 
 
+def test_quasi_potential_explicit_cuts_at_the_root_of_a_logistic_drift(ref_op):
+    # F_bar = amp tanh(u / w) + offset vanishes at u* = w atanh(-offset / amp), inside (0, y);
+    # only (u*, y) climbs against the flow, and V is its closed-form integral
+    amp, w, offset = -2.0, 1.0, 0.5
+    model = build_model(ref_op, f_spec={"kind": "logistic_clipped", "amp": amp, "width": w, "offset": offset})
+    h, root = float(model.h(0.0)), w * np.arctanh(-offset / amp)
+    assert model.f_bar_root == pytest.approx(root, rel=1e-15)
+    for y in (2.0, 5.0):
+        want = -(2.0 / h) * (offset * (y - root) + amp * w * (np.log(np.cosh(y / w)) - np.log(np.cosh(root / w))))
+        assert fx.quasi_potential_explicit(model, y) == pytest.approx(want, rel=1e-12), y
+    assert fx.quasi_potential_explicit(model, 0.9 * root) == 0.0  # no climb before the root
+    # no root: F_bar = 2 tanh(u) + 3 > 0 everywhere
+    rising = build_model(ref_op, f_spec={"kind": "logistic_clipped", "amp": 2.0, "width": 1.0, "offset": 3.0})
+    assert np.isnan(rising.f_bar_root)
+    assert fx.quasi_potential_explicit(rising, 1.0) == 0.0
+
+
 def test_quasi_potential_divergence_form_constants(ref_op):
     # V(y) = -(1+rho)^2 / (c1 + c2 rho^2) * int_0^y int_O f(xi, s) dxi ds
     # with c1 = |sqrt(Q) m|^2 / 2 and c2 = delta0^2 |sqrt(B) Sigma N* m|^2 / 2
@@ -378,9 +396,9 @@ def test_quasi_potential_horizon_monotonicity(ref_op):
 
 def test_v_bar(ref_op):
     model = _linear_drift_model(ref_op)
-    dom = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 0.25, ref_op)
+    dom = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 0.25)
     assert fx.v_bar(model, dom) == pytest.approx(0.25, rel=1e-10)
-    tiny = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 1e-4, ref_op)
+    tiny = fx.build_domain({"kind": "quadratic", "scale": 1.0}, 1e-4)
     assert fx.v_bar(model, tiny) == pytest.approx(1e-4, rel=1e-8)
     shifted = build_model(
         ref_op, f_spec={"kind": "linear", "slope": -1.0, "offset": 0.1},

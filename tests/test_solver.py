@@ -91,11 +91,14 @@ def test_spde_affine_reaction_step_equals_grid_round_trip(ref_op, f_spec, n_rows
 
 
 def test_spde_divergence_detection(ref_op):
+    # without noise, f = 5 r steps the constant state by u <- (1 + 5 dt) u = 1.05 u, which
+    # first passes the divergence limit 1e12 at step 567 (1.05^566 < 1e12 < 1.05^567), in the
+    # 18th chunk of 32 steps
     model = build_model(ref_op, f_spec={"kind": "linear", "slope": 5.0})
     with pytest.raises(fx.DivergenceError) as exc:
         fx.solve_spde(model, _params(eps=0.1), ref_op.constant_field(1.0),
                       t_final=10.0, dt=1e-2, rng=fx.RngStream(4))
-    assert exc.value.step > 0
+    assert exc.value.step == 567 and exc.value.t == pytest.approx(5.67, rel=1e-12)
 
 
 def test_spde_dt_validation(ref_op):
@@ -255,8 +258,9 @@ def test_averaging_error_basic(ref_op):
 
 @pytest.mark.parametrize("g_spec", [None, LOGISTIC], ids=["constant_gain", "logistic_gain"])
 def test_averaging_ensemble_deterministic_across_threads(ref_op, g_spec):
-    # a state-dependent gain pads each last tile to 64 rows (100 = 64 + 36 and
-    # 70 = 64 + 6 paths), and the padding must not reach a kept row
+    # a state-dependent gain pads each last tile to 64 rows when more than 64 paths
+    # run (100 = 64 + 36 and 70 = 64 + 6 paths); 36 paths step as one 36-row tile and
+    # one path as a 2-row tile.  The tile height must not reach a kept row
     model = build_model(ref_op, g_spec=g_spec)
     params = fx.MultiscaleParams(eps=0.1, alpha=np.sqrt(0.1), beta=np.sqrt(0.1))
     x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
@@ -266,8 +270,9 @@ def test_averaging_ensemble_deterministic_across_threads(ref_op, g_spec):
     e2 = fx.averaging_error_ensemble(*args, seed=42, threads=3)
     assert np.array_equal(e1, e2)
     # the same paths are produced regardless of how many paths are requested
-    e3 = fx.averaging_error_ensemble(*args[:-1], 70, seed=42, threads=1)
-    assert np.array_equal(e1[:70], e3)
+    for n_paths in (70, 36, 1):
+        e3 = fx.averaging_error_ensemble(*args[:-1], n_paths, seed=42, threads=1)
+        assert np.array_equal(e1[:n_paths], e3), n_paths
 
 
 def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
@@ -303,10 +308,10 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
 
 @pytest.mark.parametrize("g_spec", [None, LOGISTIC])
 def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec, monkeypatch):
-    # one path with stream_base = s follows solve_spde on RngStream(seed, s),
-    # across refills of its draw buffer and a partial last chunk (80 = 32 + 32 + 16
-    # steps); only the tile height differs.  It draws the panels of those 80
-    # steps and no more: the partial chunk draws only its own 16 steps
+    # one path with stream_base = s follows a loop of SpdeStepper.step on the draws of
+    # RngStream(seed, s), across refills of its draw buffer and a partial last chunk
+    # (80 = 32 + 32 + 16 steps); only the tile height differs.  It draws the panels of
+    # those 80 steps and no more: the partial chunk draws only its own 16 steps
     streams = []
 
     def recording_stream(seed, stream):
@@ -315,9 +320,12 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec, monkeypatch):
 
     monkeypatch.setattr(ensemble, "block_stream", recording_stream)
     model = build_model(ref_op, g_spec=g_spec)
-    params = _params(eps=0.05, alpha=0.3, beta=0.3)
+    stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), 0.01)
     x0, n_steps, stream = ref_op.constant_field(0.2), 80, (2 << 32) | 5
-    traj = fx.solve_spde(model, params, x0, n_steps * 0.01, 0.01, fx.RngStream(3, stream))
+    gen, u, want = fx.RngStream(3, stream)._gen, x0[None], []
+    for i in range(n_steps):
+        u = stepper.step(i * stepper.dt, u, stepper.draw(gen, 1))
+        want.append(u[0])
 
     class Recorder:
         def __init__(self, u0):
@@ -330,9 +338,8 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec, monkeypatch):
         def finish(self, live):
             return (self.states,)
 
-    stepper = SpdeStepper(model, params, traj.times[1])
     states, = run_ensemble(stepper, x0, 1, n_steps, 3, stream, 1, Recorder)
-    assert np.abs(states - traj.states[1:]).max() <= 1e-12
+    assert np.abs(states - np.array(want)).max() <= 1e-12
     fresh = fx.RngStream(3, stream)._gen
     fresh.standard_normal((n_steps, stepper.n_panels, ref_op.n_modes))
     np.testing.assert_equal([s._gen.bit_generator.state for s in streams], [fresh.bit_generator.state])
