@@ -6,17 +6,21 @@
 # Runs each config in configs/ and perfbench/workloads/ with its own command,
 # plus `simulate` on the averaging reference and `action` on the
 # quasi-potential reference, all with --paths 64, a fixed --seed and a fixed
-# --out under OUT_DIR.  One more exit run at --paths 160 (three tiles of 64,
-# 64 and 32 rows while every path lives) exercises several tiles, and one at
-# experiment.t_max = 1.0 (200 steps of dt = 0.005: six full chunks of 32 steps
-# and a last chunk of 8) exercises a partial last chunk and paths censored at
-# t_max.  One more average run of the multiplicative workload at --paths 100
-# (tiles of 64 and 36 rows, the second padded to 64 by the state-dependent
-# gain) exercises a padded tile of the interior-noise step, and a `simulate`
-# run of that workload steps its one path of the state-dependent gain as a
-# tile of two rows, the second padding.  One more exit run of the exit
-# reference at --paths 65 (a 64-row tile and a 1-row tile padded to two)
-# exercises the padded tile of the one-product step.  One more action run on the quasi-potential
+# --out under OUT_DIR.  A chunk of n live rows runs 4096 // n steps, at least
+# 32, and the last chunk is cut to the steps left.  One more exit run at
+# --paths 160 (three whole tiles of 64 rows, the last padded from 32, while
+# every path lives) exercises several tiles, and one at experiment.t_max = 1.0
+# (200 steps of dt = 0.005: at the finest level, where no path exits, three
+# chunks of 64 steps and a last chunk of 8) exercises a partial last chunk and
+# paths censored at t_max.  One more average run of the multiplicative
+# workload at --paths 100 (tiles of 64 and 36 rows, the second padded to 64)
+# exercises a padded tile of the interior-noise step, and a `simulate` run of
+# that workload steps its one path of the state-dependent gain as a tile of
+# two rows, the second padding.  One more exit run of the exit reference at
+# --paths 65 (while every path lives, a 64-row tile and one row padded to a
+# whole second tile) exercises the padded tile of the one-product step, and
+# one at --paths 2 (at the finest level a lone row crosses chunks of 4096
+# steps) exercises long chunks.  One more action run on the quasi-potential
 # reference reads a path file that the script writes under OUT_DIR (w(t) = 0.5 sin(pi t) + 0.2 t on [0, 1], step
 # 1e-3), so the duality gap and the skeleton round trip of a path that costs
 # something are covered too; it runs from OUT_DIR, so that action.json
@@ -76,6 +80,7 @@ run perfbench-exit-additive-exit-160 exit perfbench/workloads/exit-additive.json
 run perfbench-average-multiplicative-average-100 average perfbench/workloads/average-multiplicative.json 100
 run perfbench-average-multiplicative-simulate simulate perfbench/workloads/average-multiplicative.json
 run configs-exit_reference-exit-65 exit configs/exit_reference.json 65
+run configs-exit_reference-exit-2 exit configs/exit_reference.json 2
 T_MAX_CONFIG="$OUT/exit-additive-tmax1.json"
 python3 - perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" <<'PY'
 import json

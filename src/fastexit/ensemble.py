@@ -8,22 +8,25 @@ a state-dependent gain.
 `run_ensemble` gives every path its own counter-based stream, so a path's
 draws depend only on (seed, level, path, step): a live path draws one
 (n_panels, N) panel per step, in chunks of steps, and a path that has left
-draws nothing more.  It steps, checks for divergence and observes a
-chunk at a time, so that fixed per-step work is paid once per chunk.  Only
-the rows live at a chunk's start are stepped: each thread gathers the live
-rows of its share of the paths, with their draws, into one chunk buffer of
-rows [u | 1 | z], which `SpdeStepper.step_chunk` steps in tiles of at most
-BLOCK_SIZE rows.  A chunk of more than BLOCK_SIZE rows with an interior
-panel (a state-dependent gain) pads its last tile to BLOCK_SIZE rows, so each
-of its products keeps one shape and the chunk is a stack of whole tiles that
-one call per product steps (numpy still calls the BLAS once per tile); any
-other chunk pads only a single-row last tile, to two rows, so a chunk of at
-most BLOCK_SIZE rows is one tile of its own height.  That a row's result does
-not depend on the other rows at any tile height from 2 to BLOCK_SIZE is a
-property of the BLAS, not of this code (a 1-row product takes another
-kernel), and `test_run_ensemble_tiles_keep_surviving_rows` guards it for both
-kinds of noise and both kinds of reaction.  Results are therefore independent
-of the total path count, the thread count, and the execution schedule.
+draws nothing more.  It steps, checks for divergence and observes a chunk
+at a time, so that fixed per-step work is paid once per chunk; a chunk of n
+live rows runs about CHUNK_ROW_STEPS / n steps, so that it holds about as
+many row-steps however few paths are left.  Only the rows live at a chunk's
+start are stepped: each thread gathers the live rows of its share of the
+paths, with their draws, into its chunk buffer of rows [u | 1 | z] (one
+workspace allocated once per share, viewed at each chunk's shape), which
+`SpdeStepper.step_chunk` steps in tiles of at most BLOCK_SIZE rows.  A
+`stacked` step (affine, no control) pads a chunk of more than BLOCK_SIZE
+rows to whole BLOCK_SIZE-row tiles, so each of its products keeps one shape
+and the chunk is a stack of whole tiles that one call per product steps
+(numpy still calls the BLAS once per tile); any other chunk pads only a
+single-row last tile, to two rows, and a chunk of at most BLOCK_SIZE rows is
+one tile of its own height.  That a row's result does not depend on the
+other rows at any tile height from 2 to BLOCK_SIZE is a property of the
+BLAS, not of this code (a 1-row product takes another kernel), and
+`test_run_ensemble_tiles_keep_surviving_rows` guards it for both kinds of
+noise and both kinds of reaction.  Results are therefore independent of the
+total path count, the thread count, and the execution schedule.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ if TYPE_CHECKING:
 
 BLOCK_SIZE = 64
 DIVERGENCE_LIMIT = 1e12
-# A path draws the normals of DRAW_STEPS steps at a time, fewer when a share's
-# draws of one chunk (its states, when nothing is drawn) would pass DRAW_BYTES;
-# the same chunk of steps is stepped, checked for divergence and observed at
-# once.  The chunk length never changes a value.
+# A chunk of steps is drawn, stepped, checked for divergence and observed at
+# once.  A chunk of n live rows runs CHUNK_ROW_STEPS // n steps, never fewer
+# than DRAW_STEPS, and fewer only where the steps left end sooner or where its
+# [u | 1 | z] buffer would pass DRAW_BYTES (never fewer than one step), which
+# bounds each share's workspace as well.  The chunk length never changes a value.
 DRAW_STEPS = 32
+CHUNK_ROW_STEPS = 4096
 DRAW_BYTES = 8 << 20
 # Names the draw layout of a seeded run (recorded in run_manifest.json): path p
 # draws one (n_panels, N) panel per step from stream stream_base | p; its last
@@ -154,6 +159,7 @@ class SpdeStepper:
             panels = [np.zeros_like(k)] if self.has_q else []
             panels += [self.factor] if self.factor is not None else []
             self.affine = np.vstack([k, self.phi1dt * op.to_modes(b), *panels])
+        self.stacked = self.affine is not None and control is None  # step_chunk: one product per tile-step
         if control is not None:
             if control_weights is None:
                 if params.gamma == 0:
@@ -191,32 +197,28 @@ class SpdeStepper:
 
         x has shape (k + 1, rows, N + 1 + n_panels N); row r of x[j] is
         [u | 1 | z], u the state before step i0 + j and z its panels side by
-        side.  Without a control, an affine step is one product x[j] @ B per
-        tile-step, written straight into the next state, plus the interior
-        term when there is one; rows are then one tile or a whole number of
-        BLOCK_SIZE-row tiles, and each product or ufunc is one call on the stack
-        of tiles.
-        Otherwise the rows are stepped by `step` in tiles of at most
-        BLOCK_SIZE, each to the chunk's end.
+        side.  A `stacked` step is one product x[j] @ B per tile-step,
+        written straight into the next state, plus the interior term when
+        there is one; rows are then one tile or a whole number of
+        BLOCK_SIZE-row tiles, and each product or ufunc is one call on the
+        stack of tiles.  Otherwise the rows are stepped by `step` in tiles of
+        at most BLOCK_SIZE, each to the chunk's end.
         """
         n, k, panels = self.op.n_modes, x.shape[0] - 1, self.n_panels
-        if self.affine is None or self.control is not None:
+        if not self.stacked:
             for s in range(0, x.shape[1], BLOCK_SIZE):
                 tile = x[:, s:s + BLOCK_SIZE]
                 zs = tile[:-1, :, n + 1:].reshape(k, -1, panels, n).swapaxes(1, 2) if panels else [None] * k
                 for j, (u, z, dst) in enumerate(zip(tile[:-1, :, :n], zs, tile[1:, :, :n])):
                     dst[...] = self.step((i0 + j) * self.dt, u, z)
-        elif self.has_q:
-            tiles = x.reshape(k + 1, -1, min(x.shape[1], BLOCK_SIZE), x.shape[2])
-            for src, dst in zip(tiles[:-1], tiles[1:, ..., :n]):
+            return
+        tiles = x.reshape(k + 1, -1, min(x.shape[1], BLOCK_SIZE), x.shape[2])
+        for src, dst in zip(tiles[:-1], tiles[1:, ..., :n]):
+            np.matmul(src, self.affine, out=dst)
+            if self.has_q:
                 sd = self._interior_sd(self.cs.g.phi(src[..., :n] @ self.op.modes_on_grid))
-                np.matmul(src, self.affine, out=dst)
                 sd *= src[..., n + 1:2 * n + 1]
                 dst += sd
-        else:
-            for s in range(0, x.shape[1], BLOCK_SIZE):
-                for src, dst in zip(x[:-1, s:s + BLOCK_SIZE], x[1:, s:s + BLOCK_SIZE, :n]):
-                    np.matmul(src, self.affine, out=dst)
 
     def _interior_sd(self, phi: np.ndarray) -> np.ndarray:
         """Per-mode std alpha sqrt(v_k sum_j (lambda_j M_kj)^2) of the interior channel, from the
@@ -272,63 +274,78 @@ def diverged_mask(u: np.ndarray) -> np.ndarray:
 
 
 def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: int,
-                 seed: int, stream_base: int, threads: int, observer) -> list[np.ndarray]:
-    """Step n_paths copies of x0 for up to n_steps steps; return per-path columns.
+                 seed: int, stream_base: int, threads: int, observer) -> tuple[list[np.ndarray], dict]:
+    """Step n_paths copies of x0 for up to n_steps steps; return per-path columns and the work done.
 
     Each thread steps its share of the paths together, one chunk of steps at
-    a time.  observer(u0) starts the measurement of a share, u0 holding one
-    row per path.  Path p draws from stream stream_base | p: at the start of
-    each chunk every live path draws the panels of the chunk's steps, and no
-    more, into its own buffer in one draw, and step i (from i dt to
-    (i + 1) dt) reads its panel for i.  The rows live at the
-    start of a chunk, and their panels, are gathered once, in path order,
-    into the chunk buffer `step_chunk` steps, padded (module docstring), so a
-    row that leaves mid-chunk is stepped on to the end on draws it has
-    already made.  Then
-    `first_bad` gives each row's first step whose state diverged (the chunk
-    length where none did), the row's states are zeroed from that step on,
-    and observe(i0, states, idx, first_bad) runs on the (k, rows, N) states
-    after steps i0, ..., i0 + k - 1 of the rows whose share-row indices are
-    idx.  It returns the mask of rows it keeps live; a diverged row is never
-    kept.  A share stops once no row is live; finish(live) gets the
-    share-wide mask of rows still live and returns per-row columns.
+    a time (module docstring).  observer(u0) starts the measurement of a
+    share, u0 holding one row per path.  Path p draws from stream
+    stream_base | p: at the start of each chunk every live path draws the
+    panels of the chunk's steps, and no more, in one draw, and step i (from
+    i dt to (i + 1) dt) reads its panel for i.  The rows live at the start of
+    a chunk, and their panels, are gathered once, in path order, into the
+    share's chunk buffer, so a row that leaves mid-chunk is stepped on to the
+    chunk's end on draws it has already made.  Then `first_bad` gives each
+    row's first step whose state diverged (the chunk length where none did),
+    the row's states are zeroed from that step on, and
+    observe(i0, states, idx, first_bad) runs on the (k, rows, N) states after
+    steps i0, ..., i0 + k - 1 of the rows whose share-row indices are idx (a
+    view of the chunk buffer, valid during the call).  It returns the mask of
+    rows it keeps live; a diverged row is never kept.  A share stops once no
+    row is live; finish(live) gets the share-wide mask of rows still live and
+    returns per-row columns.  The work is {"row_steps": live rows times
+    steps, padding excluded, "chunks": the chunk count}, summed over chunks
+    and shares.
     """
     n_modes, n_panels = x0.shape[0], stepper.n_panels
+    width = n_modes + 1 + n_panels * n_modes
+
+    def chunk_shape(live: int, steps_left: int) -> tuple[int, int]:
+        """(steps, buffer rows) of a chunk of `live` rows."""
+        if stepper.stacked and live > BLOCK_SIZE:  # whole tiles, stepped as one stack
+            rows = -(-live // BLOCK_SIZE) * BLOCK_SIZE
+        else:
+            rows = live + (live % BLOCK_SIZE == 1)  # no tile of a single row
+        cap = max(1, DRAW_BYTES // (8 * rows * width) - 1)
+        return min(max(DRAW_STEPS, CHUNK_ROW_STEPS // live), cap, steps_left), rows
 
     def run_share(paths):
         n_rows = len(paths)
         u = np.tile(x0, (n_rows, 1))
         obs = observer(u)
         idx = np.arange(n_rows)
-        n_chunk = max(1, min(DRAW_STEPS, DRAW_BYTES // (8 * n_rows * max(n_panels, 1) * n_modes)))
+        shapes = [chunk_shape(live, n_steps) for live in range(1, n_rows + 1)]
+        x_buf = np.empty(max((k + 1) * rows for k, rows in shapes) * width)
         if n_panels:
             gens = [block_stream(seed, stream_base | p)._gen for p in paths]
-            buf = np.empty((n_rows, n_chunk, n_panels * n_modes))
-        for i0 in range(0, n_steps, n_chunk):
-            n, k = idx.size, min(n_chunk, n_steps - i0)
-            if n == 0:
-                break
-            n_tile_rows = n + (n % BLOCK_SIZE == 1)  # no tile of a single row
-            if stepper.has_q and n > BLOCK_SIZE:  # whole tiles, stepped as one stack
-                n_tile_rows = -(-n // BLOCK_SIZE) * BLOCK_SIZE
-            x = np.zeros((k + 1, n_tile_rows, n_modes + 1 + n_panels * n_modes))  # rows [u | 1 | z]
+            z_buf = np.empty(max(k * live for live, (k, _) in enumerate(shapes, 1)) * n_panels * n_modes)
+        i0 = row_steps = chunks = 0
+        while i0 < n_steps and idx.size:
+            n = idx.size
+            k, rows = chunk_shape(n, n_steps - i0)
+            x = x_buf[:(k + 1) * rows * width].reshape(k + 1, rows, width)  # rows [u | 1 | z]
             x[0, :n, :n_modes] = u
+            x[:, n:] = 0.0
             x[:, :, n_modes] = 1.0
             if n_panels:
-                for p in idx.tolist():
-                    gens[p].standard_normal(out=buf[p, :k])
-                x[:k, :n, n_modes + 1:] = (buf[:, :k] if n == n_rows else buf[idx, :k]).swapaxes(0, 1)
+                z = z_buf[:n * k * n_panels * n_modes].reshape(n, k, n_panels * n_modes)
+                for r, p in enumerate(idx.tolist()):
+                    gens[p].standard_normal(out=z[r])
+                x[:k, :n, n_modes + 1:] = z.swapaxes(0, 1)
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging row runs on to the chunk's end
                 stepper.step_chunk(i0, x)
                 chunk = x[1:, :n, :n_modes]
                 bad = diverged_mask(chunk)
-            first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
-            chunk[np.arange(k)[:, None] >= first_bad] = 0.0
+            first_bad = np.full(n, k)
+            if bad.any():
+                first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), k)
+                chunk[np.arange(k)[:, None] >= first_bad] = 0.0
             live = obs.observe(i0, chunk, idx, first_bad) & (first_bad == k)
             idx, u = idx[live], chunk[-1, live]
+            i0, row_steps, chunks = i0 + k, row_steps + n * k, chunks + 1
         live_end = np.zeros(n_rows, dtype=bool)
         live_end[idx] = True
-        return obs.finish(live_end)
+        return obs.finish(live_end), row_steps, chunks
 
-    shares = map_blocks(run_share, n_paths, threads)
-    return [np.concatenate(cols) for cols in zip(*shares)]
+    share_cols, row_steps, chunks = zip(*map_blocks(run_share, n_paths, threads))
+    return [np.concatenate(cols) for cols in zip(*share_cols)], {"row_steps": sum(row_steps), "chunks": sum(chunks)}

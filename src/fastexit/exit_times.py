@@ -130,6 +130,8 @@ class ExitStats:
     t_max: float
     v_bar_target: float
     concentration_fraction: float | None
+    row_steps: int               # rows stepped times steps, padding excluded (`run_ensemble`)
+    chunks: int
 
     def row(self) -> dict:
         return {
@@ -221,7 +223,7 @@ def exit_time_mc(
         level_tmax = t_max if t_max is not None else min(50.0 * math.exp(vb / params.gamma), t_max_cap)
         n_max = max(1, int(math.ceil(level_tmax / dt)))
         t_max_eff = n_max * dt
-        taus, censored, diverged, nonconst = run_ensemble(
+        (taus, censored, diverged, nonconst), work = run_ensemble(
             SpdeStepper(model, params, dt), x, n_paths, n_max, seed, li << 32, threads,
             partial(_ExitObserver, dom, dt, t_max_eff),
         )
@@ -250,6 +252,7 @@ def exit_time_mc(
                 t_max=t_max_eff,
                 v_bar_target=vb,
                 concentration_fraction=conc,
+                **work,
             )
         )
     return out

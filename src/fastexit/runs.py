@@ -74,9 +74,11 @@ def _sha256(path: Path) -> str:
 
 
 def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: float, n_paths_total: int,
-                 ran_ensemble: bool = False) -> None:
+                 ran_ensemble: bool = False, level_work: list[dict] | None = None) -> None:
     """Write the resolved config and the run manifest next to the outputs; a run
-    that drew through `ensemble.run_ensemble` also records that draw layout."""
+    that drew through `ensemble.run_ensemble` also records that draw layout, and
+    level_work, one {"eps", "row_steps", "chunks"} per level, the work of its
+    ensembles."""
     cfg_path = out_dir / "config_resolved.json"
     cfg_path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     manifest = {
@@ -90,6 +92,8 @@ def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: fl
     }
     if ran_ensemble:
         manifest["noise_draw_layout"] = NOISE_DRAW_LAYOUT
+    if level_work is not None:
+        manifest["ensemble_work"] = level_work
     _write_json(out_dir / "run_manifest.json", manifest)
 
 
@@ -199,17 +203,18 @@ def run_average(resolved: dict, out_dir: Path) -> int:
     n_paths = resolved["n_paths"]
     x_mean = invariant_average(system.model.op, system.x0)
     ref = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
-    rows, summary_rows = [], []
+    rows, summary_rows, level_work = [], [], []
     status = EXIT_OK
     error_note = None
     for i, params in enumerate(system.params_list):
         try:
-            errors = averaging_error_ensemble(
+            errors, work = averaging_error_ensemble(
                 system.model, params, system.x0, sol["t_final"], sol["dt"], sol["delta"], ref, n_paths,
                 seed=resolved["seed"], stream_base=i << 32, threads=resolved["threads"],
             )
         except ValueError as exc:  # the run builds both grids itself; only the delta window is left
             raise ConfigError("solver.delta", str(exc)) from exc
+        level_work.append({"eps": params.eps, **work})
         valid = errors[np.isfinite(errors)]
         n_diverged = int(n_paths - valid.size)
         if valid.size == 0:
@@ -234,7 +239,8 @@ def run_average(resolved: dict, out_dir: Path) -> int:
     }
     sum_path = out_dir / "averaging_summary.json"
     _write_json(sum_path, summary)
-    finalize_run(out_dir, resolved, [csv_path, sum_path], started, n_paths * len(rows), ran_ensemble=True)
+    finalize_run(out_dir, resolved, [csv_path, sum_path], started, n_paths * len(rows), ran_ensemble=True,
+                 level_work=level_work)
     return status
 
 
@@ -379,5 +385,6 @@ def run_exit(resolved: dict, out_dir: Path) -> int:
     sum_path = out_dir / "exit_summary.json"
     _write_json(sum_path, summary)
     finalize_run(out_dir, resolved, [check_path, csv_path, taus_path, sum_path], started,
-                 resolved["n_paths"] * len(stats), ran_ensemble=True)
+                 resolved["n_paths"] * len(stats), ran_ensemble=True,
+                 level_work=[{"eps": s.eps, "row_steps": s.row_steps, "chunks": s.chunks} for s in stats])
     return EXIT_OK

@@ -202,8 +202,8 @@ def solve_spde(
         control=None if control is None else _control_interpolant(control.times, control.phi_h, control.phi_z),
         control_weights=control_weights,
     )
-    states, (bad,) = run_ensemble(stepper, np.asarray(x, dtype=float), 1, n, rng.seed, rng.stream, 1,
-                                  partial(_PathObserver, n))
+    (states, (bad,)), _ = run_ensemble(stepper, np.asarray(x, dtype=float), 1, n, rng.seed, rng.stream, 1,
+                                       partial(_PathObserver, n))
     if bad:
         raise DivergenceError(step=int(bad), t=times[bad])
     return FieldTrajectory(times=times, states=states[0])
@@ -307,9 +307,9 @@ def averaging_error_ensemble(
     seed: int,
     stream_base: int = 0,
     threads: int = 1,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     """Monte Carlo panel of sup_{[delta, T]} |u - ref e_0|_{H_mu} per path, NaN
-    for a diverged path.
+    for a diverged path, and the work of its ensemble (`run_ensemble`).
 
     Path p draws from its own stream stream_base | p, so the panel is
     reproducible for a given seed under any thread count and path count.
@@ -319,8 +319,8 @@ def averaging_error_ensemble(
     times, dt_eff, n = _time_grid(t_final, dt)
     if len(ref.times) != n + 1 or not np.allclose(ref.times, times):
         raise ValueError("reference grid must match the solver grid")
-    (errors,) = run_ensemble(
+    (errors,), work = run_ensemble(
         SpdeStepper(model, params, dt_eff), x, n_paths, n, seed, stream_base, threads,
         partial(_SupErrorObserver, model.op, ref.values, times, delta),
     )
-    return errors
+    return errors, work

@@ -94,7 +94,7 @@ def test_criterion_4_averaging_vanishing_noise(ref_op):
     means, cis = [], []
     for i, eps in enumerate((1e-1, 1e-2, 1e-3)):
         params = fx.MultiscaleParams(eps=eps, alpha=np.sqrt(eps), beta=np.sqrt(eps))
-        errors = fx.averaging_error_ensemble(
+        errors, _ = fx.averaging_error_ensemble(
             model, params, x, t_final, dt, delta, ref, n_paths,
             seed=104, stream_base=i << 32,
         )

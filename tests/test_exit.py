@@ -6,8 +6,11 @@ import pytest
 
 import fastexit as fx
 from conftest import build_model, sample_in_domain
-from fastexit.ensemble import DRAW_STEPS, SpdeStepper, run_ensemble
+from fastexit import ensemble
+from fastexit.ensemble import CHUNK_ROW_STEPS, DRAW_STEPS, SpdeStepper, run_ensemble
 from fastexit.exit_times import _ExitObserver
+
+LOGISTIC = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
 
 
 def _ball(r=0.25):
@@ -234,7 +237,7 @@ def _recorded_states(stepper, x0, n_paths, n_steps, seed):
         def finish(self, live):
             return (self.states,)
 
-    return run_ensemble(stepper, x0, n_paths, n_steps, seed, 0, 1, Recorder)[0]
+    return run_ensemble(stepper, x0, n_paths, n_steps, seed, 0, 1, Recorder)[0][0]
 
 
 def _per_step_exits(dom, dt, x0, states):
@@ -260,24 +263,65 @@ def _per_step_exits(dom, dt, x0, states):
 
 
 def test_exit_chunks_match_per_step_observation(ref_op, exit_reference):
-    # 100 steps run as chunks of 32, 32, 32 and 4 steps; the chunked observer
-    # gives the per-step observation's tau, censoring and exit norm exactly
+    # 256 paths over 100 steps: chunks of 32 steps while more than 128 rows are
+    # live, then CHUNK_ROW_STEPS // rows, the last cut to the steps left; the
+    # chunked observer gives the per-step observation's tau, censoring and exit
+    # norm exactly
     dom, dt, n_paths, n_steps = _ball(0.25), 0.01, 256, 100
     stepper = SpdeStepper(exit_reference, fx.MultiscaleParams(eps=0.05, alpha=0.4, beta=0.4), dt)
     x0 = ref_op.constant_field(0.0)
-    tau, censored, diverged, nonconst = run_ensemble(
-        stepper, x0, n_paths, n_steps, 5, 0, 1, partial(_ExitObserver, dom, dt, n_steps * dt))
+    chunks = []  # (first step, steps, live rows) of each chunk the driver ran
+
+    class ChunkRecorder(_ExitObserver):
+        def observe(self, i0, states, idx, first_bad):
+            chunks.append((i0, len(states), idx.size))
+            return super().observe(i0, states, idx, first_bad)
+
+    (tau, censored, diverged, nonconst), work = run_ensemble(
+        stepper, x0, n_paths, n_steps, 5, 0, 1, partial(ChunkRecorder, dom, dt, n_steps * dt))
     ref_tau, ref_censored, ref_nonconst, step = _per_step_exits(
         dom, dt, x0, _recorded_states(stepper, x0, n_paths, n_steps, 5))
+    starts, lengths, live = np.array(chunks).T
+    ends = starts + lengths
+    assert starts[0] == 0 and np.array_equal(starts[1:], ends[:-1]) and ends[-1] == n_steps
+    assert np.array_equal(lengths, np.minimum(np.maximum(DRAW_STEPS, CHUNK_ROW_STEPS // live), n_steps - starts))
+    assert work == {"row_steps": int(lengths @ live), "chunks": len(chunks)}
     # the paths cover the edges: crossings at the first step of a later chunk (tau
     # interpolates against the previous chunk's last G) and at the last step of a
-    # chunk, crossings in the partial last chunk, and paths censored at t_max
+    # chunk, crossings in the last chunk, cut to the steps left, and paths
+    # censored at t_max
     exited = step[step >= 0]
-    assert np.any((exited % DRAW_STEPS == 0) & (exited >= DRAW_STEPS))
-    assert np.any(exited % DRAW_STEPS == DRAW_STEPS - 1)
-    assert np.any(exited >= 3 * DRAW_STEPS) and 0 < ref_censored.sum() < n_paths
+    assert np.isin(exited, starts[1:]).any() and np.isin(exited + 1, ends).any()
+    assert lengths[-1] < CHUNK_ROW_STEPS // live[-1] and np.any(exited >= starts[-1])
+    assert len(chunks) >= 3 and 0 < ref_censored.sum() < n_paths
     assert np.array_equal(tau, ref_tau) and np.array_equal(censored, ref_censored)
     assert np.array_equal(nonconst, ref_nonconst, equal_nan=True) and not diverged.any()
+
+
+@pytest.mark.parametrize("n_paths", [1, 65, 160])
+@pytest.mark.parametrize("g_spec", [None, LOGISTIC], ids=["constant_gain", "logistic_gain"])
+def test_exit_chunk_schedule_changes_no_value(ref_op, g_spec, n_paths, monkeypatch):
+    # the default chunks grow as paths exit (a lone row runs up to CHUNK_ROW_STEPS
+    # steps at a time); with the budget at its floor every chunk is DRAW_STEPS
+    # steps.  Both give every output of the level bit for bit
+    model = build_model(ref_op, q_spec={"kind": "flat", "value": np.sqrt(2.0)}, g_spec=g_spec)
+    params, dom, x, dt, t_max = fx.MultiscaleParams(eps=0.05, alpha=0.3, beta=0.3), _ball(0.25), \
+        ref_op.constant_field(0.0), 0.01, 4.0
+
+    def run():
+        stats = fx.exit_time_mc(model, [params], dom, x, n_paths=n_paths, dt=dt, seed=11, t_max=t_max)[0]
+        (_, _, _, nonconst), _ = run_ensemble(SpdeStepper(model, params, dt), x, n_paths, round(t_max / dt), 11, 0,
+                                              1, partial(_ExitObserver, dom, dt, t_max))
+        return stats, nonconst
+
+    default, nonconst = run()
+    monkeypatch.setattr(ensemble, "CHUNK_ROW_STEPS", DRAW_STEPS)
+    floor, floor_nonconst = run()
+    assert default.chunks < floor.chunks and default.taus.max() > DRAW_STEPS * dt  # the schedules differ
+    assert np.array_equal(default.taus, floor.taus)
+    assert (default.n_censored, default.n_diverged) == (floor.n_censored, floor.n_diverged)
+    assert default.concentration_fraction == floor.concentration_fraction
+    assert np.array_equal(nonconst, floor_nonconst, equal_nan=True)
 
 
 @pytest.mark.parametrize("y0, tau_expected, exits", [(1e-70, 0.0425, True), (1e-71, 0.06, False)])
@@ -292,7 +336,7 @@ def test_exit_divergence_mid_chunk(ref_op, y0, tau_expected, exits):
     dom = _ball(0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tau, censored, diverged, nonconst = run_ensemble(
+        (tau, censored, diverged, nonconst), _ = run_ensemble(
             stepper, ref_op.constant_field(y0), 2, 50, 1, 0, 1, partial(_ExitObserver, dom, 0.01, 0.5))
     assert np.allclose(tau, tau_expected, rtol=1e-12, atol=0)
     assert np.all(censored != exits) and np.all(diverged != exits)

@@ -253,6 +253,15 @@ def test_run_exit_smoke_and_manifest_reproducibility(tmp_path):
         {k: v for k, v in m["outputs"].items() if k != "config_resolved.json"} for m in (m1, m2)
     )
     assert m1_results == m2_results
+    # the work counters are deterministic too: per level, every row-step that
+    # advanced a live path, and more for rows stepped on to the end of the
+    # chunk they left in
+    assert m1["ensemble_work"] == m2["ensemble_work"]
+    taus = np.genfromtxt(d1 / "exit_taus.csv", delimiter=",", names=True)
+    for work, eps in zip(m1["ensemble_work"], [0.0625, 0.015625], strict=True):
+        level_taus = taus["tau"][np.isclose(taus["gamma"], np.sqrt(eps))]  # gamma = (alpha + beta)^2
+        assert work["eps"] == eps and work["chunks"] >= 1 and level_taus.size == 48
+        assert work["row_steps"] >= np.ceil(level_taus / 0.01 - 1e-9).sum()
     summary = json.loads((d1 / "exit_summary.json").read_text())
     assert summary["v_bar_target"] == pytest.approx(0.25, rel=1e-9)
     assert summary["extrapolation"] is not None
@@ -730,7 +739,8 @@ def test_cli_threads_flag_goes_through_the_config(tmp_path, capsys):
 
 def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
     # simulate, average and exit draw through run_ensemble, whose panel layout
-    # the key names; the other runs draw nothing
+    # the key names; the other runs draw nothing.  Average and exit runs also
+    # record the work of each level's ensemble
     experiments = {
         "check": {"kind": "check"},
         "simulate": {"kind": "simulate"},
@@ -746,6 +756,10 @@ def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
         assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 0
         manifest = json.loads((tmp_path / kind / "run_manifest.json").read_text())
         assert ("noise_draw_layout" in manifest) == (kind in ("simulate", "average", "exit")), kind
+        assert ("ensemble_work" in manifest) == (kind in ("average", "exit")), kind
+    # every average path lives its 50 steps, in one chunk of CHUNK_ROW_STEPS // 4 steps cut to them
+    average = json.loads((tmp_path / "average" / "run_manifest.json").read_text())
+    assert average["ensemble_work"] == [{"eps": 0.0625, "row_steps": 4 * 50, "chunks": 1}]
 
 
 def test_build_system_errors():

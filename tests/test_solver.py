@@ -7,7 +7,7 @@ import pytest
 import fastexit as fx
 from fastexit.ldp import ControlPath
 from fastexit import ensemble
-from fastexit.ensemble import DRAW_STEPS, SpdeStepper, diverged_mask, run_ensemble
+from fastexit.ensemble import CHUNK_ROW_STEPS, DRAW_STEPS, SpdeStepper, diverged_mask, run_ensemble
 from fastexit.solver import solve_controlled_ode_batch
 from conftest import build_model
 
@@ -234,8 +234,8 @@ def test_averaging_error_basic(ref_op):
     ref = fx.solve_limit_ode(model, 0.5, t_final=1.0, dt=1e-3)
 
     def sup_error(x, delta, reference=ref):
-        errors = fx.averaging_error_ensemble(model, _params(eps=1e-2), x, 1.0, 1e-3,
-                                             delta, reference, 4, seed=1)
+        errors, _ = fx.averaging_error_ensemble(model, _params(eps=1e-2), x, 1.0, 1e-3,
+                                                delta, reference, 4, seed=1)
         assert np.all(errors == errors[0])
         return errors[0]
 
@@ -266,12 +266,12 @@ def test_averaging_ensemble_deterministic_across_threads(ref_op, g_spec):
     x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
     ref = fx.solve_limit_ode(model, fx.invariant_average(ref_op, x), t_final=0.5, dt=2e-3)
     args = (model, params, x, 0.5, 2e-3, 0.25, ref, 100)
-    e1 = fx.averaging_error_ensemble(*args, seed=42, threads=1)
-    e2 = fx.averaging_error_ensemble(*args, seed=42, threads=3)
+    e1, _ = fx.averaging_error_ensemble(*args, seed=42, threads=1)
+    e2, _ = fx.averaging_error_ensemble(*args, seed=42, threads=3)
     assert np.array_equal(e1, e2)
     # the same paths are produced regardless of how many paths are requested
     for n_paths in (70, 36, 1):
-        e3 = fx.averaging_error_ensemble(*args[:-1], n_paths, seed=42, threads=1)
+        e3, _ = fx.averaging_error_ensemble(*args[:-1], n_paths, seed=42, threads=1)
         assert np.array_equal(e1[:n_paths], e3), n_paths
 
 
@@ -296,11 +296,12 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the rows overflow on later steps of the chunk, silently
-        first_bad, live = run_ensemble(stepper, ref_op.constant_field(0.1), 100, 50,
-                                       seed=1, stream_base=0, threads=1, observer=Recorder)
+        (first_bad, live), work = run_ensemble(stepper, ref_op.constant_field(0.1), 100, 50,
+                                               seed=1, stream_base=0, threads=1, observer=Recorder)
     assert first_bad.shape == (100,) and np.all(first_bad == 0) and not live.any()
-    # one share of 100 paths in two tiles, stopped after the first chunk once no row was live
-    assert chunks_seen == [(0, DRAW_STEPS)]
+    # one share of 100 paths in two tiles, stopped after the first chunk, of
+    # CHUNK_ROW_STEPS // 100 = 40 steps, once no row was live
+    assert chunks_seen == [(0, CHUNK_ROW_STEPS // 100)] and work == {"row_steps": 100 * 40, "chunks": 1}
     # the check is on the norm, so it flags NaN and inf as well
     states = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.8e12, 0.8e12], [0.7e12, 0.7e12]])
     assert diverged_mask(states).tolist() == [True, True, True, False]
@@ -310,9 +311,10 @@ def test_run_ensemble_masks_diverged_rows_and_stops(ref_op):
 def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec, monkeypatch):
     # one path with stream_base = s follows a loop of SpdeStepper.step on the draws of
     # RngStream(seed, s), across refills of its draw buffer and a partial last chunk
-    # (80 = 32 + 32 + 16 steps); only the tile height differs.  It draws the panels of
-    # those 80 steps and no more: the partial chunk draws only its own 16 steps
-    streams = []
+    # (a lone row runs CHUNK_ROW_STEPS steps a chunk: two full chunks and one of 16
+    # steps); only the tile height differs.  It draws the panels of those steps and
+    # no more: the partial chunk draws only its own 16 steps
+    streams, lengths = [], []
 
     def recording_stream(seed, stream):
         streams.append(fx.RngStream(seed, stream))
@@ -321,7 +323,7 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec, monkeypatch):
     monkeypatch.setattr(ensemble, "block_stream", recording_stream)
     model = build_model(ref_op, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), 0.01)
-    x0, n_steps, stream = ref_op.constant_field(0.2), 80, (2 << 32) | 5
+    x0, n_steps, stream = ref_op.constant_field(0.2), 2 * CHUNK_ROW_STEPS + 16, (2 << 32) | 5
     gen, u, want = fx.RngStream(3, stream)._gen, x0[None], []
     for i in range(n_steps):
         u = stepper.step(i * stepper.dt, u, stepper.draw(gen, 1))
@@ -332,13 +334,15 @@ def test_run_ensemble_path_draws_its_own_stream(ref_op, g_spec, monkeypatch):
             self.states = np.empty((n_steps, u0.shape[1]))
 
         def observe(self, i0, states, idx, first_bad):
+            lengths.append(len(states))
             self.states[i0:i0 + len(states)] = states[:, 0]
             return np.ones(idx.size, dtype=bool)
 
         def finish(self, live):
             return (self.states,)
 
-    states, = run_ensemble(stepper, x0, 1, n_steps, 3, stream, 1, Recorder)
+    (states,), _ = run_ensemble(stepper, x0, 1, n_steps, 3, stream, 1, Recorder)
+    assert lengths == [CHUNK_ROW_STEPS, CHUNK_ROW_STEPS, 16]
     assert np.abs(states - np.array(want)).max() <= 1e-12
     fresh = fx.RngStream(3, stream)._gen
     fresh.standard_normal((n_steps, stepper.n_panels, ref_op.n_modes))
@@ -378,8 +382,8 @@ def test_run_ensemble_tiles_keep_surviving_rows(ref_op, g_spec, f_spec, threads)
         return Recorder
 
     x0 = ref_op.constant_field(0.2)
-    s_all, live_all = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(np.full(3 * 64, -1)))
-    s_some, live_some = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(retire_at))
+    (s_all, live_all), _ = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(np.full(3 * 64, -1)))
+    (s_some, live_some), _ = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, threads, recorder(retire_at))
     assert live_all.all() and 0 < live_some.sum() < n_paths
     if threads == 1:  # one share: its rows are the paths
         assert np.array_equal(live_some, retire_at[:n_paths] >= n_steps)
@@ -419,7 +423,7 @@ def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, f_spec, monkeypatc
         n = ref_op.n_modes
         assert stepper.n_panels == 1 + stepper.has_q and stepper.affine.shape == (n + 1 + stepper.n_panels * n, n)
         assert not stepper.affine[n + 1:-n].any()  # B's rows under an interior panel are zero
-        states, live = run_ensemble(*args)
+        (states, live), _ = run_ensemble(*args)
         assert live.all() and np.isfinite(states).all()
     else:
         assert stepper.affine is None
@@ -428,41 +432,84 @@ def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, f_spec, monkeypatc
 
 
 @pytest.mark.parametrize("n_paths, n_steps, noise, g_spec", [
-    (2, 40, 0.3, None),       # one 2-row tile over a full chunk and a partial one (40 = 32 + 8 steps)
-    (65, 8, 0.3, None),       # a 64-row tile and one live row, padded to two
-    (3, 40, 0.0, None),       # no noise: B is [K; c] and no panel is drawn
+    # one 2-row tile over a full chunk of CHUNK_ROW_STEPS // 2 steps and a partial one of 8
+    (2, CHUNK_ROW_STEPS // 2 + 8, 0.3, None),
+    (1, 40, 0.3, None),        # one live row, padded to two
+    (65, 8, 0.3, None),        # a 64-row tile and one live row, padded to a whole second tile
+    (3, 40, 0.0, None),        # no noise: B is [K; c] and no panel is drawn
     (100, 40, 0.3, LOGISTIC),  # a state-dependent gain: tiles of 64 and 36 rows, the second padded to 64
-], ids=["partial_chunk", "one_row_tile", "no_noise", "padded_tiles"])
+], ids=["partial_chunk", "one_row_tile", "padded_one_row", "no_noise", "padded_tiles"])
 def test_affine_kernel_equals_step(ref_op, n_paths, n_steps, noise, g_spec):
-    # run_ensemble's one product per tile-step, on a stack of whole tiles for a
-    # state-dependent gain, gives, bit for bit, what step gives on the same
-    # tile and the same draws
+    # run_ensemble's one product per tile-step, on a stack of whole tiles above
+    # 64 rows, gives, bit for bit, what step gives on the same tile and the same draws
     model = build_model(ref_op, f_spec={"kind": "linear", "slope": -1.0, "xi_slope": 2.0, "offset": 0.3},
                         g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=noise, beta=noise), dt=0.01)
     n = ref_op.n_modes
-    assert stepper.has_q == (g_spec is not None)
+    assert stepper.stacked and stepper.has_q == (g_spec is not None)
     assert stepper.n_panels == (1 + stepper.has_q if noise else 0)
     assert stepper.affine.shape == (n + 1 + stepper.n_panels * n, n)
     x0 = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.2)
-    states, _ = run_ensemble(stepper, x0, n_paths, n_steps, 5, 0, 1, partial(_AllStates, n_steps))
+    (states, _), work = run_ensemble(stepper, x0, n_paths, n_steps, 5, 0, 1, partial(_AllStates, n_steps))
+    # every row stays live, so every chunk has max(DRAW_STEPS, CHUNK_ROW_STEPS // n_paths) steps but the last
+    chunk = max(DRAW_STEPS, CHUNK_ROW_STEPS // n_paths)
+    assert work == {"row_steps": n_paths * n_steps, "chunks": -(-n_steps // chunk)}
 
-    # padding rows draw zeros
-    panels = np.zeros((n_steps, stepper.n_panels, n_paths + ensemble.BLOCK_SIZE, n))
+    # and every chunk is padded alike, with zero rows: up to 64 rows it is one
+    # tile of its own height, a lone row padded to two; above, whole 64-row tiles
+    tile = n_paths + (n_paths == 1) if n_paths <= ensemble.BLOCK_SIZE else ensemble.BLOCK_SIZE
+    panels = np.zeros((n_steps, stepper.n_panels, -(-n_paths // tile) * tile, n))  # padding rows draw zeros
     for p in range(n_paths):
         if stepper.n_panels:
             panels[:, :, p] = ensemble.block_stream(5, p)._gen.standard_normal((n_steps, stepper.n_panels, n))
     want = np.empty_like(states)
-    for s in range(0, n_paths, ensemble.BLOCK_SIZE):
-        rows = min(ensemble.BLOCK_SIZE, n_paths - s)
-        # the tile is padded with zero rows: to 64 rows with an interior panel, else a 1-row tile to two
-        tile = ensemble.BLOCK_SIZE if stepper.has_q else rows + (rows == 1)
+    for s in range(0, n_paths, tile):
+        rows = min(tile, n_paths - s)
         u = np.zeros((tile, n))
         u[:rows] = x0
         for j in range(n_steps):
             u = stepper.step(j * stepper.dt, u, panels[j, :, s:s + tile] if stepper.n_panels else None)
             want[s:s + rows, j] = u[:rows]
     assert np.array_equal(states, want)
+
+
+@pytest.mark.parametrize("n_paths", [1, 65, 160])
+@pytest.mark.parametrize("g_spec", [None, LOGISTIC], ids=["constant_gain", "logistic_gain"])
+def test_run_ensemble_chunk_schedule_changes_no_value(ref_op, g_spec, n_paths, monkeypatch):
+    # rows retire on a fixed schedule, so the live count falls and the default
+    # chunks grow (up to CHUNK_ROW_STEPS steps for a lone row); with the budget at
+    # its floor every chunk is DRAW_STEPS steps.  Every state of a row up to its
+    # retirement step is the same bit for bit
+    model = build_model(ref_op, g_spec=g_spec)
+    stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
+    n_steps = 300
+    retire_at = np.random.Generator(np.random.Philox(key=35)).integers(0, n_steps, n_paths)
+    retire_at[0] = n_steps  # the first row lives to the end
+
+    class Recorder:
+        def __init__(self, u0):
+            self.states = np.full((u0.shape[0], n_steps, u0.shape[1]), np.nan)
+            self.chunks = []
+
+        def observe(self, i0, states, idx, first_bad):
+            self.chunks.append(len(states))
+            steps = np.arange(i0, i0 + len(states))
+            kept = states.swapaxes(0, 1).copy()
+            kept[steps[None, :] > retire_at[idx, None]] = np.nan
+            self.states[idx, i0:i0 + len(states)] = kept
+            return retire_at[idx] >= i0 + len(states)
+
+        def finish(self, live):
+            return self.states, live.copy(), np.array([max(self.chunks)])
+
+    x0 = ref_op.constant_field(0.2)
+    (states, live, longest), work = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, 1, Recorder)
+    monkeypatch.setattr(ensemble, "CHUNK_ROW_STEPS", DRAW_STEPS)
+    (floor_states, floor_live, floor_longest), floor_work = run_ensemble(stepper, x0, n_paths, n_steps, 3, 0, 1,
+                                                                         Recorder)
+    assert longest[0] > DRAW_STEPS == floor_longest[0] and work["chunks"] < floor_work["chunks"]
+    assert np.array_equal(states, floor_states, equal_nan=True) and np.array_equal(live, floor_live)
+    assert np.array_equal(np.isnan(states[..., 0]), np.arange(n_steps) > retire_at[:, None])
 
 
 class _SupNorm:
@@ -485,7 +532,7 @@ def test_eps_uniform_moment_probe(ref_op):
     means = []
     for eps in (1.0, 0.1, 0.01):
         params = fx.MultiscaleParams(eps=eps, alpha=np.sqrt(eps), beta=np.sqrt(eps))
-        (sups,) = run_ensemble(SpdeStepper(model, params, 2e-3), x, 64, 250, 7, 0, 1, _SupNorm)
+        (sups,), _ = run_ensemble(SpdeStepper(model, params, 2e-3), x, 64, 250, 7, 0, 1, _SupNorm)
         means.append(sups.mean())
     assert max(means) < 5.0  # bounded uniformly over eps
 
