@@ -30,7 +30,11 @@
 # state-dependent gain (every reference config's gain is constant).  A
 # `check` run of the exit reference with the gain tanh(r / 2) - 0.9 and no
 # boundary noise, on the domain level 9 (the section (-3, 3)), finds where H
-# vanishes, at r = 2 atanh(0.9), and exits with status 2.  Then prints
+# vanishes, at r = 2 atanh(0.9), and exits with status 2.  An `average` run
+# at --paths 65 (a 64-row tile and one row padded to a whole second tile) and
+# a `simulate` run of the averaging reference with the logistic reaction
+# f = -tanh(r) + 0.2 cover the grid-evaluated reaction term of the step (every
+# reference config's f is affine in r).  Then prints
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path).  Run it on two source trees and diff what
 # it prints: seeded outputs that are byte-identical print identical lines.
@@ -132,3 +136,14 @@ config["experiment"]["domain"]["level"] = 9.0
 json.dump(config, open(sys.argv[2], "w"), indent=2)
 PY
 run configs-exit_reference-check-gain-vanishes check "$DEGENERATE_CONFIG" 64 2
+LOGISTIC_F_CONFIG="$OUT/averaging-logistic-f.json"
+python3 - configs/averaging_reference.json "$LOGISTIC_F_CONFIG" <<'PY'
+import json
+import sys
+
+config = json.load(open(sys.argv[1]))
+config["coefficients"]["f"] = {"kind": "logistic_clipped", "amp": -1.0, "width": 1.0, "offset": 0.2}
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+PY
+run configs-averaging_reference-average-logistic-f-65 average "$LOGISTIC_F_CONFIG" 65
+run configs-averaging_reference-simulate-logistic-f simulate "$LOGISTIC_F_CONFIG"

@@ -2,9 +2,9 @@
 
 `SpdeStepper` advances a (P, N) batch of mode coefficients by one
 mild-solution step on a panel of standard normals, both noise channels
-included; a reaction affine in the state is one N x N matrix in mode space,
-and with it a step is one product [u | 1 | z] @ B, plus the interior term of
-a state-dependent gain.
+included: one product [u | 1 | z] @ B, plus the terms that need the state on
+the grid (a reaction shape other than the identity, the interior term of a
+state-dependent gain).
 `run_ensemble` gives every path its own counter-based stream, so a path's
 draws depend only on (seed, level, path, step): a live path draws one
 (n_panels, N) panel per step, in chunks of steps, and a path that has left
@@ -15,13 +15,12 @@ many row-steps however few paths are left.  Only the rows live at a chunk's
 start are stepped: each thread gathers the live rows of its share of the
 paths, with their draws, into its chunk buffer of rows [u | 1 | z] (one
 workspace allocated once per share, viewed at each chunk's shape), which
-`SpdeStepper.step_chunk` steps in tiles of at most BLOCK_SIZE rows.  A
-`stacked` step (affine, no control) pads a chunk of more than BLOCK_SIZE
-rows to whole BLOCK_SIZE-row tiles, so each of its products keeps one shape
-and the chunk is a stack of whole tiles that one call per product steps
-(numpy still calls the BLAS once per tile); any other chunk pads only a
-single-row last tile, to two rows, and a chunk of at most BLOCK_SIZE rows is
-one tile of its own height.  That a row's result does not depend on the
+`SpdeStepper.step_chunk` steps in tiles of at most BLOCK_SIZE rows.  A chunk
+of more than BLOCK_SIZE rows is padded to whole BLOCK_SIZE-row tiles, so each
+product of a step keeps one shape and the chunk is a stack of whole tiles
+that one call per product steps (numpy still calls the BLAS once per tile);
+a chunk of at most BLOCK_SIZE rows is one tile of its own height, a single
+row padded to two.  That a row's result does not depend on the
 other rows at any tile height from 2 to BLOCK_SIZE is a property of the
 BLAS, not of this code (a 1-row product takes another kernel), and
 `test_run_ensemble_tiles_keep_surviving_rows` guards it for both kinds of
@@ -77,18 +76,18 @@ class SpdeStepper:
     """One-step mild-solution update of (model, params), vectorized over a batch of paths.
 
     The linear part is integrated exactly (diagonal exponential), the
-    reaction term with the phi1 weight.  A reaction with the identity shape,
-    f = a_f(xi) r + b_f(xi) (kinds constant, linear, linear_plus_source),
-    folds with the decay into one matrix: the deterministic update is
-    u @ K + c with K = diag(decay) + (E diag(a_f w) E^T) diag(phi1dt),
-    c = phi1dt (b_f w) E^T, E the modes on the grid and w the quadrature
-    weights.  With the additive noise below it is one product
-    [u | 1 | z] @ B, `affine` B = [K; c; 0; R]: zero rows under the interior
-    panel (a state-dependent gain only), R under the additive one (noise
-    only); the state goes to the grid only when the gain needs grid values.
-    A logistic f is evaluated on the grid, and `affine` is None.  The
-    additive noise of a step is one centered Gaussian vector with the exact
-    covariance C = C_B + C_Q,
+    reaction f = a_f(xi) phi_f(r) + b_f(xi) with the phi1 weight.  A step is
+    one product [u | 1 | z] @ B, `affine` B = [K; c; 0; R], plus what needs
+    the state on the grid: K = diag(decay), c = phi1dt (b_f w) E^T, E the
+    modes on the grid and w the quadrature weights, zero rows under the
+    interior panel (a state-dependent gain only) and R under the additive
+    one (noise only).  With the identity shape (kinds constant, linear,
+    linear_plus_source) the reaction folds into K, which gains
+    (E diag(a_f w) E^T) diag(phi1dt); any other shape adds phi_f(u @ E) @ F,
+    F = diag(a_f w) E^T diag(phi1dt), after the product.  The state goes to
+    the grid once per step, and only when f's shape or the gain needs grid
+    values.  The additive noise of a step is one centered Gaussian vector
+    with the exact covariance C = C_B + C_Q,
 
         C_B[k, l] = beta^2 sum_j theta_j^2 b_kj b_lj W_kl,   W_kl = int_0^dt exp(-(a_k + a_l) s) ds,
         C_Q = diag((alpha g lambda_k)^2 v_k),
@@ -107,118 +106,92 @@ class SpdeStepper:
     product of the squared triangle with A, A[(k, j), k] = alpha^2 v_k
     lambda_j^2 and A[(k, j), j] = alpha^2 v_j lambda_k^2, sums every mode's
     variance over j.  Like every other product of a step, these keep a row's
-    result independent of the other rows at a fixed row count.  Optional
-    deterministic control forcing enters with the phi1 weight.  Panel order
+    result independent of the other rows at a fixed row count.  Panel order
     per step: the interior panel (state-dependent g only) first, the
     additive panel last.
     """
 
-    def __init__(
-        self,
-        model: AveragedModel,
-        params: MultiscaleParams,
-        dt: float,
-        control=None,
-        control_weights: tuple[float, float] | None = None,
-    ):
+    def __init__(self, model: AveragedModel, params: MultiscaleParams, dt: float):
         op = self.op = model.op
         cs = self.cs = model.coeffs
         alpha, beta, eps = params.alpha, params.beta, params.eps
         self.dt = dt
         self.decay, v = ou_step_weights(op.eigenvalues, eps, dt)
         self.phi1dt = decay_integral(op.eigenvalues / eps, dt)  # dt phi1(-alpha dt / eps)
-        self.lambdas = model.q_lambdas
+        lambdas = model.q_lambdas
         self.g_const = cs.g.constant_value if cs.g.is_constant else None
-        sigma_vals = cs.sigma.values()
         rates = op.eigenvalues / eps
-        tb = model.b_thetas * boundary_coupling(op, sigma_vals)  # theta_j b_kj
+        tb = model.b_thetas * boundary_coupling(op, cs.sigma.values())  # theta_j b_kj
         cov = beta**2 * (tb @ tb.T) * decay_integral(rates[:, None] + rates[None, :], dt)
         if self.g_const is not None:
-            cov += np.diag((alpha * self.g_const * self.lambdas) ** 2 * v)
+            cov += np.diag((alpha * self.g_const * lambdas) ** 2 * v)
             self.has_q = False
         else:
-            self.has_q = bool(alpha != 0.0 and np.any(self.lambdas > 0))
+            self.has_q = bool(alpha != 0.0 and np.any(lambdas > 0))
             if self.has_q:  # M's upper triangle from the gain's cosine moments; squared, @ A gives var
                 cosines, self._pair_moments = cosine_product_moments(op)
                 a, b = cs.g.profile(op.grid)
                 self._moments_a = (a * op.quad_weights)[:, None] * cosines
                 self._moments_b = (b * op.quad_weights) @ cosines
                 kk, jj = np.triu_indices(op.n_modes)
-                lam2, var_amp, pairs = self.lambdas**2, alpha**2 * v, np.arange(kk.size)
+                lam2, var_amp, pairs = lambdas**2, alpha**2 * v, np.arange(kk.size)
                 self._pair_weights = np.zeros((kk.size, op.n_modes))
                 self._pair_weights[pairs, kk] = lam2[jj] * var_amp[kk]
                 self._pair_weights[pairs, jj] = lam2[kk] * var_amp[jj]
         self.factor = _psd_factor(cov) if np.any(cov != 0.0) else None
         self.n_panels = int(self.has_q) + int(self.factor is not None)
-        self.control = control
-        self.needs_g = self.has_q or (control is not None and self.g_const is None)
-        self.affine = None
-        if cs.f.shape_is_identity:  # f = a_f r + b_f: the step is [u | 1 | z] @ B, B = [K; c (; 0) (; R)]
-            a, b = cs.f.profile(op.grid)
-            k = np.diag(self.decay) + op.to_modes(op.modes_on_grid * a) * self.phi1dt
-            panels = [np.zeros_like(k)] if self.has_q else []
-            panels += [self.factor] if self.factor is not None else []
-            self.affine = np.vstack([k, self.phi1dt * op.to_modes(b), *panels])
-        self.stacked = self.affine is not None and control is None  # step_chunk: one product per tile-step
-        if control is not None:
-            if control_weights is None:
-                if params.gamma == 0:
-                    raise ValueError("control weights must be given explicitly when alpha = beta = 0")
-                control_weights = (alpha / np.sqrt(params.gamma), beta / np.sqrt(params.gamma))
-            self.cw_h, self.cw_z = control_weights
-            self._theta_sigma = model.b_thetas * sigma_vals
-            if self.g_const is None:  # g w = (a w) phi(r) + (b w), the gain's grid values weighted once
-                a, b = cs.g.profile(op.grid)
-                self._gain_w = (a * op.quad_weights, b * op.quad_weights)
+        a, b = cs.f.profile(op.grid)
+        k = np.diag(self.decay)
+        self._f_shape = None  # F, when f's shape is not the identity
+        if cs.f.shape_is_identity:
+            k = k + op.to_modes(op.modes_on_grid * a) * self.phi1dt
+        else:
+            self._f_shape = (a * op.quad_weights)[:, None] * op.modes_on_grid.T * self.phi1dt
+        panels = [np.zeros_like(k)] if self.has_q else []
+        panels += [self.factor] if self.factor is not None else []
+        self.affine = np.vstack([k, self.phi1dt * op.to_modes(b), *panels])
+        self._needs_grid = self.has_q or self._f_shape is not None
 
     def draw(self, gen, rows: int) -> np.ndarray | None:
         """The standard normals of one step for `rows` rows: (n_panels, rows, N), or None."""
         return gen.standard_normal((self.n_panels, rows, self.op.n_modes)) if self.n_panels else None
 
     def step(self, t: float, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
-        """Advance a (P, N) batch of mode coefficients from t to t + dt on the panel z = draw(gen, P)."""
-        op = self.op
-        grid_u = u @ op.modes_on_grid if self.needs_g or self.affine is None else None
-        if self.affine is None:
-            new = self.decay * u + self.phi1dt * op.to_modes(self.cs.f.value(op.grid, grid_u))
-        else:
-            new = np.hstack([u, np.ones((u.shape[0], 1)), *(() if z is None else z)]) @ self.affine
-        phi = self.cs.g.phi(grid_u) if self.needs_g else None
-        if self.control is not None:
-            new += self.phi1dt * self._control_forcing(t, phi)
-        if self.has_q:
-            new += self._interior_sd(phi) * z[0]
-        if self.factor is not None and self.affine is None:
-            new += z[-1] @ self.factor
+        """Advance a (P, N) batch of mode coefficients by one step on the panel z = draw(gen, P).
+
+        The system is autonomous, so the step is the same at every t.
+        """
+        new = np.empty((u.shape[0], self.op.n_modes))
+        self._step_rows(np.hstack([u, np.ones((u.shape[0], 1)), *(() if z is None else z)]), new)
         return new
 
-    def step_chunk(self, i0: int, x: np.ndarray) -> None:
-        """Step a chunk in place: x[j + 1, :, :N] = step((i0 + j) dt, x[j, :, :N], x[j]'s draws), j < k.
+    def step_chunk(self, x: np.ndarray) -> None:
+        """Step a chunk in place: x[j + 1, :, :N] is x[j, :, :N] stepped on x[j]'s draws, j < k.
 
         x has shape (k + 1, rows, N + 1 + n_panels N); row r of x[j] is
-        [u | 1 | z], u the state before step i0 + j and z its panels side by
-        side.  A `stacked` step is one product x[j] @ B per tile-step,
-        written straight into the next state, plus the interior term when
-        there is one; rows are then one tile or a whole number of
-        BLOCK_SIZE-row tiles, and each product or ufunc is one call on the
-        stack of tiles.  Otherwise the rows are stepped by `step` in tiles of
-        at most BLOCK_SIZE, each to the chunk's end.
+        [u | 1 | z], u the state before the chunk's step j and z its panels
+        side by side.  The rows are one tile or a whole number of
+        BLOCK_SIZE-row tiles, and each tile-step steps the stack of tiles at
+        once, each of its products or ufuncs one call on the stack.
         """
-        n, k, panels = self.op.n_modes, x.shape[0] - 1, self.n_panels
-        if not self.stacked:
-            for s in range(0, x.shape[1], BLOCK_SIZE):
-                tile = x[:, s:s + BLOCK_SIZE]
-                zs = tile[:-1, :, n + 1:].reshape(k, -1, panels, n).swapaxes(1, 2) if panels else [None] * k
-                for j, (u, z, dst) in enumerate(zip(tile[:-1, :, :n], zs, tile[1:, :, :n])):
-                    dst[...] = self.step((i0 + j) * self.dt, u, z)
-            return
+        n, k = self.op.n_modes, x.shape[0] - 1
         tiles = x.reshape(k + 1, -1, min(x.shape[1], BLOCK_SIZE), x.shape[2])
         for src, dst in zip(tiles[:-1], tiles[1:, ..., :n]):
-            np.matmul(src, self.affine, out=dst)
-            if self.has_q:
-                sd = self._interior_sd(self.cs.g.phi(src[..., :n] @ self.op.modes_on_grid))
-                sd *= src[..., n + 1:2 * n + 1]
-                dst += sd
+            self._step_rows(src, dst)
+
+    def _step_rows(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Write into dst the states one step after the rows [u | 1 | z] of src (any leading axes)."""
+        np.matmul(src, self.affine, out=dst)
+        if not self._needs_grid:
+            return
+        n = self.op.n_modes
+        grid_u = src[..., :n] @ self.op.modes_on_grid
+        if self._f_shape is not None:
+            dst += self.cs.f.phi(grid_u) @ self._f_shape
+        if self.has_q:
+            sd = self._interior_sd(self.cs.g.phi(grid_u))
+            sd *= src[..., n + 1:2 * n + 1]
+            dst += sd
 
     def _interior_sd(self, phi: np.ndarray) -> np.ndarray:
         """Per-mode std alpha sqrt(v_k sum_j (lambda_j M_kj)^2) of the interior channel, from the
@@ -229,21 +202,6 @@ class SpdeStepper:
         tri *= tri
         var = tri @ self._pair_weights
         return np.sqrt(var, out=var)
-
-    def _control_forcing(self, t: float, phi: np.ndarray | None) -> np.ndarray:
-        """The control's forcing at t; phi is the gain's shape phi_g(u) on the grid (None for a
-        constant gain)."""
-        phi_h, phi_z = self.control(t)
-        op = self.op
-        sq_phi = self.lambdas * phi_h  # sqrt(Q) phi_H in modes
-        if self.g_const is not None:
-            interior = self.cw_h * self.g_const * sq_phi
-        else:
-            aw, bw = self._gain_w
-            sq_grid = sq_phi @ op.modes_on_grid
-            interior = self.cw_h * (((aw * phi + bw) * sq_grid) @ op.modes_on_grid.T)
-        bnd = self.cw_z * (op.boundary_values @ (self._theta_sigma * phi_z))
-        return interior + bnd
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -302,10 +260,10 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
 
     def chunk_shape(live: int, steps_left: int) -> tuple[int, int]:
         """(steps, buffer rows) of a chunk of `live` rows."""
-        if stepper.stacked and live > BLOCK_SIZE:  # whole tiles, stepped as one stack
+        if live > BLOCK_SIZE:  # whole tiles, stepped as one stack
             rows = -(-live // BLOCK_SIZE) * BLOCK_SIZE
         else:
-            rows = live + (live % BLOCK_SIZE == 1)  # no tile of a single row
+            rows = live + (live == 1)  # no tile of a single row
         cap = max(1, DRAW_BYTES // (8 * rows * width) - 1)
         return min(max(DRAW_STEPS, CHUNK_ROW_STEPS // live), cap, steps_left), rows
 
@@ -333,7 +291,7 @@ def run_ensemble(stepper: SpdeStepper, x0: np.ndarray, n_paths: int, n_steps: in
                     gens[p].standard_normal(out=z[r])
                 x[:k, :n, n_modes + 1:] = z.swapaxes(0, 1)
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging row runs on to the chunk's end
-                stepper.step_chunk(i0, x)
+                stepper.step_chunk(x)
                 chunk = x[1:, :n, :n_modes]
                 bad = diverged_mask(chunk)
             first_bad = np.full(n, k)

@@ -11,11 +11,8 @@ Three related dynamics are integrated here:
 
 The full system is stepped from (model, params): the system's one description,
 a `coefficients.AveragedModel`, at one scaling level `MultiscaleParams`.  The
-controlled forward solve adds the control as a deterministic forcing with
-weights alpha/sqrt(gamma) and beta/sqrt(gamma) (their limits 1/(1+rho_bar),
-rho_bar/(1+rho_bar) may be pinned explicitly, e.g. to study the noise-free
-averaging of the forced equation).  The Monte Carlo sup averaging error runs
-the full system over an ensemble of paths against the limit ODE.
+Monte Carlo sup averaging error runs the full system over an ensemble of paths
+against the limit ODE.
 """
 
 from __future__ import annotations
@@ -142,13 +139,9 @@ def _time_grid(t_final: float, dt: float) -> tuple[np.ndarray, float, int]:
     return np.arange(n + 1) * dt_eff, dt_eff, n
 
 
-def _control_interpolant(node_times: np.ndarray, *controls: np.ndarray):
-    """Piecewise-linear t -> [c(t) for c in controls] on a uniform node grid.
-
-    The node axis of each control is its second to last, as in phi_h of shape
-    (..., n_nodes, N) and phi_z of shape (..., n_nodes, 2), so one control or a
-    batch of controls interpolates alike.
-    """
+def _control_interpolant(node_times: np.ndarray, control: np.ndarray):
+    """Piecewise-linear t -> control(t) on a uniform node grid; the node axis of
+    control is its second to last, as in (P, n_nodes, d) for a batch of P."""
     t0, dtg = node_times[0], node_times[1] - node_times[0]
     last = len(node_times) - 1
 
@@ -156,7 +149,7 @@ def _control_interpolant(node_times: np.ndarray, *controls: np.ndarray):
         s = min(max((t - t0) / dtg, 0.0), float(last))
         i = min(int(s), last - 1)
         w = s - i
-        return [(1.0 - w) * c[..., i, :] + w * c[..., i + 1, :] for c in controls]
+        return (1.0 - w) * control[..., i, :] + w * control[..., i + 1, :]
 
     return at
 
@@ -185,25 +178,16 @@ def solve_spde(
     t_final: float,
     dt: float,
     rng: RngStream,
-    control=None,
-    control_weights: tuple[float, float] | None = None,
 ) -> FieldTrajectory:
     """Mild-solution forward solve (exponential Euler per mode) of one path
     of the system `model` at the scaling level `params`.
 
     The path is an ensemble of one for `run_ensemble`, drawn from the start
     of rng's stream; a DivergenceError names its first diverged state.
-    control may be None (plain forward solve) or a ControlPath, added as a
-    deterministic forcing; a zero control reproduces the uncontrolled solve.
     """
     times, dt_eff, n = _time_grid(t_final, dt)
-    stepper = SpdeStepper(
-        model, params, dt_eff,
-        control=None if control is None else _control_interpolant(control.times, control.phi_h, control.phi_z),
-        control_weights=control_weights,
-    )
-    (states, (bad,)), _ = run_ensemble(stepper, np.asarray(x, dtype=float), 1, n, rng.seed, rng.stream, 1,
-                                       partial(_PathObserver, n))
+    (states, (bad,)), _ = run_ensemble(SpdeStepper(model, params, dt_eff), np.asarray(x, dtype=float), 1, n,
+                                       rng.seed, rng.stream, 1, partial(_PathObserver, n))
     if bad:
         raise DivergenceError(step=int(bad), t=times[bad])
     return FieldTrajectory(times=times, states=states[0])
@@ -267,7 +251,7 @@ def solve_controlled_ode_batch(
     phi_g = model.coeffs.g.phi
 
     def rhs(t, u):
-        (c,) = ctrl(t)
+        c = ctrl(t)
         return model.f_bar(u) + phi_g(u) * c[:, 0] + c[:, 1]
 
     return _rk4(rhs, np.asarray(x_means, dtype=float), times)

@@ -118,7 +118,7 @@ def test_interior_std_matches_frozen_gain_definition(grid_factor, g_spec):
     x[0, :, :n] = np.vstack([u, u])
     x[:, :, n] = 1.0
     x[0, :64, n + 1:] = 1.0
-    stepper.step_chunk(0, x)
+    stepper.step_chunk(x)
     assert np.array_equal(x[1, :64, :n] - x[1, 64:, :n], std)
     g = model.coeffs.g.value(op.grid, op.to_grid(u))
     m = np.einsum("pm,km,jm->pkj", g * op.quad_weights, op.modes_on_grid, op.modes_on_grid)

@@ -69,14 +69,19 @@ def test_spde_zero_mean_data_collapses(ref_op):
     assert ref_op.hmu_norm(traj.states[after]).max() < 1e-16
 
 
-@pytest.mark.parametrize("f_spec", [
-    {"kind": "linear", "slope": -1.0, "xi_slope": 2.0, "offset": 0.3},
-    {"kind": "linear_plus_source", "slope": -1.0, "source_amp": 0.6, "source_freq": 2, "offset": 0.1},
-], ids=lambda spec: spec["kind"])
+@pytest.mark.parametrize("f_spec, g_spec", [
+    pytest.param({"kind": "linear", "slope": -1.0, "xi_slope": 2.0, "offset": 0.3}, None, id="linear"),
+    pytest.param({"kind": "linear_plus_source", "slope": -1.0, "source_amp": 0.6, "source_freq": 2, "offset": 0.1},
+                 None, id="linear_plus_source"),
+    pytest.param(LOGISTIC, None, id="logistic_f"),
+    pytest.param(LOGISTIC, LOGISTIC, id="logistic_f_logistic_gain"),
+])
 @pytest.mark.parametrize("n_rows", [1, 2, 64])
-def test_spde_affine_reaction_step_equals_grid_round_trip(ref_op, f_spec, n_rows):
-    # an f affine in r steps as u @ K + c, which equals the reaction on the grid
-    model = build_model(ref_op, f_spec=f_spec)
+def test_spde_affine_reaction_step_equals_grid_round_trip(ref_op, f_spec, g_spec, n_rows):
+    # the reaction folded into [u | 1 | z] @ B (and, for a logistic f, phi_f(u @ E) @ F)
+    # equals the reaction evaluated on the grid; the interior panel of a logistic gain
+    # draws zeros, so its term (test_interior_std_matches_frozen_gain_definition) drops out
+    model = build_model(ref_op, f_spec=f_spec, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
     if f_spec["kind"] == "linear":  # a reaction that depends on xi couples the modes
         k = stepper.affine[:ref_op.n_modes]
@@ -84,6 +89,9 @@ def test_spde_affine_reaction_step_equals_grid_round_trip(ref_op, f_spec, n_rows
     rng = np.random.Generator(np.random.Philox(key=8))
     u = rng.standard_normal((n_rows, ref_op.n_modes))
     z = stepper.draw(rng, n_rows)
+    assert stepper.has_q == (g_spec is not None)
+    if stepper.has_q:
+        z[0] = 0.0
     e, w = ref_op.modes_on_grid, ref_op.quad_weights
     f_modes = (model.coeffs.f.value(ref_op.grid, u @ e) * w) @ e.T
     want = stepper.decay * u + stepper.phi1dt * f_modes + z[-1] @ stepper.factor
@@ -157,75 +165,6 @@ def test_controlled_ode_batch_consistency(ref_op):
         single = solve_controlled_ode_batch(model, np.array([x0]), times, phi_h[p:p + 1], phi_z[p:p + 1],
                                             t_final=1.0, dt=1e-3)
         assert np.allclose(batch[:, p], single[:, 0], atol=1e-14)
-
-
-def test_controlled_spde_zero_control_pathwise_equal(ref_op):
-    model = build_model(ref_op)
-    params = _params(eps=0.05, alpha=0.3, beta=0.3)
-    x = ref_op.constant_field(0.4)
-    times = np.linspace(0, 0.5, 6)
-    plain = fx.solve_spde(model, params, x, 0.5, 1e-3, fx.RngStream(9, 1))
-    ctrl = fx.solve_spde(model, params, x, 0.5, 1e-3, fx.RngStream(9, 1),
-                         control=_zero_control(times, ref_op.n_modes))
-    assert np.array_equal(plain.states, ctrl.states)
-
-
-def test_controlled_spde_mode0_linear_response(ref_op):
-    model = build_model(ref_op, f_spec={"kind": "constant", "value": 0.0})
-    times = np.linspace(0, 1, 101)
-    phi_h = np.zeros((101, ref_op.n_modes))
-    phi_h[:, 0] = 0.8
-    ctrl = ControlPath(times=times, phi_h=phi_h, phi_z=np.zeros((101, 2)))
-    traj = fx.solve_spde(
-        model, _params(eps=0.01, alpha=0.0, beta=0.0), ref_op.constant_field(0.3),
-        1.0, 1e-3, fx.RngStream(10), control=ctrl, control_weights=(0.5, 0.5),
-    )
-    expected = 0.3 + 0.5 * 1.0 * 0.8 * traj.times  # x + w_H lambda_0 phi t
-    assert np.allclose(traj.states[:, 0], expected, atol=1e-10)
-    assert np.abs(traj.states[:, 1:]).max() == 0.0
-
-
-def test_controlled_step_forcing_with_state_dependent_gain(ref_op):
-    # the interior forcing weighs sqrt(Q) phi_H by the gain at the step's own
-    # state: phi1dt (cw_h <g sqrt(Q) phi_H, e_k> + cw_z sum_j e_k(j) theta_j sigma_j phi_Z,j)
-    model = build_model(ref_op, g_spec={"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0})
-    phi_h, phi_z = np.linspace(0.5, -0.5, ref_op.n_modes), np.array([0.3, -0.2])
-    params = _params(eps=0.05, alpha=0.3, beta=0.3)
-    free = SpdeStepper(model, params, 0.01)
-    forced = SpdeStepper(model, params, 0.01, control=lambda t: (phi_h, phi_z), control_weights=(0.6, 0.8))
-    u = 0.5 * np.random.Generator(np.random.Philox(key=37)).standard_normal((64, ref_op.n_modes))
-    z = forced.draw(fx.RngStream(5)._gen, 64)
-    g = model.coeffs.g.value(ref_op.grid, ref_op.to_grid(u))
-    interior = ref_op.to_modes(g * ref_op.to_grid(model.q_lambdas * phi_h))
-    boundary = ref_op.boundary_values @ (model.b_thetas * phi_z)  # sigma = 1
-    expected = free.step(0.0, u, z) + free.phi1dt * (0.6 * interior + 0.8 * boundary)
-    assert np.abs(forced.step(0.0, u, z) - expected).max() <= 1e-12
-
-
-def test_controlled_spde_tracks_controlled_ode(ref_op):
-    # small eps, noise off, forcing weights pinned at their limits: the forced
-    # full system averages onto the skeleton dynamics
-    model = build_model(
-        ref_op,
-        f_spec={"kind": "linear_plus_source", "slope": -1.0, "source_amp": 1.0, "source_freq": 1},
-    )
-    node_times = np.linspace(0, 1, 51)
-    phi_h = np.zeros((51, ref_op.n_modes))
-    phi_h[:, 0] = np.sin(2 * np.pi * node_times)
-    phi_h[:, 1] = 0.5
-    phi_z = np.stack([np.cos(np.pi * node_times), node_times], axis=1)
-    ctrl = ControlPath(times=node_times, phi_h=phi_h, phi_z=phi_z)
-    x = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.5)
-    spde = fx.solve_spde(
-        model, _params(eps=1e-3), x, 1.0, 1e-3, fx.RngStream(11),
-        control=ctrl, control_weights=model.weights,
-    )
-    ode = solve_controlled_ode_batch(model, np.array([fx.invariant_average(ref_op, x)]), node_times,
-                                     phi_h[None], phi_z[None], 1.0, 1e-3)[:, 0]
-    window = spde.times >= 0.1
-    diff = spde.states[window].copy()
-    diff[:, 0] -= ode[window]
-    assert ref_op.hmu_norm(diff).max() < 0.02
 
 
 def test_averaging_error_basic(ref_op):
@@ -408,9 +347,9 @@ class _AllStates:
 @pytest.mark.parametrize("g_spec, f_spec", [(None, None), (LOGISTIC, None), (None, LOGISTIC)],
                          ids=["constant_gain", "logistic_gain", "logistic_f"])
 def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, f_spec, monkeypatch):
-    # a linear f is stepped by step_chunk's one product per tile-step, plus the
-    # interior term of a state-dependent gain, never by step; a logistic f
-    # still goes through step
+    # every f is stepped by step_chunk's one product per tile-step, plus the
+    # terms that need grid values (a logistic f, the interior term of a
+    # state-dependent gain), never by step
     model = build_model(ref_op, f_spec=f_spec, g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=0.3, beta=0.3), dt=0.01)
 
@@ -418,17 +357,11 @@ def test_run_ensemble_takes_the_affine_kernel(ref_op, g_spec, f_spec, monkeypatc
         raise RuntimeError("step called")
 
     monkeypatch.setattr(SpdeStepper, "step", no_step)
-    args = (stepper, ref_op.constant_field(0.2), 70, 40, 3, 0, 1, partial(_AllStates, 40))
-    if f_spec is None:
-        n = ref_op.n_modes
-        assert stepper.n_panels == 1 + stepper.has_q and stepper.affine.shape == (n + 1 + stepper.n_panels * n, n)
-        assert not stepper.affine[n + 1:-n].any()  # B's rows under an interior panel are zero
-        (states, live), _ = run_ensemble(*args)
-        assert live.all() and np.isfinite(states).all()
-    else:
-        assert stepper.affine is None
-        with pytest.raises(RuntimeError, match="step called"):
-            run_ensemble(*args)
+    n = ref_op.n_modes
+    assert stepper.n_panels == 1 + stepper.has_q and stepper.affine.shape == (n + 1 + stepper.n_panels * n, n)
+    assert not stepper.affine[n + 1:-n].any()  # B's rows under an interior panel are zero
+    (states, live), _ = run_ensemble(stepper, ref_op.constant_field(0.2), 70, 40, 3, 0, 1, partial(_AllStates, 40))
+    assert live.all() and np.isfinite(states).all()
 
 
 @pytest.mark.parametrize("n_paths, n_steps, noise, g_spec", [
@@ -446,7 +379,7 @@ def test_affine_kernel_equals_step(ref_op, n_paths, n_steps, noise, g_spec):
                         g_spec=g_spec)
     stepper = SpdeStepper(model, _params(eps=0.05, alpha=noise, beta=noise), dt=0.01)
     n = ref_op.n_modes
-    assert stepper.stacked and stepper.has_q == (g_spec is not None)
+    assert stepper.has_q == (g_spec is not None)
     assert stepper.n_panels == (1 + stepper.has_q if noise else 0)
     assert stepper.affine.shape == (n + 1 + stepper.n_panels * n, n)
     x0 = ref_op.project(lambda xi: np.cos(np.pi * xi) + 0.2)
