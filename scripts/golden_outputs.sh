@@ -42,7 +42,11 @@
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path), and every other manifest entry but
 # wall_clock_s and config_hash (the hash of the resolved config, which holds
-# the output path).  Run it on two source trees and diff what it prints:
+# the output path).  Last come two `exit` runs of the exit reference with a
+# config error, one with the unknown reaction kind "mystery" and one with
+# alpha = beta = 0 (gamma = 0, rho_bar 0) and no t_max: for each it prints
+# the exit status and whether the run left its --out directory.  Run it on
+# two source trees and diff what it prints:
 # seeded outputs and manifests that are byte-identical print identical lines.
 # Where lines differ, `scripts/compare_outputs.py OUT_A OUT_B` prints the
 # largest relative difference per file, to tell a rounding change (a few
@@ -178,3 +182,34 @@ config["solver"]["t_final"] = 10.0
 json.dump(config, open(sys.argv[2], "w"), indent=2)
 PY
 run configs-averaging_reference-simulate-diverging simulate "$DIVERGING_CONFIG" 64 3
+
+config_error() {  # config_error NAME CONFIG: an exit run of a config that cannot run
+    local name="$1" status=0 left=no
+    PYTHONPATH="$ROOT/src" python3 -m fastexit exit --config "$2" --seed "$SEED" \
+        --out "$OUT/$name" > /dev/null || status=$?
+    [ -e "$OUT/$name" ] && left=yes
+    echo "$name status $status"
+    echo "$name out_exists $left"
+}
+UNKNOWN_KIND_CONFIG="$OUT/exit-unknown-kind.json"
+python3 - configs/exit_reference.json "$UNKNOWN_KIND_CONFIG" <<'PY'
+import json
+import sys
+
+config = json.load(open(sys.argv[1]))
+config["coefficients"]["f"] = {"kind": "mystery"}
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+PY
+config_error configs-exit_reference-exit-unknown-kind "$UNKNOWN_KIND_CONFIG"
+ZERO_GAMMA_CONFIG="$OUT/exit-zero-gamma.json"
+python3 - configs/exit_reference.json "$ZERO_GAMMA_CONFIG" <<'PY'
+import json
+import sys
+
+config = json.load(open(sys.argv[1]))
+config["multiscale"]["alpha_law"]["coeff"] = 0.0
+config["multiscale"]["beta_law"]["coeff"] = 0.0
+config["multiscale"]["rho_bar"] = 0.0
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+PY
+config_error configs-exit_reference-exit-zero-gamma "$ZERO_GAMMA_CONFIG"

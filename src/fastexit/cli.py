@@ -61,9 +61,7 @@ def main(argv=None) -> int:
         if args.command != "check" and experiment["kind"] != args.command:
             experiment["kind"] = args.command
         resolved = resolve_config(raw)
-        out_dir = Path(resolved["output_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        status = execute(args.command, resolved, out_dir)
+        status = execute(args.command, resolved, Path(resolved["output_dir"]))
         if status != 0:
             print(f"fastexit {args.command}: finished with status {status}", file=sys.stderr)
         return status

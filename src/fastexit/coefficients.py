@@ -72,6 +72,7 @@ _COEFF_KINDS = {
 }
 _SIGMA_KINDS = {"constant": (("value",), {}), "per_point": (("left", "right"), {})}
 H_RTOL = 1e-12  # H within this fraction of the size of its terms is a rounded zero (`AveragedModel.h_min`)
+NONDEGENERACY_FLOOR = 1e-8  # the least noise intensity H that a run accepts on the states it needs
 
 
 def catalog_params(catalog: dict, what: str, spec: dict) -> dict:
@@ -385,8 +386,9 @@ class NondegeneracyReport:
     passed: bool
 
 
-def check_nondegeneracy(model: AveragedModel, lo: float, hi: float, floor: float = 1e-12) -> NondegeneracyReport:
-    """Report the least H on [lo, hi], and the state where it is reached (`AveragedModel.h_min`), against a
-    positive floor."""
+def check_nondegeneracy(model: AveragedModel, lo: float, hi: float) -> NondegeneracyReport:
+    """Report the least H on [lo, hi], and the state where it is reached (`AveragedModel.h_min`), against
+    NONDEGENERACY_FLOOR."""
     min_h, argmin_u = model.h_min(lo, hi)
-    return NondegeneracyReport(min_h=min_h, argmin_u=argmin_u, floor=floor, passed=min_h > floor)
+    return NondegeneracyReport(min_h=min_h, argmin_u=argmin_u, floor=NONDEGENERACY_FLOOR,
+                               passed=min_h > NONDEGENERACY_FLOOR)

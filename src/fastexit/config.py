@@ -97,7 +97,7 @@ CONFIG_SCHEMA = {
                 "x0": {
                     "type": "object",
                     "required": ["kind"],
-                    "properties": {"kind": {"enum": ["constant", "cosine_plus_constant", "modes"]}},
+                    "properties": {"kind": {"enum": ["constant", "cosine_plus_constant"]}},
                 },
                 "domain": {
                     "type": "object",
@@ -116,7 +116,6 @@ CONFIG_SCHEMA = {
                 "horizons": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
                 "n_nodes": {"type": "integer", "minimum": 3},
                 "path_file": {"type": ["string", "null"]},
-                "nondegeneracy_floor": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "seed": {"type": "integer", "minimum": 0},
@@ -154,7 +153,6 @@ _EXPERIMENT_DEFAULTS = {
     "horizons": list(QP_HORIZONS),
     "n_nodes": QP_N_NODES,
     "path_file": None,
-    "nondegeneracy_floor": 1e-8,
 }
 
 
@@ -356,22 +354,15 @@ class BuiltSystem:
 _X0_KINDS = {
     "constant": (("value",), {}),
     "cosine_plus_constant": ((), {"amp": 1.0, "freq": 1, "offset": 0.0}),
-    "modes": (("coeffs",), {}),
 }
 
 
 def _build_x0(spec: dict, op: SpectralOperator) -> np.ndarray:
     try:
         p = catalog_params(_X0_KINDS, "x0", spec)
-        kind = spec["kind"]
-        if kind == "constant":
+        if spec["kind"] == "constant":
             return op.constant_field(float(p["value"]))
-        if kind == "cosine_plus_constant":
-            return op.project(lambda xi: p["amp"] * np.cos(p["freq"] * np.pi * xi) + p["offset"])
-        coeffs = np.zeros(op.n_modes)
-        vals = np.asarray(p["coeffs"], dtype=float)
-        coeffs[: len(vals)] = vals
-        return coeffs
+        return op.project(lambda xi: p["amp"] * np.cos(p["freq"] * np.pi * xi) + p["offset"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("experiment.x0", str(exc)) from exc
 
@@ -397,5 +388,9 @@ def build_system(resolved: dict) -> BuiltSystem:
     except (ValueError, KeyError) as exc:
         raise ConfigError("noise", str(exc)) from exc
     params_list = [MultiscaleParams.from_schedule(e, ms["alpha_law"], ms["beta_law"]) for e in ms["eps"]]
-    x0 = _build_x0(resolved["experiment"]["x0"], op)
+    exp = resolved["experiment"]
+    # an exit level's default horizon 50 exp(V_bar / gamma) does not exist at gamma = 0
+    if exp["kind"] == "exit" and exp["t_max"] is None and any(p.gamma == 0 for p in params_list):
+        raise ConfigError("multiscale", "a level with alpha = beta = 0 (gamma = 0) needs an explicit t_max")
+    x0 = _build_x0(exp["x0"], op)
     return BuiltSystem(model=model, params_list=params_list, x0=x0, config=resolved)

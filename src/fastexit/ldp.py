@@ -59,7 +59,7 @@ MIN_STEP = 1e-12  # the shortest step fraction the line search tries
 F_ROUND = 1e-13   # a decrease below this fraction of the action is lost in its rounding
 LINEAR_KT = 1e-8  # below this k T the linearized start is the straight line
 # the horizon grid and path nodes of a variational quasi-potential, unless a
-# quasipotential run's experiment.horizons and experiment.n_nodes set them
+# quasipotential run's experiment.horizons and experiment.n_nodes set them; v_bar always uses them
 QP_HORIZONS = (2.0, 4.0, 8.0)
 QP_N_NODES = 200
 
@@ -106,11 +106,8 @@ def _path_quantities(model: AveragedModel, values):
 
 
 def action_I(model: AveragedModel, w: ScalarPath) -> float:
-    """Trapezoidal discrete action 1/2 int (w' - F_bar)^2 / H dt."""
-    fbar, h = _path_quantities(model, w.values)
-    resid = path_derivative(w.values, w.dt) - fbar
-    dens = 0.5 * resid**2 / h
-    return float(np.trapezoid(dens, w.times))
+    """Trapezoidal discrete action 1/2 int (w' - F_bar)^2 / H dt, the one the Newton solver minimizes."""
+    return _action_derivatives(model, w.times, w.values)[0]
 
 
 def minimizing_control(model: AveragedModel, w: ScalarPath) -> ControlPath:
@@ -426,17 +423,15 @@ def quasi_potential_variational(
     return best
 
 
-def v_bar(model: AveragedModel, domain, horizons=QP_HORIZONS, n_nodes: int = QP_N_NODES) -> float:
+def v_bar(model: AveragedModel, domain) -> float:
     """Quasi-potential infimum over the domain boundary.
 
     For domains whose intersection with the constant states is the interval
     (y1, y2), this is min(V(y1), V(y2)); the explicit formula is used when
-    the model is additive, the variational minimization otherwise.
+    the model is additive, the variational minimization on the default
+    horizon grid and path nodes otherwise.
     """
     y1, y2 = domain.constant_section
     if model.is_additive:
         return min(quasi_potential_explicit(model, y1), quasi_potential_explicit(model, y2))
-    return min(
-        quasi_potential_variational(model, y1, horizons, n_nodes),
-        quasi_potential_variational(model, y2, horizons, n_nodes),
-    )
+    return min(quasi_potential_variational(model, y1), quasi_potential_variational(model, y2))

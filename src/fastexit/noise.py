@@ -59,7 +59,6 @@ _Q_SPECTRUM_KINDS = {
     "flat": (("value",), {}),
     "power": (("amp", "exponent"), {}),
     "list": (("values",), {}),
-    "mode0": (("value",), {}),
 }
 _B_SPECTRUM_KINDS = {"flat": (("value",), {}), "list": (("values",), {})}
 
@@ -73,14 +72,10 @@ def make_q_spectrum(spec: dict, n_modes: int) -> np.ndarray:
     if kind == "power":
         k = np.arange(n_modes)
         return p["amp"] * (1.0 + k) ** (-float(p["exponent"]))
-    if kind == "list":
-        vals = np.asarray(p["values"], dtype=float)
-        if vals.shape[0] < n_modes:
-            raise ValueError("explicit spectrum shorter than the mode count")
-        return vals[:n_modes]
-    lam = np.zeros(n_modes)  # mode0
-    lam[0] = float(p["value"])
-    return lam
+    vals = np.asarray(p["values"], dtype=float)
+    if vals.shape[0] < n_modes:
+        raise ValueError("explicit spectrum shorter than the mode count")
+    return vals[:n_modes]
 
 
 def make_b_spectrum(spec: dict) -> np.ndarray:

@@ -2,15 +2,18 @@
 quasi-potential, and exit-time runs.
 
 `execute` is the one run lifecycle: it starts the clock, builds the system,
-calls `RUNS[command]` and writes the fully resolved config and a manifest
-(config hash, code version, per-output checksums, wall clock) next to the
-outputs, so a results directory is self-describing and re-runnable.  A run
-takes the built system and returns (status, outputs, manifest entries):
-`n_paths_total`, plus `noise_draw_layout` for the runs that drew through the
-ensemble (simulate, average, exit) and `ensemble_work`, one {"eps",
-"row_steps", "chunks"} per level, for average and exit.  An exception leaves
-no manifest.  Process exit status convention: 0 success, 1 configuration or
-file error, 2 required hypothesis failed, 3 numerical failure.
+makes the output directory, calls `RUNS[command]` and writes the fully
+resolved config and a manifest (config hash, code version, per-output
+checksums, wall clock, status) next to the outputs, so a results directory
+is self-describing and re-runnable.  A config that fails to build leaves no
+directory.  A run takes the built system and returns (status, outputs,
+manifest entries): `n_paths_total`, plus `noise_draw_layout` for the runs
+that drew through the ensemble (simulate, average, exit) and
+`ensemble_work`, one {"eps", "row_steps", "chunks"} per level, for average
+and exit.  `action` drives the skeleton ODE with the one minimizing control
+of its path.  An exception leaves no manifest.  Process exit status
+convention: 0 success, 1 configuration or file error, 2 required hypothesis
+failed, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .operator import invariant_average
 from .solver import (
     ScalarPath,
     averaging_error_ensemble,
-    solve_controlled_ode_batch,
+    solve_controlled_ode,
     solve_limit_ode,
     solve_spde,
     write_csv,
@@ -140,8 +143,7 @@ def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
             y1, y2 = dom.constant_section  # an exit path moves on the whole section
             span = (min(y1, span[0]), max(y2, span[1]))
 
-    floor = cfg["experiment"]["nondegeneracy_floor"]
-    checks["nondegeneracy"] = _jsonable(check_nondegeneracy(model, *span, floor=floor))
+    checks["nondegeneracy"] = _jsonable(check_nondegeneracy(model, *span))
     return checks, dom
 
 
@@ -262,8 +264,8 @@ def run_action(system: BuiltSystem, out_dir: Path) -> RunResult:
     cost = control_cost(ctrl)
     # the skeleton ODE driven by the control reproduces w; a path file's grid may start after 0
     node_times = w.times - w.times[0]
-    w_ode = solve_controlled_ode_batch(system.model, w.values[:1], node_times, ctrl.phi_h[None],
-                                       ctrl.phi_z[None], node_times[-1], w.dt)[:, 0]
+    w_ode = solve_controlled_ode(system.model, w.values[0], node_times, ctrl.phi_h, ctrl.phi_z,
+                                 node_times[-1], w.dt)
     ctrl_path = out_dir / "minimizing_control.csv"
     ctrl.write_csv(ctrl_path)
     path_path = out_dir / "path.csv"
@@ -284,7 +286,7 @@ def run_quasipotential(system: BuiltSystem, out_dir: Path) -> RunResult:
     exp = system.config["experiment"]
     # every path runs from 0 to its y, so H must stay positive on the segment that holds them all
     span = (min([0.0, *exp["y_values"]]), max([0.0, *exp["y_values"]]))
-    report = check_nondegeneracy(system.model, *span, floor=exp["nondegeneracy_floor"])
+    report = check_nondegeneracy(system.model, *span)
     if not report.passed:
         raise NondegeneracyError(
             f"noise intensity H falls to {report.min_h:.6g} at u = {report.argmin_u:.6g} on "
@@ -321,14 +323,11 @@ def run_exit(system: BuiltSystem, out_dir: Path) -> RunResult:
     if not passed:
         return EXIT_HYPOTHESIS_FAILED, [check_path], {"n_paths_total": 0}
     exp = resolved["experiment"]
-    try:
-        stats = exit_time_mc(
-            system.model, system.params_list, dom, system.x0,
-            n_paths=resolved["n_paths"], dt=resolved["solver"]["dt"], seed=resolved["seed"],
-            t_max=exp["t_max"], t_max_cap=exp["t_max_cap"], threads=resolved["threads"],
-        )
-    except ValueError as exc:  # the checks placed x0 inside the domain; only a gamma = 0 level is left
-        raise ConfigError("multiscale", str(exc)) from exc
+    stats = exit_time_mc(
+        system.model, system.params_list, dom, system.x0,
+        n_paths=resolved["n_paths"], dt=resolved["solver"]["dt"], seed=resolved["seed"],
+        t_max=exp["t_max"], t_max_cap=exp["t_max_cap"], threads=resolved["threads"],
+    )
     rows = [s.row() for s in stats]
     csv_path = out_dir / "exit_stats.csv"
     write_csv(csv_path, list(rows[0]), [row.values() for row in rows])
@@ -387,8 +386,11 @@ RUNS = {
 
 
 def execute(command: str, resolved: dict, out_dir: Path) -> int:
-    """Build the system of a resolved config, run `command` on it into out_dir, record the run; return its status."""
+    """Build the system of a resolved config, make out_dir, run `command` on the system into it and
+    record the run with its status; return the status."""
     started = time.monotonic()
-    status, outputs, entries = RUNS[command](build_system(resolved), out_dir)
-    finalize_run(out_dir, resolved, outputs, started, entries)
+    system = build_system(resolved)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    status, outputs, entries = RUNS[command](system, out_dir)
+    finalize_run(out_dir, resolved, outputs, started, {"status": status, **entries})
     return status

@@ -6,8 +6,10 @@ Three related dynamics are integrated here:
   mild-solution recursion per eigenmode (the stiff transport term eps^{-1} A
   is handled exactly, so the time step is independent of eps);
 * the deterministic limit ODE  u' = F_bar(u)  by classical RK4;
-* the controlled (skeleton) ODE driven by a deterministic control
+* the controlled (skeleton) ODE driven by one deterministic control
   phi = (phi_H, phi_Z), by RK4 with the control interpolated between nodes.
+
+Both ODEs are scalar: RK4 advances one state, a float, per step.
 
 The full system is stepped from (model, params): the system's one description,
 a `coefficients.AveragedModel`, at one scaling level `MultiscaleParams`.  The
@@ -35,7 +37,7 @@ __all__ = [
     "ScalarPath",
     "solve_spde",
     "solve_limit_ode",
-    "solve_controlled_ode_batch",
+    "solve_controlled_ode",
     "averaging_error_ensemble",
 ]
 
@@ -140,16 +142,17 @@ def _time_grid(t_final: float, dt: float) -> tuple[np.ndarray, float, int]:
 
 
 def _control_interpolant(node_times: np.ndarray, control: np.ndarray):
-    """Piecewise-linear t -> control(t) on a uniform node grid; the node axis of
-    control is its second to last, as in (P, n_nodes, d) for a batch of P."""
-    t0, dtg = node_times[0], node_times[1] - node_times[0]
-    last = len(node_times) - 1
+    """Piecewise-linear t -> control(t), a list of d floats, on a uniform node grid of the
+    (n_nodes, d) control."""
+    t0, dtg = float(node_times[0]), float(node_times[1] - node_times[0])
+    rows = control.tolist()
+    last = len(rows) - 1
 
     def at(t):
         s = min(max((t - t0) / dtg, 0.0), float(last))
         i = min(int(s), last - 1)
         w = s - i
-        return (1.0 - w) * control[..., i, :] + w * control[..., i + 1, :]
+        return [(1.0 - w) * lo + w * hi for lo, hi in zip(rows[i], rows[i + 1])]
 
     return at
 
@@ -193,68 +196,64 @@ def solve_spde(
     return FieldTrajectory(times=times, states=states[0])
 
 
-def _rk4(rhs, u0, times):
-    """Classical RK4 over a uniform grid; u0 may be scalar or a batch array."""
-    u = np.asarray(u0, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u).copy()
-    out = np.empty((len(times),) + u.shape)
-    out[0] = u
-    for i in range(len(times) - 1):
-        t, dt = times[i], times[i + 1] - times[i]
+def _rk4(rhs, u0: float, times: np.ndarray) -> np.ndarray:
+    """Classical RK4 of one scalar state over a uniform grid, with rhs(t, u) a float; the states at every grid time."""
+    out = np.empty(len(times))
+    u = out[0] = float(u0)
+    ts = times.tolist()
+    for i in range(len(ts) - 1):
+        t, dt = ts[i], ts[i + 1] - ts[i]
         k1 = rhs(t, u)
         k2 = rhs(t + dt / 2, u + dt / 2 * k1)
         k3 = rhs(t + dt / 2, u + dt / 2 * k2)
         k4 = rhs(t + dt, u + dt * k3)
         u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(u).all():
+        if not math.isfinite(u):
             raise DivergenceError(step=i + 1, t=times[i + 1])
         out[i + 1] = u
-    return out[:, 0] if scalar else out
+    return out
 
 
 def solve_limit_ode(model: AveragedModel, x_mean: float, t_final: float, dt: float) -> ScalarPath:
     """RK4 on the averaged limit dynamics u' = F_bar(u), u(0) = <x, mu>."""
     times, _, _ = _time_grid(t_final, dt)
-    values = _rk4(lambda t, u: model.f_bar(u), float(x_mean), times)
-    return ScalarPath(times=times, values=values)
+    return ScalarPath(times=times, values=_rk4(lambda t, u: float(model.f_bar(u)), x_mean, times))
 
 
-def solve_controlled_ode_batch(
+def solve_controlled_ode(
     model: AveragedModel,
-    x_means: np.ndarray,
+    x_mean: float,
     node_times: np.ndarray,
-    phi_h_all: np.ndarray,
-    phi_z_all: np.ndarray,
+    phi_h: np.ndarray,
+    phi_z: np.ndarray,
     t_final: float,
     dt: float,
 ) -> np.ndarray:
-    """RK4 on the skeleton dynamics for a batch of P controls on one uniform node grid,
+    """RK4 on the skeleton dynamics for one control on a uniform node grid,
 
         u' = F_bar(u) + w_H <phi_H(t), row_H(u)> + w_Z <phi_Z(t), row_Z>
 
     with weights (w_H, w_Z) = (1/(1+rho_bar), rho_bar/(1+rho_bar)) and the
-    control interpolated linearly between nodes.  phi_h_all has shape
-    (P, n_nodes, N) and phi_z_all (P, n_nodes, 2); returns the
-    (n_steps + 1, P) array of path values.  One control is the case P = 1.
+    control interpolated linearly between nodes.  phi_h has shape
+    (n_nodes, N) and phi_z (n_nodes, 2); returns the (n_steps + 1,) path values.
 
     row_H(u) = phi_g(u) a + b, so the forcing is phi_g(u) w_H <phi_H, a> +
     w_H <phi_H, b> + w_Z <phi_Z, row_Z>: the control is projected onto these
-    two scalars per node once, and each stage interpolates P pairs.
+    two scalars per node once, and each stage interpolates the pair.
     """
     times, _, _ = _time_grid(t_final, dt)
     w_h, w_z = model.weights
     a, b = model.g_rows
-    gain = w_h * (phi_h_all @ a)
-    rest = w_h * (phi_h_all @ b) + w_z * (phi_z_all @ model.row_z())
+    gain = w_h * (phi_h @ a)
+    rest = w_h * (phi_h @ b) + w_z * (phi_z @ model.row_z())
     ctrl = _control_interpolant(node_times, np.stack([gain, rest], axis=-1))
     phi_g = model.coeffs.g.phi
 
     def rhs(t, u):
-        c = ctrl(t)
-        return model.f_bar(u) + phi_g(u) * c[:, 0] + c[:, 1]
+        c_gain, c_rest = ctrl(t)
+        return float(model.f_bar(u) + phi_g(u) * c_gain) + c_rest
 
-    return _rk4(rhs, np.asarray(x_means, dtype=float), times)
+    return _rk4(rhs, x_mean, times)
 
 
 class _SupErrorObserver:

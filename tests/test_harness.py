@@ -357,6 +357,7 @@ def test_cli_statuses(tmp_path):
     div["experiment"] = {"kind": "simulate", "x0": {"kind": "constant", "value": 1.0}}
     div_path = write_config(tmp_path, div, "div.json")
     assert main(["simulate", "--config", str(div_path), "--out", str(tmp_path / "o3")]) == 3
+    assert json.loads((tmp_path / "o3" / "run_manifest.json").read_text())["status"] == 3
 
     assert main(["check", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 1
 
@@ -740,8 +741,8 @@ def test_cli_threads_flag_goes_through_the_config(tmp_path, capsys):
 def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
     # simulate, average and exit draw through run_ensemble, whose panel layout
     # the key names; the other runs draw nothing.  Average and exit runs also
-    # record the work of each level's ensemble.  Every run records its path
-    # count: one path per level for simulate, the one path for action
+    # record the work of each level's ensemble.  Every run records its status and
+    # its path count: one path per level for simulate, the one path for action
     n_paths_total = {"check": 0, "simulate": 1, "action": 1, "quasipotential": 0, "average": 4, "exit": 4}
     experiments = {
         "check": {"kind": "check"},
@@ -760,6 +761,7 @@ def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
         assert ("noise_draw_layout" in manifest) == (kind in ("simulate", "average", "exit")), kind
         assert ("ensemble_work" in manifest) == (kind in ("average", "exit")), kind
         assert manifest["n_paths_total"] == n_paths_total[kind], kind
+        assert manifest["status"] == 0, kind
     # every average path lives its 50 steps, in one chunk of CHUNK_ROW_STEPS // 4 steps cut to them
     average = json.loads((tmp_path / "average" / "run_manifest.json").read_text())
     assert average["ensemble_work"] == [{"eps": 0.0625, "row_steps": 4 * 50, "chunks": 1}]
@@ -770,8 +772,27 @@ def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
     assert main(["exit", "--config", str(p), "--out", str(tmp_path / "exit-fails")]) == 2
     manifest = json.loads((tmp_path / "exit-fails" / "run_manifest.json").read_text())
     assert "noise_draw_layout" not in manifest and "ensemble_work" not in manifest
-    assert manifest["n_paths_total"] == 0
+    assert manifest["n_paths_total"] == 0 and manifest["status"] == 2
     assert set(manifest["outputs"]) == {"check_report.json", "config_resolved.json"}
+
+
+@pytest.mark.parametrize("case, field", [("unknown_f_kind", "'coefficients'"), ("zero_gamma_exit", "'multiscale'")],
+                         ids=["unknown_f_kind", "zero_gamma_exit"])
+def test_cli_config_errors_leave_no_directory(tmp_path, capsys, case, field):
+    # a config that cannot run fails before the run makes its output directory: an unknown
+    # coefficient kind, or an exit level with alpha = beta = 0 and no t_max (no default horizon)
+    cfg = reference_config(n_paths=4)
+    cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}}
+    if case == "unknown_f_kind":
+        cfg["coefficients"] = {**cfg["coefficients"], "f": {"kind": "mystery"}}
+    else:
+        cfg["multiscale"] = {**cfg["multiscale"], "alpha_law": {"coeff": 0.0, "exponent": 0.25},
+                             "beta_law": {"coeff": 0.0, "exponent": 0.25}, "rho_bar": 0.0}
+    out = tmp_path / "out"
+    assert main(["exit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and field in err
+    assert not out.exists()
 
 
 _FILE_ERRORS = {  # case: (command, what its one line says)

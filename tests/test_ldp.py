@@ -8,7 +8,7 @@ from fastexit.config import build_system, resolve_config
 from fastexit.ldp import (
     ScalarPath, _action_derivatives, _linearized_start, _solve_pentadiagonal, minimize, path_derivative,
 )
-from fastexit.solver import solve_controlled_ode_batch
+from fastexit.solver import solve_controlled_ode
 from conftest import build_model
 
 LOGISTIC_GAIN = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
@@ -128,13 +128,11 @@ def test_duality_identity_random_paths(ref_op):
 def test_skeleton_round_trip(ref_op):
     model = _linear_drift_model(ref_op)
     rng = np.random.Generator(np.random.Philox(key=22))
-    paths = [smooth_random_path(rng, dt=1e-4) for _ in range(3)]
-    ctrls = [fx.minimizing_control(model, w) for w in paths]
-    out = solve_controlled_ode_batch(model, np.array([w.values[0] for w in paths]), ctrls[0].times,
-                                     np.stack([c.phi_h for c in ctrls]), np.stack([c.phi_z for c in ctrls]),
-                                     t_final=1.0, dt=1e-4)
-    for p, w in enumerate(paths):
-        assert np.abs(out[:, p] - w.values).max() < 1e-6
+    for _ in range(3):
+        w = smooth_random_path(rng, dt=1e-4)
+        ctrl = fx.minimizing_control(model, w)
+        out = solve_controlled_ode(model, w.values[0], ctrl.times, ctrl.phi_h, ctrl.phi_z, t_final=1.0, dt=1e-4)
+        assert np.abs(out - w.values).max() < 1e-6
 
 
 def test_discrete_gradient_matches_finite_differences(ref_op):
@@ -408,6 +406,21 @@ def test_v_bar(ref_op):
     # a path from 0 to 0.1 for free: exit is cheaper on the side the drift leans toward
     assert fx.v_bar(shifted, dom) == pytest.approx(0.16, rel=1e-8)
     assert fx.quasi_potential_explicit(shifted, -0.5) == pytest.approx(0.35, rel=1e-10)
+    # a state-dependent gain takes the variational branch: the benchmark model on the ball
+    # centred at 0.1, whose section is (-0.4, 0.6).  In one dimension V(y) = 2 int_0^y -F_bar / H,
+    # by Gauss-Legendre quadrature 0.18215 at -0.4 and 0.29954 at 0.6: V_bar is the left value
+    multiplicative = _benchmark_model(ref_op)
+    centred = fx.build_domain({"kind": "quadratic", "scale": 1.0, "center": 0.1}, 0.25)
+    assert centred.constant_section == pytest.approx((-0.4, 0.6), abs=1e-15)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+
+    def quadrature(y):
+        s = 0.5 * y * (nodes + 1.0)
+        return y * float(weights @ (-multiplicative.f_bar(s) / multiplicative.h(s)))
+
+    left, right = quadrature(-0.4), quadrature(0.6)
+    assert left == pytest.approx(0.18215, abs=1e-5) and right == pytest.approx(0.29954, abs=1e-5)
+    assert fx.v_bar(multiplicative, centred) == pytest.approx(left, rel=1e-3)
 
 
 def test_action_decomposition_two_stage(ref_op):

@@ -8,7 +8,7 @@ import fastexit as fx
 from fastexit.ldp import ControlPath
 from fastexit import ensemble
 from fastexit.ensemble import CHUNK_ROW_STEPS, DRAW_STEPS, SpdeStepper, diverged_mask, run_ensemble
-from fastexit.solver import solve_controlled_ode_batch
+from fastexit.solver import solve_controlled_ode
 from conftest import build_model
 
 
@@ -137,34 +137,18 @@ def test_controlled_ode_zero_control(ref_op):
     model = build_model(ref_op)
     times = np.linspace(0, 1, 11)
     ctrl = _zero_control(times, ref_op.n_modes)
-    out = solve_controlled_ode_batch(model, np.array([1.0]), times, ctrl.phi_h[None], ctrl.phi_z[None],
-                                     t_final=1.0, dt=1e-3)
+    out = solve_controlled_ode(model, 1.0, times, ctrl.phi_h, ctrl.phi_z, t_final=1.0, dt=1e-3)
     ode = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
-    assert np.array_equal(out[:, 0], ode.values)
+    assert np.array_equal(out, ode.values)
 
 
 def test_controlled_ode_infinite_rho_ignores_phi_h(ref_op):
     model = build_model(ref_op, rho_bar=np.inf)
     times = np.linspace(0, 1, 11)
     ctrl = ControlPath(times=times, phi_h=np.ones((11, ref_op.n_modes)), phi_z=np.zeros((11, 2)))
-    out = solve_controlled_ode_batch(model, np.array([1.0]), times, ctrl.phi_h[None], ctrl.phi_z[None],
-                                     t_final=1.0, dt=1e-3)
+    out = solve_controlled_ode(model, 1.0, times, ctrl.phi_h, ctrl.phi_z, t_final=1.0, dt=1e-3)
     ode = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
-    assert np.array_equal(out[:, 0], ode.values)
-
-
-def test_controlled_ode_batch_consistency(ref_op):
-    model = build_model(ref_op)
-    times = np.linspace(0, 1, 21)
-    rng = np.random.Generator(np.random.Philox(key=8))
-    phi_h = rng.standard_normal((2, 21, ref_op.n_modes))
-    phi_z = rng.standard_normal((2, 21, 2))
-    batch = solve_controlled_ode_batch(model, np.array([0.3, -0.2]), times, phi_h, phi_z,
-                                       t_final=1.0, dt=1e-3)
-    for p, x0 in enumerate([0.3, -0.2]):
-        single = solve_controlled_ode_batch(model, np.array([x0]), times, phi_h[p:p + 1], phi_z[p:p + 1],
-                                            t_final=1.0, dt=1e-3)
-        assert np.allclose(batch[:, p], single[:, 0], atol=1e-14)
+    assert np.array_equal(out, ode.values)
 
 
 def test_averaging_error_basic(ref_op):
