@@ -42,9 +42,17 @@
 # the `outputs` map of each run manifest, without config_resolved.json (that
 # file records the output path), and every other manifest entry but
 # wall_clock_s and config_hash (the hash of the resolved config, which holds
-# the output path).  Last come two `exit` runs of the exit reference with a
-# config error, one with the unknown reaction kind "mystery" and one with
-# alpha = beta = 0 (gamma = 0, rho_bar 0) and no t_max: for each it prints
+# the output path).  A `check` and a `quasipotential` run of the
+# quasi-potential reference with the gain g = r + 1.5 and no boundary noise
+# (H vanishes at u = -1.5, inside [-2, 2] but outside the segment [0, 1] of
+# its y_values) show that `check` tests H where its run does: the `check`
+# run may end with any status, and prints it.  Last come the runs of a config
+# error: `exit` runs of the exit reference with the unknown reaction kind
+# "mystery" and with alpha = beta = 0 (gamma = 0, rho_bar 0) and no t_max;
+# `average` on the averaging reference with solver.delta 5.0; `simulate`,
+# `average` and `action` with dt 0.02 above t_final 0.01; `action` with a
+# path file that does not exist; and `check` of the exit reference with the
+# domain center 1.0 and level 0.5 (0 outside the ball).  For each it prints
 # the exit status and whether the run left its --out directory.  Run it on
 # two source trees and diff what it prints:
 # seeded outputs and manifests that are byte-identical print identical lines.
@@ -63,11 +71,11 @@ OUT="$(cd "$1" && pwd)"
 SEED=7
 cd "$ROOT"
 
-run() {  # run NAME COMMAND CONFIG [PATHS [STATUS]]
+run() {  # run NAME COMMAND CONFIG [PATHS [STATUS, or any]]
     local name="$1" command="$2" config="$3" paths="${4:-64}" want="${5:-0}" status=0
     PYTHONPATH="$ROOT/src" python3 -m fastexit "$command" --config "$config" \
         --paths "$paths" --seed "$SEED" --out "$OUT/$name" > /dev/null || status=$?
-    if [ "$status" -ne "$want" ]; then
+    if [ "$want" != any ] && [ "$status" -ne "$want" ]; then
         echo "$name: exit status $status, expected $want" >&2
         exit 1
     fi
@@ -87,6 +95,13 @@ for key, value in sorted(manifest.items()):
 PY
 }
 
+edit() {  # edit CONFIG OUT PYTHON: write CONFIG to OUT after running PYTHON on its dict `config`
+    python3 -c "import json, sys
+config = json.load(open(sys.argv[1]))
+$3
+json.dump(config, open(sys.argv[2], 'w'), indent=2)" "$1" "$2"
+}
+
 for config in configs/*.json perfbench/workloads/*.json; do
     command="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["experiment"]["kind"])' "$config")"
     name="$(basename "$(dirname "$config")")-$(basename "$config" .json)-$command"
@@ -100,14 +115,7 @@ run perfbench-average-multiplicative-simulate simulate perfbench/workloads/avera
 run configs-exit_reference-exit-65 exit configs/exit_reference.json 65
 run configs-exit_reference-exit-2 exit configs/exit_reference.json 2
 T_MAX_CONFIG="$OUT/exit-additive-tmax1.json"
-python3 - perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
-config["experiment"]["t_max"] = 1.0
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
+edit perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" 'config["experiment"]["t_max"] = 1.0'
 run perfbench-exit-additive-exit-tmax1 exit "$T_MAX_CONFIG"
 PATH_CONFIG="$OUT/action-sine-path.json"
 python3 - configs/quasipotential_reference.json "$PATH_CONFIG" "$OUT/sine-path.csv" <<'PY'
@@ -127,89 +135,68 @@ PY
 (cd "$OUT" && run configs-quasipotential_reference-action-sine-path action "$PATH_CONFIG")
 run perfbench-quasipotential-multiplicative-check check perfbench/workloads/quasipotential-multiplicative.json
 MULT_PATH_CONFIG="$OUT/action-sine-path-multiplicative.json"
-python3 - perfbench/workloads/quasipotential-multiplicative.json "$MULT_PATH_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
-config["experiment"] = {"kind": "action", "path_file": "sine-path.csv"}
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
+edit perfbench/workloads/quasipotential-multiplicative.json "$MULT_PATH_CONFIG" '
+config["experiment"] = {"kind": "action", "path_file": "sine-path.csv"}'
 (cd "$OUT" && run perfbench-quasipotential-multiplicative-action-sine-path action "$MULT_PATH_CONFIG")
 DEGENERATE_CONFIG="$OUT/check-gain-vanishes.json"
-python3 - configs/exit_reference.json "$DEGENERATE_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
+edit configs/exit_reference.json "$DEGENERATE_CONFIG" '
 config["coefficients"]["g"] = {"kind": "logistic_clipped", "amp": 1.0, "width": 2.0, "offset": -0.9}
 config["multiscale"]["rho_bar"] = 0.0
 config["multiscale"]["beta_law"]["coeff"] = 0.0
 config["experiment"]["kind"] = "check"
-config["experiment"]["domain"]["level"] = 9.0
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
+config["experiment"]["domain"]["level"] = 9.0'
 run configs-exit_reference-check-gain-vanishes check "$DEGENERATE_CONFIG" 64 2
 LOGISTIC_F_CONFIG="$OUT/averaging-logistic-f.json"
-python3 - configs/averaging_reference.json "$LOGISTIC_F_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
-config["coefficients"]["f"] = {"kind": "logistic_clipped", "amp": -1.0, "width": 1.0, "offset": 0.2}
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
+edit configs/averaging_reference.json "$LOGISTIC_F_CONFIG" '
+config["coefficients"]["f"] = {"kind": "logistic_clipped", "amp": -1.0, "width": 1.0, "offset": 0.2}'
 run configs-averaging_reference-average-logistic-f-65 average "$LOGISTIC_F_CONFIG" 65
 run configs-averaging_reference-simulate-logistic-f simulate "$LOGISTIC_F_CONFIG"
 REPELLING_CONFIG="$OUT/exit-repelling.json"
-python3 - configs/exit_reference.json "$REPELLING_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
-config["coefficients"]["f"] = {"kind": "linear", "slope": 1.0}
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
+edit configs/exit_reference.json "$REPELLING_CONFIG" 'config["coefficients"]["f"] = {"kind": "linear", "slope": 1.0}'
 run configs-exit_reference-exit-repelling exit "$REPELLING_CONFIG" 64 2
 DIVERGING_CONFIG="$OUT/simulate-diverging.json"
-python3 - configs/averaging_reference.json "$DIVERGING_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
+edit configs/averaging_reference.json "$DIVERGING_CONFIG" '
 config["coefficients"]["f"] = {"kind": "linear", "slope": 5.0}
-config["solver"]["t_final"] = 10.0
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
+config["solver"]["t_final"] = 10.0'
 run configs-averaging_reference-simulate-diverging simulate "$DIVERGING_CONFIG" 64 3
 
-config_error() {  # config_error NAME CONFIG: an exit run of a config that cannot run
+GAIN_ZERO_AT_MINUS_1_5_CONFIG="$OUT/quasipotential-gain-zero-at-minus-1.5.json"
+edit configs/quasipotential_reference.json "$GAIN_ZERO_AT_MINUS_1_5_CONFIG" '
+config["coefficients"]["g"] = {"kind": "linear", "slope": 1.0, "offset": 1.5}
+config["multiscale"]["rho_bar"] = 0.0
+config["multiscale"]["beta_law"]["coeff"] = 0.0
+config["experiment"]["y_values"] = [0.5, 1.0]'
+run configs-quasipotential_reference-check-gain-zero-at-minus-1.5 check "$GAIN_ZERO_AT_MINUS_1_5_CONFIG" 64 any
+run configs-quasipotential_reference-quasipotential-gain-zero-at-minus-1.5 quasipotential \
+    "$GAIN_ZERO_AT_MINUS_1_5_CONFIG"
+
+config_error() {  # config_error NAME COMMAND CONFIG: a run of a config that cannot run
     local name="$1" status=0 left=no
-    PYTHONPATH="$ROOT/src" python3 -m fastexit exit --config "$2" --seed "$SEED" \
+    PYTHONPATH="$ROOT/src" python3 -m fastexit "$2" --config "$3" --seed "$SEED" \
         --out "$OUT/$name" > /dev/null || status=$?
     [ -e "$OUT/$name" ] && left=yes
     echo "$name status $status"
     echo "$name out_exists $left"
 }
-UNKNOWN_KIND_CONFIG="$OUT/exit-unknown-kind.json"
-python3 - configs/exit_reference.json "$UNKNOWN_KIND_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
-config["coefficients"]["f"] = {"kind": "mystery"}
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
-config_error configs-exit_reference-exit-unknown-kind "$UNKNOWN_KIND_CONFIG"
-ZERO_GAMMA_CONFIG="$OUT/exit-zero-gamma.json"
-python3 - configs/exit_reference.json "$ZERO_GAMMA_CONFIG" <<'PY'
-import json
-import sys
-
-config = json.load(open(sys.argv[1]))
+edit configs/exit_reference.json "$OUT/exit-unknown-kind.json" 'config["coefficients"]["f"] = {"kind": "mystery"}'
+config_error configs-exit_reference-exit-unknown-kind exit "$OUT/exit-unknown-kind.json"
+edit configs/exit_reference.json "$OUT/exit-zero-gamma.json" '
 config["multiscale"]["alpha_law"]["coeff"] = 0.0
 config["multiscale"]["beta_law"]["coeff"] = 0.0
-config["multiscale"]["rho_bar"] = 0.0
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-PY
-config_error configs-exit_reference-exit-zero-gamma "$ZERO_GAMMA_CONFIG"
+config["multiscale"]["rho_bar"] = 0.0'
+config_error configs-exit_reference-exit-zero-gamma exit "$OUT/exit-zero-gamma.json"
+edit configs/averaging_reference.json "$OUT/average-delta-5.json" 'config["solver"]["delta"] = 5.0'
+config_error configs-averaging_reference-average-delta-5 average "$OUT/average-delta-5.json"
+edit configs/averaging_reference.json "$OUT/dt-above-t-final.json" '
+config["solver"]["dt"] = 0.02
+config["solver"]["t_final"] = 0.01'
+for command in simulate average action; do
+    config_error "configs-averaging_reference-$command-dt-above-t-final" "$command" "$OUT/dt-above-t-final.json"
+done
+edit configs/quasipotential_reference.json "$OUT/action-missing-path.json" '
+config["experiment"] = {"kind": "action", "path_file": "missing-path.csv"}'
+(cd "$OUT" && config_error configs-quasipotential_reference-action-missing-path action "$OUT/action-missing-path.json")
+edit configs/exit_reference.json "$OUT/check-domain-excludes-0.json" '
+config["experiment"]["kind"] = "check"
+config["experiment"]["domain"] = {"center": 1.0, "level": 0.5}'
+config_error configs-exit_reference-check-domain-excludes-0 check "$OUT/check-domain-excludes-0.json"

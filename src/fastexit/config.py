@@ -6,10 +6,14 @@ subset it uses with JSON Schema's semantics: type, enum, const, anyOf,
 minimum, exclusiveMinimum, items, minItems, required, properties and
 additionalProperties: false ($schema is read as a comment).  Any other
 keyword, anywhere in a schema, is an error, so a schema edit cannot drop a
-rule silently.  Resolution materializes every default into the returned
-copy, so the config written next to the results re-validates and re-runs to
-the same outputs.  rho_bar = inf is encoded as the string "inf" (JSON has no
-infinity literal).
+rule silently.  Resolution materializes the section defaults into the
+returned copy, so the config written next to the results re-validates and
+re-runs to the same outputs; a catalog spec's optional keys are filled when
+the system is built and are not written back ({"kind": "linear", "slope":
+-1.0} resolves unchanged).  `build_system` turns a resolved config into
+everything a run reads, and is the one place that refuses a config that
+cannot run, so a run only solves.  rho_bar = inf is encoded as the string
+"inf" (JSON has no infinity literal).
 """
 
 from __future__ import annotations
@@ -19,16 +23,18 @@ import hashlib
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import AveragedModel, catalog_params, make_coefficient_set
 from .errors import ConfigError
+from .exit_times import DomainSpec, build_domain
 from .ldp import QP_HORIZONS, QP_N_NODES
 from .noise import make_b_spectrum, make_q_spectrum
 from .operator import SpectralOperator, build_neumann_laplacian_1d
-from .solver import MultiscaleParams
+from .solver import MultiscaleParams, ScalarPath
 
 _COEFF_SCHEMA = {"type": "object", "required": ["kind"], "properties": {"kind": {"type": "string"}}}
 _SPECTRUM_SCHEMA = {"type": "object", "required": ["kind"], "properties": {"kind": {"type": "string"}}}
@@ -111,7 +117,6 @@ CONFIG_SCHEMA = {
                     },
                 },
                 "t_max": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "t_max_cap": {"type": "number", "exclusiveMinimum": 0},
                 "y_values": {"type": "array", "items": {"type": "number"}},
                 "horizons": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
                 "n_nodes": {"type": "integer", "minimum": 3},
@@ -148,7 +153,6 @@ DEFAULTS = {
 _EXPERIMENT_DEFAULTS = {
     "x0": {"kind": "constant", "value": 0.0},
     "t_max": None,
-    "t_max_cap": 1e5,
     "y_values": [0.25, 0.5, 1.0],
     "horizons": list(QP_HORIZONS),
     "n_nodes": QP_N_NODES,
@@ -342,11 +346,15 @@ def rho_bar_limit(alpha_law: dict, beta_law: dict) -> float:
 
 @dataclass
 class BuiltSystem:
-    """The system, its scaling levels and the initial state, built from one config."""
+    """Everything a run reads of one config: the system, its scaling levels, the initial state,
+    the exit domain (None without `experiment.domain`) and an action run's path file (None
+    without one)."""
 
     model: AveragedModel
     params_list: list[MultiscaleParams]
     x0: np.ndarray      # (N,) mode coefficients of the initial state
+    domain: DomainSpec | None
+    path: ScalarPath | None
     config: dict
 
 
@@ -367,10 +375,20 @@ def _build_x0(spec: dict, op: SpectralOperator) -> np.ndarray:
         raise ConfigError("experiment.x0", str(exc)) from exc
 
 
+def _load_scalar_path(path: str) -> ScalarPath:
+    """The path in columns t, value of a CSV file with one header line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy only warns on a file without data rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return ScalarPath(times=data[:, 0], values=data[:, 1])
+    except (OSError, IndexError, ValueError, UserWarning) as exc:
+        raise ConfigError("experiment.path_file", f"{path}: {exc}") from exc
+
+
 def build_system(resolved: dict) -> BuiltSystem:
+    """Build what a run of a resolved config reads, or raise ConfigError for a config that cannot run."""
     op_cfg = resolved["operator"]
-    if op_cfg["builder"] != "neumann_laplacian_1d":
-        raise ConfigError("operator.builder", f"unknown builder {op_cfg['builder']!r}")
     op = build_neumann_laplacian_1d(op_cfg["n_modes"], op_cfg["grid_factor"])
     c = resolved["coefficients"]
     try:
@@ -388,9 +406,20 @@ def build_system(resolved: dict) -> BuiltSystem:
     except (ValueError, KeyError) as exc:
         raise ConfigError("noise", str(exc)) from exc
     params_list = [MultiscaleParams.from_schedule(e, ms["alpha_law"], ms["beta_law"]) for e in ms["eps"]]
-    exp = resolved["experiment"]
+    exp, sol = resolved["experiment"], resolved["solver"]
+    kind = exp["kind"]
     # an exit level's default horizon 50 exp(V_bar / gamma) does not exist at gamma = 0
-    if exp["kind"] == "exit" and exp["t_max"] is None and any(p.gamma == 0 for p in params_list):
+    if kind == "exit" and exp["t_max"] is None and any(p.gamma == 0 for p in params_list):
         raise ConfigError("multiscale", "a level with alpha = beta = 0 (gamma = 0) needs an explicit t_max")
+    path = _load_scalar_path(exp["path_file"]) if kind == "action" and exp["path_file"] else None
+    # simulate, average and the limit ODE of a path-less action step from 0 to t_final
+    if (kind in ("simulate", "average") or (kind == "action" and path is None)) and sol["dt"] > sol["t_final"]:
+        raise ConfigError("solver.dt", f"dt = {sol['dt']!r} must not exceed t_final = {sol['t_final']!r}")
+    if kind == "average" and not 0 < sol["delta"] < sol["t_final"]:
+        raise ConfigError("solver.delta", f"delta = {sol['delta']!r} must lie in (0, t_final = {sol['t_final']!r})")
+    try:
+        domain = build_domain(exp["domain"], exp["domain"]["level"]) if "domain" in exp else None
+    except ValueError as exc:
+        raise ConfigError("experiment.domain", str(exc)) from exc
     x0 = _build_x0(exp["x0"], op)
-    return BuiltSystem(model=model, params_list=params_list, x0=x0, config=resolved)
+    return BuiltSystem(model=model, params_list=params_list, x0=x0, domain=domain, path=path, config=resolved)

@@ -53,6 +53,8 @@ __all__ = [
     "check_exit_hypotheses",
 ]
 
+T_MAX_CAP = 1e5  # the longest default horizon of an exit level
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -199,14 +201,13 @@ def exit_time_mc(
     dt: float,
     seed: int,
     t_max: float | None = None,
-    t_max_cap: float = 1e5,
     threads: int = 1,
 ) -> list[ExitStats]:
     """Monte Carlo exit times across a grid of scaling levels.
 
     Per level, n_paths forward solves run until the membership level is
     crossed or t_max is reached (default 50 exp(V_bar / gamma), capped at
-    t_max_cap so runs stay deterministic and bounded; a level with gamma = 0
+    T_MAX_CAP so runs stay deterministic and bounded; a level with gamma = 0
     has no default and raises ValueError).  Path p of level l draws from its
     own stream (l << 32) | p, so a path's exit time is bit-reproducible for a
     given seed under any thread count and path count.
@@ -220,7 +221,7 @@ def exit_time_mc(
     conc_radius = dom.attraction_radius
     out = []
     for li, params in enumerate(levels):
-        level_tmax = t_max if t_max is not None else min(50.0 * math.exp(vb / params.gamma), t_max_cap)
+        level_tmax = t_max if t_max is not None else min(50.0 * math.exp(vb / params.gamma), T_MAX_CAP)
         n_max = max(1, int(math.ceil(level_tmax / dt)))
         t_max_eff = n_max * dt
         (taus, censored, diverged, nonconst), work = run_ensemble(

@@ -1,17 +1,19 @@
 """Experiment drivers: hypothesis checks, simulation, averaging, action,
 quasi-potential, and exit-time runs.
 
-`execute` is the one run lifecycle: it starts the clock, builds the system,
-makes the output directory, calls `RUNS[command]` and writes the fully
-resolved config and a manifest (config hash, code version, per-output
-checksums, wall clock, status) next to the outputs, so a results directory
-is self-describing and re-runnable.  A config that fails to build leaves no
-directory.  A run takes the built system and returns (status, outputs,
+`execute` is the one run lifecycle: it starts the clock, builds the system
+(`config.build_system`, the one place that refuses a config, so a config
+error leaves no directory), makes the output directory, calls
+`RUNS[command]` and writes the resolved config and a manifest (config hash,
+code version, per-output checksums, wall clock, status) next to the
+outputs, so a results directory is self-describing and re-runnable.  A run
+only solves: it takes the built system and returns (status, outputs,
 manifest entries): `n_paths_total`, plus `noise_draw_layout` for the runs
 that drew through the ensemble (simulate, average, exit) and
 `ensemble_work`, one {"eps", "row_steps", "chunks"} per level, for average
-and exit.  `action` drives the skeleton ODE with the one minimizing control
-of its path.  An exception leaves no manifest.  Process exit status
+and exit.  `check` and `quasipotential` test H on the same segment
+(`_h_segment`).  `action` drives the skeleton ODE with the one minimizing
+control of its path.  An exception leaves no manifest.  Process exit status
 convention: 0 success, 1 configuration or file error, 2 required hypothesis
 failed, 3 numerical failure.
 """
@@ -23,7 +25,6 @@ import hashlib
 import json
 import math
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,8 @@ from . import __version__
 from .coefficients import check_nondegeneracy
 from .config import BuiltSystem, build_system, config_hash, rho_bar_limit
 from .ensemble import NOISE_DRAW_LAYOUT
-from .errors import ConfigError, DivergenceError, NondegeneracyError
-from .exit_times import DomainSpec, build_domain, check_exit_hypotheses, exit_time_mc, membership_values
+from .errors import DivergenceError, NondegeneracyError
+from .exit_times import check_exit_hypotheses, exit_time_mc, membership_values
 from .ldp import (
     action_I,
     control_cost,
@@ -43,14 +44,7 @@ from .ldp import (
 )
 from .noise import RngStream
 from .operator import invariant_average
-from .solver import (
-    ScalarPath,
-    averaging_error_ensemble,
-    solve_controlled_ode,
-    solve_limit_ode,
-    solve_spde,
-    write_csv,
-)
+from .solver import averaging_error_ensemble, solve_controlled_ode, solve_limit_ode, solve_spde, write_csv
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS_FAILED = 2
@@ -99,9 +93,19 @@ def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: fl
     _write_json(out_dir / "run_manifest.json", manifest)
 
 
-def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
-    """The hypothesis checks that this configuration can fail, and the exit
-    domain they checked (None when the config has none or it was rejected).
+def _h_segment(system: BuiltSystem) -> tuple[float, float]:
+    """The states where H must stay positive: a quasi-potential path runs from 0 to each y; any
+    other run takes [-2, 2], widened to the exit domain's constant section, on which an exit path moves."""
+    exp = system.config["experiment"]
+    if exp["kind"] == "quasipotential":
+        ends = [0.0, *exp["y_values"]]
+    else:
+        ends = [-2.0, 2.0, *(system.domain.constant_section if system.domain is not None else ())]
+    return min(ends), max(ends)
+
+
+def hypothesis_checks(system: BuiltSystem) -> dict:
+    """The hypothesis checks that this configuration can fail.
 
     What holds for every config (the orthonormal cosine basis and its
     spectral-gap contraction, the catalog's sup bounds, the
@@ -126,25 +130,14 @@ def hypothesis_checks(system: BuiltSystem) -> tuple[dict, DomainSpec | None]:
         "ratios_at_eps": {repr(p.eps): p.schedule_ratio() for p in system.params_list},
     }
 
-    dom = None
-    span = (-2.0, 2.0)
-    if cfg["experiment"].get("domain"):
-        dspec = dict(cfg["experiment"]["domain"])
-        level = dspec.pop("level")
-        try:
-            dom = build_domain(dspec, level)
-        except ValueError as exc:
-            checks["exit_hypotheses"] = {"passed": False, "error": str(exc)}
-        else:
-            checks["exit_hypotheses"] = _jsonable(check_exit_hypotheses(model, dom))
-            x0_in = bool(membership_values(dom, system.x0) < level)
-            checks["exit_hypotheses"]["x0_inside_domain"] = x0_in
-            checks["exit_hypotheses"]["passed"] = bool(checks["exit_hypotheses"]["passed"] and x0_in)
-            y1, y2 = dom.constant_section  # an exit path moves on the whole section
-            span = (min(y1, span[0]), max(y2, span[1]))
+    dom = system.domain
+    if dom is not None:
+        report = _jsonable(check_exit_hypotheses(model, dom))
+        x0_in = bool(membership_values(dom, system.x0) < dom.level)
+        checks["exit_hypotheses"] = {**report, "x0_inside_domain": x0_in, "passed": report["passed"] and x0_in}
 
-    checks["nondegeneracy"] = _jsonable(check_nondegeneracy(model, *span))
-    return checks, dom
+    checks["nondegeneracy"] = _jsonable(check_nondegeneracy(model, *_h_segment(system)))
+    return checks
 
 
 def _write_check_report(out_dir: Path, kind: str, checks: dict) -> tuple[Path, bool]:
@@ -160,21 +153,14 @@ def _write_check_report(out_dir: Path, kind: str, checks: dict) -> tuple[Path, b
 
 
 def run_check(system: BuiltSystem, out_dir: Path) -> RunResult:
-    checks, _ = hypothesis_checks(system)
+    checks = hypothesis_checks(system)
     path, passed = _write_check_report(out_dir, system.config["experiment"]["kind"], checks)
     return EXIT_OK if passed else EXIT_HYPOTHESIS_FAILED, [path], {"n_paths_total": 0}
-
-
-def _check_solver_grid(sol: dict) -> None:
-    """A fixed-horizon run steps from 0 to t_final, so one step must fit."""
-    if sol["dt"] > sol["t_final"]:
-        raise ConfigError("solver.dt", f"dt = {sol['dt']!r} must not exceed t_final = {sol['t_final']!r}")
 
 
 def run_simulate(system: BuiltSystem, out_dir: Path) -> RunResult:
     resolved = system.config
     sol = resolved["solver"]
-    _check_solver_grid(sol)
     outputs = []
     status = EXIT_OK
     for i, params in enumerate(system.params_list):
@@ -195,7 +181,6 @@ def run_simulate(system: BuiltSystem, out_dir: Path) -> RunResult:
 def run_average(system: BuiltSystem, out_dir: Path) -> RunResult:
     resolved = system.config
     sol = resolved["solver"]
-    _check_solver_grid(sol)
     n_paths = resolved["n_paths"]
     x_mean = invariant_average(system.model.op, system.x0)
     ref = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
@@ -203,13 +188,10 @@ def run_average(system: BuiltSystem, out_dir: Path) -> RunResult:
     status = EXIT_OK
     error_note = None
     for i, params in enumerate(system.params_list):
-        try:
-            errors, work = averaging_error_ensemble(
-                system.model, params, system.x0, sol["t_final"], sol["dt"], sol["delta"], ref, n_paths,
-                seed=resolved["seed"], stream_base=i << 32, threads=resolved["threads"],
-            )
-        except ValueError as exc:  # the run builds both grids itself; only the delta window is left
-            raise ConfigError("solver.delta", str(exc)) from exc
+        errors, work = averaging_error_ensemble(
+            system.model, params, system.x0, sol["t_final"], sol["dt"], sol["delta"], ref, n_paths,
+            seed=resolved["seed"], stream_base=i << 32, threads=resolved["threads"],
+        )
         level_work.append({"eps": params.eps, **work})
         valid = errors[np.isfinite(errors)]
         n_diverged = int(n_paths - valid.size)
@@ -239,24 +221,10 @@ def run_average(system: BuiltSystem, out_dir: Path) -> RunResult:
                                           "noise_draw_layout": NOISE_DRAW_LAYOUT, "ensemble_work": level_work}
 
 
-def _load_scalar_path(path: Path) -> ScalarPath:
-    """The path in columns t, value of a CSV file with one header line."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy only warns on a file without data rows
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return ScalarPath(times=data[:, 0], values=data[:, 1])
-    except (OSError, IndexError, ValueError, UserWarning) as exc:
-        raise ConfigError("experiment.path_file", f"{path}: {exc}") from exc
-
-
 def run_action(system: BuiltSystem, out_dir: Path) -> RunResult:
     sol = system.config["solver"]
-    pf = system.config["experiment"]["path_file"]
-    if pf:
-        w = _load_scalar_path(Path(pf))
-    else:
-        _check_solver_grid(sol)
+    w = system.path
+    if w is None:
         x_mean = invariant_average(system.model.op, system.x0)
         w = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
     action = action_I(system.model, w)
@@ -275,7 +243,7 @@ def run_action(system: BuiltSystem, out_dir: Path) -> RunResult:
         "control_half_norm_sq": cost,
         "duality_gap": abs(cost - action),
         "skeleton_roundtrip_sup": float(np.abs(w_ode - w.values).max()),
-        "path_source": pf or "limit_ode",
+        "path_source": system.config["experiment"]["path_file"] or "limit_ode",
     }
     rep_path = out_dir / "action.json"
     _write_json(rep_path, report)
@@ -284,8 +252,7 @@ def run_action(system: BuiltSystem, out_dir: Path) -> RunResult:
 
 def run_quasipotential(system: BuiltSystem, out_dir: Path) -> RunResult:
     exp = system.config["experiment"]
-    # every path runs from 0 to its y, so H must stay positive on the segment that holds them all
-    span = (min([0.0, *exp["y_values"]]), max([0.0, *exp["y_values"]]))
+    span = _h_segment(system)
     report = check_nondegeneracy(system.model, *span)
     if not report.passed:
         raise NondegeneracyError(
@@ -318,15 +285,14 @@ def _extrapolate(gammas: np.ndarray, values: np.ndarray, cis: np.ndarray):
 
 def run_exit(system: BuiltSystem, out_dir: Path) -> RunResult:
     resolved = system.config
-    checks, dom = hypothesis_checks(system)
+    checks = hypothesis_checks(system)
     check_path, passed = _write_check_report(out_dir, "exit", checks)
     if not passed:
         return EXIT_HYPOTHESIS_FAILED, [check_path], {"n_paths_total": 0}
-    exp = resolved["experiment"]
     stats = exit_time_mc(
-        system.model, system.params_list, dom, system.x0,
+        system.model, system.params_list, system.domain, system.x0,
         n_paths=resolved["n_paths"], dt=resolved["solver"]["dt"], seed=resolved["seed"],
-        t_max=exp["t_max"], t_max_cap=exp["t_max_cap"], threads=resolved["threads"],
+        t_max=resolved["experiment"]["t_max"], threads=resolved["threads"],
     )
     rows = [s.row() for s in stats]
     csv_path = out_dir / "exit_stats.csv"

@@ -102,6 +102,7 @@ SCHEMA_CASES = {
     "enum-outside": _mutated(["experiment", "kind"], "mystery"),
     "enum-bool": _mutated(["experiment", "kind"], True),
     "enum-x0-kind": _mutated(["experiment", "x0", "kind"], "bogus"),
+    "enum-builder": _mutated(["operator", "builder"], "dirichlet"),
     "minimum-edge": _mutated(["operator", "n_modes"], 2),
     "minimum-below": _mutated(["operator", "n_modes"], 1),
     "minimum-zero-seed": _mutated(["seed"], 0),
@@ -165,7 +166,7 @@ def test_schema_errors_refuse_unimplemented_keywords(schema, instance):
 def test_resolution_materializes_defaults():
     resolved = resolve_config(reference_config())
     assert resolved["operator"]["grid_factor"] == 4
-    assert resolved["experiment"]["t_max_cap"] == 1e5
+    assert resolved["experiment"]["y_values"] == [0.25, 0.5, 1.0]
     assert resolved["threads"] == 1
     # a spec of another kind than the default replaces it, taking no stray keys
     assert resolved["noise"]["b_spectrum"] == {"kind": "list", "values": [1.0, 1.0]}
@@ -776,23 +777,65 @@ def test_manifest_names_draw_layout_only_for_ensemble_runs(tmp_path):
     assert set(manifest["outputs"]) == {"check_report.json", "config_resolved.json"}
 
 
-@pytest.mark.parametrize("case, field", [("unknown_f_kind", "'coefficients'"), ("zero_gamma_exit", "'multiscale'")],
-                         ids=["unknown_f_kind", "zero_gamma_exit"])
-def test_cli_config_errors_leave_no_directory(tmp_path, capsys, case, field):
-    # a config that cannot run fails before the run makes its output directory: an unknown
-    # coefficient kind, or an exit level with alpha = beta = 0 and no t_max (no default horizon)
+_CONFIG_ERRORS = {  # case: (command, field its one line names)
+    "unknown_f_kind": ("exit", "'coefficients'"),
+    "zero_gamma_exit": ("exit", "'multiscale'"),
+    "delta_above_t_final": ("average", "'solver.delta'"),
+    "simulate_dt_above_t_final": ("simulate", "'solver.dt'"),
+    "average_dt_above_t_final": ("average", "'solver.dt'"),
+    "action_dt_above_t_final": ("action", "'solver.dt'"),
+    "missing_path_file": ("action", "'experiment.path_file'"),
+    "domain_level_at_most_s_c2": ("check", "'experiment.domain'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+def test_cli_config_errors_leave_no_directory(tmp_path, capsys, case):
+    # a config that cannot run fails in build_system, before the run makes its output directory:
+    # an unknown coefficient kind, an exit level with alpha = beta = 0 and no t_max (no default
+    # horizon), an empty delta window, a step longer than a fixed horizon, a path file that is not
+    # there, or a domain level s c^2 = 1 or less (0 outside the ball)
+    command, field = _CONFIG_ERRORS[case]
     cfg = reference_config(n_paths=4)
-    cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}}
+    cfg["experiment"] = {"kind": command, "domain": {"level": 0.25}}
     if case == "unknown_f_kind":
         cfg["coefficients"] = {**cfg["coefficients"], "f": {"kind": "mystery"}}
-    else:
+    elif case == "zero_gamma_exit":
         cfg["multiscale"] = {**cfg["multiscale"], "alpha_law": {"coeff": 0.0, "exponent": 0.25},
                              "beta_law": {"coeff": 0.0, "exponent": 0.25}, "rho_bar": 0.0}
+    elif case == "delta_above_t_final":
+        cfg["solver"] = {"t_final": 1.0, "dt": 0.01, "delta": 5.0}
+    elif case.endswith("dt_above_t_final"):
+        cfg["solver"] = {"t_final": 0.01, "dt": 0.02, "delta": 0.005}
+    elif case == "missing_path_file":
+        cfg["experiment"]["path_file"] = str(tmp_path / "missing.csv")
+    else:
+        cfg["experiment"]["domain"] = {"center": 1.0, "level": 0.5}
     out = tmp_path / "out"
-    assert main(["exit", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("offset, y_values, status", [(-2.5, [3.0], 2), (1.5, [0.5, 1.0], 0)],
+                         ids=["zero_on_0_to_y_only", "zero_on_minus2_to_2_only"])
+def test_check_and_quasipotential_test_h_on_the_same_segment(tmp_path, offset, y_values, status):
+    # g = r + offset, and rho_bar = 0 leaves no boundary noise, so H vanishes where g does, at
+    # u = -offset: at 2.5, inside [0, 3] but outside [-2, 2], or at -1.5, inside [-2, 2] but
+    # outside [0, 1].  A check of a quasipotential config tests H where its run does
+    cfg = reference_config(
+        coefficients={
+            "f": {"kind": "linear", "slope": -1.0},
+            "g": {"kind": "linear", "slope": 1.0, "offset": offset},
+            "sigma": {"kind": "constant", "value": 1.0},
+        },
+        multiscale={"beta_law": {"coeff": 0.0, "exponent": 0.25}, "rho_bar": 0.0},
+    )
+    cfg["experiment"] = {"kind": "quasipotential", "y_values": y_values, "horizons": [2.0], "n_nodes": 40}
+    p = write_config(tmp_path, cfg)
+    for kind in ("check", "quasipotential"):
+        assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == status, kind
 
 
 _FILE_ERRORS = {  # case: (command, what its one line says)
