@@ -46,7 +46,9 @@
 # quasi-potential reference with the gain g = r + 1.5 and no boundary noise
 # (H vanishes at u = -1.5, inside [-2, 2] but outside the segment [0, 1] of
 # its y_values) show that `check` tests H where its run does: the `check`
-# run may end with any status, and prints it.  Last come the runs of a config
+# run may end with any status, and prints it.  So do a `check` and an
+# `action` run of the same model with the action experiment from the constant
+# x0 = 0.8, whose limit-ODE path stays in [0.29, 0.8].  Last come the runs of a config
 # error: `exit` runs of the exit reference with the unknown reaction kind
 # "mystery" and with alpha = beta = 0 (gamma = 0, rho_bar 0) and no t_max;
 # `average` on the averaging reference with solver.delta 5.0; `simulate`,
@@ -169,6 +171,12 @@ config["experiment"]["y_values"] = [0.5, 1.0]'
 run configs-quasipotential_reference-check-gain-zero-at-minus-1.5 check "$GAIN_ZERO_AT_MINUS_1_5_CONFIG" 64 any
 run configs-quasipotential_reference-quasipotential-gain-zero-at-minus-1.5 quasipotential \
     "$GAIN_ZERO_AT_MINUS_1_5_CONFIG"
+ACTION_GAIN_ZERO_AT_MINUS_1_5_CONFIG="$OUT/action-gain-zero-at-minus-1.5.json"
+edit "$GAIN_ZERO_AT_MINUS_1_5_CONFIG" "$ACTION_GAIN_ZERO_AT_MINUS_1_5_CONFIG" '
+config["experiment"] = {"kind": "action", "x0": {"kind": "constant", "value": 0.8}}'
+run configs-quasipotential_reference-check-action-gain-zero-at-minus-1.5 check \
+    "$ACTION_GAIN_ZERO_AT_MINUS_1_5_CONFIG" 64 any
+run configs-quasipotential_reference-action-gain-zero-at-minus-1.5 action "$ACTION_GAIN_ZERO_AT_MINUS_1_5_CONFIG"
 
 config_error() {  # config_error NAME COMMAND CONFIG: a run of a config that cannot run
     local name="$1" status=0 left=no

@@ -25,7 +25,6 @@ from .errors import (
     DivergenceError,
     FastexitError,
     NondegeneracyError,
-    NotApplicableError,
     OptimizationError,
 )
 from .exit_times import (

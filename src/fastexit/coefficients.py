@@ -258,10 +258,6 @@ class AveragedModel:
             return 0.0, 1.0
         return 1.0 / (1.0 + self.rho_bar), self.rho_bar / (1.0 + self.rho_bar)
 
-    @property
-    def is_additive(self) -> bool:
-        return self.coeffs.g.is_constant
-
     @cached_property
     def _nstar_m(self) -> np.ndarray:
         """(N*_delta0 m)(p) at the two boundary points.

@@ -33,8 +33,8 @@ from .errors import ConfigError
 from .exit_times import DomainSpec, build_domain
 from .ldp import QP_HORIZONS, QP_N_NODES
 from .noise import make_b_spectrum, make_q_spectrum
-from .operator import SpectralOperator, build_neumann_laplacian_1d
-from .solver import MultiscaleParams, ScalarPath
+from .operator import SpectralOperator, build_neumann_laplacian_1d, invariant_average
+from .solver import MultiscaleParams, ScalarPath, solve_limit_ode
 
 _COEFF_SCHEMA = {"type": "object", "required": ["kind"], "properties": {"kind": {"type": "string"}}}
 _SPECTRUM_SCHEMA = {"type": "object", "required": ["kind"], "properties": {"kind": {"type": "string"}}}
@@ -325,10 +325,6 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
 
 
-def parse_rho_bar(value) -> float:
-    return math.inf if value == "inf" else float(value)
-
-
 def rho_bar_limit(alpha_law: dict, beta_law: dict) -> float:
     """Limit of beta(eps)/alpha(eps) as eps -> 0 from the power laws."""
     pa, pb = alpha_law["exponent"], beta_law["exponent"]
@@ -347,8 +343,8 @@ def rho_bar_limit(alpha_law: dict, beta_law: dict) -> float:
 @dataclass
 class BuiltSystem:
     """Everything a run reads of one config: the system, its scaling levels, the initial state,
-    the exit domain (None without `experiment.domain`) and an action run's path file (None
-    without one)."""
+    the exit domain (None without `experiment.domain`) and an action config's path: its path
+    file, or else the limit ODE from x0's invariant average (None for any other kind)."""
 
     model: AveragedModel
     params_list: list[MultiscaleParams]
@@ -401,7 +397,7 @@ def build_system(resolved: dict) -> BuiltSystem:
             op=op, coeffs=cs,
             q_lambdas=make_q_spectrum(resolved["noise"]["q_spectrum"], op.n_modes),
             b_thetas=make_b_spectrum(resolved["noise"]["b_spectrum"]),
-            rho_bar=parse_rho_bar(ms["rho_bar"]), delta0=ms["delta0"],
+            rho_bar=math.inf if ms["rho_bar"] == "inf" else float(ms["rho_bar"]), delta0=ms["delta0"],
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError("noise", str(exc)) from exc
@@ -422,4 +418,6 @@ def build_system(resolved: dict) -> BuiltSystem:
     except ValueError as exc:
         raise ConfigError("experiment.domain", str(exc)) from exc
     x0 = _build_x0(exp["x0"], op)
+    if kind == "action" and path is None:
+        path = solve_limit_ode(model, invariant_average(op, x0), sol["t_final"], sol["dt"])
     return BuiltSystem(model=model, params_list=params_list, x0=x0, domain=domain, path=path, config=resolved)

@@ -18,10 +18,6 @@ class NondegeneracyError(FastexitError):
     """The noise intensity H vanished (or went negative) along a path."""
 
 
-class NotApplicableError(FastexitError):
-    """An operation was called on a model outside its validity regime."""
-
-
 class OptimizationError(FastexitError):
     """A path optimization did not converge; carries the best value attained."""
 

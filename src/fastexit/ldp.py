@@ -21,12 +21,12 @@ derivative stencil and the control's interpolation; both identities are the
 backbone of the test suite, and the `action` run reports both.
 
 Quasi-potential: V(y) = inf over horizons T and paths 0 -> y of I; computed
-either from the closed form V(y) = (2/H) int_0^y max(-F_bar(s), 0) ds for
-y > 0, mirrored for y < 0 (additive noise, constant H),
-or variationally by a banded Newton minimization over interior path nodes
-with the exact gradient and pentadiagonal Hessian of the discrete action,
-started from the exact minimizer of the action with F_bar linearized at the
-start state, and an outer minimum over a horizon grid.
+either explicitly, as the 1-D integral V(y) = 2 int_0^y max(-F_bar(s), 0) / H(s) ds
+for y > 0, mirrored for y < 0 (any catalog gain: rare events run along
+constant states), or variationally by a banded Newton minimization over
+interior path nodes with the exact gradient and pentadiagonal Hessian of the
+discrete action, started from the exact minimizer of the action with F_bar
+linearized at the start state, and an outer minimum over a horizon grid.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import AveragedModel
-from .errors import NondegeneracyError, NotApplicableError, OptimizationError
+from .errors import NondegeneracyError, OptimizationError
 from .solver import ScalarPath, write_csv
 
 __all__ = [
@@ -95,13 +95,18 @@ def path_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return d
 
 
+def _require_positive_h(model: AveragedModel, lo: float, hi: float) -> None:
+    """Raise NondegeneracyError unless H stays positive on [lo, hi]."""
+    if not model.h_min(lo, hi)[0] > 0.0:
+        raise NondegeneracyError("noise intensity H vanishes on the path")
+
+
 def _path_quantities(model: AveragedModel, values):
     """F_bar and H at the nodes, once H is known to stay positive between them too.
 
     The piecewise-linear path visits every state between its least and largest
     node, so that is where H must not vanish."""
-    if not model.h_min(float(values.min()), float(values.max()))[0] > 0.0:
-        raise NondegeneracyError("noise intensity H vanishes on the path")
+    _require_positive_h(model, float(values.min()), float(values.max()))
     return model.f_bar(values), model.h(values)
 
 
@@ -147,6 +152,14 @@ def _stencil(n: int, dt: float):
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """The 64-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _action_derivatives(model: AveragedModel, times: np.ndarray, values: np.ndarray):
@@ -381,30 +394,24 @@ def minimize_path_action(
 
 
 def quasi_potential_explicit(model: AveragedModel, y: float) -> float:
-    """Closed-form quasi-potential V(y) = -(2/H) int_0^y min(F_bar(s), 0) ds for y > 0,
-    with max for y < 0: only the climb against the averaged flow costs.
-
-    Valid for additive noise (constant g), where H is constant; raises
-    NotApplicableError otherwise.
+    """Quasi-potential V(y) = -2 int_0^y min(F_bar(s), 0) / H(s) ds for y > 0, with max for y < 0:
+    only the climb against the averaged flow costs.  Rare events run along constant states, so
+    this holds for every catalog gain.  Raises NondegeneracyError unless H > 0 between 0 and y.
     """
-    if not model.is_additive:
-        raise NotApplicableError("explicit quasi-potential requires additive noise (constant g)")
-    h = float(model.h(0.0))
-    if h <= 0:
-        raise NondegeneracyError("noise intensity H is not positive")
     if y == 0.0:
         return 0.0
+    _require_positive_h(model, min(0.0, y), max(0.0, y))
     clip = np.minimum if y > 0 else np.maximum
     # cut [0, y] at F_bar's one root (F_bar is monotone), so the clipped
     # integrand is smooth on each piece, and apply a fixed Gauss-Legendre rule per piece
     root = model.f_bar_root
     ends = [0.0, root, y] if min(0.0, y) < root < max(0.0, y) else [0.0, y]
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = _gauss_legendre()
     integral = 0.0
     for a, b in zip(ends, ends[1:]):
         s = a + 0.5 * (b - a) * (nodes + 1.0)
-        integral += 0.5 * (b - a) * float((weights * clip(model.f_bar(s), 0.0)).sum())
-    return -2.0 * integral / h
+        integral += 0.5 * (b - a) * float((weights * clip(model.f_bar(s), 0.0) / model.h(s)).sum())
+    return -2.0 * integral
 
 
 def quasi_potential_variational(
@@ -427,11 +434,11 @@ def v_bar(model: AveragedModel, domain) -> float:
     """Quasi-potential infimum over the domain boundary.
 
     For domains whose intersection with the constant states is the interval
-    (y1, y2), this is min(V(y1), V(y2)); the explicit formula is used when
+    (y1, y2), this is min(V(y1), V(y2)); the explicit quadrature is used when
     the model is additive, the variational minimization on the default
     horizon grid and path nodes otherwise.
     """
     y1, y2 = domain.constant_section
-    if model.is_additive:
+    if model.coeffs.g.is_constant:
         return min(quasi_potential_explicit(model, y1), quasi_potential_explicit(model, y2))
     return min(quasi_potential_variational(model, y1), quasi_potential_variational(model, y2))

@@ -11,11 +11,11 @@ only solves: it takes the built system and returns (status, outputs,
 manifest entries): `n_paths_total`, plus `noise_draw_layout` for the runs
 that drew through the ensemble (simulate, average, exit) and
 `ensemble_work`, one {"eps", "row_steps", "chunks"} per level, for average
-and exit.  `check` and `quasipotential` test H on the same segment
-(`_h_segment`).  `action` drives the skeleton ODE with the one minimizing
-control of its path.  An exception leaves no manifest.  Process exit status
-convention: 0 success, 1 configuration or file error, 2 required hypothesis
-failed, 3 numerical failure.
+and exit.  `check` tests H on the segment (`_h_segment`) where `action` and
+`quasipotential` refuse a vanishing H (`_require_nondegenerate`).  `action`
+drives the skeleton ODE with the one minimizing control of its path.  An
+exception leaves no manifest.  Process exit status convention: 0 success, 1
+configuration or file error, 2 required hypothesis failed, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -94,14 +94,27 @@ def finalize_run(out_dir: Path, resolved: dict, outputs: list[Path], started: fl
 
 
 def _h_segment(system: BuiltSystem) -> tuple[float, float]:
-    """The states where H must stay positive: a quasi-potential path runs from 0 to each y; any
-    other run takes [-2, 2], widened to the exit domain's constant section, on which an exit path moves."""
+    """The states where H must stay positive: a quasi-potential path runs from 0 to each y, an action
+    path between its least and largest value; any other run takes [-2, 2], widened to the exit
+    domain's constant section, on which an exit path moves."""
     exp = system.config["experiment"]
     if exp["kind"] == "quasipotential":
         ends = [0.0, *exp["y_values"]]
+    elif exp["kind"] == "action":
+        ends = [float(system.path.values.min()), float(system.path.values.max())]
     else:
         ends = [-2.0, 2.0, *(system.domain.constant_section if system.domain is not None else ())]
     return min(ends), max(ends)
+
+
+def _require_nondegenerate(system: BuiltSystem) -> None:
+    """Raise NondegeneracyError where `check` would fail the nondegeneracy check of this config."""
+    span = _h_segment(system)
+    report = check_nondegeneracy(system.model, *span)
+    if not report.passed:
+        raise NondegeneracyError(
+            f"noise intensity H falls to {report.min_h:.6g} at u = {report.argmin_u:.6g} on "
+            f"[{span[0]:g}, {span[1]:g}], not above the floor {report.floor:g}")
 
 
 def hypothesis_checks(system: BuiltSystem) -> dict:
@@ -222,11 +235,8 @@ def run_average(system: BuiltSystem, out_dir: Path) -> RunResult:
 
 
 def run_action(system: BuiltSystem, out_dir: Path) -> RunResult:
-    sol = system.config["solver"]
+    _require_nondegenerate(system)
     w = system.path
-    if w is None:
-        x_mean = invariant_average(system.model.op, system.x0)
-        w = solve_limit_ode(system.model, x_mean, sol["t_final"], sol["dt"])
     action = action_I(system.model, w)
     ctrl = minimizing_control(system.model, w)
     cost = control_cost(ctrl)
@@ -252,17 +262,9 @@ def run_action(system: BuiltSystem, out_dir: Path) -> RunResult:
 
 def run_quasipotential(system: BuiltSystem, out_dir: Path) -> RunResult:
     exp = system.config["experiment"]
-    span = _h_segment(system)
-    report = check_nondegeneracy(system.model, *span)
-    if not report.passed:
-        raise NondegeneracyError(
-            f"noise intensity H falls to {report.min_h:.6g} at u = {report.argmin_u:.6g} on "
-            f"[{span[0]:g}, {span[1]:g}], not above the floor {report.floor:g}")
-    rows = []
-    for y in exp["y_values"]:
-        v_var = quasi_potential_variational(system.model, y, tuple(exp["horizons"]), exp["n_nodes"])
-        v_exp = quasi_potential_explicit(system.model, y) if system.model.is_additive else float("nan")
-        rows.append([y, v_var, v_exp])
+    _require_nondegenerate(system)
+    rows = [[y, quasi_potential_variational(system.model, y, tuple(exp["horizons"]), exp["n_nodes"]),
+             quasi_potential_explicit(system.model, y)] for y in exp["y_values"]]
     csv_path = out_dir / "quasipotential.csv"
     write_csv(csv_path, ["y", "v_variational", "v_explicit"], rows)
     return EXIT_OK, [csv_path], {"n_paths_total": 0}

@@ -367,14 +367,6 @@ def test_cli_statuses(tmp_path):
     assert main(["check", "--config", str(malformed), "--out", str(out)]) == 1
 
 
-def test_cli_average_rejects_empty_delta_window(tmp_path, capsys):
-    cfg = reference_config(solver={"t_final": 1.0, "dt": 0.01, "delta": 5.0}, n_paths=4)
-    cfg["experiment"] = {"kind": "average"}
-    p = write_config(tmp_path, cfg)
-    assert main(["average", "--config", str(p), "--out", str(tmp_path / "avg")]) == 1
-    assert "solver.delta" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("path, value", [
     (("operator", "n_modes"), 8.0),
     (("n_paths",), 8.0),
@@ -429,18 +421,6 @@ def test_resolve_config_refuses_non_finite_numbers():
     with pytest.raises(ConfigError, match="inf is not a number") as exc:
         resolve_config(cfg)
     assert exc.value.field_path == "multiscale.eps.1"
-
-
-def test_cli_fixed_horizon_runs_reject_dt_above_t_final(tmp_path, capsys):
-    # simulate and average step from 0 to t_final, and action integrates the
-    # limit ODE there: a step longer than the horizon is a config error
-    for kind in ("simulate", "average", "action"):
-        cfg = reference_config(solver={"t_final": 0.01, "dt": 0.02, "delta": 0.005}, n_paths=4)
-        cfg["experiment"] = {"kind": kind}
-        p = write_config(tmp_path, cfg, f"{kind}.json")
-        assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "solver.dt" in err
 
 
 def test_cli_quasipotential_degenerate_h_fails_hypothesis(tmp_path, capsys):
@@ -818,12 +798,22 @@ def test_cli_config_errors_leave_no_directory(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("offset, y_values, status", [(-2.5, [3.0], 2), (1.5, [0.5, 1.0], 0)],
-                         ids=["zero_on_0_to_y_only", "zero_on_minus2_to_2_only"])
-def test_check_and_quasipotential_test_h_on_the_same_segment(tmp_path, offset, y_values, status):
+_QP = {"kind": "quasipotential", "horizons": [2.0], "n_nodes": 40}
+
+
+@pytest.mark.parametrize("offset, experiment, status", [
+    (-2.5, {**_QP, "y_values": [3.0]}, 2),
+    (1.5, {**_QP, "y_values": [0.5, 1.0]}, 0),
+    (1.5, {"kind": "action", "x0": {"kind": "constant", "value": 0.8}}, 0),
+    (2.5, {"kind": "action", "x0": {"kind": "constant", "value": -3.0}}, 2),
+], ids=["zero_on_0_to_y_only", "zero_on_minus2_to_2_only", "action_zero_on_minus2_to_2_only",
+        "action_zero_on_its_path_only"])
+def test_check_and_quasipotential_test_h_on_the_same_segment(tmp_path, offset, experiment, status):
     # g = r + offset, and rho_bar = 0 leaves no boundary noise, so H vanishes where g does, at
     # u = -offset: at 2.5, inside [0, 3] but outside [-2, 2], or at -1.5, inside [-2, 2] but
-    # outside [0, 1].  A check of a quasipotential config tests H where its run does
+    # outside [0, 1].  An action path is the limit ODE from x0, u = x0 e^-t on [0, 0.5]: from 0.8
+    # it stays above -1.5, and from -3 it crosses -2.5, outside [-2, 2].  A check of a
+    # quasipotential or action config tests H where its run does
     cfg = reference_config(
         coefficients={
             "f": {"kind": "linear", "slope": -1.0},
@@ -832,9 +822,9 @@ def test_check_and_quasipotential_test_h_on_the_same_segment(tmp_path, offset, y
         },
         multiscale={"beta_law": {"coeff": 0.0, "exponent": 0.25}, "rho_bar": 0.0},
     )
-    cfg["experiment"] = {"kind": "quasipotential", "y_values": y_values, "horizons": [2.0], "n_nodes": 40}
+    cfg["experiment"] = experiment
     p = write_config(tmp_path, cfg)
-    for kind in ("check", "quasipotential"):
+    for kind in ("check", experiment["kind"]):
         assert main([kind, "--config", str(p), "--out", str(tmp_path / kind)]) == status, kind
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from fastexit.ldp import (
 from fastexit.solver import solve_controlled_ode
 from conftest import build_model
 
+ROOT = Path(__file__).parents[1]
 LOGISTIC_GAIN = {"kind": "logistic_clipped", "amp": 0.5, "width": 1.0, "offset": 1.0}
 
 
@@ -309,9 +312,36 @@ def test_quasi_potential_explicit(ref_op):
     assert fx.quasi_potential_explicit(model, 0.0) == 0.0
     for y in (-0.5, 0.25, 1.0):
         assert fx.quasi_potential_explicit(model, y) == pytest.approx(y**2, rel=1e-10)
+    # g = r + 1: V(y) = 2 int_0^y s / H(s) ds, against the trapezoid rule on a fine grid
     multiplicative = build_model(ref_op, g_spec={"kind": "linear", "slope": 1.0, "offset": 1.0})
-    with pytest.raises(fx.NotApplicableError):
-        fx.quasi_potential_explicit(multiplicative, 0.5)
+    for y in (-0.5, 0.5):
+        s = np.linspace(0.0, y, 20001)
+        want = 2.0 * float(np.trapezoid(np.abs(s) / multiplicative.h(s), np.abs(s)))
+        assert fx.quasi_potential_explicit(multiplicative, y) == pytest.approx(want, rel=1e-8), y
+
+
+def test_quasi_potential_explicit_matches_variational_on_the_benchmark_gain():
+    # the quasipotential-multiplicative benchmark's logistic gain: rare events run along constant
+    # states, so the 1-D quadrature is the minimal action over the benchmark's horizons and nodes
+    cfg = json.loads((ROOT / "perfbench" / "workloads" / "quasipotential-multiplicative.json").read_text())
+    model = build_system(resolve_config(cfg)).model
+    assert not model.coeffs.g.is_constant
+    for y in (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0):
+        explicit = fx.quasi_potential_explicit(model, y)
+        assert explicit == pytest.approx(fx.quasi_potential_variational(model, y, (2.0, 4.0, 8.0), 200), rel=1e-3), y
+
+
+def test_quasi_potential_explicit_refuses_h_vanishing_inside_the_segment():
+    # g = r - 0.7 and rho_bar = 0: H = 2 (u - 0.7)^2 is positive at 0 and vanishes inside (0, 1)
+    op = fx.build_neumann_laplacian_1d(8)
+    model = build_model(
+        op, g_spec={"kind": "linear", "slope": 1.0, "offset": -0.7},
+        q_spec={"kind": "flat", "value": np.sqrt(2.0)}, rho_bar=0.0,
+    )
+    assert float(model.h(0.0)) > 0.0
+    with pytest.raises(fx.NondegeneracyError):
+        fx.quasi_potential_explicit(model, 1.0)
+    assert math.isfinite(fx.quasi_potential_explicit(model, 0.5))
 
 
 def test_quasi_potential_explicit_cuts_at_the_root_of_a_logistic_drift(ref_op):
