@@ -10,8 +10,9 @@ leaves are matched by position and key.  Prints one line per file: the
 largest difference |a - b| over its numeric fields, divided by the largest
 magnitude among the file's finite numeric fields in either tree (so a value
 near zero beside values of order one does not read as a large change), or
-FAIL with the first mismatch when a non-numeric field differs, a file is
-missing, or the files have a different shape.  Exits 1 if any file fails.
+FAIL with the first mismatch when a non-numeric field differs, a NaN became
+a number or a number became NaN (naming the field), a file is missing, or
+the files have a different shape.  Exits 1 if any file fails.
 A changed checksum whose file reports a difference at rounding level
 (around 1e-15) changed in its last digits only.
 """
@@ -40,7 +41,8 @@ def _number(value):
 
 
 def _numeric_pairs(a, b, where: str):
-    """Yield the matched numeric leaves (x, y) of a and b; Mismatch on anything else."""
+    """Yield the matched numeric leaves (x, y) of a and b; Mismatch on anything else, or on a
+    NaN matched with a number."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             raise Mismatch(f"{where}: keys {sorted(a)} != {sorted(b)}")
@@ -54,6 +56,9 @@ def _numeric_pairs(a, b, where: str):
     else:
         x, y = _number(a), _number(b)
         if x is not None and y is not None:
+            if math.isnan(x) != math.isnan(y):
+                change = "a NaN became a number" if math.isnan(x) else "a number became NaN"
+                raise Mismatch(f"{where}: {a!r} -> {b!r}, {change}")
             yield x, y
         elif a != b:
             raise Mismatch(f"{where}: {a!r} != {b!r}")

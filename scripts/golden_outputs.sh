@@ -25,7 +25,9 @@
 # reference reads a path file that the script writes under OUT_DIR (w(t) = 0.5 sin(pi t) + 0.2 t on [0, 1], step
 # 1e-3), so the duality gap and the skeleton round trip of a path that costs
 # something are covered too; it runs from OUT_DIR, so that action.json
-# records the file by a name that does not depend on OUT_DIR.  A `check` run
+# records the file by a name that does not depend on OUT_DIR.  One more
+# action run reads the same path with its times shifted to start at 0.5:
+# the skeleton ODE steps on the path's own grid, wherever it starts.  A `check` run
 # of the quasi-potential workload and an `action` run of its model on the
 # same path file cover the nondegeneracy check and the skeleton ODE with a
 # state-dependent gain (every reference config's gain is constant).  A
@@ -120,7 +122,7 @@ T_MAX_CONFIG="$OUT/exit-additive-tmax1.json"
 edit perfbench/workloads/exit-additive.json "$T_MAX_CONFIG" 'config["experiment"]["t_max"] = 1.0'
 run perfbench-exit-additive-exit-tmax1 exit "$T_MAX_CONFIG"
 PATH_CONFIG="$OUT/action-sine-path.json"
-python3 - configs/quasipotential_reference.json "$PATH_CONFIG" "$OUT/sine-path.csv" <<'PY'
+python3 - configs/quasipotential_reference.json "$PATH_CONFIG" "$OUT/sine-path.csv" "$OUT/sine-path-from-0.5.csv" <<'PY'
 import json
 import math
 import sys
@@ -128,13 +130,17 @@ import sys
 config = json.load(open(sys.argv[1]))
 config["experiment"] = {"kind": "action", "path_file": "sine-path.csv"}
 json.dump(config, open(sys.argv[2], "w"), indent=2)
-with open(sys.argv[3], "w") as fh:
-    fh.write("t,value\n")
-    for i in range(1001):
-        t = i / 1000
-        fh.write(f"{t!r},{0.5 * math.sin(math.pi * t) + 0.2 * t!r}\n")
+for name, start in ((sys.argv[3], 0.0), (sys.argv[4], 0.5)):
+    with open(name, "w") as fh:
+        fh.write("t,value\n")
+        for i in range(1001):
+            t = i / 1000
+            fh.write(f"{start + t!r},{0.5 * math.sin(math.pi * t) + 0.2 * t!r}\n")
 PY
 (cd "$OUT" && run configs-quasipotential_reference-action-sine-path action "$PATH_CONFIG")
+LATE_PATH_CONFIG="$OUT/action-sine-path-from-0.5.json"
+edit "$PATH_CONFIG" "$LATE_PATH_CONFIG" 'config["experiment"]["path_file"] = "sine-path-from-0.5.csv"'
+(cd "$OUT" && run configs-quasipotential_reference-action-sine-path-from-0.5 action "$LATE_PATH_CONFIG")
 run perfbench-quasipotential-multiplicative-check check perfbench/workloads/quasipotential-multiplicative.json
 MULT_PATH_CONFIG="$OUT/action-sine-path-multiplicative.json"
 edit perfbench/workloads/quasipotential-multiplicative.json "$MULT_PATH_CONFIG" '

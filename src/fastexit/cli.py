@@ -6,18 +6,20 @@ in config_resolved.json.
 Exit status: 0 success, 1 configuration or file error, 2 required
 hypothesis failed (a check, or a noise intensity H that vanishes where an
 action or quasi-potential needs it), 3 numerical failure: a diverged path or
-an optimizer that did not converge.
+an optimizer that did not converge.  A run that ends with a nonzero status
+prints one line to stderr, with the `error` its manifest records.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from .config import load_config, resolve_config
-from .errors import ConfigError, DivergenceError, NondegeneracyError, OptimizationError
-from .runs import EXIT_DIVERGED, EXIT_HYPOTHESIS_FAILED, RUNS, execute
+from .errors import ConfigError
+from .runs import RUNS, execute
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,19 +63,16 @@ def main(argv=None) -> int:
         if args.command != "check" and experiment["kind"] != args.command:
             experiment["kind"] = args.command
         resolved = resolve_config(raw)
-        status = execute(args.command, resolved, Path(resolved["output_dir"]))
+        out_dir = Path(resolved["output_dir"])
+        status = execute(args.command, resolved, out_dir)
         if status != 0:
-            print(f"fastexit {args.command}: finished with status {status}", file=sys.stderr)
+            error = json.loads((out_dir / "run_manifest.json").read_text()).get("error")
+            print(f"fastexit {args.command}: finished with status {status}" + (f": {error}" if error else ""),
+                  file=sys.stderr)
         return status
     except (ConfigError, OSError) as exc:
         print(f"fastexit: {exc}", file=sys.stderr)
         return 1
-    except NondegeneracyError as exc:
-        print(f"fastexit: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS_FAILED
-    except (DivergenceError, OptimizationError) as exc:
-        print(f"fastexit: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

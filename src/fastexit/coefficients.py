@@ -125,19 +125,19 @@ class Coefficient:
         """phi(r) = r: the coefficient is affine in r."""
         return self.kind != "logistic_clipped"
 
+    # phi, phi' and phi'' take a float or an array of states as given, and a float gives
+    # the same value as a one-element array holding it
     def phi(self, r):
-        r = np.asarray(r, dtype=float)
         return r if self.shape_is_identity else np.tanh(r / self.params["width"])
 
     def phi_prime(self, r):
-        r = np.asarray(r, dtype=float)
         if self.shape_is_identity:
             return np.ones_like(r)
         w = self.params["width"]
-        return (1.0 - np.tanh(r / w) ** 2) / w  # sech^2, without the overflow of cosh
+        t = np.tanh(r / w)
+        return (1.0 - t * t) / w  # sech^2, without the overflow of cosh
 
     def phi_second(self, r):
-        r = np.asarray(r, dtype=float)
         if self.shape_is_identity:
             return np.zeros_like(r)
         w = self.params["width"]
@@ -311,10 +311,10 @@ class AveragedModel:
     def row_h(self, u):
         """sqrt(Q)[g(., u) m] as mode coefficients; shape (..., N)."""
         a, b = self.g_rows
-        return self.coeffs.g.phi(u)[..., None] * a + b
+        return np.multiply.outer(self.coeffs.g.phi(u), a) + b
 
     def row_h_prime(self, u):
-        return self.coeffs.g.phi_prime(u)[..., None] * self.g_rows[0]
+        return np.multiply.outer(self.coeffs.g.phi_prime(u), self.g_rows[0])
 
     def row_z(self) -> np.ndarray:
         """delta0 sqrt(B)[Sigma N*_delta0 m] at the two boundary points."""

@@ -13,9 +13,11 @@ that drew through the ensemble (simulate, average, exit) and
 `ensemble_work`, one {"eps", "row_steps", "chunks"} per level, for average
 and exit.  `check` tests H on the segment (`_h_segment`) where `action` and
 `quasipotential` refuse a vanishing H (`_require_nondegenerate`).  `action`
-drives the skeleton ODE with the one minimizing control of its path.  An
-exception leaves no manifest.  Process exit status convention: 0 success, 1
-configuration or file error, 2 required hypothesis failed, 3 numerical failure.
+drives the skeleton ODE with the one minimizing control of its path.
+`execute` is also the one place that maps a run's exceptions to statuses: a
+run that raises still writes its manifest, with the message under `error`.
+Process exit status convention: 0 success, 1 configuration or file error, 2
+required hypothesis failed, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import __version__
 from .coefficients import check_nondegeneracy
 from .config import BuiltSystem, build_system, config_hash, rho_bar_limit
 from .ensemble import NOISE_DRAW_LAYOUT
-from .errors import DivergenceError, NondegeneracyError
+from .errors import DivergenceError, NondegeneracyError, OptimizationError
 from .exit_times import check_exit_hypotheses, exit_time_mc, membership_values
 from .ldp import (
     action_I,
@@ -240,10 +242,8 @@ def run_action(system: BuiltSystem, out_dir: Path) -> RunResult:
     action = action_I(system.model, w)
     ctrl = minimizing_control(system.model, w)
     cost = control_cost(ctrl)
-    # the skeleton ODE driven by the control reproduces w; a path file's grid may start after 0
-    node_times = w.times - w.times[0]
-    w_ode = solve_controlled_ode(system.model, w.values[0], node_times, ctrl.phi_h, ctrl.phi_z,
-                                 node_times[-1], w.dt)
+    # the skeleton ODE driven by the control reproduces w
+    w_ode = solve_controlled_ode(system.model, w.values[0], ctrl)
     ctrl_path = out_dir / "minimizing_control.csv"
     ctrl.write_csv(ctrl_path)
     path_path = out_dir / "path.csv"
@@ -355,10 +355,19 @@ RUNS = {
 
 def execute(command: str, resolved: dict, out_dir: Path) -> int:
     """Build the system of a resolved config, make out_dir, run `command` on the system into it and
-    record the run with its status; return the status."""
+    record the run with its status; return the status.
+
+    A ConfigError leaves no directory.  A run that raises NondegeneracyError (status 2),
+    DivergenceError or OptimizationError (status 3), while it builds or solves, still records
+    itself: its manifest holds the status and the message under `error`."""
     started = time.monotonic()
-    system = build_system(resolved)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    status, outputs, entries = RUNS[command](system, out_dir)
+    try:
+        system = build_system(resolved)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        status, outputs, entries = RUNS[command](system, out_dir)
+    except (NondegeneracyError, DivergenceError, OptimizationError) as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        status = EXIT_HYPOTHESIS_FAILED if isinstance(exc, NondegeneracyError) else EXIT_DIVERGED
+        outputs, entries = [], {"error": str(exc)}
     finalize_run(out_dir, resolved, outputs, started, {"status": status, **entries})
     return status

@@ -7,9 +7,11 @@ Three related dynamics are integrated here:
   is handled exactly, so the time step is independent of eps);
 * the deterministic limit ODE  u' = F_bar(u)  by classical RK4;
 * the controlled (skeleton) ODE driven by one deterministic control
-  phi = (phi_H, phi_Z), by RK4 with the control interpolated between nodes.
+  phi = (phi_H, phi_Z), by RK4 on the control's node grid.
 
-Both ODEs are scalar: RK4 advances one state, a float, per step.
+The limit ODE is the skeleton ODE with zero control, so one scalar RK4 loop
+integrates both; it advances one state, a float, per step, and takes the
+control, linear between its nodes, as two precomputed floats per node.
 
 The full system is stepped from (model, params): the system's one description,
 a `coefficients.AveragedModel`, at one scaling level `MultiscaleParams`.  The
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +33,9 @@ from .ensemble import SpdeStepper, run_ensemble
 from .errors import DivergenceError
 from .noise import RngStream
 from .operator import SpectralOperator
+
+if TYPE_CHECKING:
+    from .ldp import ControlPath
 
 __all__ = [
     "MultiscaleParams",
@@ -141,22 +147,6 @@ def _time_grid(t_final: float, dt: float) -> tuple[np.ndarray, float, int]:
     return np.arange(n + 1) * dt_eff, dt_eff, n
 
 
-def _control_interpolant(node_times: np.ndarray, control: np.ndarray):
-    """Piecewise-linear t -> control(t), a list of d floats, on a uniform node grid of the
-    (n_nodes, d) control."""
-    t0, dtg = float(node_times[0]), float(node_times[1] - node_times[0])
-    rows = control.tolist()
-    last = len(rows) - 1
-
-    def at(t):
-        s = min(max((t - t0) / dtg, 0.0), float(last))
-        i = min(int(s), last - 1)
-        w = s - i
-        return [(1.0 - w) * lo + w * hi for lo, hi in zip(rows[i], rows[i + 1])]
-
-    return at
-
-
 class _PathObserver:
     """`run_ensemble` observer of one path: its states from step 0 on, and the index
     of its first diverged state (0 while none has)."""
@@ -196,17 +186,28 @@ def solve_spde(
     return FieldTrajectory(times=times, states=states[0])
 
 
-def _rk4(rhs, u0: float, times: np.ndarray) -> np.ndarray:
-    """Classical RK4 of one scalar state over a uniform grid, with rhs(t, u) a float; the states at every grid time."""
+def _rk4(model: AveragedModel, u0: float, times: np.ndarray, c_gain: list, c_rest: list) -> np.ndarray:
+    """Classical RK4 of the scalar skeleton ODE u' = F_bar(u) + phi_g(u) c_gain(t) + c_rest(t) over a
+    uniform grid, with the control's two scalars given as floats at the grid times and linear between
+    them; the states at every grid time.
+
+    A step's end stages take the node values, and its two midpoint stages their mean, which is the
+    piecewise-linear control at the midpoint."""
+    f_bar, phi_g = model.f_bar, model.coeffs.g.phi
     out = np.empty(len(times))
     u = out[0] = float(u0)
     ts = times.tolist()
     for i in range(len(ts) - 1):
-        t, dt = ts[i], ts[i + 1] - ts[i]
-        k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
+        dt = ts[i + 1] - ts[i]
+        g0, g1, r0, r1 = c_gain[i], c_gain[i + 1], c_rest[i], c_rest[i + 1]
+        gm, rm = (g0 + g1) / 2, (r0 + r1) / 2
+        k1 = f_bar(u) + phi_g(u) * g0 + r0
+        v = u + dt / 2 * k1
+        k2 = f_bar(v) + phi_g(v) * gm + rm
+        v = u + dt / 2 * k2
+        k3 = f_bar(v) + phi_g(v) * gm + rm
+        v = u + dt * k3
+        k4 = f_bar(v) + phi_g(v) * g1 + r1
         u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not math.isfinite(u):
             raise DivergenceError(step=i + 1, t=times[i + 1])
@@ -215,45 +216,30 @@ def _rk4(rhs, u0: float, times: np.ndarray) -> np.ndarray:
 
 
 def solve_limit_ode(model: AveragedModel, x_mean: float, t_final: float, dt: float) -> ScalarPath:
-    """RK4 on the averaged limit dynamics u' = F_bar(u), u(0) = <x, mu>."""
+    """RK4 on the averaged limit dynamics u' = F_bar(u), u(0) = <x, mu>: the skeleton ODE with zero control."""
     times, _, _ = _time_grid(t_final, dt)
-    return ScalarPath(times=times, values=_rk4(lambda t, u: float(model.f_bar(u)), x_mean, times))
+    zero = [0.0] * len(times)
+    return ScalarPath(times=times, values=_rk4(model, x_mean, times, zero, zero))
 
 
-def solve_controlled_ode(
-    model: AveragedModel,
-    x_mean: float,
-    node_times: np.ndarray,
-    phi_h: np.ndarray,
-    phi_z: np.ndarray,
-    t_final: float,
-    dt: float,
-) -> np.ndarray:
-    """RK4 on the skeleton dynamics for one control on a uniform node grid,
+def solve_controlled_ode(model: AveragedModel, x_mean: float, control: ControlPath) -> np.ndarray:
+    """RK4 on the skeleton dynamics driven by one control, on the control's own node grid,
 
         u' = F_bar(u) + w_H <phi_H(t), row_H(u)> + w_Z <phi_Z(t), row_Z>
 
     with weights (w_H, w_Z) = (1/(1+rho_bar), rho_bar/(1+rho_bar)) and the
-    control interpolated linearly between nodes.  phi_h has shape
-    (n_nodes, N) and phi_z (n_nodes, 2); returns the (n_steps + 1,) path values.
+    control linear between its nodes; returns the path values at the control's
+    times.  The system is autonomous, so where the grid starts does not matter.
 
-    row_H(u) = phi_g(u) a + b, so the forcing is phi_g(u) w_H <phi_H, a> +
-    w_H <phi_H, b> + w_Z <phi_Z, row_Z>: the control is projected onto these
-    two scalars per node once, and each stage interpolates the pair.
+    row_H(u) = phi_g(u) a + b, so the forcing is phi_g(u) c_gain + c_rest, with
+    c_gain = w_H <phi_H, a> and c_rest = w_H <phi_H, b> + w_Z <phi_Z, row_Z>:
+    the control is projected onto these two scalars per node once.
     """
-    times, _, _ = _time_grid(t_final, dt)
     w_h, w_z = model.weights
     a, b = model.g_rows
-    gain = w_h * (phi_h @ a)
-    rest = w_h * (phi_h @ b) + w_z * (phi_z @ model.row_z())
-    ctrl = _control_interpolant(node_times, np.stack([gain, rest], axis=-1))
-    phi_g = model.coeffs.g.phi
-
-    def rhs(t, u):
-        c_gain, c_rest = ctrl(t)
-        return float(model.f_bar(u) + phi_g(u) * c_gain) + c_rest
-
-    return _rk4(rhs, x_mean, times)
+    c_gain = (w_h * (control.phi_h @ a)).tolist()
+    c_rest = (w_h * (control.phi_h @ b) + w_z * (control.phi_z @ model.row_z())).tolist()
+    return _rk4(model, x_mean, control.times, c_gain, c_rest)
 
 
 class _SupErrorObserver:

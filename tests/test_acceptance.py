@@ -59,7 +59,7 @@ def test_criterion_2_skeleton_duality(exit_reference):
         ctrl = fx.minimizing_control(model, path)
         action = fx.action_I(model, path)
         max_rel_gap = max(max_rel_gap, abs(fx.control_cost(ctrl) - action) / action)
-        values = solve_controlled_ode(model, w[0], t, ctrl.phi_h, ctrl.phi_z, t_final=1.0, dt=dt)
+        values = solve_controlled_ode(model, w[0], ctrl)
         max_sup = max(max_sup, float(np.abs(values - w).max()))
     ok = max_rel_gap < 1e-8 and max_sup < 1e-6
     _report(2, ok, f"duality rel gap {max_rel_gap:.2e} < 1e-8; round-trip sup {max_sup:.2e} < 1e-6")

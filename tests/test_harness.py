@@ -423,7 +423,7 @@ def test_resolve_config_refuses_non_finite_numbers():
     assert exc.value.field_path == "multiscale.eps.1"
 
 
-def test_cli_quasipotential_degenerate_h_fails_hypothesis(tmp_path, capsys):
+def _h_vanishing_at_0_config():
     # g = r vanishes at 0 and rho_bar = 0 leaves no boundary noise: H(0) = 0
     cfg = reference_config(
         coefficients={
@@ -434,10 +434,22 @@ def test_cli_quasipotential_degenerate_h_fails_hypothesis(tmp_path, capsys):
         multiscale={"rho_bar": 0.0},
     )
     cfg["experiment"] = {"kind": "quasipotential", "y_values": [0.5], "horizons": [2.0], "n_nodes": 40}
-    p = write_config(tmp_path, cfg)
+    return cfg
+
+
+def test_cli_quasipotential_degenerate_h_fails_hypothesis(tmp_path, capsys):
+    p = write_config(tmp_path, _h_vanishing_at_0_config())
     assert main(["quasipotential", "--config", str(p), "--out", str(tmp_path / "qp")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "noise intensity H" in err
+
+
+def test_run_that_raises_a_hypothesis_failure_records_itself(tmp_path):
+    # the run raises NondegeneracyError: status 2, and a manifest that says why
+    assert execute("quasipotential", resolve_config(_h_vanishing_at_0_config()), tmp_path) == 2
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == 2 and "noise intensity H" in manifest["error"]
+    assert list(manifest["outputs"]) == ["config_resolved.json"]
 
 
 @pytest.mark.parametrize("offset", [-0.7, -0.5, -0.3])
@@ -603,9 +615,8 @@ def test_cli_simulate_divergence_names_the_step(tmp_path):
     assert not (tmp_path / "out" / "trajectory_eps0.csv").exists()
 
 
-def test_cli_exit_optimizer_failure_is_numerical(tmp_path, capsys, monkeypatch):
-    # a multiplicative model gets V_bar from the path optimizer; one that does
-    # not converge ends the run with status 3 and one line, not a traceback
+def _unconverged_exit_config(monkeypatch):
+    # a multiplicative model gets V_bar from the path optimizer, here one that does not converge
     def unconverged(fun, x0, **kwargs):
         return SimpleNamespace(x=x0, fun=1.0, jac=np.ones_like(x0), success=False, nit=0)
 
@@ -619,10 +630,40 @@ def test_cli_exit_optimizer_failure_is_numerical(tmp_path, capsys, monkeypatch):
         n_paths=4,
     )
     cfg["experiment"] = {"kind": "exit", "domain": {"level": 0.25}, "t_max": 1.0}
-    p = write_config(tmp_path, cfg)
+    return cfg
+
+
+def test_cli_exit_optimizer_failure_is_numerical(tmp_path, capsys, monkeypatch):
+    # the optimizer failure ends the run with status 3 and one line, not a traceback
+    p = write_config(tmp_path, _unconverged_exit_config(monkeypatch))
     assert main(["exit", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "did not converge" in err
+
+
+def test_run_that_raises_a_numerical_failure_records_itself(tmp_path, monkeypatch):
+    # the exit checks pass and are written before V_bar's optimizer fails: status 3, and a
+    # manifest beside check_report.json that says why
+    assert execute("exit", resolve_config(_unconverged_exit_config(monkeypatch)), tmp_path) == 3
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == 3 and "did not converge" in manifest["error"]
+    assert json.loads((tmp_path / "check_report.json").read_text())["passed"]
+
+
+def test_action_whose_limit_ode_diverges_records_itself(tmp_path, capsys):
+    # f = 2000 r multiplies the state by about 8221 per RK4 step of dt = 0.01, past the largest
+    # float by step 79 of 100: the path-less action's limit ODE diverges while the system is built
+    cfg = reference_config(coefficients={"f": {"kind": "linear", "slope": 2000.0},
+                                         "g": {"kind": "constant", "value": 1.0},
+                                         "sigma": {"kind": "constant", "value": 1.0}},
+                           solver={"t_final": 1.0})
+    cfg["experiment"] = {"kind": "action", "x0": {"kind": "constant", "value": 1.0}}
+    p = write_config(tmp_path, cfg)
+    assert main(["action", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "diverged at step" in err
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["status"] == 3 and "diverged at step" in manifest["error"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -935,6 +976,14 @@ def test_compare_outputs_reports_rounding_and_fails_on_text(tmp_path):
     text = subprocess.run([sys.executable, str(script), a, c], capture_output=True, text=True)
     assert text.returncode == 1
     assert "run/a.csv 0" in text.stdout and "run/b.json FAIL" in text.stdout
+    # a NaN that became a number is its own mismatch, naming the field, not a difference of inf
+    d = tree("d", float("nan"), "same")
+    filled = subprocess.run([sys.executable, str(script), d, a], capture_output=True, text=True)
+    assert filled.returncode == 1
+    assert "run/a.csv FAIL: run/a.csv[1][1]: 'nan' -> '0.1', a NaN became a number" in filled.stdout
+    assert "run/b.json FAIL: run/b.json.levels[0].v: nan -> 0.1, a NaN became a number" in filled.stdout
+    emptied = subprocess.run([sys.executable, str(script), a, d], capture_output=True, text=True)
+    assert emptied.returncode == 1 and "run/a.csv[1][1]: '0.1' -> 'nan', a number became NaN" in emptied.stdout
 
 
 def test_module_exports_exist():

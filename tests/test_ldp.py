@@ -134,7 +134,7 @@ def test_skeleton_round_trip(ref_op):
     for _ in range(3):
         w = smooth_random_path(rng, dt=1e-4)
         ctrl = fx.minimizing_control(model, w)
-        out = solve_controlled_ode(model, w.values[0], ctrl.times, ctrl.phi_h, ctrl.phi_z, t_final=1.0, dt=1e-4)
+        out = solve_controlled_ode(model, w.values[0], ctrl)
         assert np.abs(out - w.values).max() < 1e-6
 
 

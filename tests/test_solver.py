@@ -135,20 +135,32 @@ def test_limit_ode_oracles(ref_op):
 
 def test_controlled_ode_zero_control(ref_op):
     model = build_model(ref_op)
-    times = np.linspace(0, 1, 11)
-    ctrl = _zero_control(times, ref_op.n_modes)
-    out = solve_controlled_ode(model, 1.0, times, ctrl.phi_h, ctrl.phi_z, t_final=1.0, dt=1e-3)
     ode = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
+    out = solve_controlled_ode(model, 1.0, _zero_control(ode.times, ref_op.n_modes))
     assert np.array_equal(out, ode.values)
 
 
 def test_controlled_ode_infinite_rho_ignores_phi_h(ref_op):
     model = build_model(ref_op, rho_bar=np.inf)
-    times = np.linspace(0, 1, 11)
-    ctrl = ControlPath(times=times, phi_h=np.ones((11, ref_op.n_modes)), phi_z=np.zeros((11, 2)))
-    out = solve_controlled_ode(model, 1.0, times, ctrl.phi_h, ctrl.phi_z, t_final=1.0, dt=1e-3)
     ode = fx.solve_limit_ode(model, 1.0, t_final=1.0, dt=1e-3)
-    assert np.array_equal(out, ode.values)
+    n = len(ode.times)
+    ctrl = ControlPath(times=ode.times, phi_h=np.ones((n, ref_op.n_modes)), phi_z=np.zeros((n, 2)))
+    assert np.array_equal(solve_controlled_ode(model, 1.0, ctrl), ode.values)
+
+
+def test_controlled_ode_linear_forcing_closed_form(ref_op):
+    # F_bar = -u with a constant gain, so row_H(u) = b and c_gain = 0; a boundary control
+    # phi_Z(t) = (s0 + s1 t) e_Z / (w_Z |row_Z|^2), e_Z = row_Z, forces u' = -u + s0 + s1 t,
+    # whose solution is s0 - s1 + s1 t + (u0 - s0 + s1) e^-t
+    model = build_model(ref_op, rho_bar=1.0)
+    _, w_z = model.weights
+    row_z = model.row_z()
+    s0, s1, u0 = 0.3, -0.8, 1.2
+    times = np.arange(1001) * 1e-3
+    phi_z = np.outer((s0 + s1 * times) / (w_z * (row_z @ row_z)), row_z)
+    ctrl = ControlPath(times=times, phi_h=np.zeros((len(times), ref_op.n_modes)), phi_z=phi_z)
+    exact = s0 - s1 + s1 * times + (u0 - s0 + s1) * np.exp(-times)
+    assert np.abs(solve_controlled_ode(model, u0, ctrl) - exact).max() < 1e-10
 
 
 def test_averaging_error_basic(ref_op):
